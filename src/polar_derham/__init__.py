@@ -7,7 +7,6 @@ from .bsplines import (
     difference_matrix,
     eval_basis,
     eval_derivative,
-    eval_spline,
     is_dta_compatible,
     make_uniform_open_knots,
     periodic_h0,
@@ -32,7 +31,6 @@ from .geometry import (
     SplineMap,
     build_geometry_g,
     build_polar_map,
-    eval_map_and_jacobian,
     polar_basis_smoothness_probe,
     polar_smoothness_probe,
     pushforward_eval,

@@ -8,6 +8,8 @@ the polar construction.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -15,6 +17,7 @@ from scipy import sparse
 __all__ = [
     "KnotVector",
     "SplineSpace",
+    "LocalBasis",
     "DerivativeBasis",
     "DtaDiagnostic",
     "make_uniform_open_knots",
@@ -22,7 +25,6 @@ __all__ = [
     "periodic_h0",
     "periodic_h1",
     "eval_basis",
-    "eval_spline",
     "eval_derivative",
     "is_dta_compatible",
 ]
@@ -145,6 +147,43 @@ def _basis_funs(knots, p, t, span):
             saved = left[j - r - 1] * tmp
         vals[j] = saved
     return vals
+
+
+def _basis_funs_batch(knots, p, x, span):
+    """The triangular scheme of `_basis_funs` over a batch of parameters.
+
+    Returns the p+1 degree-p values and the p degree-(p-1) values that are
+    nonzero on each parameter's span, as (m, p+1) and (m, p) arrays.
+    """
+    j = np.arange(1, p + 1)
+    left = x[:, None] - knots[span[:, None] + 1 - j]
+    right = knots[span[:, None] + j] - x[:, None]
+    vals = np.ones((x.size, 1))
+    lower = vals[:, :0]
+    for j in range(1, p + 1):
+        lower = vals
+        tmp = vals / (right[:, :j] + left[:, j - 1::-1])
+        vals = np.zeros((x.size, j + 1))
+        vals[:, :j] = right[:, :j] * tmp
+        vals[:, 1:] += left[:, j - 1::-1] * tmp
+    return vals, lower
+
+
+def _fold_table(blocks):
+    """Stack per-span dense blocks by their nonzero rows.
+
+    Returns ``index`` (spans, w) listing each block's nonzero rows and
+    ``fold`` (spans, w, k) holding those rows; short rows are padded with
+    index 0 and zero weights.
+    """
+    rows = [np.flatnonzero(np.abs(b).sum(axis=1)) for b in blocks]
+    width = max(r.size for r in rows)
+    index = np.zeros((len(blocks), width), dtype=np.intp)
+    fold = np.zeros((len(blocks), width, blocks[0].shape[1]))
+    for k, (r, b) in enumerate(zip(rows, blocks)):
+        index[k, : r.size] = r
+        fold[k, : r.size] = b[r]
+    return index, fold
 
 
 def make_uniform_open_knots(p, num_distinct, a, b):
@@ -280,6 +319,23 @@ def _as_knot_vector(space):
 
 # ============================= spline spaces ================================
 
+class LocalBasis(NamedTuple):
+    """Nonzero basis functions of a spline space at m parameters.
+
+    Row k of ``index`` holds the 0-based indices of the space's functions
+    that can be nonzero at the k-th parameter, ``values`` and
+    ``derivatives`` their values and first derivatives; ``deriv_index``
+    and ``deriv_values`` do the same for the derivative-space basis.
+    Padding slots carry index 0 and value 0.
+    """
+
+    index: np.ndarray
+    values: np.ndarray
+    derivatives: np.ndarray
+    deriv_index: np.ndarray
+    deriv_values: np.ndarray
+
+
 class SplineSpace:
     """Degree-p spline space on an open knot vector, optionally restricted
     to its C1-periodic subspace.
@@ -364,18 +420,95 @@ class SplineSpace:
 
     def eval_basis_derivative(self, t):
         """First derivatives of the dim(space) basis functions at t."""
-        delta = difference_matrix(self.dim, self.periodic)
-        return delta.T @ self.eval_deriv_space_basis(t)
+        return self.difference_stencil.T @ self.eval_deriv_space_basis(t)
+
+    @cached_property
+    def difference_stencil(self):
+        """The space's coefficient-difference stencil, built once."""
+        return difference_matrix(self.dim, self.periodic)
+
+    @cached_property
+    def _fold_tables(self):
+        """Per knot span: the functions nonzero there and the dense blocks
+        taking the span's raw B-spline values (degree p and p-1) to their
+        values, derivatives and derivative-space values.
+
+        The blocks fold in H0/H1 (periodic spaces), the derivative-basis
+        scales and the difference stencil, so evaluation never touches a
+        matrix the size of the space.
+        """
+        p, n = self.degree, self.kv.n
+        spans = range(n - p)
+        ext0 = self._h0.toarray() if self.periodic else np.eye(n)
+        value_blocks = [ext0[:, k : k + p + 1] for k in spans]
+        if p == 0:
+            # piecewise constants: zero derivative, empty derivative space
+            deriv_blocks = [np.zeros((0, 0))] * len(spans)
+            slope_blocks = [np.zeros((self.dim, 0))] * len(spans)
+        else:
+            ext1 = self._h1.toarray() if self.periodic else np.eye(n - 1)
+            ext1 = ext1 * self.derivative_basis.scales
+            deriv_blocks = [ext1[:, k : k + p] for k in spans]
+            delta_t = self.difference_stencil.T.toarray()
+            slope_blocks = [delta_t @ b for b in deriv_blocks]
+        index, fold = _fold_table(
+            [np.hstack(pair) for pair in zip(value_blocks, slope_blocks)]
+        )
+        deriv_index, deriv_fold = _fold_table(deriv_blocks)
+        return index, fold[:, :, : p + 1], fold[:, :, p + 1 :], deriv_index, deriv_fold
+
+    def eval_local(self, x, name="parameter"):
+        """Nonzero basis functions at a 1-D array of parameters.
+
+        Spans come from one binary search and the values from the
+        triangular Cox-de Boor scheme run over the whole array (Piegl and
+        Tiller, The NURBS Book, A2.1/A2.2); periodic spaces wrap x into
+        the interval first.  Non-finite parameters and parameters outside
+        an open space's interval raise ValueError, naming them `name`.
+        Returns a :class:`LocalBasis`.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1:
+            raise ValueError(f"{name} values must form a 1-D array, got shape {x.shape}")
+        finite = np.isfinite(x)
+        if not finite.all():
+            raise ValueError(f"{name} = {x[~finite][0]} is not finite")
+        a, b = self.interval
+        if self.periodic:
+            x = self._wrap(x)
+        else:
+            outside = (x < a) | (x > b)
+            if outside.any():
+                raise ValueError(f"{name} = {x[outside][0]} outside [{a}, {b}]")
+        # x >= a puts every span at p or above; the right end needs clamping
+        p = self.degree
+        span = np.minimum(np.searchsorted(self.kv.knots, x, side="right") - 1,
+                          self.kv.n - 1)
+        vals, lower = _basis_funs_batch(self.kv.knots, p, x, span)
+        index, value_fold, slope_fold, deriv_index, deriv_fold = self._fold_tables
+        k = span - p
+        return LocalBasis(
+            index=index[k],
+            values=np.einsum("mwj,mj->mw", value_fold[k], vals),
+            derivatives=np.einsum("mwj,mj->mw", slope_fold[k], lower),
+            deriv_index=deriv_index[k],
+            deriv_values=np.einsum("mwj,mj->mw", deriv_fold[k], lower),
+        )
 
     def eval(self, coeffs, t):
+        """Spline value at t, a scalar or a 1-D array of parameters."""
         coeffs = _check_coeffs(coeffs, self.dim)
-        return float(self.eval_basis(t) @ coeffs)
+        loc = self.eval_local(np.atleast_1d(t))
+        out = np.einsum("mw,mw->m", coeffs[loc.index], loc.values)
+        return float(out[0]) if np.ndim(t) == 0 else out
 
     def eval_derivative(self, coeffs, t):
         """f'(t) through the derivative basis and the difference stencil."""
         coeffs = _check_coeffs(coeffs, self.dim)
-        delta = difference_matrix(self.dim, self.periodic)
-        return float(self.eval_deriv_space_basis(t) @ (delta @ coeffs))
+        loc = self.eval_local(np.atleast_1d(t))
+        diffs = self.difference_stencil @ coeffs
+        out = np.einsum("mw,mw->m", diffs[loc.deriv_index], loc.deriv_values)
+        return float(out[0]) if np.ndim(t) == 0 else out
 
     def greville(self):
         """Greville abscissae identifying the degrees of freedom.
@@ -402,10 +535,6 @@ def _check_coeffs(coeffs, dim):
 
 def eval_basis(space, t):
     return space.eval_basis(t)
-
-
-def eval_spline(space, coeffs, t):
-    return space.eval(coeffs, t)
 
 
 def eval_derivative(space, coeffs, t):

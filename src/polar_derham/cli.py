@@ -153,15 +153,12 @@ def cmd_sample(args):
             f"level-{level} sampling requires s >= s_min = {s_min}; "
             f"grid reaches s = {ss.min()} (raise --smin)"
         )
+    t, s, r = np.meshgrid(ts, ss, rs, indexing="ij")
+    points = np.column_stack([r.ravel(), s.ravel(), t.ravel()])
+    xyz, values = cx.pushforward(coeffs, points, level=level)
+    table = np.column_stack([points, xyz, values])
     header = "r,s,t,x,y,z," + ("v1,v2,v3" if level in (1, 2) else "v1")
-    lines = [header]
-    for t in ts:
-        for s in ss:
-            for r in rs:
-                xyz, value = cx.pushforward(coeffs, (r, s, t), level=level)
-                vals = np.atleast_1d(value)
-                fields = [repr(float(x)) for x in (r, s, t, *xyz, *vals)]
-                lines.append(",".join(fields))
+    lines = [header] + [",".join(map(repr, row)) for row in table.tolist()]
     text = "\n".join(lines)
     if args.out:
         Path(args.out).write_text(text + "\n")

@@ -9,6 +9,7 @@ actions, and a plain selector for faces/volumes.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -247,6 +248,19 @@ class ExtractionSet:
             "E000", "E100", "E010", "E001", "E011", "E101", "E110", "E111",
         ]
 
+    @cached_property
+    def _columns(self):
+        return {}
+
+    def columns(self, pattern):
+        """CSC form of one component's matrix, converted on first use and
+        kept on this instance: column c lists the reduced functions that
+        tensor function c contributes to."""
+        cache = self._columns
+        if pattern not in cache:
+            cache[pattern] = sparse.csc_array(self.by_pattern(pattern))
+        return cache[pattern]
+
 
 def assemble_3d(nr, ns, nt, ebar=None):
     """Assemble the eight extraction matrices for n_t joints."""
@@ -287,18 +301,53 @@ def assemble_3d(nr, ns, nt, ebar=None):
 
 # --------------------------- basis evaluation -------------------------------
 
-def reduced_basis_values(extraction, tensor, level, point):
-    """Values of every reduced basis function of one level at a point.
+def _gather(extraction, tensor, pattern, factors):
+    """Triplets (point, reduced row, weight) of ``E[:, cols] @ b[cols]``.
 
-    Returns a length-n_level vector for the scalar levels 0 and 3 and an
-    (n_level, 3) array for the vector levels 1 and 2.
+    Only the columns of E that belong to the tensor functions nonzero at
+    each point are read, so the cost per point is the local support size
+    times the column length, independent of the mesh size.
+    """
+    cols, vals = tensor.local_component_basis(pattern, factors)
+    csc = extraction.columns(pattern)
+    flat = cols.ravel()
+    start = csc.indptr[flat]
+    count = csc.indptr[flat + 1] - start
+    entry = np.repeat(np.arange(flat.size), count)
+    pos = np.arange(entry.size) + (start - (np.cumsum(count) - count))[entry]
+    return entry // cols.shape[1], csc.indices[pos], csc.data[pos] * vals.ravel()[entry]
+
+
+def reduced_basis_values(extraction, tensor, level, point, coeffs=None):
+    """Values of every reduced basis function of one level, or of a field.
+
+    `point` is one (r, s, t) point or an (m, 3) array of points.  Without
+    `coeffs` the result holds every basis function: shape (n_level,) for
+    the scalar levels 0 and 3 and (n_level, 3) for the vector levels 1
+    and 2, with a leading m axis for a batch.  With a length-n_level
+    `coeffs` it holds the field ``sum_l coeffs[l] * phi_l``: a scalar or
+    (3,), with a leading m axis for a batch.
     """
     mats = extraction.level_matrices(level)
-    if level in (0, 3):
-        pat, E = mats[0]
-        return E @ tensor.eval_component_basis(pat, point)
-    cols = [E @ tensor.eval_component_basis(pat, point) for pat, E in mats]
-    return np.column_stack(cols)
+    n = mats[0][1].shape[0]
+    if coeffs is not None:
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.shape != (n,):
+            raise ValueError(
+                f"level-{level} field needs {n} coefficients, got {coeffs.shape}"
+            )
+    factors = tensor.local_factors(point)
+    m = factors.size
+    comps = []
+    for pat, _ in mats:
+        pts, rows, weights = _gather(extraction, tensor, pat, factors)
+        if coeffs is None:
+            flat = np.bincount(pts * n + rows, weights=weights, minlength=m * n)
+            comps.append(flat.reshape(m, n))
+        else:
+            comps.append(np.bincount(pts, weights=coeffs[rows] * weights, minlength=m))
+    out = comps[0] if level in (0, 3) else np.stack(comps, axis=-1)
+    return out[0] if factors.single else out
 
 
 def reduced_basis_eval(extraction, tensor, level, ell, point):

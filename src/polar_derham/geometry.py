@@ -19,7 +19,6 @@ __all__ = [
     "SplineMap",
     "build_polar_map",
     "build_geometry_g",
-    "eval_map_and_jacobian",
     "pushforward_eval",
     "polar_smoothness_probe",
     "polar_basis_smoothness_probe",
@@ -51,40 +50,36 @@ class SplineMap:
         self.control_points = control_points
         self._grid = control_points.reshape(tensor.nt, tensor.ns, tensor.nr, 3)
 
-    def _check_point(self, point):
-        r, s, t = point
-        for x, sp, name in zip((r, s, t), self.tensor.spaces, "rst"):
-            a, b = sp.interval
-            if not sp.periodic and not a <= x <= b:
-                raise ValueError(f"{name} = {x} outside [{a}, {b}]")
-        return float(r), float(s), float(t)
+    def _local_net(self, factors):
+        """Control points of each point's local support, (m, wt, ws, wr, 3)."""
+        ir, is_, it = (b.index for b in factors.bases)
+        return self._grid[it[:, :, None, None], is_[:, None, :, None], ir[:, None, None, :]]
 
     def eval(self, point):
-        r, s, t = self._check_point(point)
-        br = self.tensor.spaces[0].eval_basis(r)
-        bs = self.tensor.spaces[1].eval_basis(s)
-        bt = self.tensor.spaces[2].eval_basis(t)
-        return np.einsum("r,s,t,tsrd->d", br, bs, bt, self._grid)
+        """Image of one (r, s, t) point, (3,), or of an (m, 3) batch, (m, 3)."""
+        factors = self.tensor.local_factors(point)
+        br, bs, bt = (b.values for b in factors.bases)
+        xyz = np.einsum("mr,ms,mt,mtsrd->md", br, bs, bt, self._local_net(factors))
+        return xyz[0] if factors.single else xyz
 
     def jacobian(self, point):
-        """(xyz, DF, det DF); DF columns are the r, s, t partials."""
-        r, s, t = self._check_point(point)
-        br = self.tensor.spaces[0].eval_basis(r)
-        bs = self.tensor.spaces[1].eval_basis(s)
-        bt = self.tensor.spaces[2].eval_basis(t)
-        dbr = self.tensor.spaces[0].eval_basis_derivative(r)
-        dbs = self.tensor.spaces[1].eval_basis_derivative(s)
-        dbt = self.tensor.spaces[2].eval_basis_derivative(t)
-        xyz = np.einsum("r,s,t,tsrd->d", br, bs, bt, self._grid)
-        jac = np.empty((3, 3))
-        jac[:, 0] = np.einsum("r,s,t,tsrd->d", dbr, bs, bt, self._grid)
-        jac[:, 1] = np.einsum("r,s,t,tsrd->d", br, dbs, bt, self._grid)
-        jac[:, 2] = np.einsum("r,s,t,tsrd->d", br, bs, dbt, self._grid)
-        return xyz, jac, float(np.linalg.det(jac))
+        """(xyz, DF, det DF); DF columns are the r, s, t partials.
 
-
-def eval_map_and_jacobian(spline_map, point):
-    return spline_map.jacobian(point)
+        A batch of m points gives shapes (m, 3), (m, 3, 3) and (m,).  The
+        local control block is contracted one direction at a time against
+        the value and derivative rows of that direction.
+        """
+        factors = self.tensor.local_factors(point)
+        r, s, t = (np.stack([b.values, b.derivatives], axis=1) for b in factors.bases)
+        c = np.einsum("mar,mtsrd->mtsad", r, self._local_net(factors))
+        c = np.einsum("mbs,mtsad->mtbad", s, c)
+        c = np.einsum("mct,mtbad->mcbad", t, c)
+        xyz = c[:, 0, 0, 0]
+        jac = np.stack([c[:, 0, 0, 1], c[:, 0, 1, 0], c[:, 1, 0, 0]], axis=-1)
+        det = np.linalg.det(jac)
+        if factors.single:
+            return xyz[0], jac[0], float(det[0])
+        return xyz, jac, det
 
 
 # ============================== polar map F ==================================
@@ -181,6 +176,9 @@ def build_geometry_g(tensor, extraction, polar_map):
 
 _LEVEL_DIM_ATTR = {0: "n0", 1: "n1", 2: "n2", 3: "n3"}
 
+# Points per batch inside one call; bounds the gather's temporary arrays.
+_CHUNK = 2048
+
 
 def pushforward_eval(polar_map, tensor, extraction, level, coeffs, point,
                      s_min_factor=1e-8):
@@ -189,6 +187,10 @@ def pushforward_eval(polar_map, tensor, extraction, level, coeffs, point,
     Levels transform as scalar, covector (DF^{-T}), vector density
     (DF / det) and density (1 / det); the latter three refuse points with
     s below ``s_min_factor * S``.  Everything is evaluated parametrically.
+
+    `point` is one (r, s, t) point, giving xyz (3,) and a scalar or (3,)
+    value, or an (m, 3) array, giving xyz (m, 3) and values (m,) or
+    (m, 3).  Every coordinate must be finite.
     """
     if level not in (0, 1, 2, 3):
         raise ValueError(f"level must be 0..3, got {level}")
@@ -198,24 +200,33 @@ def pushforward_eval(polar_map, tensor, extraction, level, coeffs, point,
         raise ValueError(
             f"level-{level} field needs {expected} coefficients, got {coeffs.shape}"
         )
-    r, s, t = point
+    pts = np.asarray(point, dtype=float)
+    if pts.ndim == 2 and len(pts) > _CHUNK:
+        parts = [
+            pushforward_eval(polar_map, tensor, extraction, level, coeffs,
+                             pts[i : i + _CHUNK], s_min_factor)
+            for i in range(0, len(pts), _CHUNK)
+        ]
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    factors = tensor.local_factors(pts)
     S = tensor.spaces[1].interval[1]
     s_min = s_min_factor * S
+    s = factors.points[:, 1].min(initial=np.inf)
     if level > 0 and s < s_min:
         raise SingularityProximityError(
             f"level-{level} pushforward undefined this close to the polar "
             f"curve: s = {s} < s_min = {s_min}"
         )
-    values = reduced_basis_values(extraction, tensor, level, point)
+    param = reduced_basis_values(extraction, tensor, level, factors, coeffs=coeffs)
     if level == 0:
-        return polar_map.eval(point), float(coeffs @ values)
-    param = coeffs @ values
-    xyz, jac, det = polar_map.jacobian(point)
+        return polar_map.eval(factors), (float(param) if factors.single else param)
+    xyz, jac, det = polar_map.jacobian(factors)
     if level == 1:
-        return xyz, np.linalg.solve(jac.T, param)
+        return xyz, np.linalg.solve(np.swapaxes(jac, -1, -2), param[..., None])[..., 0]
     if level == 2:
-        return xyz, jac @ param / det
-    return xyz, float(param / det)
+        return xyz, np.einsum("...ij,...j->...i", jac, param) / np.expand_dims(det, -1)
+    value = param / det
+    return xyz, (float(value) if factors.single else value)
 
 
 # =========================== smoothness probes ===============================

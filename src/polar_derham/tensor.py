@@ -6,18 +6,23 @@ periodic in the first and third directions, open in the second.  All
 coefficient-level differential operators are Kronecker products of
 identities with the bidiagonal difference stencils; the vectorization
 convention (first index fastest) is owned by :class:`VecIndexMap`.
+Pointwise evaluation goes through :class:`LocalFactors`: the nonzero
+univariate functions of every direction at a batch of points, from which
+each component's local tensor support follows.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 
-from .bsplines import SplineSpace, difference_matrix, make_uniform_open_knots
+from .bsplines import SplineSpace, make_uniform_open_knots
 
 __all__ = [
     "wrap1",
     "VecIndexMap",
+    "LocalFactors",
     "TensorComplex",
     "build_tensor_sequence",
     "LEVEL_PATTERNS",
@@ -69,6 +74,26 @@ class VecIndexMap:
     def wrap(self, i, j, k):
         """Ravel with periodic wraparound in the first and third indices."""
         return self.ravel(wrap1(i, self.nr), j, wrap1(k, self.nt))
+
+
+@dataclass(frozen=True)
+class LocalFactors:
+    """Local univariate bases of the three directions at m points.
+
+    ``points`` is the validated (m, 3) array, ``bases`` one
+    :class:`~polar_derham.bsplines.LocalBasis` per direction and
+    ``single`` records that the input was one (3,) point, whose results
+    the entry points return without the batch axis.
+    """
+
+    spaces: tuple
+    points: np.ndarray
+    bases: tuple
+    single: bool
+
+    @property
+    def size(self):
+        return self.points.shape[0]
 
 
 class TensorComplex:
@@ -145,6 +170,49 @@ class TensorComplex:
         bt = self._direction_basis(2, pattern[2], t)
         return np.kron(bt, np.kron(bs, br))
 
+    def local_factors(self, points):
+        """Validate points and evaluate every direction's local basis once.
+
+        `points` is one (r, s, t) point or an (m, 3) array of them; each
+        coordinate must be finite, s must lie in the open direction's
+        interval, and r and t wrap periodically.  Factors already built on
+        these spaces pass through unchanged.
+        """
+        if isinstance(points, LocalFactors):
+            if points.spaces is self.spaces:
+                return points
+            points = points.points
+        pts = np.asarray(points, dtype=float)
+        single = pts.ndim == 1
+        pts = np.atleast_2d(pts)
+        if pts.ndim != 2 or pts.shape[1] != 3:
+            raise ValueError(
+                f"points must have shape (3,) or (m, 3), got {np.shape(points)}"
+            )
+        bases = tuple(
+            sp.eval_local(pts[:, axis], name)
+            for axis, (sp, name) in enumerate(zip(self.spaces, "rst"))
+        )
+        return LocalFactors(self.spaces, pts, bases, single)
+
+    def local_component_basis(self, pattern, points):
+        """One component's tensor basis functions nonzero at each point.
+
+        Returns (m, K) arrays of 0-based flat indices, in the
+        :class:`VecIndexMap` order of the component, and of values; K is
+        the product of the three directions' local widths.
+        """
+        factors = self.local_factors(points)
+        nr, ns, _ = self.component_shape(pattern)
+        (ir, br), (is_, bs), (it, bt) = (
+            (b.deriv_index, b.deriv_values) if lowered else (b.index, b.values)
+            for b, lowered in zip(factors.bases, pattern)
+        )
+        m = factors.size
+        cols = (it[:, :, None, None] * ns + is_[:, None, :, None]) * nr + ir[:, None, None, :]
+        vals = bt[:, :, None, None] * (bs[:, :, None] * br[:, None, :])[:, None]
+        return cols.reshape(m, -1), vals.reshape(m, -1)
+
     # --------------------- coefficient derivatives --------------------------
 
     def _eye(self, n):
@@ -153,14 +221,14 @@ class TensorComplex:
     def derivative_r(self, s_count=None):
         """I x I x Delta_per acting along the first index."""
         s_count = self.ns if s_count is None else s_count
-        delta = difference_matrix(self.nr, periodic=True)
+        delta = self.spaces[0].difference_stencil
         return sparse.kron(
             self._eye(self.nt), sparse.kron(self._eye(s_count), delta), format="csr"
         )
 
     def derivative_s(self):
         """I x Delta x I, lowering the open direction count by one."""
-        delta = difference_matrix(self.ns, periodic=False)
+        delta = self.spaces[1].difference_stencil
         return sparse.kron(
             self._eye(self.nt), sparse.kron(delta, self._eye(self.nr)), format="csr"
         )
@@ -168,7 +236,7 @@ class TensorComplex:
     def derivative_t(self, s_count=None):
         """Delta_per x I x I acting along the third index."""
         s_count = self.ns if s_count is None else s_count
-        delta = difference_matrix(self.nt, periodic=True)
+        delta = self.spaces[2].difference_stencil
         return sparse.kron(
             delta, sparse.kron(self._eye(s_count), self._eye(self.nr)), format="csr"
         )
@@ -213,17 +281,30 @@ class TensorComplex:
 
     # -------------------------- operator actions ----------------------------
 
+    # Built on first use and kept: the complex is immutable.
+    @cached_property
+    def _grad(self):
+        return self.grad_matrix()
+
+    @cached_property
+    def _curl(self):
+        return self.curl_matrix()
+
+    @cached_property
+    def _div(self):
+        return self.div_matrix()
+
     def apply_grad(self, coeffs):
         coeffs = self._check(coeffs, 0)
-        return self.grad_matrix() @ coeffs
+        return self._grad @ coeffs
 
     def apply_curl(self, coeffs):
         coeffs = self._check(coeffs, 1)
-        return self.curl_matrix() @ coeffs
+        return self._curl @ coeffs
 
     def apply_div(self, coeffs):
         coeffs = self._check(coeffs, 2)
-        return self.div_matrix() @ coeffs
+        return self._div @ coeffs
 
     def _check(self, coeffs, level):
         coeffs = np.asarray(coeffs, dtype=float)

@@ -233,14 +233,10 @@ def run_verification(cx, tolerances=None, rank_tol=None, seed=20240,
 
     # ----- partition of unity ---------------------------------------------------
     def pou_suite():
-        R, S, T = (sp.interval[1] for sp in cx.tensor.spaces)
-        worst_sum = 0.0
-        min_val = 0.0
-        for _ in range(num_points):
-            pt = (rng.uniform(0, R), rng.uniform(0, S), rng.uniform(0, T))
-            vals = cx.reduced_basis_values(0, pt)
-            worst_sum = max(worst_sum, abs(float(vals.sum()) - 1.0))
-            min_val = min(min_val, float(vals.min()))
+        upper = [sp.interval[1] for sp in cx.tensor.spaces]
+        vals = cx.reduced_basis_values(0, rng.uniform(0, upper, size=(num_points, 3)))
+        worst_sum = float(np.abs(vals.sum(axis=1) - 1.0).max(initial=0.0))
+        min_val = float(vals.min(initial=0.0))
         ok = worst_sum <= tol.residual and min_val >= -tol.residual
         gate("partition_of_unity", ok,
              f"worst |sum-1| {worst_sum:.3e}, min value {min_val:.3e}")
