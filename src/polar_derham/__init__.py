@@ -38,9 +38,6 @@ from .geometry import (
 from .incidence import (
     CohomologyReport,
     IncidenceSet,
-    build_d0,
-    build_d1,
-    build_d2,
     build_incidence,
     cohomology_dimensions,
     divergence_preimage,

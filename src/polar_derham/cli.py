@@ -64,7 +64,7 @@ def _resolve_config(args):
         raw.pop("distinct_knots", None)
         raw["dims"] = _triple(args.sizes)
     elif "distinct_knots" not in raw:
-        raw["dims"] = (4, 4, 3)
+        raw.setdefault("dims", (4, 4, 3))
     if getattr(args, "rho_bar", None) is not None:
         raw["rho_bar"] = args.rho_bar
     if getattr(args, "lengths", None):

@@ -4,8 +4,9 @@ The reduced spaces are spanned by ``E @ B`` where B collects a
 tensor-product level's basis functions and E is one of eight extraction
 matrices.  All of them derive from four small per-joint blocks: the
 3 x 2n_r barycentric block tying the two innermost rings of functions to
-three center functions, the two edge-level blocks defined through their
-actions, and a plain selector for faces/volumes.
+three center functions, the two edge-level blocks that feed the center
+edges from it and map the outer functions onto edge rounds, and a plain
+selector for faces/volumes.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .tensor import wrap1
+from .tensor import check_size_floors, wrap1
 
 __all__ = [
     "EbarBlock",
@@ -62,6 +63,11 @@ class EbarBlock:
         """Second-ring column difference col2(i+1) - col2(i)."""
         return self.col2(i + 1) - self.col2(i)
 
+    def ring_steps(self):
+        """Rows 2 and 3 of delta2(i) for i = 1..n_r, as a 2 x n_r array."""
+        second = self.matrix[1:, self.nr:]
+        return np.roll(second, -1, axis=1) - second
+
     def perturbed(self, eps):
         """Copy with entry (1, (1, 2)) shifted by eps (negative control)."""
         m = self.matrix.copy()
@@ -104,10 +110,7 @@ class PolarCounts:
 
 
 def polar_counts(nr, ns, nt):
-    if nr < 3 or ns < 4 or nt < 3:
-        raise ValueError(
-            f"size floors violated: need (nr, ns, nt) >= (3, 4, 3), got ({nr}, {ns}, {nt})"
-        )
+    check_size_floors(nr, ns, nt)
     nbar0 = nr * (ns - 2) + 3
     nbar1 = 2 * (nbar0 - 2)
     nbar2 = nbar0 - 3
@@ -127,86 +130,64 @@ def extraction_e0(nr, ns, ebar=None):
     """Vertex-level block: block diagonal of the center block and an
     identity over the outer rings; DTA-compatible by construction."""
     ebar = ebar_block(nr) if ebar is None else ebar
-    polar_counts(nr, ns, 3)  # size-floor validation
     eye = sparse.identity(nr * (ns - 2), dtype=float, format="csr")
     return sparse.block_diag(
         [sparse.csr_array(ebar.matrix), eye], format="csr"
     )
 
 
-def _materialize(apply_fn, nrows, ncols):
-    """Drive an action definition with unit vectors into a sparse matrix."""
-    cols = np.empty((ncols, nrows))
-    unit = np.zeros(ncols)
-    for m in range(ncols):
-        unit[m] = 1.0
-        cols[m] = apply_fn(unit)
-        unit[m] = 0.0
-    return sparse.csr_array(cols.T)
+def edge_round(nr, ring, poloidal):
+    """First per-joint edge index of one round of n_r edges.
+
+    After the two center edges, every outer vertex ring (0-based `ring`)
+    owns the radial round reaching it (``poloidal=0``), then the poloidal
+    round running around it (``poloidal=1``).
+    """
+    return 2 + (2 * ring + poloidal) * nr
 
 
-def _e10_action(ebar, ns, x):
-    """Poloidal edge-level action on a length n_r*n_s vector (1-based
-    index arithmetic, result length nbar1)."""
-    nr = ebar.nr
-    nbar1 = 2 * (nr * (ns - 2) + 1)
-    y = np.zeros(nbar1)
-    for ell in (1, 2):
-        acc = 0.0
-        for i in range(1, nr + 1):
-            acc += ebar.delta2(i)[ell] * x[i + nr - 1]
-        y[ell - 1] = acc
-    for j in range(3, ns + 1):
-        for i in range(1, nr + 1):
-            y[2 + i + (2 * j - 6) * nr - 1] = 0.0
-            y[2 + i + (2 * j - 5) * nr - 1] = x[i + (j - 1) * nr - 1]
-    return y
+def _edge_block(nr, ns, head, poloidal):
+    """Per-joint edge block of one derivative component.
 
-
-def _e01_action(ebar, ns, x):
-    """Radial edge-level action on a length n_r*(n_s-1) vector."""
-    nr = ebar.nr
-    nbar1 = 2 * (nr * (ns - 2) + 1)
-    y = np.zeros(nbar1)
-    for ell in (1, 2):
-        acc = 0.0
-        for i in range(1, nr + 1):
-            acc += (ebar.col2(i)[ell] - ebar.col1(i)[ell]) * x[i - 1]
-        y[ell - 1] = acc
-    for j in range(2, ns):
-        for i in range(1, nr + 1):
-            y[2 + i + (2 * j - 4) * nr - 1] = x[i + (j - 1) * nr - 1]
-            y[2 + i + (2 * j - 3) * nr - 1] = 0.0
-    return y
+    The 2 x n_r `head` ties the component's function ring `poloidal` to the
+    two center edges; the following function rings map one to one, in
+    order, onto the poloidal (1) or radial (0) edge rounds of vertex rings
+    0, 1, ...
+    """
+    i = np.arange(nr)
+    ring = np.arange(ns - 2)[:, None]
+    rows = np.append(np.repeat([0, 1], nr), edge_round(nr, ring, poloidal) + i)
+    cols = np.append(np.tile(poloidal * nr + i, 2), (ring + poloidal + 1) * nr + i)
+    vals = np.append(head, np.ones(nr * (ns - 2)))
+    shape = (2 * nr * (ns - 2) + 2, nr * (ns - 1 + poloidal))
+    mat = sparse.coo_array((vals, (rows, cols)), shape=shape).tocsr()
+    mat.eliminate_zeros()
+    return mat
 
 
 def extraction_e10(nr, ns, ebar=None):
-    """Edge-level block acting on the poloidal-derivative component,
-    materialized by driving its action with unit vectors."""
+    """Edge-level block acting on the poloidal-derivative component: the
+    center edges take the center block's second-ring poloidal steps, the
+    outer functions feed the poloidal rounds."""
     ebar = ebar_block(nr) if ebar is None else ebar
-    counts = polar_counts(nr, ns, 3)
-    return _materialize(
-        lambda x: _e10_action(ebar, ns, x), counts.nbar1, nr * ns
-    )
+    return _edge_block(nr, ns, ebar.ring_steps(), poloidal=1)
 
 
 def extraction_e01(nr, ns, ebar=None):
-    """Edge-level block acting on the radial-derivative component."""
+    """Edge-level block acting on the radial-derivative component: the
+    center edges take the center block's first-to-second-ring change, the
+    outer functions feed the radial rounds."""
     ebar = ebar_block(nr) if ebar is None else ebar
-    counts = polar_counts(nr, ns, 3)
-    return _materialize(
-        lambda x: _e01_action(ebar, ns, x), counts.nbar1, nr * (ns - 1)
-    )
+    head = ebar.matrix[1:, nr:] - ebar.matrix[1:, :nr]
+    return _edge_block(nr, ns, head, poloidal=0)
 
 
 def extraction_e2(nr, ns):
     """Face/volume-level selector dropping the innermost ring."""
-    counts = polar_counts(nr, ns, 3)
-    rows = np.arange(counts.nbar2)
-    cols = rows + nr
-    vals = np.ones(counts.nbar2, dtype=np.int64)
+    rows = np.arange(nr * (ns - 2))
+    vals = np.ones(rows.size, dtype=np.int64)
     return sparse.coo_array(
-        (vals, (rows, cols)), shape=(counts.nbar2, nr * (ns - 1))
+        (vals, (rows, rows + nr)), shape=(rows.size, nr * (ns - 1))
     ).tocsr()
 
 

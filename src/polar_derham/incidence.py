@@ -4,9 +4,23 @@ The reduced complex acts on degrees of freedom attached to the vertices,
 edges, faces and volumes of a polygonal ring with n_t joints.  Three
 matrices encode gradient, curl and divergence on those DOFs; their
 entries are +/-1 except near the ring centers, where the barycentric
-center block supplies the weights.  Everything here is transcribed from
-the per-joint index loops with two wraparound conventions: poloidal
-positions wrap modulo n_r, global indices wrap modulo the vector length.
+center block supplies the weights.
+
+The complex is the 2D polar-disk complex of one joint tensored with the
+periodic toroidal circle.  Per joint, the DOFs are ordered
+
+* vertices: ``[nbar0]``,
+* edges: ``[in-joint nbar1 | toroidal nbar0]``,
+* faces: ``[joint nbar2 | side nbar1]``,
+* volumes: ``[nbar2]``,
+
+and the disk blocks d0 (nbar1 x nbar0, vertices to in-joint edges) and d1
+(nbar2 x nbar1, in-joint edges to joint faces) lift with the periodic
+difference stencil Dt of the joints to
+
+* ``D0 = I (x) [d0; 0] + Dt (x) [0; I]``,
+* ``D1 = I (x) diag(d1, d0) + Dt (x) [[0, 0], [-I, 0]]``,
+* ``D2 = I (x) [0, d1] + Dt (x) [I, 0]``.
 """
 
 from dataclasses import dataclass, field
@@ -14,15 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .extraction import PolarCounts, ebar_block, polar_counts
-from .tensor import wrap1
+from .bsplines import difference_matrix
+from .extraction import PolarCounts, ebar_block, edge_round, polar_counts
 
 __all__ = [
     "IncidenceSet",
     "CohomologyReport",
-    "build_d0",
-    "build_d1",
-    "build_d2",
     "build_incidence",
     "verify_commutation",
     "cohomology_dimensions",
@@ -32,227 +43,83 @@ __all__ = [
 ]
 
 
-class _Triplets:
-    """1-based COO accumulator; duplicate entries sum."""
+# ============================ polar disk =====================================
 
-    def __init__(self, shape):
-        self.shape = shape
-        self.rows = []
-        self.cols = []
-        self.vals = []
-        self.weighted_rows = set()
-
-    def add(self, row, col, val, weighted=False):
-        if not (1 <= row <= self.shape[0] and 1 <= col <= self.shape[1]):
-            raise IndexError(f"entry ({row}, {col}) outside {self.shape}")
-        self.rows.append(row - 1)
-        self.cols.append(col - 1)
-        self.vals.append(val)
-        if weighted:
-            self.weighted_rows.add(row - 1)
-
-    def tocsr(self):
-        mat = sparse.coo_array(
-            (np.array(self.vals, dtype=float),
-             (np.array(self.rows), np.array(self.cols))),
-            shape=self.shape,
-        ).tocsr()
-        mat.sum_duplicates()
-        return mat
+def _cat(parts):
+    """Concatenate (rows, cols, vals) parts into one flat triplet."""
+    return tuple(np.concatenate([np.ravel(p[n]) for p in parts]) for n in range(3))
 
 
-# ============================ gradient: D0 ===================================
+def _stencil(n, periodic):
+    d = difference_matrix(n, periodic).tocoo()
+    return d.row, d.col, d.data
 
-def build_d0(nr, ns, nt, ebar=None):
-    """Vertex-to-edge incidence matrix (n1 x n0).
 
-    Rows are edge DOFs of the control ring: per joint, two center edges,
-    the first radial round weighted by the center block, the alternating
-    poloidal/radial rounds of the outer rings, then one toroidal edge per
-    vertex connecting to the next joint.
+def _disk_blocks(ebar, ns):
+    """The per-joint disk blocks d0 and d1 as (rows, cols, vals) triplets,
+    and the rows of each that carry center-block weights.
+
+    Outer vertex ``(i, ring)`` sits at ``3 + ring * n_r + i`` after the
+    three center vertices and face ``(i, ring)`` at ``ring * n_r + i``.
+    Apart from the weighted rows and the two center edges, every entry
+    comes from the periodic (poloidal) and open (radial) difference
+    stencils.
     """
-    ebar = ebar_block(nr) if ebar is None else ebar
-    c = polar_counts(nr, ns, nt)
-    acc = _Triplets((c.n1, c.n0))
-
-    def vertex(i, j, k):
-        # 1-based flat index of ring-j (j >= 3) vertex at poloidal position i.
-        return 3 + wrap1(i, nr) + (j - 3) * nr + (k - 1) * c.nbar0
-
-    for k in range(1, nt + 1):
-        bg = (k - 1) * (c.nbar0 + c.nbar1)
-        bf = (k - 1) * c.nbar0
-
-        acc.add(1 + bg, 2 + bf, 1.0)
-        acc.add(1 + bg, 1 + bf, -1.0)
-        acc.add(2 + bg, 3 + bf, 1.0)
-        acc.add(2 + bg, 1 + bf, -1.0)
-
-        for i in range(1, nr + 1):
-            row = 2 + i + bg
-            acc.add(row, 3 + i + bf, 1.0)
-            col2 = ebar.col2(i)
-            for ell in range(1, 4):
-                acc.add(row, ell + bf, -col2[ell - 1], weighted=True)
-
-        for j in range(3, ns):
-            for i in range(1, nr + 1):
-                row = 2 + i + (2 * j - 5) * nr + bg
-                acc.add(row, vertex(i + 1, j, k), 1.0)
-                acc.add(row, vertex(i, j, k), -1.0)
-                row = 2 + i + (2 * j - 4) * nr + bg
-                acc.add(row, 3 + i + (j - 2) * nr + bf, 1.0)
-                acc.add(row, 3 + i + (j - 3) * nr + bf, -1.0)
-
-        for i in range(1, nr + 1):
-            row = 2 + i + (2 * ns - 5) * nr + bg
-            acc.add(row, vertex(i + 1, ns, k), 1.0)
-            acc.add(row, vertex(i, ns, k), -1.0)
-
-        for i in range(1, c.nbar0 + 1):
-            row = i + k * c.nbar1 + (k - 1) * c.nbar0
-            acc.add(row, wrap1(i + k * c.nbar0, c.n0), 1.0)
-            acc.add(row, i + bf, -1.0)
-
-    return acc.tocsr(), acc.weighted_rows
+    nr, rings = ebar.nr, ns - 2
+    i = np.arange(nr)
+    ring = np.arange(rings)[:, None]
+    dr_row, dr_col, dr_val = _stencil(nr, periodic=True)
+    ds_row, ds_col, ds_val = _stencil(rings, periodic=False)
+    dr_vals = np.tile(dr_val, (rings, 1))
+    first = edge_round(nr, 0, 0) + i
+    d0 = _cat([
+        # center edges: vertex 2 - vertex 1 and vertex 3 - vertex 1
+        ([0, 0, 1, 1], [1, 0, 2, 0], [1, -1, 1, -1]),
+        # first radial round: ring-0 vertex minus its center combination
+        (first, 3 + i, np.ones(nr)),
+        (np.tile(first, 3), np.repeat([0, 1, 2], nr), -ebar.matrix[:, nr:]),
+        # poloidal rounds around every ring
+        (edge_round(nr, ring, 1) + dr_row, 3 + ring * nr + dr_col, dr_vals),
+        # radial rounds between consecutive rings
+        (edge_round(nr, ds_row[:, None] + 1, 0) + i, 3 + ds_col[:, None] * nr + i,
+         np.repeat(ds_val[:, None], nr, axis=1)),
+    ])
+    d1 = _cat([
+        # innermost faces: the two center edges replace the missing inner round
+        (np.tile(i, 2), np.repeat([0, 1], nr), ebar.ring_steps()),
+        # the radial edges on either side of each face
+        (ring * nr + dr_row, edge_round(nr, ring, 0) + dr_col, dr_vals),
+        # the poloidal edges outside and inside each face
+        (ring * nr + i, edge_round(nr, ring, 1) + i, -np.ones((rings, nr))),
+        (ring[1:] * nr + i, edge_round(nr, ring[:-1], 1) + i, np.ones((rings - 1, nr))),
+    ])
+    return d0, d1, first, i
 
 
-# ============================== curl: D1 =====================================
+# ============================ circle lift ====================================
 
-def build_d1(nr, ns, nt, ebar=None):
-    """Edge-to-face incidence matrix (n2 x n1).
+def _eye(n, sign=1.0):
+    return np.arange(n), np.arange(n), np.full(n, sign)
 
-    Generic rows combine the four edges framing a face; faces touching
-    the center cylinders replace the missing edges by center-block
-    combinations of the two center edges (joint faces) or the three
-    toroidal center edges (side faces).
+
+def _lift(nt, joint_shape, terms):
+    """CSR sum of the Kronecker products ``C (x) B`` over (C, B, row0, col0).
+
+    C (n_t x n_t, over the joints) and B are (rows, cols, vals) triplets;
+    B is placed at (row0, col0) inside a per-joint block of `joint_shape`.
+    Stored zeros are dropped.
     """
-    ebar = ebar_block(nr) if ebar is None else ebar
-    c = polar_counts(nr, ns, nt)
-    acc = _Triplets((c.n2, c.n1))
+    rows, cols, vals = _cat([
+        (c_row[:, None] * joint_shape[0] + row0 + b_row,
+         c_col[:, None] * joint_shape[1] + col0 + b_col,
+         c_val[:, None] * b_val)
+        for (c_row, c_col, c_val), (b_row, b_col, b_val), row0, col0 in terms
+    ])
+    shape = (nt * joint_shape[0], nt * joint_shape[1])
+    mat = sparse.coo_array((vals, (rows, cols)), shape=shape).tocsr()
+    mat.eliminate_zeros()
+    return mat
 
-    for k in range(1, nt + 1):
-        bj = (k - 1) * (c.nbar2 + c.nbar1)   # joint faces of joint k
-        bs = k * c.nbar2 + (k - 1) * c.nbar1  # side faces k -> k+1
-        bg = (k - 1) * (c.nbar0 + c.nbar1)   # in-joint edges of joint k
-        bgn = k * (c.nbar0 + c.nbar1)        # in-joint edges of joint k+1
-        bt = (k - 1) * c.nbar0 + k * c.nbar1  # toroidal edges of joint k
-
-        def g(idx):
-            return wrap1(idx, c.n1)
-
-        # joint faces: first round, against the center edges
-        for i in range(1, nr + 1):
-            row = i + bj
-            acc.add(row, g(2 + wrap1(i + 1, nr) + bg), 1.0)
-            acc.add(row, g(2 + i + bg), -1.0)
-            acc.add(row, g(2 + nr + i + bg), -1.0)
-            d2 = ebar.delta2(i)
-            for ell in (1, 2):
-                acc.add(row, g(ell + bg), d2[ell], weighted=True)
-
-        # joint faces: outer rounds
-        for j in range(2, ns - 1):
-            for i in range(1, nr + 1):
-                row = i + (j - 1) * nr + bj
-                acc.add(row, g(2 + wrap1(i + 1, nr) + 2 * (j - 1) * nr + bg), 1.0)
-                acc.add(row, g(2 + i + 2 * (j - 1) * nr + bg), -1.0)
-                acc.add(row, g(2 + i + (2 * j - 1) * nr + bg), -1.0)
-                acc.add(row, g(2 + i + (2 * j - 3) * nr + bg), 1.0)
-
-        # side faces: the two spanning the center cylinder
-        acc.add(1 + bs, g(2 + bt), 1.0)
-        acc.add(1 + bs, g(1 + bt), -1.0)
-        acc.add(1 + bs, g(1 + bg), 1.0)
-        acc.add(1 + bs, g(1 + bgn), -1.0)
-        acc.add(2 + bs, g(3 + bt), 1.0)
-        acc.add(2 + bs, g(1 + bt), -1.0)
-        acc.add(2 + bs, g(2 + bg), 1.0)
-        acc.add(2 + bs, g(2 + bgn), -1.0)
-
-        # side faces: first radial round, against the toroidal center edges
-        for i in range(1, nr + 1):
-            row = 2 + i + bs
-            acc.add(row, g(i + 2 + bgn), -1.0)
-            acc.add(row, g(i + 2 + bg), 1.0)
-            acc.add(row, g(i + 3 + bt), 1.0)
-            col2 = ebar.col2(i)
-            for ell in range(1, 4):
-                acc.add(row, g(ell + bt), -col2[ell - 1], weighted=True)
-
-        # side faces: outer rounds
-        for j in range(3, ns):
-            for i in range(1, nr + 1):
-                row = 2 + i + (2 * j - 5) * nr + bs
-                acc.add(row, g(i + 2 + (2 * j - 5) * nr + bgn), -1.0)
-                acc.add(row, g(i + 2 + (2 * j - 5) * nr + bg), 1.0)
-                acc.add(row, g(wrap1(i + 1, nr) + 3 + (j - 3) * nr + bt), 1.0)
-                acc.add(row, g(i + 3 + (j - 3) * nr + bt), -1.0)
-                row = 2 + i + (2 * j - 4) * nr + bs
-                acc.add(row, g(i + 2 + (2 * j - 4) * nr + bgn), -1.0)
-                acc.add(row, g(i + 2 + (2 * j - 4) * nr + bg), 1.0)
-                acc.add(row, g(i + 3 + (j - 2) * nr + bt), 1.0)
-                acc.add(row, g(i + 3 + (j - 3) * nr + bt), -1.0)
-
-        for i in range(1, nr + 1):
-            row = 2 + i + (2 * ns - 5) * nr + bs
-            acc.add(row, g(i + 2 + (2 * ns - 5) * nr + bgn), -1.0)
-            acc.add(row, g(i + 2 + (2 * ns - 5) * nr + bg), 1.0)
-            acc.add(row, g(wrap1(i + 1, nr) + 3 + (ns - 3) * nr + bt), 1.0)
-            acc.add(row, g(i + 3 + (ns - 3) * nr + bt), -1.0)
-
-    return acc.tocsr(), acc.weighted_rows
-
-
-# ============================ divergence: D2 =================================
-
-def build_d2(nr, ns, nt, ebar=None):
-    """Face-to-volume incidence matrix (n3 x n2).
-
-    Generic rows combine the six faces enclosing a volume; volumes with a
-    boundary face on a center cylinder use the center-block combination
-    of the two cylinder faces instead.
-    """
-    ebar = ebar_block(nr) if ebar is None else ebar
-    c = polar_counts(nr, ns, nt)
-    acc = _Triplets((c.n3, c.n2))
-
-    for k in range(1, nt + 1):
-        bm = (k - 1) * c.nbar2
-        bs = k * c.nbar2 + (k - 1) * c.nbar1   # side faces of joint k
-        bj = (k - 1) * (c.nbar2 + c.nbar1)     # joint faces of joint k
-        bjn = k * (c.nbar2 + c.nbar1)          # joint faces of joint k+1
-
-        def h(idx):
-            return wrap1(idx, c.n2)
-
-        # first radial round of volumes
-        for i in range(1, nr + 1):
-            row = i + bm
-            acc.add(row, h(2 + wrap1(i + 1, nr) + bs), 1.0)
-            acc.add(row, h(2 + i + bs), -1.0)
-            acc.add(row, h(2 + i + nr + bs), -1.0)
-            d2 = ebar.delta2(i)
-            for ell in (1, 2):
-                acc.add(row, h(ell + bs), d2[ell], weighted=True)
-            acc.add(row, h(i + bjn), 1.0)
-            acc.add(row, h(i + bj), -1.0)
-
-        # outer rounds of volumes
-        for j in range(2, ns - 1):
-            for i in range(1, nr + 1):
-                row = i + (j - 1) * nr + bm
-                acc.add(row, h(2 + wrap1(i + 1, nr) + (2 * j - 2) * nr + bs), 1.0)
-                acc.add(row, h(2 + i + (2 * j - 2) * nr + bs), -1.0)
-                acc.add(row, h(2 + i + (2 * j - 1) * nr + bs), -1.0)
-                acc.add(row, h(2 + i + (2 * j - 3) * nr + bs), 1.0)
-                acc.add(row, h(i + (j - 1) * nr + bjn), 1.0)
-                acc.add(row, h(i + (j - 1) * nr + bj), -1.0)
-
-    return acc.tocsr(), acc.weighted_rows
-
-
-# ============================== assembly =====================================
 
 @dataclass(frozen=True)
 class IncidenceSet:
@@ -267,16 +134,30 @@ class IncidenceSet:
 
 
 def build_incidence(nr, ns, nt, ebar=None):
+    """D0, D1 and D2 on n_t joints: the disk blocks lifted along the
+    circle as the module docstring sets out."""
+    c = polar_counts(nr, ns, nt)
     ebar = ebar_block(nr) if ebar is None else ebar
-    d0, w0 = build_d0(nr, ns, nt, ebar)
-    d1, w1 = build_d1(nr, ns, nt, ebar)
-    d2, w2 = build_d2(nr, ns, nt, ebar)
+    d0, d1, w0, w1 = _disk_blocks(ebar, ns)
+    n0, n1, n2 = c.nbar0, c.nbar1, c.nbar2
+    same, step = _eye(nt), _stencil(nt, periodic=True)
+
+    def lifted_rows(stride, *joint_rows):
+        joints = np.arange(nt)[:, None] * stride
+        return sorted(np.concatenate([(joints + r).ravel() for r in joint_rows]).tolist())
+
     return IncidenceSet(
-        counts=polar_counts(nr, ns, nt),
-        D0=d0,
-        D1=d1,
-        D2=d2,
-        weighted_rows={"D0": sorted(w0), "D1": sorted(w1), "D2": sorted(w2)},
+        counts=c,
+        D0=_lift(nt, (n1 + n0, n0), [(same, d0, 0, 0), (step, _eye(n0), n1, 0)]),
+        D1=_lift(nt, (n2 + n1, n1 + n0), [
+            (same, d1, 0, 0), (same, d0, n2, n1), (step, _eye(n1, -1.0), n2, 0),
+        ]),
+        D2=_lift(nt, (n2, n2 + n1), [(same, d1, 0, n2), (step, _eye(n2), 0, 0)]),
+        weighted_rows={
+            "D0": lifted_rows(n1 + n0, w0),
+            "D1": lifted_rows(n2 + n1, w1, n2 + w0),
+            "D2": lifted_rows(n2, w1),
+        },
     )
 
 

@@ -31,6 +31,21 @@ _CONFIG_DEFAULTS = {
 }
 
 
+def _checked(key, value, kind):
+    """A config number as `kind` (int or float), or a ValueError naming `key`."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (kind is int and isinstance(value, float) and not value.is_integer())):
+        wanted = "an integer" if kind is int else "a number"
+        raise ValueError(f"config {key!r}: expected {wanted}, got {value!r}")
+    return kind(value)
+
+
+def _checked_triple(key, value, kind):
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ValueError(f"config {key!r} must be a triple, got {value!r}")
+    return tuple(_checked(key, v, kind) for v in value)
+
+
 @dataclass
 class ComplexConfig:
     """User-facing build parameters.
@@ -62,15 +77,13 @@ class ComplexConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "degrees" not in raw:
             raise ValueError("config is missing 'degrees'")
-        degrees = tuple(int(p) for p in raw["degrees"])
-        if len(degrees) != 3:
-            raise ValueError("'degrees' must be a triple")
+        degrees = _checked_triple("degrees", raw["degrees"], int)
         pr, ps, pt = degrees
         distinct = None
         if "distinct_knots" in raw:
-            distinct = tuple(int(d) for d in raw["distinct_knots"])
+            distinct = _checked_triple("distinct_knots", raw["distinct_knots"], int)
         if "dims" in raw:
-            nr, ns, nt = (int(n) for n in raw["dims"])
+            nr, ns, nt = _checked_triple("dims", raw["dims"], int)
             from_dims = (nr - pr + 3, ns - ps + 1, nt - pt + 3)
             if distinct is not None and distinct != from_dims:
                 raise ValueError(
@@ -80,16 +93,23 @@ class ComplexConfig:
             distinct = from_dims
         if distinct is None:
             raise ValueError("config needs 'distinct_knots' or 'dims'")
-        if len(distinct) != 3:
-            raise ValueError("size specification must be a triple")
+        rank_tol, out_dir = raw.get("rank_tol"), raw.get("out_dir")
+        if rank_tol is not None:
+            rank_tol = _checked("rank_tol", rank_tol, float)
+        if out_dir is not None and not isinstance(out_dir, str):
+            raise ValueError(f"config 'out_dir' must be a string, got {out_dir!r}")
         applied = [k for k in _CONFIG_DEFAULTS if k not in raw]
         return cls(
             degrees=degrees,
             distinct_knots=distinct,
-            rho_bar=float(raw.get("rho_bar", _CONFIG_DEFAULTS["rho_bar"])),
-            lengths=tuple(float(x) for x in raw.get("lengths", _CONFIG_DEFAULTS["lengths"])),
-            rank_tol=raw.get("rank_tol"),
-            out_dir=raw.get("out_dir"),
+            rho_bar=_checked(
+                "rho_bar", raw.get("rho_bar", _CONFIG_DEFAULTS["rho_bar"]), float
+            ),
+            lengths=_checked_triple(
+                "lengths", raw.get("lengths", _CONFIG_DEFAULTS["lengths"]), float
+            ),
+            rank_tol=rank_tol,
+            out_dir=out_dir,
             applied_defaults=applied,
         )
 

@@ -20,6 +20,7 @@ from scipy import sparse
 from .bsplines import SplineSpace, make_uniform_open_knots
 
 __all__ = [
+    "check_size_floors",
     "wrap1",
     "VecIndexMap",
     "LocalFactors",
@@ -36,6 +37,15 @@ LEVEL_PATTERNS = {
     2: ((0, 1, 1), (1, 0, 1), (1, 1, 0)),
     3: ((1, 1, 1),),
 }
+
+
+def check_size_floors(nr, ns, nt):
+    """Reject sizes below the smallest the polar construction supports,
+    (nr, ns, nt) >= (3, 4, 3)."""
+    if nr < 3 or ns < 4 or nt < 3:
+        raise ValueError(
+            f"size floors violated: need (nr, ns, nt) >= (3, 4, 3), got ({nr}, {ns}, {nt})"
+        )
 
 
 def wrap1(i, n):
@@ -118,11 +128,7 @@ class TensorComplex:
                 )
         self.spaces = (space_r, space_s, space_t)
         self.nr, self.ns, self.nt = (sp.dim for sp in self.spaces)
-        if self.nr < 3 or self.ns < 4 or self.nt < 3:
-            raise ValueError(
-                "size floors violated: need nr >= 3, ns >= 4, nt >= 3, got "
-                f"({self.nr}, {self.ns}, {self.nt})"
-            )
+        check_size_floors(self.nr, self.ns, self.nt)
         self.index_map = VecIndexMap(self.nr, self.ns, self.nt)
 
     @property
@@ -342,10 +348,7 @@ def build_tensor_sequence(degrees, dims, lengths=(1.0, 1.0, 1.0)):
     nr, ns, nt = dims
     if min(degrees) < 2:
         raise ValueError(f"degrees >= 2 required, got {degrees}")
-    if nr < 3 or ns < 4 or nt < 3:
-        raise ValueError(
-            f"size floors violated: need dims >= (3, 4, 3), got {dims}"
-        )
+    check_size_floors(nr, ns, nt)
     R, S, T = lengths
     space_r = SplineSpace(make_uniform_open_knots(pr, nr - pr + 3, 0.0, R), periodic=True)
     space_s = SplineSpace(make_uniform_open_knots(ps, ns - ps + 1, 0.0, S))

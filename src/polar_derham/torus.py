@@ -19,7 +19,7 @@ from .geometry import (
     pushforward_eval,
 )
 from .incidence import build_incidence, cohomology_dimensions, verify_commutation
-from .tensor import build_tensor_sequence
+from .tensor import build_tensor_sequence, check_size_floors
 
 __all__ = [
     "TorusComplexSpec",
@@ -53,11 +53,7 @@ class TorusComplexSpec:
             raise ValueError("degrees, dims and lengths must be triples")
         if min(self.degrees) < 2:
             raise ValueError(f"degrees >= 2 required, got {self.degrees}")
-        nr, ns, nt = self.dims
-        if nr < 3 or ns < 4 or nt < 3:
-            raise ValueError(
-                f"size floors violated: need dims >= (3, 4, 3), got {self.dims}"
-            )
+        check_size_floors(*self.dims)
         if not self.rho_bar > 2:
             raise ValueError(
                 f"major-radius offset must exceed 2, got {self.rho_bar}"

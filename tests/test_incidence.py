@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import polar_derham as pd
 from polar_derham.incidence import max_abs, rank_with_gap
+from polar_derham.iotools import write_triplet
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +90,7 @@ class TestD2:
                 assert nnz == 6
 
 
-@pytest.mark.parametrize("dims", GRID)
+@pytest.mark.parametrize("dims", GRID + [(16, 16, 8), (32, 32, 16)])
 def test_complex_property(dims, complex_cache):
     inc = complex_cache(dims=dims).incidence
     assert max_abs(inc.D1 @ inc.D0) <= 1e-12
@@ -96,12 +99,43 @@ def test_complex_property(dims, complex_cache):
 
 # ----------------------------- commutation -------------------------------------
 
-@pytest.mark.parametrize("dims", [(4, 4, 3), (5, 6, 4)])
+@pytest.mark.parametrize("dims", [(4, 4, 3), (5, 6, 4), (16, 16, 8), (32, 32, 16)])
 def test_commutation_residuals(dims, complex_cache):
     cx = complex_cache(dims=dims)
     residuals = cx.commutation_residuals()
     assert len(residuals) == 7
     assert max(residuals.values()) <= 1e-12
+
+
+# SHA-256 of the exported triplet files: a change to any entry, to the
+# entry order or to the number formatting shows here.
+PINNED_DIGESTS = {
+    ((2, 2, 2), (5, 6, 4)): {
+        "D0": "b0c7388a389310eb27bb90649416963eeb600871c88380cbc5b402fd612425d4",
+        "D1": "01daa2e88962270d25205fa3ea3af7a43526dadfd88df61583c225ebfd08c346",
+        "D2": "30b90607f891679efd86254581ee062c8fd6c03ca84887486c0b5ae51dfde1f0",
+        "E100": "e544f61c77222e535f780c0583e1ea33a3cba76d8a80cac3b63fd9ab38c48fd3",
+        "E010": "aceb9cd338d1bde74d704ce37e9e4cd1d22b5e45f4d870d7a9ff631ce7763391",
+        "E101": "244bfcbdd0007ddc9839998eca3185ebf4698ccf3716a02fc8d22088fe510848",
+    },
+    ((3, 3, 3), (7, 7, 5)): {
+        "D0": "148643184f5d0e7400ecafb34264fb25fa47c58c407cd8844c0f57d4a01317a7",
+        "D1": "501483809dc820a00ad341498850f95df2e56f4712e5489fbe103cb18ea43875",
+        "D2": "412180e5a260f4f8e8a8d41a3c15a89d26378c5c9dd50360fdf6c89e7888166a",
+        "E100": "44872cde9790e1cb8ea3ed6b7934bbbe437f8d0d0e0a35ee36d53cd554d949aa",
+        "E010": "8fd6166b437b29693d9c81f92391eace6788d67ffe5093affd1cb698b8b80500",
+        "E101": "dec0ea055ab7cee8093f35cc76a1e9f94e33fd9c3bd3ef088f63ac29751dc556",
+    },
+}
+
+
+@pytest.mark.parametrize("degrees,dims", list(PINNED_DIGESTS))
+def test_exported_bytes_pinned(degrees, dims, complex_cache, tmp_path):
+    mats = complex_cache(degrees=degrees, dims=dims).named_matrices()
+    for name, digest in PINNED_DIGESTS[(degrees, dims)].items():
+        path = tmp_path / f"{name}.txt"
+        write_triplet(path, mats[name])
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, name
 
 
 def test_commutation_negative_control():

@@ -234,3 +234,27 @@ class TestCli:
         echoed = json.loads((bundle / "config.json").read_text())
         assert echoed["rho_bar"] == 3.0
         assert "rho_bar" in echoed["applied_defaults"]
+
+    def test_config_file_dims_respected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"degrees": [2, 2, 2], "dims": [5, 6, 4]}))
+        bundle = tmp_path / "bundle"
+        assert main(["build", "--config", str(cfg), "--out", str(bundle)]) == 0
+        echoed = json.loads((bundle / "config.json").read_text())
+        assert echoed["dims"] == [5, 6, 4]
+
+    @pytest.mark.parametrize("key,value", [
+        ("degrees", 2),
+        ("degrees", [[2], 2, 2]),
+        ("rho_bar", [3]),
+        ("lengths", 1),
+        ("rank_tol", "abc"),
+        ("out_dir", 5),
+    ])
+    def test_malformed_config_types(self, key, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"degrees": [2, 2, 2], "dims": [4, 4, 3], key: value}))
+        assert main(["build", "--config", str(cfg)]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "polar_derham_bundle").exists()
