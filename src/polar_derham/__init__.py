@@ -5,7 +5,6 @@ from .bsplines import (
     KnotVector,
     SplineSpace,
     difference_matrix,
-    eval_basis,
     eval_derivative,
     is_dta_compatible,
     make_uniform_open_knots,
@@ -43,13 +42,7 @@ from .incidence import (
     divergence_preimage,
     verify_commutation,
 )
-from .tensor import (
-    LEVEL_PATTERNS,
-    TensorComplex,
-    VecIndexMap,
-    build_tensor_sequence,
-    wrap1,
-)
+from .tensor import LEVEL_PATTERNS, TensorComplex, build_tensor_sequence
 from .torus import FieldCoefficients, PolarComplex, TorusComplexSpec, build_complex
 from .iotools import ComplexConfig, load_config, read_triplet, write_bundle, write_triplet
 from .verification import Tolerances, VerificationReport, run_verification

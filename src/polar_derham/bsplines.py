@@ -24,7 +24,6 @@ __all__ = [
     "difference_matrix",
     "periodic_h0",
     "periodic_h1",
-    "eval_basis",
     "eval_derivative",
     "is_dta_compatible",
 ]
@@ -363,17 +362,8 @@ class SplineSpace:
         return self.kv.degree
 
     @property
-    def smoothness_class(self):
-        return self.kv.smoothness()
-
-    @property
     def dim(self):
         return self.kv.n - 2 if self.periodic else self.kv.n
-
-    @property
-    def deriv_dim(self):
-        """Dimension of the derivative space."""
-        return self.kv.n - 2 if self.periodic else self.kv.n - 1
 
     @property
     def interval(self):
@@ -531,10 +521,6 @@ def _check_coeffs(coeffs, dim):
     if coeffs.shape != (dim,):
         raise ValueError(f"expected {dim} coefficients, got shape {coeffs.shape}")
     return coeffs
-
-
-def eval_basis(space, t):
-    return space.eval_basis(t)
 
 
 def eval_derivative(space, coeffs, t):

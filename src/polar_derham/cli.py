@@ -92,6 +92,8 @@ def cmd_build(args):
 
 
 def cmd_verify(args):
+    if args.tol is not None and not (np.isfinite(args.tol) and args.tol >= 0):
+        raise UsageError(f"--tol must be a finite number >= 0, got {args.tol}")
     config = _resolve_config(args)
     cx = _build_from_config(config, perturb_ebar=args.perturb_ebar)
     if args.drop_row:
@@ -99,7 +101,7 @@ def cmd_verify(args):
         if not row:
             raise UsageError("--drop-row expects MATRIX:ROW, e.g. D1:5")
         cx = inject_row_drop(cx, name, int(row))
-    tolerances = Tolerances(residual=args.tol) if args.tol else Tolerances()
+    tolerances = Tolerances() if args.tol is None else Tolerances(residual=args.tol)
     report = run_verification(cx, tolerances=tolerances, rank_tol=config.rank_tol,
                               config_echo=config.to_dict())
     payload = report.to_dict()
@@ -124,7 +126,7 @@ def cmd_sample(args):
     config = _resolve_config(args)
     cx = _build_from_config(config)
     level = args.level
-    n_level = (cx.counts.n0, cx.counts.n1, cx.counts.n2, cx.counts.n3)[level]
+    n_level = cx.counts.level_dim(level)
     if (args.basis is None) == (args.coeffs is None):
         raise UsageError("give exactly one of --basis or --coeffs")
     if args.basis is not None:

@@ -15,10 +15,11 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .tensor import check_size_floors, wrap1
+from .tensor import check_size_floors, eye_triplet, kron_lift, triplet
 
 __all__ = [
     "EbarBlock",
+    "control_angles",
     "PolarCounts",
     "ExtractionSet",
     "ebar_block",
@@ -51,20 +52,9 @@ class EbarBlock:
     matrix: np.ndarray
     thetas: np.ndarray
 
-    def col1(self, i):
-        """First-ring column for 1-based poloidal index i (wraps)."""
-        return self.matrix[:, wrap1(i, self.nr) - 1]
-
-    def col2(self, i):
-        """Second-ring column for 1-based poloidal index i (wraps)."""
-        return self.matrix[:, self.nr + wrap1(i, self.nr) - 1]
-
-    def delta2(self, i):
-        """Second-ring column difference col2(i+1) - col2(i)."""
-        return self.col2(i + 1) - self.col2(i)
-
     def ring_steps(self):
-        """Rows 2 and 3 of delta2(i) for i = 1..n_r, as a 2 x n_r array."""
+        """Rows 2 and 3 of the second-ring column steps, column i + 1 minus
+        column i (wrapping), as a 2 x n_r array."""
         second = self.matrix[1:, self.nr:]
         return np.roll(second, -1, axis=1) - second
 
@@ -75,12 +65,18 @@ class EbarBlock:
         return EbarBlock(self.nr, m, self.thetas)
 
 
+def control_angles(n):
+    """Angles ``(2 pi + (1 - 2i) pi / n) mod 2 pi`` for i = 1..n: one per
+    poloidal (or toroidal) position of the control nets."""
+    i = np.arange(1, n + 1)
+    return (2.0 * np.pi + (1.0 - 2.0 * i) * np.pi / n) % (2.0 * np.pi)
+
+
 def ebar_block(nr):
     """Build the barycentric center block for n_r poloidal positions."""
     if nr < 3:
         raise ValueError(f"center block needs nr >= 3 poloidal positions, got {nr}")
-    i = np.arange(1, nr + 1)
-    thetas = (2.0 * np.pi + (1.0 - 2.0 * i) * np.pi / nr) % (2.0 * np.pi)
+    thetas = control_angles(nr)
     matrix = np.empty((3, 2 * nr))
     matrix[:, :nr] = 1.0 / 3.0
     matrix[:, nr:] = 1.0 / 3.0 + _BARY @ np.vstack([np.cos(thetas), np.sin(thetas)])
@@ -107,6 +103,10 @@ class PolarCounts:
     @property
     def alternating_sum(self):
         return self.n0 - self.n1 + self.n2 - self.n3
+
+    def level_dim(self, level):
+        """Dimension n0, n1, n2 or n3 of one reduced level."""
+        return (self.n0, self.n1, self.n2, self.n3)[level]
 
 
 def polar_counts(nr, ns, nt):
@@ -244,23 +244,21 @@ class ExtractionSet:
 
 
 def assemble_3d(nr, ns, nt, ebar=None):
-    """Assemble the eight extraction matrices for n_t joints."""
+    """Assemble the eight extraction matrices for n_t joints: each is the
+    identity over the joints Kronecker one per-joint block, placed inside
+    the level's per-joint row layout (see :mod:`polar_derham.incidence`)."""
     counts = polar_counts(nr, ns, nt)
     ebar = ebar_block(nr) if ebar is None else ebar
     e0 = extraction_e0(nr, ns, ebar)
     e10 = extraction_e10(nr, ns, ebar)
     e01 = extraction_e01(nr, ns, ebar)
     e2 = extraction_e2(nr, ns)
-
-    def zeros(m, n):
-        return sparse.csr_array((m, n))
-
-    nbar0, nbar1, nbar2 = counts.nbar0, counts.nbar1, counts.nbar2
+    n0, n1, n2 = counts.nbar0, counts.nbar1, counts.nbar2
     w0, w1 = nr * ns, nr * (ns - 1)
-    eye = sparse.identity(nt, dtype=float, format="csr")
+    t0, t10, t01, t2 = (triplet(b) for b in (e0, e10, e01, e2))
 
-    def toroidal(block):
-        return sparse.kron(eye, block, format="csr")
+    def joints(block, shape, row0=0, sign=1.0):
+        return kron_lift(nt, shape, [(eye_triplet(nt, sign), block, row0, 0)])
 
     return ExtractionSet(
         counts=counts,
@@ -269,14 +267,14 @@ def assemble_3d(nr, ns, nt, ebar=None):
         E10=e10,
         E01=e01,
         E2=e2,
-        E000=toroidal(e0),
-        E100=toroidal(sparse.vstack([e10, zeros(nbar0, w0)], format="csr")),
-        E010=toroidal(sparse.vstack([e01, zeros(nbar0, w1)], format="csr")),
-        E001=toroidal(sparse.vstack([zeros(nbar1, w0), e0], format="csr")),
-        E011=toroidal(sparse.vstack([zeros(nbar2, w1), e01], format="csr")),
-        E101=toroidal(sparse.vstack([zeros(nbar2, w0), -e10], format="csr")),
-        E110=toroidal(sparse.vstack([e2.astype(float), zeros(nbar1, w1)], format="csr")),
-        E111=sparse.kron(sparse.identity(nt, dtype=np.int64, format="csr"), e2, format="csr"),
+        E000=joints(t0, (n0, w0)),
+        E100=joints(t10, (n1 + n0, w0)),
+        E010=joints(t01, (n1 + n0, w1)),
+        E001=joints(t0, (n1 + n0, w0), row0=n1),
+        E011=joints(t01, (n2 + n1, w1), row0=n2),
+        E101=joints(t10, (n2 + n1, w0), row0=n2, sign=-1.0),
+        E110=joints(t2, (n2 + n1, w1)),
+        E111=joints(t2, (n2, w1), sign=1),
     )
 
 
@@ -333,8 +331,7 @@ def reduced_basis_values(extraction, tensor, level, point, coeffs=None):
 
 def reduced_basis_eval(extraction, tensor, level, ell, point):
     """Value of the 1-based ell-th reduced basis function of a level."""
-    n_level = (extraction.counts.n0, extraction.counts.n1,
-               extraction.counts.n2, extraction.counts.n3)[level]
+    n_level = extraction.counts.level_dim(level)
     if not 1 <= ell <= n_level:
         raise IndexError(f"basis index {ell} out of range 1..{n_level}")
     values = reduced_basis_values(extraction, tensor, level, point)

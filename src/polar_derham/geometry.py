@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extraction import reduced_basis_values
+from .extraction import control_angles, reduced_basis_values
 
 __all__ = [
     "SingularityProximityError",
@@ -35,13 +35,13 @@ class SingularityProximityError(ValueError):
 class SplineMap:
     """R^3-valued spline over the level-0 tensor-product basis.
 
-    Control points are flat in the vectorization order (first index
-    fastest), one xyz row per basis function.
+    Control points are flat in the layout of :mod:`polar_derham.tensor`
+    (first index fastest), one xyz row per basis function.
     """
 
     def __init__(self, tensor, control_points):
         control_points = np.asarray(control_points, dtype=float)
-        n = tensor.index_map.size
+        n = tensor.level_dim(0)
         if control_points.shape != (n, 3):
             raise ValueError(
                 f"control net must have shape ({n}, 3), got {control_points.shape}"
@@ -106,28 +106,21 @@ class PolarMap(SplineMap):
 
 def build_polar_map(tensor, rho_bar):
     """Control net of the polar map: circles of radius rho_j around the
-    ring of major radius rho_bar, collapsing to the polar curve at j = 1."""
+    ring of major radius rho_bar, collapsing to the polar curve at the
+    innermost ring."""
     if not rho_bar > 2:
         raise ValueError(f"major-radius offset must exceed 2, got {rho_bar}")
     nr, ns, nt = tensor.dims
-    j = np.arange(1, ns + 1)
-    i = np.arange(1, nr + 1)
-    k = np.arange(1, nt + 1)
-    rhos = (j - 1) / (ns - 1)
-    thetas = (2 * np.pi + (1 - 2 * i) * np.pi / nr) % (2 * np.pi)
-    phis = (2 * np.pi + (1 - 2 * k) * np.pi / nt) % (2 * np.pi)
-
-    pts = np.empty((tensor.index_map.size, 3))
-    for flat in range(1, tensor.index_map.size + 1):
-        ii, jj, kk = tensor.index_map.unravel(flat)
-        rad = rho_bar + rhos[jj - 1] * np.cos(thetas[ii - 1])
-        pts[flat - 1] = (
-            rad * np.cos(phis[kk - 1]),
-            rad * np.sin(phis[kk - 1]),
-            rhos[jj - 1] * np.sin(thetas[ii - 1]),
-        )
+    rhos = np.arange(ns) / (ns - 1)
+    thetas = control_angles(nr)
+    phis = control_angles(nt)
+    rad = rho_bar + rhos[:, None] * np.cos(thetas)
+    net = np.empty((nt, ns, nr, 3))
+    net[..., 0] = rad * np.cos(phis)[:, None, None]
+    net[..., 1] = rad * np.sin(phis)[:, None, None]
+    net[..., 2] = rhos[:, None] * np.sin(thetas)
     return PolarMap(
-        tensor, pts, PolarMapData(float(rho_bar), rhos, thetas, phis)
+        tensor, net.reshape(-1, 3), PolarMapData(float(rho_bar), rhos, thetas, phis)
     )
 
 
@@ -148,33 +141,25 @@ class GeometryMapG(SplineMap):
 
 
 def build_geometry_g(tensor, extraction, polar_map):
-    """Reduced control net of the smooth geometry map."""
-    nr, ns, nt = tensor.dims
-    c = extraction.counts
+    """Reduced control net of the smooth geometry map.
+
+    Per joint, the three center points are followed by the polar-map net
+    of the vertex rings j >= 2 (0-based), in the tensor layout.
+    """
     data = polar_map.data
     rho2 = data.rhos[1]
-    sqrt3 = np.sqrt(3.0)
-    pts = np.empty((c.n0, 3))
-    for k in range(1, nt + 1):
-        phi = data.phis[k - 1]
-        base = (k - 1) * c.nbar0
-        pts[base + 0] = ((data.rho_bar + rho2) * np.cos(phi),
-                         (data.rho_bar + rho2) * np.sin(phi), 0.0)
-        pts[base + 1] = ((data.rho_bar - rho2 / 2) * np.cos(phi),
-                         (data.rho_bar - rho2 / 2) * np.sin(phi), sqrt3 / 2 * rho2)
-        pts[base + 2] = ((data.rho_bar - rho2 / 2) * np.cos(phi),
-                         (data.rho_bar - rho2 / 2) * np.sin(phi), -sqrt3 / 2 * rho2)
-        for jj in range(3, ns + 1):
-            for ii in range(1, nr + 1):
-                ell = 3 + ii + (jj - 3) * nr + base
-                flat = tensor.index_map.ravel(ii, jj, k)
-                pts[ell - 1] = polar_map.control_points[flat - 1]
-    return GeometryMapG(tensor, pts, extraction)
+    height = np.sqrt(3.0) / 2 * rho2
+    rad = data.rho_bar + np.array([rho2, -rho2 / 2, -rho2 / 2])
+    nt = tensor.nt
+    pts = np.empty((nt, extraction.counts.nbar0, 3))
+    pts[:, :3, 0] = rad * np.cos(data.phis)[:, None]
+    pts[:, :3, 1] = rad * np.sin(data.phis)[:, None]
+    pts[:, :3, 2] = [0.0, height, -height]
+    pts[:, 3:] = polar_map._grid[:, 2:].reshape(nt, -1, 3)
+    return GeometryMapG(tensor, pts.reshape(-1, 3), extraction)
 
 
 # ============================= pushforwards ==================================
-
-_LEVEL_DIM_ATTR = {0: "n0", 1: "n1", 2: "n2", 3: "n3"}
 
 # Points per batch inside one call; bounds the gather's temporary arrays.
 _CHUNK = 2048
@@ -195,7 +180,7 @@ def pushforward_eval(polar_map, tensor, extraction, level, coeffs, point,
     if level not in (0, 1, 2, 3):
         raise ValueError(f"level must be 0..3, got {level}")
     coeffs = np.asarray(coeffs, dtype=float)
-    expected = getattr(extraction.counts, _LEVEL_DIM_ATTR[level])
+    expected = extraction.counts.level_dim(level)
     if coeffs.shape != (expected,):
         raise ValueError(
             f"level-{level} field needs {expected} coefficients, got {coeffs.shape}"
@@ -256,33 +241,41 @@ class SmoothnessProbeReport:
 
 
 def _probe_engine(value_fn, polar_map, tensor, t, eps_list, num_r):
+    """Run the probe on `value_fn`, which maps an (m, 3) array of points to
+    (m,) or (m, K) values; every point is evaluated in one batch."""
     R = tensor.spaces[0].interval[1]
     S = tensor.spaces[1].interval[1]
     rs = np.linspace(0.0, R, num_r, endpoint=False) + 0.37 * R / num_r
-    vals0 = np.stack([np.atleast_1d(value_fn((r, 0.0, t))) for r in rs])
-    value_disc = vals0.max(axis=0) - vals0.min(axis=0)
-
     # Three approach directions in the meridian plane always admit a
     # nontrivial cancelling combination; for symmetric nets two of them
     # are antipodal and this reduces to the opposite-direction pair.
     r3 = (0.15 * R + np.array([0.0, R / 3.0, 2.0 * R / 3.0])) % R
-    dirs = np.stack(
-        [polar_map.jacobian((r, 0.0, t))[1][:, 1] for r in r3], axis=1
-    )
-    weights = np.linalg.svd(dirs)[2][-1]
-    base = np.stack([np.atleast_1d(value_fn((r, 0.0, t))) for r in r3])
-    table = []
-    for eps in eps_list:
-        vals = np.stack([np.atleast_1d(value_fn((r, eps * S, t))) for r in r3])
-        delta = np.abs(weights @ (vals - base)) / eps
-        table.append((float(eps), delta))
+    eps = np.asarray(eps_list, dtype=float)
+    r = np.concatenate([rs, np.tile(r3, eps.size + 1)])
+    s = np.concatenate([np.zeros(num_r + 3), np.repeat(eps * S, 3)])
+    points = np.column_stack([r, s, np.full(r.size, float(t))])
+
+    vals = value_fn(points).reshape(r.size, -1)
+    vals0, base = vals[:num_r], vals[num_r : num_r + 3]
+    approach = vals[num_r + 3 :].reshape(eps.size, 3, -1)
+    jac = polar_map.jacobian(points[num_r : num_r + 3])[1]
+    weights = np.linalg.svd(jac[:, :, 1].T)[2][-1]
+    table = [
+        (float(e), np.abs(weights @ (v - base)) / e)
+        for e, v in zip(eps_list, approach)
+    ]
     return SmoothnessProbeReport(
         t=float(t),
         r_samples=rs,
-        value_discrepancy=value_disc,
+        value_discrepancy=vals0.max(axis=0) - vals0.min(axis=0),
         c1_table=table,
         weights=weights,
     )
+
+
+def _check_space(space):
+    if space not in ("reduced", "tensor"):
+        raise ValueError(f"unknown space {space!r}")
 
 
 def polar_smoothness_probe(polar_map, tensor, extraction, coeffs, t, eps_list,
@@ -293,24 +286,16 @@ def polar_smoothness_probe(polar_map, tensor, extraction, coeffs, t, eps_list,
     vertex basis) or "tensor" (raw tensor-product coefficients, the
     negative control, which is generically multivalued at s = 0).
     """
+    _check_space(space)
     coeffs = np.asarray(coeffs, dtype=float)
-    if space == "reduced":
-        if coeffs.shape != (extraction.counts.n0,):
-            raise ValueError(
-                f"expected {extraction.counts.n0} reduced coefficients"
-            )
-        tensor_coeffs = extraction.E000.T @ coeffs
-    elif space == "tensor":
-        if coeffs.shape != (tensor.index_map.size,):
-            raise ValueError(
-                f"expected {tensor.index_map.size} tensor coefficients"
-            )
-        tensor_coeffs = coeffs
-    else:
-        raise ValueError(f"unknown space {space!r}")
+    n = extraction.counts.n0 if space == "reduced" else tensor.level_dim(0)
+    if coeffs.shape != (n,):
+        raise ValueError(f"expected {n} {space} coefficients")
+    tensor_coeffs = extraction.E000.T @ coeffs if space == "reduced" else coeffs
 
-    def value(point):
-        return tensor_coeffs @ tensor.eval_component_basis((0, 0, 0), point)
+    def value(points):
+        cols, vals = tensor.local_component_basis((0, 0, 0), points)
+        return np.einsum("mk,mk->m", tensor_coeffs[cols], vals)
 
     return _probe_engine(value, polar_map, tensor, t, eps_list, num_r)
 
@@ -323,11 +308,14 @@ def polar_basis_smoothness_probe(polar_map, tensor, extraction, t, eps_list,
     basis function (reduced basis, or the raw tensor basis for the
     negative control).
     """
+    _check_space(space)
 
-    def values(point):
-        b = tensor.eval_component_basis((0, 0, 0), point)
-        return (extraction.E000 @ b) if space == "reduced" else b
+    def values(points):
+        if space == "reduced":
+            return reduced_basis_values(extraction, tensor, 0, points)
+        cols, vals = tensor.local_component_basis((0, 0, 0), points)
+        n, m = tensor.level_dim(0), len(points)
+        flat = np.arange(m)[:, None] * n + cols
+        return np.bincount(flat.ravel(), weights=vals.ravel(), minlength=m * n).reshape(m, n)
 
-    if space not in ("reduced", "tensor"):
-        raise ValueError(f"unknown space {space!r}")
     return _probe_engine(values, polar_map, tensor, t, eps_list, num_r)

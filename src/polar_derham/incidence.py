@@ -30,6 +30,7 @@ from scipy import sparse
 
 from .bsplines import difference_matrix
 from .extraction import PolarCounts, ebar_block, edge_round, polar_counts
+from .tensor import cat_triplets, eye_triplet, kron_lift, triplet
 
 __all__ = [
     "IncidenceSet",
@@ -45,16 +46,6 @@ __all__ = [
 
 # ============================ polar disk =====================================
 
-def _cat(parts):
-    """Concatenate (rows, cols, vals) parts into one flat triplet."""
-    return tuple(np.concatenate([np.ravel(p[n]) for p in parts]) for n in range(3))
-
-
-def _stencil(n, periodic):
-    d = difference_matrix(n, periodic).tocoo()
-    return d.row, d.col, d.data
-
-
 def _disk_blocks(ebar, ns):
     """The per-joint disk blocks d0 and d1 as (rows, cols, vals) triplets,
     and the rows of each that carry center-block weights.
@@ -68,11 +59,11 @@ def _disk_blocks(ebar, ns):
     nr, rings = ebar.nr, ns - 2
     i = np.arange(nr)
     ring = np.arange(rings)[:, None]
-    dr_row, dr_col, dr_val = _stencil(nr, periodic=True)
-    ds_row, ds_col, ds_val = _stencil(rings, periodic=False)
+    dr_row, dr_col, dr_val = triplet(difference_matrix(nr, periodic=True))
+    ds_row, ds_col, ds_val = triplet(difference_matrix(rings, periodic=False))
     dr_vals = np.tile(dr_val, (rings, 1))
     first = edge_round(nr, 0, 0) + i
-    d0 = _cat([
+    d0 = cat_triplets([
         # center edges: vertex 2 - vertex 1 and vertex 3 - vertex 1
         ([0, 0, 1, 1], [1, 0, 2, 0], [1, -1, 1, -1]),
         # first radial round: ring-0 vertex minus its center combination
@@ -84,7 +75,7 @@ def _disk_blocks(ebar, ns):
         (edge_round(nr, ds_row[:, None] + 1, 0) + i, 3 + ds_col[:, None] * nr + i,
          np.repeat(ds_val[:, None], nr, axis=1)),
     ])
-    d1 = _cat([
+    d1 = cat_triplets([
         # innermost faces: the two center edges replace the missing inner round
         (np.tile(i, 2), np.repeat([0, 1], nr), ebar.ring_steps()),
         # the radial edges on either side of each face
@@ -94,31 +85,6 @@ def _disk_blocks(ebar, ns):
         (ring[1:] * nr + i, edge_round(nr, ring[:-1], 1) + i, np.ones((rings - 1, nr))),
     ])
     return d0, d1, first, i
-
-
-# ============================ circle lift ====================================
-
-def _eye(n, sign=1.0):
-    return np.arange(n), np.arange(n), np.full(n, sign)
-
-
-def _lift(nt, joint_shape, terms):
-    """CSR sum of the Kronecker products ``C (x) B`` over (C, B, row0, col0).
-
-    C (n_t x n_t, over the joints) and B are (rows, cols, vals) triplets;
-    B is placed at (row0, col0) inside a per-joint block of `joint_shape`.
-    Stored zeros are dropped.
-    """
-    rows, cols, vals = _cat([
-        (c_row[:, None] * joint_shape[0] + row0 + b_row,
-         c_col[:, None] * joint_shape[1] + col0 + b_col,
-         c_val[:, None] * b_val)
-        for (c_row, c_col, c_val), (b_row, b_col, b_val), row0, col0 in terms
-    ])
-    shape = (nt * joint_shape[0], nt * joint_shape[1])
-    mat = sparse.coo_array((vals, (rows, cols)), shape=shape).tocsr()
-    mat.eliminate_zeros()
-    return mat
 
 
 @dataclass(frozen=True)
@@ -140,7 +106,7 @@ def build_incidence(nr, ns, nt, ebar=None):
     ebar = ebar_block(nr) if ebar is None else ebar
     d0, d1, w0, w1 = _disk_blocks(ebar, ns)
     n0, n1, n2 = c.nbar0, c.nbar1, c.nbar2
-    same, step = _eye(nt), _stencil(nt, periodic=True)
+    same, step = eye_triplet(nt), triplet(difference_matrix(nt, periodic=True))
 
     def lifted_rows(stride, *joint_rows):
         joints = np.arange(nt)[:, None] * stride
@@ -148,11 +114,11 @@ def build_incidence(nr, ns, nt, ebar=None):
 
     return IncidenceSet(
         counts=c,
-        D0=_lift(nt, (n1 + n0, n0), [(same, d0, 0, 0), (step, _eye(n0), n1, 0)]),
-        D1=_lift(nt, (n2 + n1, n1 + n0), [
-            (same, d1, 0, 0), (same, d0, n2, n1), (step, _eye(n1, -1.0), n2, 0),
+        D0=kron_lift(nt, (n1 + n0, n0), [(same, d0, 0, 0), (step, eye_triplet(n0), n1, 0)]),
+        D1=kron_lift(nt, (n2 + n1, n1 + n0), [
+            (same, d1, 0, 0), (same, d0, n2, n1), (step, eye_triplet(n1, -1.0), n2, 0),
         ]),
-        D2=_lift(nt, (n2, n2 + n1), [(same, d1, 0, n2), (step, _eye(n2), 0, 0)]),
+        D2=kron_lift(nt, (n2, n2 + n1), [(same, d1, 0, n2), (step, eye_triplet(n2), 0, 0)]),
         weighted_rows={
             "D0": lifted_rows(n1 + n0, w0),
             "D1": lifted_rows(n2 + n1, w1, n2 + w0),
@@ -301,41 +267,17 @@ def cohomology_dimensions(incidence, rank_tol=None, harmonic=True):
 def divergence_preimage(counts, m, beta=0.0):
     """Back-substitute a level-2 coefficient vector h with D2 @ h = m.
 
-    The construction zeroes the poloidal side faces, accumulates the
-    radial side faces ring by ring and sets every joint face to the free
-    parameter beta.
+    Per joint, every joint face is set to the free parameter beta, the side
+    faces of the two center edges and of the radial rounds are zeroed, and
+    the side round of ring j's poloidal edges carries minus the running sum
+    of the volumes of rings 0..j.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (counts.n3,):
         raise ValueError(f"expected {counts.n3} volume DOFs, got shape {m.shape}")
     nr, ns, nt = counts.nr, counts.ns, counts.nt
-    nbar1, nbar2 = counts.nbar1, counts.nbar2
-    h = np.zeros(counts.n2)
-
-    def set1(idx, value):
-        h[idx - 1] = value
-
-    def get1(idx):
-        return h[idx - 1]
-
-    for k in range(1, nt + 1):
-        bs = k * nbar2 + (k - 1) * nbar1
-        bj = (k - 1) * (nbar2 + nbar1)
-        bm = (k - 1) * nbar2
-        set1(1 + bs, 0.0)
-        set1(2 + bs, 0.0)
-        for i in range(1, nr + 1):
-            set1(2 + i + bs, 0.0)
-            set1(2 + i + nr + bs, -m[i + bm - 1])
-        # Uniform in i: the poloidal round 2j-2 is zeroed and the radial
-        # round 2j-1 accumulates; slot indices never leave the side block.
-        for j in range(2, ns - 1):
-            for i in range(1, nr + 1):
-                set1(2 + i + (2 * j - 2) * nr + bs, 0.0)
-                set1(
-                    2 + i + (2 * j - 1) * nr + bs,
-                    get1(2 + i + (2 * j - 3) * nr + bs) - m[i + (j - 1) * nr + bm - 1],
-                )
-        for ell in range(1, nbar2 + 1):
-            set1(ell + bj, beta)
-    return h
+    h = np.zeros((nt, counts.nbar2 + counts.nbar1))
+    h[:, :counts.nbar2] = beta
+    rounds = h[:, counts.nbar2 + 2:].reshape(nt, ns - 2, 2, nr)
+    rounds[:, :, 1] = -np.cumsum(m.reshape(nt, ns - 2, nr), axis=1)
+    return h.ravel()

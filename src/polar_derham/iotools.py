@@ -7,6 +7,7 @@ reports are JSON.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -96,6 +97,10 @@ class ComplexConfig:
         rank_tol, out_dir = raw.get("rank_tol"), raw.get("out_dir")
         if rank_tol is not None:
             rank_tol = _checked("rank_tol", rank_tol, float)
+            if not (math.isfinite(rank_tol) and rank_tol > 0):
+                raise ValueError(
+                    f"config 'rank_tol' must be a finite number > 0, got {rank_tol!r}"
+                )
         if out_dir is not None and not isinstance(out_dir, str):
             raise ValueError(f"config 'out_dir' must be a string, got {out_dir!r}")
         applied = [k for k in _CONFIG_DEFAULTS if k not in raw]

@@ -4,8 +4,15 @@ The four levels of the tensor complex (scalar potentials, curl-domain
 triples, div-domain triples, densities) share three univariate spaces:
 periodic in the first and third directions, open in the second.  All
 coefficient-level differential operators are Kronecker products of
-identities with the bidiagonal difference stencils; the vectorization
-convention (first index fastest) is owned by :class:`VecIndexMap`.
+identities with the bidiagonal difference stencils.
+
+Coefficient layout: the first index runs fastest, so the coefficients of
+a component with counts (nr, ns, nt) are the C-order array of shape
+``(nt, ns, nr)``, and function (i, j, k), 0-based, sits at the flat index
+``i + nr * (j + ns * k)``.  Spline control nets and tensor fields follow
+this order; reduced vectors stack their per-joint blocks the same way,
+joint index slowest.
+
 Pointwise evaluation goes through :class:`LocalFactors`: the nonzero
 univariate functions of every direction at a batch of points, from which
 each component's local tensor support follows.
@@ -21,8 +28,10 @@ from .bsplines import SplineSpace, make_uniform_open_knots
 
 __all__ = [
     "check_size_floors",
-    "wrap1",
-    "VecIndexMap",
+    "triplet",
+    "cat_triplets",
+    "eye_triplet",
+    "kron_lift",
     "LocalFactors",
     "TensorComplex",
     "build_tensor_sequence",
@@ -48,42 +57,42 @@ def check_size_floors(nr, ns, nt):
         )
 
 
-def wrap1(i, n):
-    """Wrap a 1-based index into 1..n (the ``n+1 = 1`` convention)."""
-    return (i - 1) % n + 1
+# ------------------------- one-pass Kronecker sums --------------------------
+
+def triplet(matrix):
+    """(rows, cols, vals) of a sparse matrix."""
+    coo = sparse.coo_array(matrix)
+    return coo.row, coo.col, coo.data
 
 
-@dataclass(frozen=True)
-class VecIndexMap:
-    """1-based vectorization ``l = i + (j-1) n_r + (k-1) n_r n_s``.
+def cat_triplets(parts):
+    """Concatenate (rows, cols, vals) parts into one flat triplet."""
+    return tuple(np.concatenate([np.ravel(p[n]) for p in parts]) for n in range(3))
 
-    Single conversion authority between triple indices and flat indices;
-    all wraparound conventions go through :func:`wrap1` or :meth:`wrap`.
+
+def eye_triplet(n, sign=1.0):
+    """``sign * I_n`` as a triplet; `sign` also fixes the dtype."""
+    return np.arange(n), np.arange(n), np.full(n, sign)
+
+
+def kron_lift(n, block_shape, terms):
+    """CSR sum of the Kronecker products ``C (x) B`` over (C, B, row0, col0).
+
+    C (n x n) and B are (rows, cols, vals) triplets; B is placed at
+    (row0, col0) inside a block of `block_shape`, repeated along C.  The
+    entries keep the dtype of the products C * B; stored zeros are
+    dropped.
     """
-
-    nr: int
-    ns: int
-    nt: int
-
-    @property
-    def size(self):
-        return self.nr * self.ns * self.nt
-
-    def ravel(self, i, j, k):
-        if not (1 <= i <= self.nr and 1 <= j <= self.ns and 1 <= k <= self.nt):
-            raise IndexError(f"index ({i}, {j}, {k}) out of range {self}")
-        return i + (j - 1) * self.nr + (k - 1) * self.nr * self.ns
-
-    def unravel(self, flat):
-        if not 1 <= flat <= self.size:
-            raise IndexError(f"flat index {flat} out of range 1..{self.size}")
-        q, i = divmod(flat - 1, self.nr)
-        k, j = divmod(q, self.ns)
-        return i + 1, j + 1, k + 1
-
-    def wrap(self, i, j, k):
-        """Ravel with periodic wraparound in the first and third indices."""
-        return self.ravel(wrap1(i, self.nr), j, wrap1(k, self.nt))
+    rows, cols, vals = cat_triplets([
+        (c_row[:, None] * block_shape[0] + row0 + b_row,
+         c_col[:, None] * block_shape[1] + col0 + b_col,
+         c_val[:, None] * b_val)
+        for (c_row, c_col, c_val), (b_row, b_col, b_val), row0, col0 in terms
+    ])
+    shape = (n * block_shape[0], n * block_shape[1])
+    mat = sparse.coo_array((vals, (rows, cols)), shape=shape).tocsr()
+    mat.eliminate_zeros()
+    return mat
 
 
 @dataclass(frozen=True)
@@ -129,7 +138,6 @@ class TensorComplex:
         self.spaces = (space_r, space_s, space_t)
         self.nr, self.ns, self.nt = (sp.dim for sp in self.spaces)
         check_size_floors(self.nr, self.ns, self.nt)
-        self.index_map = VecIndexMap(self.nr, self.ns, self.nt)
 
     @property
     def dims(self):
@@ -152,15 +160,6 @@ class TensorComplex:
 
     def level_dim(self, level):
         return sum(self.component_dim(pat) for pat in LEVEL_PATTERNS[level])
-
-    def level_slices(self, level):
-        """Slices of the stacked coefficient vector, one per component."""
-        out, start = [], 0
-        for pat in LEVEL_PATTERNS[level]:
-            stop = start + self.component_dim(pat)
-            out.append(slice(start, stop))
-            start = stop
-        return out
 
     # ------------------------ basis evaluation ------------------------------
 
@@ -204,8 +203,8 @@ class TensorComplex:
     def local_component_basis(self, pattern, points):
         """One component's tensor basis functions nonzero at each point.
 
-        Returns (m, K) arrays of 0-based flat indices, in the
-        :class:`VecIndexMap` order of the component, and of values; K is
+        Returns (m, K) arrays of 0-based flat indices into the component's
+        coefficients (the module's layout) and of values; K is
         the product of the three directions' local widths.
         """
         factors = self.local_factors(points)
@@ -326,14 +325,8 @@ class TensorComplex:
 
     def greville_points(self):
         """Level-0 Greville abscissae, one (r, s, t) row per flat index."""
-        gr = self.spaces[0].greville()
-        gs = self.spaces[1].greville()
-        gt = self.spaces[2].greville()
-        pts = np.empty((self.index_map.size, 3))
-        for flat in range(1, self.index_map.size + 1):
-            i, j, k = self.index_map.unravel(flat)
-            pts[flat - 1] = (gr[i - 1], gs[j - 1], gt[k - 1])
-        return pts
+        t, s, r = np.meshgrid(*(sp.greville() for sp in self.spaces[::-1]), indexing="ij")
+        return np.column_stack([r.ravel(), s.ravel(), t.ravel()])
 
 
 def build_tensor_sequence(degrees, dims, lengths=(1.0, 1.0, 1.0)):

@@ -139,8 +139,7 @@ class PolarComplex:
 
     def _dim(self, level, space):
         if space == "reduced":
-            return (self.counts.n0, self.counts.n1,
-                    self.counts.n2, self.counts.n3)[level]
+            return self.counts.level_dim(level)
         return self.tensor.level_dim(level)
 
     def _validated(self, f):

@@ -11,14 +11,14 @@ class TestEbarBlock:
     def test_first_ring_is_thirds(self):
         ebar = pd.ebar_block(5)
         npt.assert_allclose(ebar.matrix[:, :5], 1.0 / 3.0)
-        for i in range(1, 6):
-            assert abs(ebar.col1(i).sum() - 1.0) <= 1e-15
+        for i in range(5):
+            assert abs(ebar.matrix[:, i].sum() - 1.0) <= 1e-15
 
     def test_second_ring_value_nr4(self):
         # theta_1 = 7 pi / 4 for four poloidal positions
         ebar = pd.ebar_block(4)
         expected = 1.0 / 3.0 + np.cos(7 * np.pi / 4) / 3.0
-        assert abs(ebar.col2(1)[0] - expected) <= 1e-14
+        assert abs(ebar.matrix[0, 4] - expected) <= 1e-14
         assert abs(expected - 0.56904) <= 5e-6
 
     @pytest.mark.parametrize("nr", [3, 4, 5, 6, 8])
@@ -36,9 +36,9 @@ class TestEbarBlock:
         assert np.all(ebar.thetas >= 0.0) and np.all(ebar.thetas < 2 * np.pi)
 
     def test_wraparound_columns(self):
+        # the step after the last second-ring column wraps to the first
         ebar = pd.ebar_block(4)
-        npt.assert_allclose(ebar.col2(5), ebar.col2(1))
-        npt.assert_allclose(ebar.delta2(4), ebar.col2(1) - ebar.col2(4))
+        npt.assert_allclose(ebar.ring_steps()[:, 3], ebar.matrix[1:, 4] - ebar.matrix[1:, 7])
 
 
 # -------------------------- per-joint blocks ----------------------------------
@@ -66,7 +66,7 @@ def _e10_direct(nr, ns, ebar):
     for ell in (1, 2):
         for i in range(1, nr + 1):
             mat[ell - 1, i + nr - 1] = (
-                ebar.col2(i + 1)[ell] - ebar.col2(i)[ell]
+                ebar.matrix[ell, nr + i % nr] - ebar.matrix[ell, nr + i - 1]
             )
     for j in range(3, ns + 1):
         for i in range(1, nr + 1):
@@ -79,7 +79,7 @@ def _e01_direct(nr, ns, ebar):
     mat = np.zeros((nbar1, nr * (ns - 1)))
     for ell in (1, 2):
         for i in range(1, nr + 1):
-            mat[ell - 1, i - 1] = ebar.col2(i)[ell] - 1.0 / 3.0
+            mat[ell - 1, i - 1] = ebar.matrix[ell, nr + i - 1] - 1.0 / 3.0
     for j in range(2, ns):
         for i in range(1, nr + 1):
             mat[2 + i + (2 * j - 4) * nr - 1, i + (j - 1) * nr - 1] = 1.0

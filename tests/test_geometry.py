@@ -32,7 +32,7 @@ class TestPolarMap:
 
     def test_control_net_formula(self, cx443):
         F = cx443.polar_map
-        vmap = cx443.tensor.index_map
+        nr, ns = cx443.tensor.nr, cx443.tensor.ns
         d = F.data
         i, j, k = 2, 3, 2
         expected = np.array([
@@ -40,7 +40,8 @@ class TestPolarMap:
             (d.rho_bar + d.rhos[j - 1] * np.cos(d.thetas[i - 1])) * np.sin(d.phis[k - 1]),
             d.rhos[j - 1] * np.sin(d.thetas[i - 1]),
         ])
-        npt.assert_allclose(F.control_points[vmap.ravel(i, j, k) - 1], expected)
+        flat = (i - 1) + (j - 1) * nr + (k - 1) * nr * ns
+        npt.assert_allclose(F.control_points[flat], expected)
 
 
 # ------------------------------- Jacobian --------------------------------------
@@ -102,13 +103,13 @@ class TestGeometryMap:
     def test_outer_points_match_polar_net(self, cx443):
         G = cx443.geometry_map.reduced_control_points
         c = cx443.counts
-        vmap = cx443.tensor.index_map
         F = cx443.polar_map.control_points
         for k in range(1, c.nt + 1):
             for j in range(3, c.ns + 1):
                 for i in range(1, c.nr + 1):
                     ell = 3 + i + (j - 3) * c.nr + (k - 1) * c.nbar0
-                    npt.assert_allclose(G[ell - 1], F[vmap.ravel(i, j, k) - 1])
+                    flat = (i - 1) + (j - 1) * c.nr + (k - 1) * c.nr * c.ns
+                    npt.assert_allclose(G[ell - 1], F[flat])
 
     def test_geometry_map_is_c1_at_polar_curve(self, cx443):
         for axis in range(3):
@@ -234,6 +235,32 @@ class TestSmoothnessProbe:
         floor = 1e-10
         assert np.all((deltas[1] <= deltas[0]) | (deltas[1] <= floor))
         assert np.all((deltas[2] <= deltas[1]) | (deltas[2] <= floor))
+
+    @pytest.mark.parametrize("degrees,dims", [((2, 2, 2), (4, 4, 3)), ((3, 3, 3), (7, 7, 5))])
+    @pytest.mark.parametrize("space", ["reduced", "tensor"])
+    def test_batched_probe_matches_pointwise_oracle(self, degrees, dims, space,
+                                                    complex_cache):
+        # the probe recomputed one point at a time from the dense tensor basis
+        cx = complex_cache(degrees=degrees, dims=dims)
+        t = 0.33
+        rep = cx.basis_smoothness_probe(t, EPS_LIST, space=space)
+
+        def dense(r, s):
+            b = cx.tensor.eval_component_basis((0, 0, 0), (r, s, t))
+            return cx.extraction.E000 @ b if space == "reduced" else b
+
+        vals0 = np.stack([dense(r, 0.0) for r in rep.r_samples])
+        npt.assert_allclose(rep.value_discrepancy, vals0.max(0) - vals0.min(0),
+                            rtol=0, atol=1e-15)
+        r3 = (0.15 + np.array([0.0, 1.0 / 3.0, 2.0 / 3.0])) % 1.0
+        dirs = np.stack([cx.polar_map.jacobian((r, 0.0, t))[1][:, 1] for r in r3], axis=1)
+        weights = np.linalg.svd(dirs)[2][-1]
+        assert abs(abs(rep.weights @ weights) - 1.0) <= 1e-12
+        base = np.stack([dense(r, 0.0) for r in r3])
+        for eps, delta in rep.c1_table:
+            vals = np.stack([dense(r, eps) for r in r3])
+            npt.assert_allclose(delta, np.abs(weights @ (vals - base)) / eps,
+                                rtol=0, atol=1e-12)
 
     def test_unknown_space_rejected(self, cx443):
         with pytest.raises(ValueError, match="unknown space"):

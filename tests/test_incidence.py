@@ -211,6 +211,16 @@ class TestDivergencePreimage:
         side_k1 = set(range(c.nbar2 + 1, c.nbar2 + c.nbar1 + 1))
         assert set(support) <= side_k1
 
+    @pytest.mark.parametrize("dims", [(16, 16, 8), (32, 32, 16)])
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_larger_complexes(self, dims, beta, complex_cache):
+        inc = complex_cache(dims=dims).incidence
+        c = inc.counts
+        m = np.random.default_rng(18).standard_normal(c.n3)
+        h = pd.divergence_preimage(c, m, beta=beta)
+        assert np.abs(inc.D2 @ h - m).max() <= 1e-12 * np.abs(m).max()
+        npt.assert_array_equal(h.reshape(c.nt, -1)[:, :c.nbar2], beta)
+
     def test_length_check(self, inc443):
         with pytest.raises(ValueError, match="volume"):
             pd.divergence_preimage(inc443.counts, np.zeros(3))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -100,6 +101,28 @@ def test_bundle_round_trip(tmp_path, cx443):
     npt.assert_array_equal(np.array(net), cx443.polar_map.control_points)
 
 
+# SHA-256 of the control-net files of a bundle: a change to any control
+# point, to the point order or to the number formatting shows here.
+PINNED_NET_DIGESTS = {
+    ((2, 2, 2), (5, 6, 4)): {
+        "control_net_F.json": "73feb499d419b524d3792fb7b39929ca73050d47802c8a0c48ca1a52533c15d2",
+        "control_net_G.json": "2fb0579a15a3615b2b7f980a1ff30944ca1c9ac5cc6e325688bbefe4c90d820c",
+    },
+    ((3, 3, 3), (7, 7, 5)): {
+        "control_net_F.json": "dd7ed4fcc6f437026eb8e7567aefb233ff4b1691c6241f55d895380afd1f62d6",
+        "control_net_G.json": "32f56944d0058c1fe95d74c0a873afaf6dcacc8b2b432eebe6d3119aec9e0a05",
+    },
+}
+
+
+@pytest.mark.parametrize("degrees,dims", list(PINNED_NET_DIGESTS))
+def test_control_net_bytes_pinned(degrees, dims, complex_cache, tmp_path):
+    cfg = ComplexConfig.from_dict({"degrees": list(degrees), "dims": list(dims)})
+    out = write_bundle(tmp_path / "bundle", complex_cache(degrees=degrees, dims=dims), cfg)
+    for name, digest in PINNED_NET_DIGESTS[(degrees, dims)].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 # --------------------------------- CLI ------------------------------------------
 
 class TestCli:
@@ -193,6 +216,13 @@ class TestCli:
         # float-noise residuals cannot meet an absurdly tight tolerance
         assert main(["verify", "--sizes", "4,4,3", "--tol", "1e-30"]) == 1
 
+    @pytest.mark.parametrize("tol,code", [("0", 1), ("-1", 2), ("nan", 2)])
+    def test_tol_zero_honored_and_invalid_rejected(self, tol, code, capsys):
+        # 0 is a tolerance no float-noise residual meets, not "use the default"
+        assert main(["verify", "--sizes", "4,4,3", "--tol", tol]) == code
+        if code == 2:
+            assert "--tol" in capsys.readouterr().err
+
     def test_sample_rejects_polar_face_for_densities(self, capsys):
         code = main(["sample", "--sizes", "4,4,3", "--level", "3",
                      "--basis", "1", "--grid", "3,3,3"])
@@ -249,6 +279,10 @@ class TestCli:
         ("rho_bar", [3]),
         ("lengths", 1),
         ("rank_tol", "abc"),
+        ("rank_tol", -1),
+        ("rank_tol", 0),
+        ("rank_tol", float("nan")),
+        ("rank_tol", float("inf")),
         ("out_dir", 5),
     ])
     def test_malformed_config_types(self, key, value, tmp_path, monkeypatch, capsys):

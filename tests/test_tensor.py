@@ -4,51 +4,12 @@ import pytest
 from scipy import sparse
 
 import polar_derham as pd
-from polar_derham.tensor import LEVEL_PATTERNS, wrap1
+from polar_derham.tensor import LEVEL_PATTERNS
 
 
 @pytest.fixture(scope="module")
 def tc():
     return pd.build_tensor_sequence((2, 2, 2), (4, 4, 3))
-
-
-# ------------------------------ indexing --------------------------------------
-
-def test_wrap1():
-    assert wrap1(1, 4) == 1
-    assert wrap1(4, 4) == 4
-    assert wrap1(5, 4) == 1
-    assert wrap1(0, 4) == 4
-
-
-class TestVecIndexMap:
-    def test_formula(self):
-        vmap = pd.VecIndexMap(4, 4, 3)
-        assert vmap.ravel(1, 1, 1) == 1
-        assert vmap.ravel(2, 3, 1) == 2 + 2 * 4
-        assert vmap.ravel(4, 4, 3) == vmap.size == 48
-
-    def test_bijective(self):
-        vmap = pd.VecIndexMap(3, 5, 4)
-        seen = set()
-        for i in range(1, 4):
-            for j in range(1, 6):
-                for k in range(1, 5):
-                    flat = vmap.ravel(i, j, k)
-                    assert vmap.unravel(flat) == (i, j, k)
-                    seen.add(flat)
-        assert seen == set(range(1, vmap.size + 1))
-
-    def test_wraparound(self):
-        vmap = pd.VecIndexMap(4, 4, 3)
-        assert vmap.wrap(5, 2, 4) == vmap.ravel(1, 2, 1)
-
-    def test_out_of_range(self):
-        vmap = pd.VecIndexMap(4, 4, 3)
-        with pytest.raises(IndexError):
-            vmap.ravel(5, 1, 1)
-        with pytest.raises(IndexError):
-            vmap.unravel(49)
 
 
 # ----------------------------- level dimensions -------------------------------
