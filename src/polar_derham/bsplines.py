@@ -547,23 +547,27 @@ class DtaDiagnostic:
         return self.ok
 
 
-def is_dta_compatible(matrix, tol=1e-12):
-    """Check full rank, unit column sums and non-negativity of `matrix`.
+def is_dta_compatible(matrix, tol=1e-12, copies=1):
+    """Check full rank, unit column sums and non-negativity of `matrix`,
+    or of ``I_copies (x) matrix`` when `copies` > 1.
 
-    Row support sizes are recorded in the diagnostic but DTA compatibility
-    itself only constrains them through sparsity, not a hard bound.
+    The Kronecker product has `copies` times the rank of `matrix`, the same
+    column sums and row supports, and zeros off the diagonal blocks, so
+    only `matrix` is decomposed.  Row support sizes are recorded in the
+    diagnostic but DTA compatibility itself only constrains them through
+    sparsity, not a hard bound.
     """
     M = matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix, dtype=float)
-    rank = int(np.linalg.matrix_rank(M))
-    full_rank = rank == min(M.shape)
+    rank = copies * int(np.linalg.matrix_rank(M))
+    full_rank = rank == copies * min(M.shape)
     col_err = float(np.abs(M.sum(axis=0) - 1.0).max())
     columns_ok = col_err <= tol
-    min_entry = float(M.min())
+    min_entry = float(M.min()) if copies == 1 else min(0.0, float(M.min()))
     nonneg = min_entry >= -tol
     max_support = int((np.abs(M) > tol).sum(axis=1).max())
     violation = None
     if not full_rank:
-        violation = f"rank deficient: rank {rank} < {min(M.shape)}"
+        violation = f"rank deficient: rank {rank} < {copies * min(M.shape)}"
     elif not columns_ok:
         violation = f"column sums deviate from 1 by {col_err:.3e}"
     elif not nonneg:

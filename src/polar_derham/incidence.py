@@ -30,17 +30,19 @@ from scipy import sparse
 
 from .bsplines import difference_matrix
 from .extraction import PolarCounts, ebar_block, edge_round, polar_counts
-from .tensor import cat_triplets, eye_triplet, kron_lift, triplet
+from .tensor import cat_triplets, circulant_blocks, eye_triplet, kron_lift, triplet
 
 __all__ = [
     "IncidenceSet",
     "CohomologyReport",
+    "FrequencyRanks",
     "build_incidence",
     "verify_commutation",
     "cohomology_dimensions",
     "divergence_preimage",
     "max_abs",
     "rank_with_gap",
+    "toroidal_spectrum",
 ]
 
 
@@ -176,6 +178,23 @@ def verify_commutation(tensor, extraction, incidence):
 
 # ============================ cohomology =====================================
 
+@dataclass(frozen=True)
+class FrequencyRanks:
+    """Rank decisions of the frequency-k blocks of D0, D1 and D2.
+
+    The blocks of k and nt - k are complex conjugates with the same
+    singular values, so frequencies 0 < k < nt/2 count twice
+    (`multiplicity`).  `dims` is the cohomology of the frequency-k block
+    complex.
+    """
+
+    k: int
+    multiplicity: int
+    ranks: tuple
+    gap_ratios: tuple
+    dims: tuple
+
+
 @dataclass
 class CohomologyReport:
     """Kernel-modulo-image dimensions of the reduced complex."""
@@ -188,24 +207,22 @@ class CohomologyReport:
     alternating_dim_sum: int
     warnings: list
     harmonic_one_form: np.ndarray | None = None
+    frequencies: list = field(default_factory=list)
 
     @property
     def euler_ok(self):
         return self.euler_characteristic == self.alternating_dim_sum
 
+    @property
+    def kunneth_ok(self):
+        """Every nonzero toroidal frequency is exact, as the Kunneth
+        formula requires of the disk complex tensored with the circle."""
+        return all(not any(f.dims) for f in self.frequencies if f.k)
 
-def rank_with_gap(matrix, rank_tol=None):
-    """Numerical rank by singular-value counting.
 
-    Returns (rank, gap_ratio, (smallest kept, largest dropped)).  The
-    default threshold is max(shape) * ulp * sigma_max; `rank_tol`
-    overrides it with an absolute cutoff.
-    """
-    dense = matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix, float)
-    svals = np.linalg.svd(dense, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0, float("inf"), (0.0, 0.0)
-    tol = rank_tol if rank_tol is not None else max(dense.shape) * np.finfo(float).eps * svals[0]
+def _decide(svals, tol):
+    """(rank, gap ratio, (smallest kept, largest dropped)) of descending
+    singular values at threshold `tol`."""
     rank = int((svals > tol).sum())
     kept = float(svals[rank - 1]) if rank > 0 else 0.0
     dropped = float(svals[rank]) if rank < svals.size else 0.0
@@ -213,28 +230,94 @@ def rank_with_gap(matrix, rank_tol=None):
     return rank, gap, (kept, dropped)
 
 
-def _null_space(matrix, rank_tol=None):
+def _threshold(rank_tol, shape, sigma_max):
+    """The absolute `rank_tol`, or max(shape) * ulp * sigma_max."""
+    return rank_tol if rank_tol is not None else max(shape) * np.finfo(float).eps * sigma_max
+
+
+def rank_with_gap(matrix, rank_tol=None):
+    """Numerical rank by singular-value counting on the dense matrix.
+
+    Returns (rank, gap_ratio, (smallest kept, largest dropped)).  The
+    default threshold is max(shape) * ulp * sigma_max; `rank_tol`
+    overrides it with an absolute cutoff.  The dense cross-check of
+    :func:`toroidal_spectrum`.
+    """
     dense = matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix, float)
-    u, svals, vt = np.linalg.svd(dense)
-    tol = rank_tol if rank_tol is not None else max(dense.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
-    rank = int((svals > tol).sum())
-    return vt[rank:].T
+    svals = np.linalg.svd(dense, compute_uv=False)
+    return _decide(svals, _threshold(rank_tol, dense.shape, svals[0] if svals.size else 0.0))
+
+
+def toroidal_spectrum(matrix, nt, name, vectors=False):
+    """Singular values of a block-circulant matrix, one frequency at a time.
+
+    Block (j, j + d) of `matrix` is the same C_d for every joint j
+    (checked by :func:`~polar_derham.tensor.circulant_blocks`), so the DFT
+    over the joints turns it into the blocks
+    ``A_k = sum_d C_d exp(-2 pi i d k / nt)`` (Davis, *Circulant
+    Matrices*, 1979).  A_{nt-k} is the conjugate of A_k, so k = 0..nt//2
+    cover every singular value.  Returns the per-joint block shape, the
+    descending singular values of each A_k and, with `vectors`, the full
+    (u, s, vt) of the real A_0 (else None), from the same decomposition.
+    """
+    shape, (rows, offsets, cols, vals) = circulant_blocks(matrix, nt, name)
+    at, entry = np.unique(rows * shape[1] + cols, return_inverse=True)
+    coeffs = np.zeros((at.size, nt))
+    coeffs[entry, offsets] = vals
+    spectrum = np.fft.rfft(coeffs, axis=1)
+    svals, svd0 = [], None
+    for k in range(nt // 2 + 1):
+        real = 2 * k % nt == 0
+        block = np.zeros(shape, float if real else complex)
+        block.flat[at] = spectrum[:, k].real if real else spectrum[:, k]
+        if k == 0 and vectors:
+            svd0 = np.linalg.svd(block)
+            svals.append(svd0[1])
+        else:
+            svals.append(np.linalg.svd(block, compute_uv=False))
+    return shape, svals, svd0
 
 
 def cohomology_dimensions(incidence, rank_tol=None, harmonic=True):
     """Compute the cohomology dimensions of the reduced complex.
 
     h0 = dim ker D0, h1 = dim ker D1 - rank D0, h2 = dim ker D2 - rank D1,
-    h3 = n3 - rank D2.  Ranks come from singular values; a gap ratio below
-    1e3 at any rank decision is recorded as a warning, not a failure.
-    A least-squares harmonic representative of h1 (kernel of D1 orthogonal
-    to the image of D0) is attached as a non-normative diagnostic.
+    h3 = n3 - rank D2.  Ranks count the singular values of the toroidal
+    frequency blocks (:func:`toroidal_spectrum`) above the threshold of
+    the full matrix; a StructureError is raised for a D that is not
+    block-circulant over the joints.  A gap ratio below 1e3 at any rank
+    decision is recorded as a warning, not a failure.  A least-squares
+    harmonic representative of h1 (kernel of D1 orthogonal to the image
+    of D0) is attached as a non-normative diagnostic; it is constant over
+    the joints, so it comes from the frequency-0 blocks.
     """
     c = incidence.counts
-    r0, g0, b0 = rank_with_gap(incidence.D0, rank_tol)
-    r1, g1, b1 = rank_with_gap(incidence.D1, rank_tol)
-    r2, g2, b2 = rank_with_gap(incidence.D2, rank_tol)
+    nt = c.nt
+    multiplicity = [1 if 2 * k % nt == 0 else 2 for k in range(nt // 2 + 1)]
+    decisions, per_frequency, shapes, full_svds = [], [], [], []
+    for name in ("D0", "D1", "D2"):
+        matrix = getattr(incidence, name)
+        shape, svals, full = toroidal_spectrum(
+            matrix, nt, name, vectors=harmonic and name != "D2")
+        union = np.sort(np.concatenate(
+            [np.tile(s, m) for s, m in zip(svals, multiplicity)]))[::-1]
+        tol = _threshold(rank_tol, matrix.shape, union[0] if union.size else 0.0)
+        decisions.append(_decide(union, tol))
+        per_frequency.append([_decide(s, tol) for s in svals])
+        shapes.append(shape)
+        full_svds.append(full)
+    (r0, g0, b0), (r1, g1, b1), (r2, g2, b2) = decisions
     dims = (c.n0 - r0, (c.n1 - r1) - r0, (c.n2 - r2) - r1, c.n3 - r2)
+    (_, cols0), (_, cols1), (rows2, cols2) = shapes
+    frequencies = []
+    for k, ((k0, q0, _), (k1, q1, _), (k2, q2, _)) in enumerate(zip(*per_frequency)):
+        frequencies.append(FrequencyRanks(
+            k=k,
+            multiplicity=multiplicity[k],
+            ranks=(k0, k1, k2),
+            gap_ratios=(q0, q1, q2),
+            dims=(cols0 - k0, cols1 - k1 - k0, cols2 - k2 - k1, rows2 - k2),
+        ))
     warnings = []
     for name, gap in (("D0", g0), ("D1", g1), ("D2", g2)):
         if gap < 1e3:
@@ -243,12 +326,17 @@ def cohomology_dimensions(incidence, rank_tol=None, harmonic=True):
             )
     rep = None
     if harmonic and dims[1] > 0:
-        kernel = _null_space(incidence.D1, rank_tol)
+        # the kernel of the frequency-0 D1 block orthogonal to the image of
+        # the D0 block, tiled over the joints with unit norm
+        (u0, _, _), (_, _, vt1) = full_svds[:2]
+        rank00, rank10 = frequencies[0].ranks[:2]
+        kernel = vt1[rank10:].T
         if kernel.shape[1]:
-            image_basis = np.linalg.svd(incidence.D0.toarray())[0][:, :r0]
+            image_basis = u0[:, :rank00]
             residual = kernel - image_basis @ (image_basis.T @ kernel)
             u, svals, _ = np.linalg.svd(residual)
-            rep = u[:, 0] if svals.size and svals[0] > 0 else None
+            if svals.size and svals[0] > 0:
+                rep = np.tile(u[:, 0], nt) / np.sqrt(nt)
     euler = dims[0] - dims[1] + dims[2] - dims[3]
     return CohomologyReport(
         dims=dims,
@@ -259,6 +347,7 @@ def cohomology_dimensions(incidence, rank_tol=None, harmonic=True):
         alternating_dim_sum=c.alternating_sum,
         warnings=warnings,
         harmonic_one_form=rep,
+        frequencies=frequencies,
     )
 
 

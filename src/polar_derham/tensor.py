@@ -32,6 +32,9 @@ __all__ = [
     "cat_triplets",
     "eye_triplet",
     "kron_lift",
+    "StructureError",
+    "circulant_blocks",
+    "kron_block",
     "LocalFactors",
     "TensorComplex",
     "build_tensor_sequence",
@@ -93,6 +96,62 @@ def kron_lift(n, block_shape, terms):
     mat = sparse.coo_array((vals, (rows, cols)), shape=shape).tocsr()
     mat.eliminate_zeros()
     return mat
+
+
+class StructureError(Exception):
+    """A matrix lacks the joint structure a structured rank decision needs.
+
+    Not a ValueError: the input is well formed, the matrix itself fails.
+    """
+
+
+def circulant_blocks(matrix, n, name):
+    """Block row 0 of a matrix that is block-circulant over n joints.
+
+    The matrix splits into n x n blocks of one shape, and block
+    (j, (j + d) mod n) must be the same C_d for every j.  This is checked
+    exactly on the stored nonzero entries.  Returns the block shape and
+    the (rows, offsets, cols, vals) of joint 0: value `vals` at local
+    (row, col) of C_offset.  Raises StructureError naming the first joint
+    whose entries differ from joint 0's.
+    """
+    coo = sparse.coo_array(matrix, copy=True)
+    coo.sum_duplicates()
+    if coo.shape[0] % n or coo.shape[1] % n:
+        raise StructureError(f"{name}: shape {coo.shape} does not split into {n} joints")
+    m, k = coo.shape[0] // n, coo.shape[1] // n
+    keep = coo.data != 0
+    joint, rows = np.divmod(coo.row[keep].astype(np.int64), m)
+    offsets = (coo.col[keep] // k - joint) % n
+    cols = coo.col[keep] % k
+    order = np.argsort(((joint * m + rows) * n + offsets) * k + cols, kind="stable")
+    counts = np.bincount(joint, minlength=n)
+    differs = counts != counts[0]
+    if not differs.any():
+        entries = np.stack([rows, offsets, cols, coo.data[keep]])[:, order]
+        entries = entries.reshape(4, n, counts[0])
+        differs = (entries != entries[:, :1]).any(axis=(0, 2))
+    if differs.any():
+        raise StructureError(
+            f"{name} is not block-circulant over {n} joints: the entries of "
+            f"joint {int(np.argmax(differs))} differ from those of joint 0"
+        )
+    first = order[:counts[0]]
+    return (m, k), (rows[first], offsets[first], cols[first], coo.data[keep][first])
+
+
+def kron_block(matrix, n, name):
+    """The block B of a matrix that is exactly ``I_n (x) B``, as CSR.
+
+    Raises StructureError naming the first joint that breaks the pattern.
+    """
+    shape, (rows, offsets, cols, vals) = circulant_blocks(matrix, n, name)
+    if offsets.any():
+        raise StructureError(
+            f"{name} is not I_{n} (x) block: joint 0 has entries in the block "
+            f"column of joint {int(offsets[offsets != 0][0])}"
+        )
+    return sparse.csr_array((vals, (rows, cols)), shape=shape)
 
 
 @dataclass(frozen=True)

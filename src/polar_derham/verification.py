@@ -12,10 +12,10 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .bsplines import is_dta_compatible
 from .incidence import divergence_preimage, max_abs
+from .tensor import StructureError, kron_block
 from .torus import PolarComplex
 
 __all__ = [
@@ -39,12 +39,6 @@ class Tolerances:
     gap_ratio_min: float = 1e6       # SVD gap required at each rank decision
     dta: float = 1e-12
     negative_control_min: float = 1e-4
-
-
-def _nonzero_row_rank_ok(matrix, tol=1e-12):
-    dense = matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix, float)
-    nz = dense[np.abs(dense).sum(axis=1) > tol]
-    return int(np.linalg.matrix_rank(nz)), nz.shape[0]
 
 
 def inject_row_drop(cx, name, row):
@@ -101,6 +95,10 @@ class VerificationReport:
         }
 
 
+def _json_gaps(gaps):
+    return [g if np.isfinite(g) else "inf" for g in gaps]
+
+
 def _timed(timings, name, fn):
     start = time.perf_counter()
     result = fn()
@@ -148,15 +146,25 @@ def run_verification(cx, tolerances=None, rank_tol=None, seed=20240,
     suites["dimensions"] = _timed(timings, "dimensions", dims_suite)
 
     # ----- DTA compatibility and row independence ----------------------------
+    # Every 3D extraction matrix must be I_nt (x) its per-joint block; the
+    # checks then run on that one block.
     def dta_suite():
+        try:
+            blocks = {
+                name: kron_block(getattr(cx.extraction, name), c.nt, name)
+                for name in ("E000", "E100", "E010", "E001", "E011", "E101", "E110")
+            }
+        except StructureError as exc:
+            gate("dta", False, str(exc))
+            return {"pass": False, "method": "per-joint", "structure_violation": str(exc)}
         results = {}
         ok = True
-        for name, matrix in (
-            ("E000", cx.extraction.E000),
-            ("H0_r", cx.tensor.spaces[0].h0),
-            ("H0_t", cx.tensor.spaces[2].h0),
+        for name, matrix, copies in (
+            ("E000", blocks["E000"], c.nt),
+            ("H0_r", cx.tensor.spaces[0].h0, 1),
+            ("H0_t", cx.tensor.spaces[2].h0, 1),
         ):
-            diag = is_dta_compatible(matrix, tol.dta)
+            diag = is_dta_compatible(matrix, tol.dta, copies=copies)
             results[name] = {
                 "ok": diag.ok,
                 "rank": diag.rank,
@@ -168,11 +176,14 @@ def run_verification(cx, tolerances=None, rank_tol=None, seed=20240,
             ok = ok and diag.ok
         independence = {}
         for name in ("E100", "E010", "E001", "E011", "E101", "E110"):
-            rank, count = _nonzero_row_rank_ok(getattr(cx.extraction, name))
+            block = blocks[name].toarray()
+            nz = block[np.abs(block).sum(axis=1) > 1e-12]
+            rank, count = c.nt * int(np.linalg.matrix_rank(nz)), c.nt * nz.shape[0]
             independence[name] = {"rank": rank, "nonzero_rows": count}
             ok = ok and rank == count
         gate("dta", ok, f"DTA or row-independence violation: {results} {independence}")
-        return {"pass": ok, "dta": results, "nonzero_row_independence": independence}
+        return {"pass": ok, "method": "per-joint", "dta": results,
+                "nonzero_row_independence": independence}
 
     suites["dta"] = _timed(timings, "dta", dta_suite)
 
@@ -198,7 +209,11 @@ def run_verification(cx, tolerances=None, rank_tol=None, seed=20240,
 
     # ----- cohomology -----------------------------------------------------------
     def cohomology_suite():
-        rep = cx.cohomology(rank_tol=rank_tol)
+        try:
+            rep = cx.cohomology(rank_tol=rank_tol, harmonic=False)
+        except StructureError as exc:
+            gate("cohomology", False, str(exc))
+            return {"pass": False, "method": "fourier", "structure_violation": str(exc)}
         expected_rank_d1 = c.nt * (c.nbar2 + c.nbar0 - 1)
         dims_ok = rep.dims == (1, 1, 0, 0)
         ranks_ok = rep.ranks[1] == expected_rank_d1 and rep.ranks[2] == c.n3
@@ -218,13 +233,19 @@ def run_verification(cx, tolerances=None, rank_tol=None, seed=20240,
              f"D2 expected {c.n3}), gaps {rep.gap_ratios}, preimage {m_worst:.3e}")
         return {
             "pass": ok,
+            "method": "fourier",
             "dims": list(rep.dims),
             "ranks": list(rep.ranks),
             "expected_rank_d1": expected_rank_d1,
             "expected_rank_d2": c.n3,
-            "gap_ratios": [g if np.isfinite(g) else "inf" for g in rep.gap_ratios],
+            "gap_ratios": _json_gaps(rep.gap_ratios),
             "sv_bracket": [list(b) for b in rep.sv_bracket],
             "euler_ok": rep.euler_ok,
+            "kunneth_ok": rep.kunneth_ok,
+            "frequencies": [
+                {**dataclasses.asdict(f), "gap_ratios": _json_gaps(f.gap_ratios)}
+                for f in rep.frequencies
+            ],
             "divergence_preimage_residual": m_worst,
             "warnings": rep.warnings,
         }

@@ -1,12 +1,18 @@
+import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import polar_derham as pd
-from polar_derham.incidence import max_abs, rank_with_gap
+from polar_derham.cli import main
+from polar_derham.incidence import max_abs, rank_with_gap, toroidal_spectrum
 from polar_derham.iotools import write_triplet
+from polar_derham.tensor import StructureError
+from polar_derham.torus import PolarComplex
+from polar_derham.verification import run_verification
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +178,76 @@ def test_harmonic_representative(cx443):
     # orthogonal to the image of D0
     proj = cx443.incidence.D0.toarray().T @ v
     assert np.abs(proj).max() <= 1e-10
+
+
+# ------------------- toroidal Fourier blocks vs dense SVD -----------------------
+
+@pytest.mark.parametrize("dims", [(4, 4, 3), (5, 6, 4), (7, 7, 5)])
+@pytest.mark.parametrize("perturbation", [0.0, 1e-3])
+def test_fourier_spectrum_matches_dense(dims, perturbation):
+    spec = pd.TorusComplexSpec(degrees=(3, 3, 3), dims=dims)
+    inc = pd.build_complex(spec, ebar_perturbation=perturbation).incidence
+    nt = inc.counts.nt
+    rep = pd.cohomology_dimensions(inc, harmonic=False)
+    for index, name in enumerate(("D0", "D1", "D2")):
+        matrix = getattr(inc, name)
+        _, svals, _ = toroidal_spectrum(matrix, nt, name)
+        assert len(svals) == nt // 2 + 1
+        union = np.sort(np.concatenate([
+            np.tile(s, 1 if 2 * k % nt == 0 else 2) for k, s in enumerate(svals)
+        ]))[::-1]
+        dense = np.linalg.svd(matrix.toarray(), compute_uv=False)
+        assert union.shape == dense.shape
+        assert np.abs(union - dense).max() <= 1e-12 * dense[0], name
+        assert rep.ranks[index] == rank_with_gap(matrix)[0], name
+    assert sum(f.multiplicity for f in rep.frequencies) == nt
+    assert tuple(sum(f.multiplicity * np.array(f.ranks) for f in rep.frequencies)) == rep.ranks
+
+
+def test_kunneth_frequency_zero_carries_cohomology(complex_cache):
+    rep = complex_cache(dims=(5, 6, 4)).cohomology(harmonic=False)
+    assert rep.kunneth_ok
+    assert rep.frequencies[0].dims == (1, 1, 0, 0)
+    assert all(f.dims == (0, 0, 0, 0) for f in rep.frequencies[1:])
+
+
+def test_harmonic_representative_is_constant_over_joints(complex_cache):
+    cx = complex_cache(dims=(5, 6, 4))
+    v = cx.cohomology().harmonic_one_form
+    c = cx.counts
+    per_joint = v.reshape(c.nt, -1)
+    npt.assert_allclose(per_joint, per_joint[:1].repeat(c.nt, axis=0), atol=0)
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(cx.incidence.D1 @ v).max() <= 1e-10
+    assert np.abs(cx.incidence.D0.T @ v).max() <= 1e-10
+
+
+# -------------------------- structure tampering --------------------------------
+
+def test_structure_check_rejects_one_changed_value(cx443):
+    # one D1 value changed in joint 1, the sparsity pattern kept
+    d1 = cx443.incidence.D1.copy()
+    d1.data[d1.indptr[d1.shape[0] // cx443.counts.nt + 3]] *= 1.5
+    bad = PolarComplex(cx443.spec, cx443.tensor, cx443.extraction,
+                       dataclasses.replace(cx443.incidence, D1=d1),
+                       cx443.polar_map, cx443.geometry_map)
+    with pytest.raises(StructureError, match=r"D1 .* joint 1 differ"):
+        bad.cohomology()
+    report = run_verification(bad)
+    assert not report.passed
+    suite = report.suites["cohomology"]
+    assert not suite["pass"] and "D1" in suite["structure_violation"]
+    assert any(f.startswith("cohomology: D1") for f in report.failures)
+
+
+@pytest.mark.parametrize("drop,suite", [("D1:5", "cohomology"), ("E100:1", "dta")])
+def test_drop_row_fails_structure_check(drop, suite, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--sizes", "4,4,3", "--drop-row", drop, "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    name = drop.split(":")[0]
+    assert not report["suites"][suite]["pass"]
+    assert any(f.startswith(f"{suite}: {name} is not") for f in report["failures"])
 
 
 # ------------------------- divergence preimage ---------------------------------
