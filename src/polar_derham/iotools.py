@@ -6,6 +6,7 @@ build -> export -> import round trip is bit-identical; configs and
 reports are JSON.
 """
 
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -118,11 +119,6 @@ class ComplexConfig:
             applied_defaults=applied,
         )
 
-    @classmethod
-    def from_file(cls, path):
-        with open(path) as handle:
-            return cls.from_dict(json.load(handle))
-
     @property
     def dims(self):
         (pr, ps, pt), (dr, ds, dt) = self.degrees, self.distinct_knots
@@ -151,61 +147,79 @@ class ComplexConfig:
 
 # ============================ triplet format =================================
 
-def _format_value(value, integer):
-    if integer:
-        return str(int(value))
-    return repr(float(value))
+_INT_ENTRIES, _FLOAT_ENTRIES = (
+    np.dtype([("i", np.int64), ("j", np.int64), ("v", value)])
+    for value in (np.int64, np.float64)
+)
 
 
 def write_triplet(path, matrix):
-    """Write a sparse matrix as 1-based row-major coordinate triplets."""
+    """Write a sparse matrix as 1-based row-major coordinate triplets.
+
+    Values are written as `str` of the integer for integer dtypes and as
+    `repr` of the float otherwise; each distinct value is formatted once
+    and the body is formatted in one pass over all entries.
+    """
     csr = matrix.tocsr()
     csr.sum_duplicates()
     csr.sort_indices()
     csr.eliminate_zeros()
     coo = csr.tocoo()
     integer = np.issubdtype(csr.dtype, np.integer)
-    lines = [f"{csr.shape[0]} {csr.shape[1]} {coo.nnz}"]
-    for i, j, v in zip(coo.row, coo.col, coo.data):
-        lines.append(f"{i + 1} {j + 1} {_format_value(v, integer)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    distinct, which = np.unique(coo.data if integer else coo.data.astype(np.float64),
+                                return_inverse=True)
+    # tolist() gives Python ints or floats, and repr of an int is its str
+    tokens = np.array([repr(v) for v in distinct.tolist()], dtype=object)
+    fields = [None] * (3 * coo.nnz)
+    fields[0::3] = (coo.row + 1).tolist()
+    fields[1::3] = (coo.col + 1).tolist()
+    fields[2::3] = tokens[which].tolist()
+    body = ("%d %d %s\n" * coo.nnz) % tuple(fields)
+    Path(path).write_text(f"{csr.shape[0]} {csr.shape[1]} {coo.nnz}\n" + body)
 
 
 def read_triplet(path):
     """Read a triplet file back into a CSR matrix (int64 when every value
-    token is an integer literal, float64 otherwise)."""
-    text = Path(path).read_text().strip().splitlines()
+    token is an integer literal, float64 otherwise; duplicates are summed)."""
+    text = Path(path).read_text().strip()
     if not text:
         raise ValueError(f"{path}: empty triplet file")
-    header = text[0].split()
-    if len(header) != 3:
-        raise ValueError(f"{path}: malformed header {text[0]!r}")
-    rows, cols, nnz = (int(x) for x in header)
-    if len(text) - 1 != nnz:
-        raise ValueError(f"{path}: header declares {nnz} entries, found {len(text) - 1}")
-    ii, jj, tokens = [], [], []
-    for line in text[1:]:
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"{path}: malformed triplet line {line!r}")
-        ii.append(int(parts[0]) - 1)
-        jj.append(int(parts[1]) - 1)
-        tokens.append(parts[2])
-    integer = all(_is_int_token(t) for t in tokens)
-    dtype = np.int64 if integer else np.float64
-    vals = np.array([int(t) if integer else float(t) for t in tokens], dtype=dtype)
+    header, _, body = text.partition("\n")
+    try:
+        rows, cols, nnz = map(int, header.split())
+    except ValueError:
+        raise ValueError(f"{path}: malformed header {header!r}") from None
+    if min(rows, cols, nnz) < 0:
+        raise ValueError(f"{path}: malformed header {header!r}")
+    found = body.count("\n") + 1 if body else 0
+    if found != nnz:
+        raise ValueError(f"{path}: header declares {nnz} entries, found {found}")
+    if not nnz:
+        return sparse.csr_array((rows, cols), dtype=np.int64)
+    try:
+        entries = _parse_entries(body)
+        if len(entries) != nnz:  # loadtxt skips blank lines
+            raise ValueError("blank triplet line")
+    except ValueError as exc:
+        bad = [line for line in body.splitlines() if len(line.split()) != 3]
+        reason = f"malformed triplet line {bad[0]!r}" if bad else exc
+        raise ValueError(f"{path}: {reason}") from None
+    for axis, index, size in (("row", entries["i"], rows), ("column", entries["j"], cols)):
+        if not (index.min() >= 1 and index.max() <= size):
+            raise ValueError(f"{path}: {axis} index outside 1..{size}")
     return sparse.coo_array(
-        (vals, (np.array(ii, dtype=int), np.array(jj, dtype=int))),
-        shape=(rows, cols),
+        (entries["v"], (entries["i"] - 1, entries["j"] - 1)), shape=(rows, cols)
     ).tocsr()
 
 
-def _is_int_token(token):
+def _parse_entries(body):
+    """Triplet lines as int64 records, or as float64-valued records when a
+    value token is not an integer. loadtxt rejects a line without three
+    fields, and with `comments=None` a `#` line is malformed."""
     try:
-        int(token)
-        return True
+        return np.loadtxt(io.StringIO(body), dtype=_INT_ENTRIES, comments=None, ndmin=1)
     except ValueError:
-        return False
+        return np.loadtxt(io.StringIO(body), dtype=_FLOAT_ENTRIES, comments=None, ndmin=1)
 
 
 # ============================== bundles ======================================

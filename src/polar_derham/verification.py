@@ -46,7 +46,8 @@ def inject_row_drop(cx, name, row):
 
     Returns a patched copy of the complex; a verifier that cannot fail is
     untrustworthy, so this plus the center-block perturbation provide the
-    negative controls.
+    negative controls. A row that is already all zero is rejected, because
+    dropping it would leave the complex unchanged.
     """
     incidence_names = {"D0", "D1", "D2"}
     extraction_names = set(cx.extraction.names())
@@ -59,6 +60,9 @@ def inject_row_drop(cx, name, row):
     matrix = getattr(target, name)
     if not 1 <= row <= matrix.shape[0]:
         raise ValueError(f"row {row} out of range 1..{matrix.shape[0]} for {name}")
+    if not matrix.tocsr()[[row - 1]].count_nonzero():
+        raise ValueError(f"row {row} of {name} is already all zero: dropping it "
+                         "injects no fault")
     patched = matrix.tolil(copy=True)
     patched[row - 1, :] = 0.0
     patched = patched.tocsr()

@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 from scipy import sparse
 
+from polar_derham import TorusComplexSpec, build_complex
 from polar_derham.cli import main
 from polar_derham.iotools import (
     ComplexConfig,
@@ -84,6 +85,102 @@ class TestTripletRoundTrip:
         path.write_text("2 2 2\n1 1 1.0\n")
         with pytest.raises(ValueError, match="declares"):
             read_triplet(path)
+
+
+class TestTripletParser:
+    @pytest.mark.parametrize("text", [
+        "",
+        "2 2\n1 1 1\n",
+        "2 2 2\n1 1\n2 2 1 5\n",
+        "2 2 2\n# comment\n1 1 1\n",
+        "2 2 2\n# 1 1\n1 1 1\n",
+        "2 2 3\n1 1 1\n\n2 2 1\n",
+        "2 2 1\n1 1 abc\n",
+        "2 2 1\n1.5 1 1\n",
+        "2 2 1\n0 1 1\n",
+        "2 2 1\n1 0 1\n",
+        "2 2 1\n3 1 1\n",
+        "2 2 1\n1 3 1\n",
+        "a b c\n",
+        "-1 2 0\n",
+    ], ids=["empty", "header-2-fields", "lines-of-2-and-4-tokens", "comment-line",
+            "comment-line-3-fields", "blank-line", "non-numeric-value",
+            "non-integer-index", "row-0", "col-0", "row-too-large", "col-too-large",
+            "non-integer-header", "negative-header"])
+    def test_malformed_input_names_the_file(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="bad.txt"):
+            read_triplet(path)
+
+    def test_integer_tokens_read_as_int64(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("2 3 3\n1 1 1\n1 3 -4\n2 2 7\n")
+        mat = read_triplet(path)
+        assert mat.dtype == np.int64
+        npt.assert_array_equal(mat.toarray(), [[1, 0, -4], [0, 7, 0]])
+
+    def test_one_float_token_makes_float64(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("2 2 2\n1 1 1\n2 2 1.5\n")
+        mat = read_triplet(path)
+        assert mat.dtype == np.float64
+        npt.assert_array_equal(mat.toarray(), [[1.0, 0.0], [0.0, 1.5]])
+
+    def test_duplicates_summed_into_csr(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("2 2 3\n2 1 1\n1 2 2\n2 1 5\n")
+        mat = read_triplet(path)
+        assert mat.format == "csr"
+        npt.assert_array_equal(mat.toarray(), [[0, 2], [6, 0]])
+
+
+def _per_entry_triplet_text(matrix):
+    """Byte oracle: the one-line-per-entry formatter `write_triplet` replaced."""
+    csr = matrix.tocsr()
+    csr.sum_duplicates()
+    csr.sort_indices()
+    csr.eliminate_zeros()
+    coo = csr.tocoo()
+    integer = np.issubdtype(csr.dtype, np.integer)
+    lines = [f"{csr.shape[0]} {csr.shape[1]} {coo.nnz}"]
+    for i, j, v in zip(coo.row, coo.col, coo.data):
+        lines.append(f"{i + 1} {j + 1} {str(int(v)) if integer else repr(float(v))}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("matrix", [
+    sparse.csr_array(np.array([[0.1, 0.0, -2.5e-17], [1e300, 3.0, 5e-324]])),
+    sparse.csr_array(np.array([[np.nan, np.inf], [-np.inf, -0.5]])),
+    sparse.csr_array(np.array([[0.1, 0.0], [1.0, 2.5]], dtype=np.float32)),
+    sparse.csr_array(np.array([[-3, 0, 2**62], [0, 1, 0]], dtype=np.int64)),
+    sparse.csr_array(np.array([[7, 0], [0, -1]], dtype=np.int32)),
+    sparse.coo_array(([1.5, 2.0, 0.0], ([1, 1, 0], [0, 0, 1])), shape=(2, 3)),
+    sparse.csr_array((3, 4), dtype=np.float64),
+], ids=["floats", "non-finite", "float32", "int64", "int32", "duplicates-and-zero",
+        "empty"])
+def test_write_matches_per_entry_oracle(tmp_path, matrix):
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    write_triplet(first, matrix)
+    assert first.read_text() == _per_entry_triplet_text(matrix)
+    write_triplet(second, read_triplet(first))
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_triplet_round_trip_at_scale(tmp_path):
+    cx = build_complex(TorusComplexSpec(degrees=(2, 2, 2), dims=(16, 16, 8)),
+                       ebar_perturbation=1e-3)
+    matrices = cx.named_matrices()
+    assert len(matrices) == 18
+    for name, matrix in matrices.items():
+        path = tmp_path / f"{name}.txt"
+        write_triplet(path, matrix)
+        assert path.read_text() == _per_entry_triplet_text(matrix), name
+        again, expected = read_triplet(path), matrix.tocsr()
+        assert again.dtype == expected.dtype, name
+        assert np.array_equal(again.indptr, expected.indptr), name
+        assert np.array_equal(again.indices, expected.indices), name
+        assert again.data.tobytes() == expected.data.tobytes(), name
 
 
 # ------------------------------- bundles ----------------------------------------
@@ -165,6 +262,13 @@ class TestCli:
         code = main(["verify", "--sizes", "4,4,3", "--drop-row", "D1:5",
                      "--out", str(tmp_path / "bad.json")])
         assert code == 1
+
+    @pytest.mark.parametrize("drop,code", [("D1:5", 1), ("E100:1", 1), ("E100:5", 2)])
+    def test_drop_row_must_inject_a_fault(self, drop, code, capsys):
+        # row 5 of E100 is empty at (4,4,3): dropping it would change nothing
+        assert main(["verify", "--sizes", "4,4,3", "--drop-row", drop]) == code
+        if code == 2:
+            assert "row 5 of E100 is already all zero" in capsys.readouterr().err
 
     def test_rho_bar_floor_rejected(self, capsys):
         assert main(["verify", "--sizes", "4,4,3", "--rho-bar", "2"]) == 2
