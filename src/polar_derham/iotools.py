@@ -9,6 +9,7 @@ reports are JSON.
 import io
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -215,11 +216,19 @@ def read_triplet(path):
 def _parse_entries(body):
     """Triplet lines as int64 records, or as float64-valued records when a
     value token is not an integer. loadtxt rejects a line without three
-    fields, and with `comments=None` a `#` line is malformed."""
-    try:
-        return np.loadtxt(io.StringIO(body), dtype=_INT_ENTRIES, comments=None, ndmin=1)
-    except ValueError:
-        return np.loadtxt(io.StringIO(body), dtype=_FLOAT_ENTRIES, comments=None, ndmin=1)
+    fields, and with `comments=None` a `#` line is malformed.
+
+    numpy 1.23 to 1.26 parse a float token into an integer field by
+    truncating it with a DeprecationWarning; raised as an error, that
+    warning makes them reject the token as later numpy does."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.loadtxt(io.StringIO(body), dtype=_INT_ENTRIES, comments=None,
+                              ndmin=1)
+        except ValueError:
+            return np.loadtxt(io.StringIO(body), dtype=_FLOAT_ENTRIES, comments=None,
+                              ndmin=1)
 
 
 # ============================== bundles ======================================

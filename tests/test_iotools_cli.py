@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -127,12 +129,46 @@ class TestTripletParser:
         assert mat.dtype == np.float64
         npt.assert_array_equal(mat.toarray(), [[1.0, 0.0], [0.0, 1.5]])
 
+    def test_float_tokens_not_truncated_by_lenient_loadtxt(self, tmp_path, monkeypatch):
+        # numpy 1.23-1.26 accept float tokens in integer fields unless their
+        # DeprecationWarning is raised as an error
+        monkeypatch.setattr(np, "loadtxt", _loadtxt_truncating_floats(np.loadtxt))
+        path = tmp_path / "m.txt"
+        path.write_text("2 2 4\n1 1 1.0\n1 2 0.3333333333333333\n2 1 1e300\n2 2 nan\n")
+        mat = read_triplet(path)
+        assert mat.dtype == np.float64
+        npt.assert_array_equal(mat.toarray(), [[1.0, 1 / 3], [1e300, np.nan]])
+        path.write_text("2 2 1\n1.5 1 1\n")
+        with pytest.raises(ValueError, match="m.txt"):
+            read_triplet(path)
+
     def test_duplicates_summed_into_csr(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("2 2 3\n2 1 1\n1 2 2\n2 1 5\n")
         mat = read_triplet(path)
         assert mat.format == "csr"
         npt.assert_array_equal(mat.toarray(), [[0, 2], [6, 0]])
+
+
+def _loadtxt_truncating_floats(loadtxt):
+    """`np.loadtxt` as numpy 1.23-1.26 parse a float token into an integer
+    field: one DeprecationWarning and a truncated value. Only a warning
+    raised as an error fails the parse, and it surfaces as a ValueError."""
+    def lenient(fname, dtype, **kwargs):
+        text = fname.read()
+        try:
+            return loadtxt(io.StringIO(text), dtype=dtype, **kwargs)
+        except ValueError:
+            as_float = np.dtype([(name, np.float64) for name in dtype.names])
+            values = loadtxt(io.StringIO(text), dtype=as_float, **kwargs)
+            try:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning)
+            except DeprecationWarning as exc:
+                raise ValueError("could not convert string to int64") from exc
+            with np.errstate(invalid="ignore"):
+                return values.astype(dtype)
+    return lenient
 
 
 def _per_entry_triplet_text(matrix):
