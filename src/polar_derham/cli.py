@@ -149,12 +149,6 @@ def cmd_sample(args):
     rs = np.linspace(0.0, R, counts[0])
     ss = np.linspace(args.smin, S, counts[1])
     ts = np.linspace(0.0, T, counts[2])
-    s_min = 1e-8 * S
-    if level > 0 and ss.min() < s_min:
-        raise UsageError(
-            f"level-{level} sampling requires s >= s_min = {s_min}; "
-            f"grid reaches s = {ss.min()} (raise --smin)"
-        )
     t, s, r = np.meshgrid(ts, ss, rs, indexing="ij")
     points = np.column_stack([r.ravel(), s.ravel(), t.ravel()])
     xyz, values = cx.pushforward(coeffs, points, level=level)

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .tensor import check_size_floors, eye_triplet, kron_lift, triplet
+from .tensor import LEVEL_PATTERNS, check_size_floors, eye_triplet, kron_lift, triplet
 
 __all__ = [
     "EbarBlock",
@@ -220,14 +220,12 @@ class ExtractionSet:
         return getattr(self, "E" + "".join(str(b) for b in pattern))
 
     def level_matrices(self, level):
-        from .tensor import LEVEL_PATTERNS
-
         return [(pat, self.by_pattern(pat)) for pat in LEVEL_PATTERNS[level]]
 
     def names(self):
-        return [
-            "E000", "E100", "E010", "E001", "E011", "E101", "E110", "E111",
-        ]
+        """E000 to E111, level by level in LEVEL_PATTERNS order."""
+        return ["E" + "".join(str(b) for b in pat)
+                for pats in LEVEL_PATTERNS.values() for pat in pats]
 
     @cached_property
     def _columns(self):

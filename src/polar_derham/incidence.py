@@ -30,7 +30,7 @@ from scipy import sparse
 
 from .bsplines import difference_matrix
 from .extraction import PolarCounts, ebar_block, edge_round, polar_counts
-from .tensor import cat_triplets, circulant_blocks, eye_triplet, kron_lift, triplet
+from .tensor import LEVEL_PATTERNS, cat_triplets, circulant_blocks, eye_triplet, kron_lift, triplet
 
 __all__ = [
     "IncidenceSet",
@@ -140,39 +140,34 @@ def max_abs(matrix):
 
 # ============================ commutation ====================================
 
+_IDENTITY_NAMES = (("grad_r", "grad_s", "grad_t"), ("curl_1", "curl_2", "curl_3"), ("div",))
+
+
 def verify_commutation(tensor, extraction, incidence):
     """Max-abs residuals of the seven matrix commutation identities.
 
-    Three gradient diagrams, three curl diagrams and the divergence
-    diagram; all vanish identically up to roundoff in the center-block
-    weights.
+    For each level l < 3, with T_l the stacked transposed extraction
+    matrices of level l, ``op_l T_l - T_{l+1} D_l`` must vanish; its rows
+    split by the components of level l + 1 into three gradient diagrams,
+    three curl diagrams and the divergence diagram.  All vanish
+    identically up to roundoff in the center-block weights.
     """
-    ns1 = tensor.ns - 1
-    dr, ds, dt = tensor.derivative_matrices()
-    dr1 = tensor.derivative_r(ns1)
-    dt1 = tensor.derivative_t(ns1)
-    e = extraction
-    d0, d1, d2 = incidence.D0, incidence.D1, incidence.D2
-
-    identities = {
-        "grad_r": lambda: dr @ e.E000.T - e.E100.T @ d0,
-        "grad_s": lambda: ds @ e.E000.T - e.E010.T @ d0,
-        "grad_t": lambda: dt @ e.E000.T - e.E001.T @ d0,
-        "curl_1": lambda: -dt1 @ e.E010.T + ds @ e.E001.T - e.E011.T @ d1,
-        "curl_2": lambda: dt @ e.E100.T - dr @ e.E001.T - e.E101.T @ d1,
-        "curl_3": lambda: -ds @ e.E100.T + dr1 @ e.E010.T - e.E110.T @ d1,
-        "div": lambda: (dr1 @ e.E011.T + ds @ e.E101.T + dt1 @ e.E110.T
-                        - e.E111.T.astype(float) @ d2),
-    }
+    lift = [sparse.hstack([E for _, E in extraction.level_matrices(level)], format="csr").T
+            for level in range(4)]
     residuals = {}
-    for name, compute in identities.items():
+    for level, names in enumerate(_IDENTITY_NAMES):
         try:
-            residuals[name] = max_abs(compute())
+            residual = (tensor.level_operator(level) @ lift[level]
+                        - lift[level + 1] @ getattr(incidence, f"D{level}"))
         except ValueError as exc:
             raise ValueError(
-                f"commutation identity {name!r}: inconsistent matrix shapes "
+                f"commutation identities {names}: inconsistent matrix shapes "
                 f"(construction bug): {exc}"
             ) from exc
+        sizes = [tensor.component_dim(pat) for pat in LEVEL_PATTERNS[level + 1]]
+        bounds = np.cumsum([0] + sizes)
+        for name, start, stop in zip(names, bounds[:-1], bounds[1:]):
+            residuals[name] = max_abs(residual[start:stop])
     return residuals
 
 

@@ -19,7 +19,6 @@ each component's local tensor support follows.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -197,6 +196,9 @@ class TensorComplex:
         self.spaces = (space_r, space_s, space_t)
         self.nr, self.ns, self.nt = (sp.dim for sp in self.spaces)
         check_size_floors(self.nr, self.ns, self.nt)
+        # built on first use and kept: the complex is immutable
+        self._derivatives = {}
+        self._operators = [None, None, None]
 
     @property
     def dims(self):
@@ -279,98 +281,70 @@ class TensorComplex:
 
     # --------------------- coefficient derivatives --------------------------
 
-    def _eye(self, n):
-        return sparse.identity(n, dtype=np.int64, format="csr")
+    def derivative(self, axis, pattern=(0, 0, 0)):
+        """The difference stencil of direction `axis` acting on one
+        component: identities over the other directions of
+        ``component_shape(pattern)`` (integer entries).  Built once per
+        axis and component shape and shared until the apply path caches an
+        operator (see `_apply`)."""
+        shape = self.component_shape(pattern)
+        if (axis, shape) not in self._derivatives:
+            factors = [sparse.identity(n, dtype=np.int64, format="csr") for n in shape]
+            factors[axis] = self.spaces[axis].difference_stencil
+            self._derivatives[axis, shape] = sparse.kron(
+                factors[2], sparse.kron(factors[1], factors[0]), format="csr")
+        return self._derivatives[axis, shape]
 
-    def derivative_r(self, s_count=None):
-        """I x I x Delta_per acting along the first index."""
-        s_count = self.ns if s_count is None else s_count
-        delta = self.spaces[0].difference_stencil
-        return sparse.kron(
-            self._eye(self.nt), sparse.kron(self._eye(s_count), delta), format="csr"
-        )
+    def derivative_r(self):
+        return self.derivative(0)
 
     def derivative_s(self):
-        """I x Delta x I, lowering the open direction count by one."""
-        delta = self.spaces[1].difference_stencil
-        return sparse.kron(
-            self._eye(self.nt), sparse.kron(delta, self._eye(self.nr)), format="csr"
-        )
+        return self.derivative(1)
 
-    def derivative_t(self, s_count=None):
-        """Delta_per x I x I acting along the third index."""
-        s_count = self.ns if s_count is None else s_count
-        delta = self.spaces[2].difference_stencil
-        return sparse.kron(
-            delta, sparse.kron(self._eye(s_count), self._eye(self.nr)), format="csr"
-        )
+    def derivative_t(self):
+        return self.derivative(2)
 
     def derivative_matrices(self):
         """The three coefficient-derivative matrices on level-0 input."""
         return self.derivative_r(), self.derivative_s(), self.derivative_t()
 
+    def level_operator(self, level):
+        """The level -> level + 1 coefficient map (integer entries).
+
+        Block (q, p) is ``+/- derivative(a, p)`` when component q is
+        component p lowered in one more direction a, and empty otherwise.
+        The sign is + except from level 1, which orients the 2-form
+        components as (s, t), (t, r), (r, s): the derivative along a of
+        the 1-form component along b enters with + when b = a + 1
+        (mod 3) and with - otherwise.  Empty blocks are empty CSR, so the
+        blocks stack without a COO round trip.
+        """
+        sources, targets = LEVEL_PATTERNS[level], LEVEL_PATTERNS[level + 1]
+        blocks = [[sparse.csr_array((self.component_dim(q), self.component_dim(p)),
+                                    dtype=np.int64) for p in sources] for q in targets]
+        for col, p in enumerate(sources):
+            for axis in range(3):
+                if p[axis]:
+                    continue
+                q = tuple(b + (d == axis) for d, b in enumerate(p))
+                block = self.derivative(axis, p)
+                negative = level == 1 and p.index(1) != (axis + 1) % 3
+                blocks[targets.index(q)][col] = -block if negative else block
+        return sparse.bmat(blocks, format="csr")
+
     def grad_matrix(self):
-        """Stacked level-0 -> level-1 coefficient map (integer entries)."""
-        dr, ds, dt = self.derivative_matrices()
-        return sparse.vstack([dr, ds, dt], format="csr")
+        return self.level_operator(0)
 
     def curl_matrix(self):
-        """Block level-1 -> level-2 coefficient map (integer entries)."""
-        ns1 = self.ns - 1
-        dr, ds, dt = self.derivative_matrices()
-        dr1 = self.derivative_r(ns1)
-        dt1 = self.derivative_t(ns1)
-        n_g1 = self.component_dim((1, 0, 0))
-        n_g2 = self.component_dim((0, 1, 0))
-        n_g3 = self.component_dim((0, 0, 1))
-
-        def zeros(m, n):
-            return sparse.csr_array((m, n), dtype=np.int64)
-
-        row1 = [zeros(dt1.shape[0], n_g1), -dt1, ds]
-        row2 = [dt, zeros(dt.shape[0], n_g2), -dr]
-        row3 = [-ds, dr1, zeros(dr1.shape[0], n_g3)]
-        return sparse.vstack(
-            [sparse.hstack(r, format="csr") for r in (row1, row2, row3)],
-            format="csr",
-        )
+        return self.level_operator(1)
 
     def div_matrix(self):
-        """Block level-2 -> level-3 coefficient map (integer entries)."""
-        ns1 = self.ns - 1
-        return sparse.hstack(
-            [self.derivative_r(ns1), self.derivative_s(), self.derivative_t(ns1)],
-            format="csr",
-        )
+        return self.level_operator(2)
 
     # -------------------------- operator actions ----------------------------
 
-    # Built on first use and kept: the complex is immutable.
-    @cached_property
-    def _grad(self):
-        return self.grad_matrix()
-
-    @cached_property
-    def _curl(self):
-        return self.curl_matrix()
-
-    @cached_property
-    def _div(self):
-        return self.div_matrix()
-
-    def apply_grad(self, coeffs):
-        coeffs = self._check(coeffs, 0)
-        return self._grad @ coeffs
-
-    def apply_curl(self, coeffs):
-        coeffs = self._check(coeffs, 1)
-        return self._curl @ coeffs
-
-    def apply_div(self, coeffs):
-        coeffs = self._check(coeffs, 2)
-        return self._div @ coeffs
-
-    def _check(self, coeffs, level):
+    def _apply(self, level, coeffs):
+        """The level -> level + 1 operator applied to a coefficient vector."""
         coeffs = np.asarray(coeffs, dtype=float)
         expected = self.level_dim(level)
         if coeffs.shape != (expected,):
@@ -378,7 +352,22 @@ class TensorComplex:
                 f"level-{level} coefficients must have length {expected}, "
                 f"got shape {coeffs.shape}"
             )
-        return coeffs
+        operators = self._operators
+        if operators[level] is None:
+            operators[level] = (self.grad_matrix, self.curl_matrix, self.div_matrix)[level]()
+            # the operator holds every block, so the cached stencils
+            # would only double its memory
+            self._derivatives.clear()
+        return operators[level] @ coeffs
+
+    def apply_grad(self, coeffs):
+        return self._apply(0, coeffs)
+
+    def apply_curl(self, coeffs):
+        return self._apply(1, coeffs)
+
+    def apply_div(self, coeffs):
+        return self._apply(2, coeffs)
 
     # ------------------------------ misc ------------------------------------
 

@@ -19,7 +19,7 @@ from .geometry import (
     pushforward_eval,
 )
 from .incidence import build_incidence, cohomology_dimensions, verify_commutation
-from .tensor import build_tensor_sequence, check_size_floors
+from .tensor import LEVEL_PATTERNS, build_tensor_sequence, check_size_floors
 
 __all__ = [
     "TorusComplexSpec",
@@ -151,23 +151,25 @@ class PolarComplex:
             )
         return f
 
-    def grad(self, coeffs):
-        f = self._validated(self._check_field(coeffs, 0, "reduced"))
+    def _derivative(self, level, coeffs):
+        """The level -> level + 1 operator of the field's own space."""
+        f = self._validated(self._check_field(coeffs, level, "reduced"))
         if f.space == "reduced":
-            return FieldCoefficients(1, "reduced", self.incidence.D0 @ f.data)
-        return FieldCoefficients(1, "tensor", self.tensor.apply_grad(f.data))
+            data = getattr(self.incidence, f"D{level}") @ f.data
+        else:
+            # through the named methods, which perfbench/tracer.py times
+            t = self.tensor
+            data = (t.apply_grad, t.apply_curl, t.apply_div)[level](f.data)
+        return FieldCoefficients(level + 1, f.space, data)
+
+    def grad(self, coeffs):
+        return self._derivative(0, coeffs)
 
     def curl(self, coeffs):
-        f = self._validated(self._check_field(coeffs, 1, "reduced"))
-        if f.space == "reduced":
-            return FieldCoefficients(2, "reduced", self.incidence.D1 @ f.data)
-        return FieldCoefficients(2, "tensor", self.tensor.apply_curl(f.data))
+        return self._derivative(1, coeffs)
 
     def div(self, coeffs):
-        f = self._validated(self._check_field(coeffs, 2, "reduced"))
-        if f.space == "reduced":
-            return FieldCoefficients(3, "reduced", self.incidence.D2 @ f.data)
-        return FieldCoefficients(3, "tensor", self.tensor.apply_div(f.data))
+        return self._derivative(2, coeffs)
 
     def to_tensor(self, field_coeffs):
         """Re-express a reduced field on the tensor-product levels."""
@@ -218,11 +220,9 @@ class PolarComplex:
         e, inc, t = self.extraction, self.incidence, self.tensor
         mats = {name: getattr(e, name) for name in e.names()}
         mats.update({"D0": inc.D0, "D1": inc.D1, "D2": inc.D2})
-        mats.update({
-            "D100": t.derivative_r(),
-            "D010": t.derivative_s(),
-            "D001": t.derivative_t(),
-        })
+        # D100, D010, D001: the stencil of each direction on level 0
+        mats.update({"D" + "".join(map(str, pat)): t.derivative(axis)
+                     for axis, pat in enumerate(LEVEL_PATTERNS[1])})
         mats.update({
             "H0_r": t.spaces[0].h0, "H1_r": t.spaces[0].h1,
             "H0_t": t.spaces[2].h0, "H1_t": t.spaces[2].h1,

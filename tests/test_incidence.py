@@ -150,6 +150,20 @@ def test_commutation_negative_control():
     assert max(cx.commutation_residuals().values()) > 1e-4
 
 
+@pytest.mark.parametrize("degrees,dims", [((2, 2, 2), (4, 4, 3)), ((3, 3, 3), (5, 6, 4))])
+def test_perturbation_breaks_only_center_identities(degrees, dims):
+    # the shifted center-block entry feeds the in-joint edges (grad_r,
+    # grad_s) and their faces (curl_1, curl_2); the toroidal identities
+    # (grad_t, curl_3) and the volume selector (div) do not see it
+    spec = pd.TorusComplexSpec(degrees=degrees, dims=dims)
+    residuals = pd.build_complex(spec, ebar_perturbation=1e-3).commutation_residuals()
+    assert list(residuals) == ["grad_r", "grad_s", "grad_t", "curl_1", "curl_2", "curl_3", "div"]
+    for name in ("grad_r", "grad_s", "curl_1", "curl_2"):
+        assert residuals[name] > 1e-4, name
+    for name in ("grad_t", "curl_3", "div"):
+        assert residuals[name] <= 1e-12, name
+
+
 # ------------------------------ cohomology -------------------------------------
 
 @pytest.mark.parametrize("dims", [(4, 4, 3), (6, 5, 5)])

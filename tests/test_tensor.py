@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -85,6 +87,45 @@ def test_complex_property_exact(tc):
     assert np.issubdtype(grad.dtype, np.integer)
     assert (curl @ grad).nnz == 0
     assert (div @ curl).nnz == 0
+
+
+# SHA-256 over the dtype name, indptr and indices (as int64) and data of
+# each CSR operator: a changed entry, sign, order or dtype shows here.
+PINNED_OPERATOR_DIGESTS = {
+    ((2, 2, 2), (4, 4, 3)): {
+        "grad_matrix": "3f42dadc5c47ad81c1dd431ae4c162602e16454cfe8d540e3ffe00e5ca1694ba",
+        "curl_matrix": "f54543debedac1188c7a9c968abc966b126ec47d1df44e6360e1405006549dce",
+        "div_matrix": "aeb52974379f240d29341f671be2264fb1ed14086aa0916ae7c3dc1c3f0cadaa",
+        "derivative_r": "38e214f44a05ed2c77c55121c6d4fd0238beda18a96dbb8f30f6be7247ded654",
+        "derivative_s": "06884ed662b1c041acd8115ff72929603ac015b434ef2b8b2a51efd08e3e5c63",
+        "derivative_t": "e731db8c9806892278e4b5d8b342e8e709e32c5ca43fd732149191be1347d7b8",
+    },
+    ((3, 3, 3), (5, 6, 4)): {
+        "grad_matrix": "5201fe53fd2d9d9b1e7e9741e4a202e664e6d45677c4d696624c8bbe08270696",
+        "curl_matrix": "e4faa55c684ed9ee9d4401ac6ac70fc0d5aa9fa417e0de40f9be39d9543cb491",
+        "div_matrix": "be65a48239162c4f1cc614998e71c62e7c743d539c2b1c57b839ec9081fb8c02",
+        "derivative_r": "4133bf0c4e8c90f8697fbd02d6092db19abd0b6fa406c218aa05bc9f7a7457d9",
+        "derivative_s": "b1aa3c16e13ef8072d926ebc6211d003ebde7db18b9cb893863e73aaa5bd8384",
+        "derivative_t": "064f16b598ae948085a8ef8036a13e4ebd7ea61e48f05e014b51078fa6acb01f",
+    },
+}
+
+
+def _operator_digest(matrix):
+    h = hashlib.sha256(str(matrix.dtype).encode())
+    for arr in (matrix.indptr, matrix.indices):
+        h.update(np.asarray(arr, dtype=np.int64).tobytes())
+    h.update(matrix.data.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("degrees,dims", list(PINNED_OPERATOR_DIGESTS))
+def test_operator_digests_pinned(degrees, dims):
+    tc = pd.build_tensor_sequence(degrees, dims)
+    for name, digest in PINNED_OPERATOR_DIGESTS[(degrees, dims)].items():
+        matrix = getattr(tc, name)()
+        assert matrix.dtype == np.int64, name
+        assert _operator_digest(matrix) == digest, name
 
 
 def test_curl_of_gradient_and_div_of_curl(tc):
