@@ -1,10 +1,11 @@
 """Univariate B-spline spaces on open knot vectors.
 
-Provides the Cox-de Boor evaluation kernel, the derivative basis of a
-spline space, the extraction matrices tying a C1 space into its
-C1-periodic subspace, the bidiagonal coefficient-difference stencils and
-the design-through-analysis (DTA) compatibility check used throughout
-the polar construction.
+Provides the Cox-de Boor evaluation kernel and the per-knot-span
+polynomial tables built from it, the derivative basis of a spline space,
+the extraction matrices tying a C1 space into its C1-periodic subspace,
+the bidiagonal coefficient-difference stencils and the
+design-through-analysis (DTA) compatibility check used throughout the
+polar construction.
 """
 
 from dataclasses import dataclass, field
@@ -168,21 +169,16 @@ def _basis_funs_batch(knots, p, x, span):
     return vals, lower
 
 
-def _fold_table(blocks):
-    """Stack per-span dense blocks by their nonzero rows.
+def _nonzero_rows(mask):
+    """Positions of the True entries of each row of `mask`, in order.
 
-    Returns ``index`` (spans, w) listing each block's nonzero rows and
-    ``fold`` (spans, w, k) holding those rows; short rows are padded with
-    index 0 and zero weights.
+    Returns ``index`` (rows, w), padded with 0, and ``real`` (rows, w)
+    marking the slots that are not padding; w is the largest row count.
     """
-    rows = [np.flatnonzero(np.abs(b).sum(axis=1)) for b in blocks]
-    width = max(r.size for r in rows)
-    index = np.zeros((len(blocks), width), dtype=np.intp)
-    fold = np.zeros((len(blocks), width, blocks[0].shape[1]))
-    for k, (r, b) in enumerate(zip(rows, blocks)):
-        index[k, : r.size] = r
-        fold[k, : r.size] = b[r]
-    return index, fold
+    width = int(mask.sum(axis=1).max(initial=0))
+    order = np.argsort(~mask, axis=1, kind="stable")[:, :width]
+    real = np.take_along_axis(mask, order, axis=1)
+    return np.where(real, order, 0), real
 
 
 def make_uniform_open_knots(p, num_distinct, a, b):
@@ -418,41 +414,71 @@ class SplineSpace:
         return difference_matrix(self.dim, self.periodic)
 
     @cached_property
-    def _fold_tables(self):
-        """Per knot span: the functions nonzero there and the dense blocks
-        taking the span's raw B-spline values (degree p and p-1) to their
+    def _span_tables(self):
+        """Per knot span: the functions nonzero there and the monomial
+        coefficients, in the span-local coordinate u in [0, 1], of their
         values, derivatives and derivative-space values.
 
-        The blocks fold in H0/H1 (periodic spaces), the derivative-basis
-        scales and the difference stencil, so evaluation never touches a
-        matrix the size of the space.
+        Returns ``index`` (spans, w) and ``deriv_index`` (spans, wd) as in
+        :class:`LocalBasis`, the knots ``t_p .. t_{n-1}`` (span k's left
+        end is entry k), each span's inverse length, and
+        ``table`` (spans, p+1, 2w+wd): power j of u times ``table[k, j]``
+        summed over j gives the span's values, derivatives and
+        derivative-space values side by side.  H0/H1 (periodic spaces),
+        the derivative-basis scales and the difference stencil are folded
+        in, so evaluation never touches a matrix the size of the space.
+        The coefficients come from one Cox-de Boor pass at p+1 nodes of
+        every span and one solve against the nodes' Vandermonde matrix;
+        zero-length spans, which no parameter selects, keep zero rows.
         """
-        p, n = self.degree, self.kv.n
-        spans = range(n - p)
+        p, n, knots = self.degree, self.kv.n, self.kv.knots
+        spans = np.arange(p, n)
         ext0 = self._h0.toarray() if self.periodic else np.eye(n)
-        value_blocks = [ext0[:, k : k + p + 1] for k in spans]
+        value_blocks = ext0[:, spans[:, None] - p + np.arange(p + 1)]
         if p == 0:
             # piecewise constants: zero derivative, empty derivative space
-            deriv_blocks = [np.zeros((0, 0))] * len(spans)
-            slope_blocks = [np.zeros((self.dim, 0))] * len(spans)
+            deriv_blocks = np.zeros((0, spans.size, 0))
+            slope_blocks = np.zeros((self.dim, spans.size, 0))
         else:
             ext1 = self._h1.toarray() if self.periodic else np.eye(n - 1)
             ext1 = ext1 * self.derivative_basis.scales
-            deriv_blocks = [ext1[:, k : k + p] for k in spans]
-            delta_t = self.difference_stencil.T.toarray()
-            slope_blocks = [delta_t @ b for b in deriv_blocks]
-        index, fold = _fold_table(
-            [np.hstack(pair) for pair in zip(value_blocks, slope_blocks)]
-        )
-        deriv_index, deriv_fold = _fold_table(deriv_blocks)
-        return index, fold[:, :, : p + 1], fold[:, :, p + 1 :], deriv_index, deriv_fold
+            cols = spans[:, None] - p + np.arange(p)
+            deriv_blocks = ext1[:, cols]
+            slope_blocks = (self.difference_stencil.T @ ext1)[:, cols]
+        index, real = _nonzero_rows(
+            (np.abs(value_blocks).sum(axis=2) + np.abs(slope_blocks).sum(axis=2)).T > 0)
+        deriv_index, deriv_real = _nonzero_rows(np.abs(deriv_blocks).sum(axis=2).T > 0)
+
+        left = knots[spans]
+        length = knots[spans + 1] - left
+        live = length > 0
+        nodes = np.linspace(0.0, 1.0, p + 1)
+        x = (left[live, None] + length[live, None] * nodes).ravel()
+        vals, lower = _basis_funs_batch(knots, p, x, np.repeat(spans[live], p + 1))
+        k = np.flatnonzero(live)
+        vals = vals.reshape(k.size, p + 1, p + 1)
+        lower = lower.reshape(k.size, p + 1, p)
+        at_nodes = np.concatenate([
+            np.einsum("fkj,knj->knf", value_blocks[:, live], vals),
+            np.einsum("fkj,knj->knf", slope_blocks[:, live], lower),
+            np.einsum("fkj,knj->knf", deriv_blocks[:, live], lower),
+        ], axis=2)
+        gather = np.concatenate([index, index + self.dim, deriv_index + 2 * self.dim], axis=1)
+        at_nodes = np.take_along_axis(at_nodes, gather[k, None, :], axis=2)
+        at_nodes *= np.concatenate([real, real, deriv_real], axis=1)[k, None, :]
+        table = np.zeros((spans.size, p + 1, gather.shape[1]))
+        table[k] = np.linalg.solve(np.vander(nodes, increasing=True), at_nodes)
+        inverse_length = np.divide(1.0, length, out=np.zeros_like(length), where=live)
+        return index, deriv_index, left, inverse_length, table
 
     def eval_local(self, x, name="parameter"):
         """Nonzero basis functions at a 1-D array of parameters.
 
-        Spans come from one binary search and the values from the
-        triangular Cox-de Boor scheme run over the whole array (Piegl and
-        Tiller, The NURBS Book, A2.1/A2.2); periodic spaces wrap x into
+        Spans come from one binary search; the values, derivatives and
+        derivative-space values then come from one contraction of the
+        powers of the span-local coordinate with that span's polynomial
+        table (`_span_tables`), so the cost per parameter is fixed by the
+        degree, not by the size of the space.  Periodic spaces wrap x into
         the interval first.  Non-finite parameters and parameters outside
         an open space's interval raise ValueError, naming them `name`.
         Returns a :class:`LocalBasis`.
@@ -470,19 +496,19 @@ class SplineSpace:
             outside = (x < a) | (x > b)
             if outside.any():
                 raise ValueError(f"{name} = {x[outside][0]} outside [{a}, {b}]")
-        # x >= a puts every span at p or above; the right end needs clamping
-        p = self.degree
-        span = np.minimum(np.searchsorted(self.kv.knots, x, side="right") - 1,
-                          self.kv.n - 1)
-        vals, lower = _basis_funs_batch(self.kv.knots, p, x, span)
-        index, value_fold, slope_fold, deriv_index, deriv_fold = self._fold_tables
-        k = span - p
+        index, deriv_index, left, inverse_length, table = self._span_tables
+        # searching past left[0] puts x >= a in span 0 or above and
+        # the right interval end in the last span
+        k = np.searchsorted(left[1:], x, side="right")
+        u = (x - left[k]) * inverse_length[k]
+        out = np.einsum("mj,mjw->mw", u[:, None] ** np.arange(self.degree + 1), table[k])
+        w = index.shape[1]
         return LocalBasis(
             index=index[k],
-            values=np.einsum("mwj,mj->mw", value_fold[k], vals),
-            derivatives=np.einsum("mwj,mj->mw", slope_fold[k], lower),
+            values=out[:, :w],
+            derivatives=out[:, w : 2 * w],
             deriv_index=deriv_index[k],
-            deriv_values=np.einsum("mwj,mj->mw", deriv_fold[k], lower),
+            deriv_values=out[:, 2 * w :],
         )
 
     def eval(self, coeffs, t):

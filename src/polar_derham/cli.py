@@ -154,14 +154,30 @@ def cmd_sample(args):
     xyz, values = cx.pushforward(coeffs, points, level=level)
     table = np.column_stack([points, xyz, values])
     header = "r,s,t,x,y,z," + ("v1,v2,v3" if level in (1, 2) else "v1")
-    lines = [header] + [",".join(map(repr, row)) for row in table.tolist()]
-    text = "\n".join(lines)
+    text = _csv_text(header, table)
     if args.out:
         Path(args.out).write_text(text + "\n")
-        print(f"{len(lines) - 1} samples written to {args.out}")
+        print(f"{len(table)} samples written to {args.out}")
     else:
         print(text)
     return 0
+
+
+def _csv_text(header, table):
+    """The header line, then one line per row of the 2-D float array
+    `table`: each value's shortest round-tripping repr, comma-separated.
+
+    As in `write_triplet`, each distinct value is formatted once and the
+    body in one pass; values are told apart by their bits, so -0.0 and
+    0.0 keep their own repr.
+    """
+    rows, cols = table.shape
+    bits = np.ascontiguousarray(table, dtype=float).view(np.int64).ravel()
+    distinct, which = np.unique(bits, return_inverse=True)
+    tokens = np.array([repr(v) for v in distinct.view(float).tolist()], dtype=object)
+    line = ",".join(["%s"] * cols)
+    body = "\n".join([line] * rows) % tuple(tokens[which.ravel()].tolist())
+    return f"{header}\n{body}"
 
 
 def cmd_export(args):

@@ -135,6 +135,13 @@ class PolarComplex:
                     f"expected a level-{level} field, got level {coeffs.level}"
                 )
             return coeffs
+        if level is None:
+            c = self.counts
+            raise ValueError(
+                "to_tensor needs a FieldCoefficients: a plain array does not say "
+                "its level, so wrap it as FieldCoefficients(level, 'reduced', data); "
+                f"levels 0..3 take {c.n0}, {c.n1}, {c.n2}, {c.n3} coefficients"
+            )
         return FieldCoefficients(level=level, space=space, data=coeffs)
 
     def _dim(self, level, space):

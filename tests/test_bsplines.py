@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 import polar_derham as pd
+from polar_derham import bsplines
 from polar_derham.bsplines import DerivativeBasis
 
 
@@ -243,6 +244,85 @@ class TestEvalDerivative:
     def test_dimension_mismatch(self, quad_space):
         with pytest.raises(ValueError, match="coefficients"):
             quad_space.eval_derivative(np.ones(3), 0.5)
+
+
+# ----------------------- local basis against the dense oracles -----------------
+
+def _test_knots(degree, kind):
+    """Open knot vector on [0, 2]: uniform, perturbed, or perturbed with one
+    interior knot doubled (a zero-length span)."""
+    inner = np.linspace(0.0, 2.0, 8)
+    if kind != "uniform":
+        inner[1:-1] += np.random.default_rng(degree).uniform(-0.08, 0.08, 6)
+    if kind == "repeated":
+        inner = np.sort(np.append(inner, inner[3]))
+    return pd.KnotVector(degree, np.concatenate([[0.0] * degree, inner, [2.0] * degree]))
+
+
+# periodic spaces need C1 (degree 2 up, degree 3 up with a doubled knot), and
+# the derivative basis needs interior multiplicity <= degree
+LOCAL_CASES = [
+    (degree, kind, periodic)
+    for degree in range(1, 6) for kind in ("uniform", "nonuniform", "repeated")
+    for periodic in (False, True)
+    if degree >= 1 + periodic + (kind == "repeated")
+]
+
+
+def _scatter(index, values, dim):
+    dense = np.zeros((index.shape[0], dim))
+    np.add.at(dense, (np.arange(index.shape[0])[:, None], index), values)
+    return dense
+
+
+@pytest.mark.parametrize("degree,kind,periodic", LOCAL_CASES)
+def test_eval_local_matches_dense_oracles(degree, kind, periodic):
+    space = pd.SplineSpace(_test_knots(degree, kind), periodic=periodic)
+    breaks = np.unique(space.kv.knots)
+    x = np.concatenate([breaks, [0.0, 2.0],
+                        np.random.default_rng(7).uniform(0.0, 2.0, 40)])
+    if periodic:
+        x = np.concatenate([x, breaks + 2.0, -breaks, [-2.0, 4.0, 7.3, -5.1]])
+    loc = space.eval_local(x)
+    deriv_dim = space.dim if periodic else space.dim - 1
+    for index, got, oracle, dim in (
+        (loc.index, loc.values, space.eval_basis, space.dim),
+        (loc.index, loc.derivatives, space.eval_basis_derivative, space.dim),
+        (loc.deriv_index, loc.deriv_values, space.eval_deriv_space_basis, deriv_dim),
+    ):
+        expected = np.array([oracle(t) for t in x])
+        error = np.abs(_scatter(index, got, dim) - expected).max()
+        assert error <= 1e-13 * np.abs(expected).max()
+        # the index lists every function nonzero at the parameter, once
+        for row, dense in zip(index, expected):
+            assert set(np.flatnonzero(dense)) <= set(row)
+            assert len(set(row)) >= np.count_nonzero(dense)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eval_local_rejects_non_finite(periodic, bad):
+    space = pd.SplineSpace(_test_knots(3, "nonuniform"), periodic=periodic)
+    with pytest.raises(ValueError, match=r"^s = .* is not finite"):
+        space.eval_local(np.array([0.5, bad]), "s")
+
+
+@pytest.mark.parametrize("bad", [-1e-9, 2.0 + 1e-9, 5.0])
+def test_eval_local_rejects_out_of_range(bad):
+    space = pd.SplineSpace(_test_knots(3, "nonuniform"))
+    with pytest.raises(ValueError, match=r"^s = .* outside \[0\.0, 2\.0\]"):
+        space.eval_local(np.array([1.0, bad]), "s")
+
+
+def test_eval_local_runs_no_recursion_per_call(monkeypatch):
+    calls = []
+    kernel = bsplines._basis_funs_batch
+    monkeypatch.setattr(bsplines, "_basis_funs_batch",
+                        lambda *args: calls.append(1) or kernel(*args))
+    space = pd.SplineSpace(_test_knots(4, "repeated"), periodic=True)
+    for x in (np.array([0.3]), np.linspace(-1.0, 3.0, 50), np.array([2.0])):
+        space.eval_local(x)
+    assert len(calls) == 1
 
 
 def test_derivative_basis_structure():

@@ -9,7 +9,7 @@ import pytest
 from scipy import sparse
 
 from polar_derham import TorusComplexSpec, build_complex
-from polar_derham.cli import main
+from polar_derham.cli import _csv_text, main
 from polar_derham.iotools import (
     ComplexConfig,
     load_config,
@@ -217,6 +217,35 @@ def test_triplet_round_trip_at_scale(tmp_path):
         assert np.array_equal(again.indptr, expected.indptr), name
         assert np.array_equal(again.indices, expected.indices), name
         assert again.data.tobytes() == expected.data.tobytes(), name
+
+
+def _per_row_csv_text(header, table):
+    """Byte oracle: the one-row-at-a-time formatter `sample` replaced."""
+    return "\n".join([header] + [",".join(map(repr, row)) for row in table.tolist()])
+
+
+def test_csv_text_matches_per_row_oracle():
+    row = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 0.1 + 0.2, -2.5e-17]
+    table = np.array([row, row[::-1], row[1:] + row[:1]])
+    assert _csv_text("a,b", table) == _per_row_csv_text("a,b", table)
+    assert _csv_text("a", table[:1, :1]) == _per_row_csv_text("a", table[:1, :1])
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_sample_csv_matches_per_row_oracle(tmp_path, cx443, level, capsys):
+    out = tmp_path / "samples.csv"
+    smin = 0.01 if level else 0.0
+    assert main(["sample", "--sizes", "4,4,3", "--level", str(level), "--basis", "2",
+                 "--grid", "4,5,3", "--smin", str(smin), "--out", str(out)]) == 0
+    t, s, r = np.meshgrid(np.linspace(0, 1, 3), np.linspace(smin, 1, 5),
+                          np.linspace(0, 1, 4), indexing="ij")
+    points = np.column_stack([r.ravel(), s.ravel(), t.ravel()])
+    coeffs = np.zeros(cx443.counts.level_dim(level))
+    coeffs[1] = 1.0
+    xyz, values = cx443.pushforward(coeffs, points, level=level)
+    header = "r,s,t,x,y,z," + ("v1,v2,v3" if level else "v1")
+    expected = _per_row_csv_text(header, np.column_stack([points, xyz, values]))
+    assert out.read_bytes() == (expected + "\n").encode()
 
 
 # ------------------------------- bundles ----------------------------------------

@@ -43,6 +43,12 @@ class TestFieldCoefficients:
         with pytest.raises(ValueError, match="coefficients"):
             cx443.grad(bad)
 
+    def test_to_tensor_of_a_plain_array_names_the_wrapper(self, cx443):
+        c = cx443.counts
+        with pytest.raises(ValueError, match="FieldCoefficients") as info:
+            cx443.to_tensor(np.ones(c.n0))
+        assert f"levels 0..3 take {c.n0}, {c.n1}, {c.n2}, {c.n3} coefficients" in str(info.value)
+
     def test_level_mismatch(self, cx443):
         field = pd.FieldCoefficients(level=1, space="reduced",
                                      data=np.zeros(cx443.counts.n1))
