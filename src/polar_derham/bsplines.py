@@ -27,6 +27,7 @@ __all__ = [
     "periodic_h1",
     "eval_derivative",
     "is_dta_compatible",
+    "dta_diagnostic",
 ]
 
 
@@ -573,27 +574,37 @@ class DtaDiagnostic:
         return self.ok
 
 
-def is_dta_compatible(matrix, tol=1e-12, copies=1):
+def is_dta_compatible(matrix, tol=1e-12):
     """Check full rank, unit column sums and non-negativity of `matrix`,
-    or of ``I_copies (x) matrix`` when `copies` > 1.
+    with its rank from a dense SVD (see :func:`dta_diagnostic`)."""
+    dense = matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix, dtype=float)
+    return dta_diagnostic(matrix, int(np.linalg.matrix_rank(dense)), tol)
 
-    The Kronecker product has `copies` times the rank of `matrix`, the same
-    column sums and row supports, and zeros off the diagonal blocks, so
-    only `matrix` is decomposed.  Row support sizes are recorded in the
-    diagnostic but DTA compatibility itself only constrains them through
-    sparsity, not a hard bound.
+
+def dta_diagnostic(matrix, rank, tol=1e-12):
+    """Check full rank, unit column sums and non-negativity of `matrix`
+    of the given `rank`.
+
+    Column sums, the minimum entry and the row supports come from the
+    stored entries in row order, so they equal those of the dense matrix
+    summed row by row.  Row support sizes are recorded in the diagnostic
+    but DTA compatibility itself only constrains them through sparsity,
+    not a hard bound.
     """
-    M = matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix, dtype=float)
-    rank = copies * int(np.linalg.matrix_rank(M))
-    full_rank = rank == copies * min(M.shape)
-    col_err = float(np.abs(M.sum(axis=0) - 1.0).max())
+    M = sparse.csr_array(matrix)
+    M.sum_duplicates()
+    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    full_rank = rank == min(M.shape)
+    col_err = float(np.abs(np.bincount(M.indices, M.data, M.shape[1]) - 1.0).max())
     columns_ok = col_err <= tol
-    min_entry = float(M.min()) if copies == 1 else min(0.0, float(M.min()))
+    min_entry = float(M.data.min(initial=np.inf))
+    if M.nnz < M.shape[0] * M.shape[1]:
+        min_entry = min(min_entry, 0.0)
     nonneg = min_entry >= -tol
-    max_support = int((np.abs(M) > tol).sum(axis=1).max())
+    max_support = int(np.bincount(rows[np.abs(M.data) > tol], minlength=M.shape[0]).max())
     violation = None
     if not full_rank:
-        violation = f"rank deficient: rank {rank} < {copies * min(M.shape)}"
+        violation = f"rank deficient: rank {rank} < {min(M.shape)}"
     elif not columns_ok:
         violation = f"column sums deviate from 1 by {col_err:.3e}"
     elif not nonneg:

@@ -30,7 +30,8 @@ from scipy import sparse
 
 from .bsplines import difference_matrix
 from .extraction import PolarCounts, ebar_block, edge_round, polar_counts
-from .tensor import LEVEL_PATTERNS, cat_triplets, circulant_blocks, eye_triplet, kron_lift, triplet
+from .tensor import (LEVEL_PATTERNS, StructureError, cat_triplets, circulant_blocks, eye_triplet,
+                     kron_lift, triplet)
 
 __all__ = [
     "IncidenceSet",
@@ -39,6 +40,8 @@ __all__ = [
     "build_incidence",
     "verify_commutation",
     "cohomology_dimensions",
+    "disk_blocks",
+    "kunneth_spectrum",
     "divergence_preimage",
     "max_abs",
     "rank_with_gap",
@@ -101,6 +104,32 @@ class IncidenceSet:
     weighted_rows: dict = field(default_factory=dict)
 
 
+def _circle_lift(counts, d0, d1):
+    """The circle lift of the disk blocks d0 and d1 (module docstring).
+
+    Per D, the joint block shape and the terms ``(C, B, row0, col0)`` of
+    :func:`~polar_derham.tensor.kron_lift`, each followed by B's label
+    and shape.
+    """
+    n0, n1, n2, nt = counts.nbar0, counts.nbar1, counts.nbar2, counts.nt
+    same, step = eye_triplet(nt), triplet(difference_matrix(nt, periodic=True))
+    return {
+        "D0": ((n1 + n0, n0), [
+            (same, d0, 0, 0, "d0", (n1, n0)),
+            (step, eye_triplet(n0), n1, 0, "identity", (n0, n0)),
+        ]),
+        "D1": ((n2 + n1, n1 + n0), [
+            (same, d1, 0, 0, "d1", (n2, n1)),
+            (same, d0, n2, n1, "d0", (n1, n0)),
+            (step, eye_triplet(n1, -1.0), n2, 0, "identity", (n1, n1)),
+        ]),
+        "D2": ((n2, n2 + n1), [
+            (same, d1, 0, n2, "d1", (n2, n1)),
+            (step, eye_triplet(n2), 0, 0, "identity", (n2, n2)),
+        ]),
+    }
+
+
 def build_incidence(nr, ns, nt, ebar=None):
     """D0, D1 and D2 on n_t joints: the disk blocks lifted along the
     circle as the module docstring sets out."""
@@ -108,25 +137,73 @@ def build_incidence(nr, ns, nt, ebar=None):
     ebar = ebar_block(nr) if ebar is None else ebar
     d0, d1, w0, w1 = _disk_blocks(ebar, ns)
     n0, n1, n2 = c.nbar0, c.nbar1, c.nbar2
-    same, step = eye_triplet(nt), triplet(difference_matrix(nt, periodic=True))
 
     def lifted_rows(stride, *joint_rows):
         joints = np.arange(nt)[:, None] * stride
         return sorted(np.concatenate([(joints + r).ravel() for r in joint_rows]).tolist())
 
+    lifts = {name: kron_lift(nt, shape, [term[:4] for term in terms])
+             for name, (shape, terms) in _circle_lift(c, d0, d1).items()}
     return IncidenceSet(
         counts=c,
-        D0=kron_lift(nt, (n1 + n0, n0), [(same, d0, 0, 0), (step, eye_triplet(n0), n1, 0)]),
-        D1=kron_lift(nt, (n2 + n1, n1 + n0), [
-            (same, d1, 0, 0), (same, d0, n2, n1), (step, eye_triplet(n1, -1.0), n2, 0),
-        ]),
-        D2=kron_lift(nt, (n2, n2 + n1), [(same, d1, 0, n2), (step, eye_triplet(n2), 0, 0)]),
+        **lifts,
         weighted_rows={
             "D0": lifted_rows(n1 + n0, w0),
             "D1": lifted_rows(n2 + n1, w1, n2 + w0),
             "D2": lifted_rows(n2, w1),
         },
     )
+
+
+def disk_blocks(incidence):
+    """The disk blocks (d0, d1) whose circle lift D0, D1 and D2 are.
+
+    d0 is read from D0 and d1 from D1; every block of each D must then be
+    exactly the block the lift puts there: D1's copy of d0 equals D0's,
+    D2's copy of d1 equals D1's, the toroidal blocks are +/-1 on the
+    diagonal, and no entry lies outside these blocks.  The check runs on
+    the stored nonzero entries of joint 0, after
+    :func:`~polar_derham.tensor.circulant_blocks` has checked that every
+    joint repeats them.  Returns d0 and d1 as CSR; raises StructureError
+    naming the matrix and the block that break the lift.
+    """
+    c = incidence.counts
+    joint0, shapes = {}, {}
+    for name in ("D0", "D1", "D2"):
+        shapes[name], joint0[name] = circulant_blocks(getattr(incidence, name), c.nt, name)
+
+    def window(name, offset, row0, col0, shape):
+        rows, offsets, cols, vals = joint0[name]
+        at = ((offsets == offset) & (rows >= row0) & (rows < row0 + shape[0])
+              & (cols >= col0) & (cols < col0 + shape[1]))
+        return rows[at] - row0, cols[at] - col0, vals[at]
+
+    d0 = window("D0", 0, 0, 0, (c.nbar1, c.nbar0))
+    d1 = window("D1", 0, 0, 0, (c.nbar2, c.nbar1))
+    for name, (shape, terms) in _circle_lift(c, d0, d1).items():
+        if shapes[name] != shape:
+            raise StructureError(f"{name} is not the circle lift of one pair (d0, d1): "
+                                 f"joint block shape {shapes[name]}, expected {shape}")
+        covered = 0
+        for (c_row, c_col, c_val), (rows, cols, vals), row0, col0, label, b_shape in terms:
+            # joint 0's block row of C (x) B: B scaled by each entry of row
+            # 0 of C, in the block column of that entry's offset; B's
+            # entries are sorted by (row, col), as window returns them
+            for offset, scale in zip(c_col[c_row == 0], c_val[c_row == 0]):
+                got = window(name, offset, row0, col0, b_shape)
+                if not all(np.array_equal(g, w) for g, w in zip(got, (rows, cols, scale * vals))):
+                    expected = (f"D{label[1]}'s {label}" if label != "identity"
+                                else f"{scale * vals[0]:+g} times the identity")
+                    raise StructureError(
+                        f"{name} is not the circle lift of one pair (d0, d1): its "
+                        f"offset-{offset} {label} block (rows {row0}:{row0 + b_shape[0]}, "
+                        f"cols {col0}:{col0 + b_shape[1]}) differs from {expected}")
+                covered += got[0].size
+        if covered != joint0[name][0].size:
+            raise StructureError(f"{name} is not the circle lift of one pair (d0, d1): "
+                                 f"joint 0 has entries outside the blocks of the lift")
+    return tuple(sparse.csr_array((v, (r, k)), shape=shape)
+                 for (r, k, v), shape in ((d0, (c.nbar1, c.nbar0)), (d1, (c.nbar2, c.nbar1))))
 
 
 def max_abs(matrix):
@@ -158,7 +235,7 @@ def verify_commutation(tensor, extraction, incidence):
     for level, names in enumerate(_IDENTITY_NAMES):
         try:
             residual = (tensor.level_operator(level) @ lift[level]
-                        - lift[level + 1] @ getattr(incidence, f"D{level}"))
+                        - lift[level + 1] @ getattr(incidence, f"D{level}")).tocsr()
         except ValueError as exc:
             raise ValueError(
                 f"commutation identities {names}: inconsistent matrix shapes "
@@ -166,8 +243,10 @@ def verify_commutation(tensor, extraction, incidence):
             ) from exc
         sizes = [tensor.component_dim(pat) for pat in LEVEL_PATTERNS[level + 1]]
         bounds = np.cumsum([0] + sizes)
-        for name, start, stop in zip(names, bounds[:-1], bounds[1:]):
-            residuals[name] = max_abs(residual[start:stop])
+        # the stored entries of rows start..stop are one run of the CSR data
+        at = residual.indptr[bounds]
+        for name, start, stop in zip(names, at[:-1], at[1:]):
+            residuals[name] = max_abs(residual.data[start:stop])
     return residuals
 
 
@@ -192,7 +271,12 @@ class FrequencyRanks:
 
 @dataclass
 class CohomologyReport:
-    """Kernel-modulo-image dimensions of the reduced complex."""
+    """Kernel-modulo-image dimensions of the reduced complex.
+
+    `method` names how the singular values were found: "kunneth" in
+    closed form from the disk blocks, "fourier" from one SVD per toroidal
+    frequency.
+    """
 
     dims: tuple
     ranks: tuple
@@ -201,6 +285,7 @@ class CohomologyReport:
     euler_characteristic: int
     alternating_dim_sum: int
     warnings: list
+    method: str
     harmonic_one_form: np.ndarray | None = None
     frequencies: list = field(default_factory=list)
 
@@ -254,6 +339,9 @@ def toroidal_spectrum(matrix, nt, name, vectors=False):
     cover every singular value.  Returns the per-joint block shape, the
     descending singular values of each A_k and, with `vectors`, the full
     (u, s, vt) of the real A_0 (else None), from the same decomposition.
+    One dense SVD per frequency: :func:`cohomology_dimensions` uses it
+    only when the disk blocks are not a complex, and the tests use it to
+    cross-check the closed form.
     """
     shape, (rows, offsets, cols, vals) = circulant_blocks(matrix, nt, name)
     at, entry = np.unique(rows * shape[1] + cols, return_inverse=True)
@@ -273,37 +361,107 @@ def toroidal_spectrum(matrix, nt, name, vectors=False):
     return shape, svals, svd0
 
 
-def cohomology_dimensions(incidence, rank_tol=None, harmonic=True):
+def kunneth_spectrum(counts, s0, s1, rank_tol=None):
+    """Singular values of the frequency blocks of D0, D1 and D2 in closed
+    form from the descending singular values s0 of d0 and s1 of d1.
+
+    The circle complex at frequency k multiplies by
+    c_k = exp(2 pi i k / nt) - 1, with |c_k|^2 = 4 sin^2(pi k / nt), and
+    the Hodge Laplacian of a tensor product is the sum of its factors'
+    Laplacians.  So A_0(D0), A_0(D1) = diag(d1, d0) and A_0(D2) have the
+    values of the disk blocks they hold, and at k != 0 each nonzero disk
+    value s becomes sqrt(s^2 + |c_k|^2) while |c_k| fills the
+    rest of the block's nonzero values: dim ker d0 of them for D0,
+    h1(disk) = nbar1 - rank d0 - rank d1 for D1 and nbar2 - rank d1 for
+    D2.  Zeros pad every block to the smaller side of its joint block.
+
+    A disk value counts as nonzero above the default threshold of its
+    own block (see :func:`rank_with_gap`), whatever `rank_tol`: the disk
+    ranks only place the values, they decide nothing.  The closed form
+    holds when d1 d0 = 0, which implies rank d0 + rank d1 <= nbar1;
+    when the ranks break that bound it returns None.  Otherwise it
+    returns, for D0, D1 and D2, the list of descending values of
+    k = 0..nt//2 and the rank threshold of the full matrix.
+    """
+    c = counts
+    r0 = int((s0 > _threshold(None, (c.nbar1, c.nbar0), s0[0])).sum())
+    r1 = int((s1 > _threshold(None, (c.nbar2, c.nbar1), s1[0])).sum())
+    if r0 + r1 > c.nbar1:
+        return None
+    ck2 = 4 * np.sin(np.pi * np.arange(c.nt // 2 + 1) / c.nt) ** 2
+    spectra = []
+    for factors, ranks, nonzero, width, shape in (
+        ((s0,), (r0,), c.nbar0, c.nbar0, (c.n1, c.n0)),
+        ((s0, s1), (r0, r1), c.nbar1, c.nbar2 + c.nbar1, (c.n2, c.n1)),
+        ((s1,), (r1,), c.nbar2, c.nbar2, (c.n3, c.n2)),
+    ):
+        top = max(float(f[0]) for f in factors)
+        tol = _threshold(rank_tol, shape, np.sqrt(top ** 2 + ck2.max()))
+        free = nonzero - sum(ranks)
+        svals = []
+        for k2 in ck2:
+            if k2 == 0.0:
+                vals = np.concatenate(factors)
+            else:
+                vals = np.concatenate(
+                    [np.sqrt(f[:r] ** 2 + k2) for f, r in zip(factors, ranks)]
+                    + [np.full(free, np.sqrt(k2))])
+            block = np.zeros(width)
+            block[:vals.size] = np.sort(vals)[::-1]
+            svals.append(block)
+        spectra.append((svals, tol))
+    return spectra
+
+
+def cohomology_dimensions(incidence, rank_tol=None, harmonic=True, residual_tol=1e-12):
     """Compute the cohomology dimensions of the reduced complex.
 
     h0 = dim ker D0, h1 = dim ker D1 - rank D0, h2 = dim ker D2 - rank D1,
-    h3 = n3 - rank D2.  Ranks count the singular values of the toroidal
-    frequency blocks (:func:`toroidal_spectrum`) above the threshold of
-    the full matrix; a StructureError is raised for a D that is not
-    block-circulant over the joints.  A gap ratio below 1e3 at any rank
-    decision is recorded as a warning, not a failure.  A least-squares
-    harmonic representative of h1 (kernel of D1 orthogonal to the image
-    of D0) is attached as a non-normative diagnostic; it is constant over
-    the joints, so it comes from the frequency-0 blocks.
+    h3 = n3 - rank D2.  Ranks count singular values above the threshold
+    of the full matrix, frequency block by frequency block.
+    :func:`disk_blocks` first checks that D0, D1 and D2 are the circle
+    lift of one pair (d0, d1) and raises StructureError otherwise.  When
+    ``max|d1 d0| <= residual_tol`` and their ranks agree, the disk blocks
+    are a complex and the values come in closed form from one SVD of
+    each (:func:`kunneth_spectrum`, method "kunneth"); otherwise, as
+    under a perturbed center block, from one dense SVD per frequency
+    (:func:`toroidal_spectrum`, method "fourier").  A gap ratio below 1e3
+    at any rank decision is recorded as a warning, not a failure.  A
+    least-squares harmonic representative of h1 (kernel of D1 orthogonal
+    to the image of D0) is attached as a non-normative diagnostic; it is
+    constant over the joints, so it comes from the frequency-0 blocks,
+    ``A_0(D0) = [d0; 0]`` and ``A_0(D1) = diag(d1, d0)``.
     """
     c = incidence.counts
     nt = c.nt
     multiplicity = [1 if 2 * k % nt == 0 else 2 for k in range(nt // 2 + 1)]
-    decisions, per_frequency, shapes, full_svds = [], [], [], []
-    for name in ("D0", "D1", "D2"):
-        matrix = getattr(incidence, name)
-        shape, svals, full = toroidal_spectrum(
-            matrix, nt, name, vectors=harmonic and name != "D2")
+    d0, d1 = disk_blocks(incidence)
+    spectra = None
+    if max_abs(d1 @ d0) <= residual_tol:
+        if harmonic:
+            (u_d0, s0, vt_d0), (_, s1, vt_d1) = (np.linalg.svd(d.toarray()) for d in (d0, d1))
+        else:
+            s0, s1 = (np.linalg.svd(d.toarray(), compute_uv=False) for d in (d0, d1))
+        spectra = kunneth_spectrum(c, s0, s1, rank_tol)
+    method = "fourier" if spectra is None else "kunneth"
+    if spectra is None:
+        spectra, full_svds = [], []
+        for name in ("D0", "D1", "D2"):
+            matrix = getattr(incidence, name)
+            _, svals, full = toroidal_spectrum(
+                matrix, nt, name, vectors=harmonic and name != "D2")
+            spectra.append((svals, _threshold(rank_tol, matrix.shape,
+                                              max(float(s[0]) for s in svals))))
+            full_svds.append(full)
+    decisions, per_frequency = [], []
+    for svals, tol in spectra:
         union = np.sort(np.concatenate(
             [np.tile(s, m) for s, m in zip(svals, multiplicity)]))[::-1]
-        tol = _threshold(rank_tol, matrix.shape, union[0] if union.size else 0.0)
         decisions.append(_decide(union, tol))
         per_frequency.append([_decide(s, tol) for s in svals])
-        shapes.append(shape)
-        full_svds.append(full)
     (r0, g0, b0), (r1, g1, b1), (r2, g2, b2) = decisions
     dims = (c.n0 - r0, (c.n1 - r1) - r0, (c.n2 - r2) - r1, c.n3 - r2)
-    (_, cols0), (_, cols1), (rows2, cols2) = shapes
+    cols0, cols1, rows2, cols2 = c.nbar0, c.nbar1 + c.nbar0, c.nbar2, c.nbar2 + c.nbar1
     frequencies = []
     for k, ((k0, q0, _), (k1, q1, _), (k2, q2, _)) in enumerate(zip(*per_frequency)):
         frequencies.append(FrequencyRanks(
@@ -323,12 +481,21 @@ def cohomology_dimensions(incidence, rank_tol=None, harmonic=True):
     if harmonic and dims[1] > 0:
         # the kernel of the frequency-0 D1 block orthogonal to the image of
         # the D0 block, tiled over the joints with unit norm
-        (u0, _, _), (_, _, vt1) = full_svds[:2]
-        rank00, rank10 = frequencies[0].ranks[:2]
-        kernel = vt1[rank10:].T
+        rank00 = frequencies[0].ranks[0]
+        if method == "kunneth":
+            tol1 = spectra[1][1]
+            rank_d0, rank_d1 = int((s0 > tol1).sum()), int((s1 > tol1).sum())
+            image = np.vstack([u_d0[:, :rank00], np.zeros((c.nbar0, rank00))])
+            ker1, ker0 = vt_d1[rank_d1:].T, vt_d0[rank_d0:].T
+            kernel = np.zeros((c.nbar1 + c.nbar0, ker1.shape[1] + ker0.shape[1]))
+            kernel[:c.nbar1, :ker1.shape[1]] = ker1
+            kernel[c.nbar1:, ker1.shape[1]:] = ker0
+        else:
+            (u0, _, _), (_, _, vt1) = full_svds[:2]
+            image = u0[:, :rank00]
+            kernel = vt1[frequencies[0].ranks[1]:].T
         if kernel.shape[1]:
-            image_basis = u0[:, :rank00]
-            residual = kernel - image_basis @ (image_basis.T @ kernel)
+            residual = kernel - image @ (image.T @ kernel)
             u, svals, _ = np.linalg.svd(residual)
             if svals.size and svals[0] > 0:
                 rep = np.tile(u[:, 0], nt) / np.sqrt(nt)
@@ -341,6 +508,7 @@ def cohomology_dimensions(incidence, rank_tol=None, harmonic=True):
         euler_characteristic=euler,
         alternating_dim_sum=c.alternating_sum,
         warnings=warnings,
+        method=method,
         harmonic_one_form=rep,
         frequencies=frequencies,
     )

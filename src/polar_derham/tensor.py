@@ -34,6 +34,7 @@ __all__ = [
     "StructureError",
     "circulant_blocks",
     "kron_block",
+    "partition_rank",
     "LocalFactors",
     "TensorComplex",
     "build_tensor_sequence",
@@ -62,7 +63,10 @@ def check_size_floors(nr, ns, nt):
 # ------------------------- one-pass Kronecker sums --------------------------
 
 def triplet(matrix):
-    """(rows, cols, vals) of a sparse matrix."""
+    """(rows, cols, vals) of a sparse matrix, in storage order."""
+    if sparse.issparse(matrix) and matrix.format == "csr":
+        rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+        return rows, matrix.indices, matrix.data
     coo = sparse.coo_array(matrix)
     return coo.row, coo.col, coo.data
 
@@ -91,7 +95,13 @@ def kron_lift(n, block_shape, terms):
          c_val[:, None] * b_val)
         for (c_row, c_col, c_val), (b_row, b_col, b_val), row0, col0 in terms
     ])
-    shape = (n * block_shape[0], n * block_shape[1])
+    return _csr_from_triplet((rows, cols, vals), (n * block_shape[0], n * block_shape[1]))
+
+
+def _csr_from_triplet(entries, shape):
+    """One COO -> CSR pass over (rows, cols, vals): duplicates summed,
+    indices sorted, stored zeros dropped, the dtype of `vals` kept."""
+    rows, cols, vals = entries
     mat = sparse.coo_array((vals, (rows, cols)), shape=shape).tocsr()
     mat.eliminate_zeros()
     return mat
@@ -114,20 +124,23 @@ def circulant_blocks(matrix, n, name):
     (row, col) of C_offset.  Raises StructureError naming the first joint
     whose entries differ from joint 0's.
     """
-    coo = sparse.coo_array(matrix, copy=True)
-    coo.sum_duplicates()
-    if coo.shape[0] % n or coo.shape[1] % n:
-        raise StructureError(f"{name}: shape {coo.shape} does not split into {n} joints")
-    m, k = coo.shape[0] // n, coo.shape[1] // n
-    keep = coo.data != 0
-    joint, rows = np.divmod(coo.row[keep].astype(np.int64), m)
-    offsets = (coo.col[keep] // k - joint) % n
-    cols = coo.col[keep] % k
+    csr = matrix.tocsr()
+    if not csr.has_canonical_format:
+        csr = csr.copy()
+        csr.sum_duplicates()
+    if csr.shape[0] % n or csr.shape[1] % n:
+        raise StructureError(f"{name}: shape {csr.shape} does not split into {n} joints")
+    m, k = csr.shape[0] // n, csr.shape[1] // n
+    row, col, data = triplet(csr)
+    keep = data != 0
+    joint, rows = np.divmod(row[keep].astype(np.int64), m)
+    offsets = (col[keep] // k - joint) % n
+    cols = col[keep] % k
     order = np.argsort(((joint * m + rows) * n + offsets) * k + cols, kind="stable")
     counts = np.bincount(joint, minlength=n)
     differs = counts != counts[0]
     if not differs.any():
-        entries = np.stack([rows, offsets, cols, coo.data[keep]])[:, order]
+        entries = np.stack([rows, offsets, cols, data[keep]])[:, order]
         entries = entries.reshape(4, n, counts[0])
         differs = (entries != entries[:, :1]).any(axis=(0, 2))
     if differs.any():
@@ -136,7 +149,7 @@ def circulant_blocks(matrix, n, name):
             f"joint {int(np.argmax(differs))} differ from those of joint 0"
         )
     first = order[:counts[0]]
-    return (m, k), (rows[first], offsets[first], cols[first], coo.data[keep][first])
+    return (m, k), (rows[first], offsets[first], cols[first], data[keep][first])
 
 
 def kron_block(matrix, n, name):
@@ -150,7 +163,48 @@ def kron_block(matrix, n, name):
             f"{name} is not I_{n} (x) block: joint 0 has entries in the block "
             f"column of joint {int(offsets[offsets != 0][0])}"
         )
-    return sparse.csr_array((vals, (rows, cols)), shape=shape)
+    # joint 0's entries come sorted by (row, col)
+    indptr = np.searchsorted(rows, np.arange(shape[0] + 1))
+    return sparse.csr_array((vals, cols, indptr), shape=shape)
+
+
+def partition_rank(block, name):
+    """Exact rank and number of nonzero rows of a per-joint extraction
+    block (a sparse matrix without duplicate entries, as
+    :func:`kron_block` returns), certified by its row partition.
+
+    Every row must be empty, a unit row (a single +/-1 in a column no
+    other row touches) or one of at most three center rows.  Unit rows
+    are independent of each other and of the center rows, so the rank is
+    their number plus the dense rank of the center rows restricted to
+    their columns, a matrix of at most 3 x 2 nr.  The partition is
+    checked in O(nnz); a block that fails it raises StructureError naming
+    the block.
+    """
+    rows, cols, vals = triplet(block)
+    keep = vals != 0
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    per_row = np.bincount(rows, minlength=block.shape[0])
+    per_col = np.bincount(cols, minlength=block.shape[1])
+    unit = (per_row[rows] == 1) & (np.abs(vals) == 1)
+    shared = unit & (per_col[cols] > 1)
+    if shared.any():
+        row, col = rows[shared][0], cols[shared][0]
+        raise StructureError(
+            f"{name} does not partition into unit and center rows: the unit row "
+            f"{row} shares column {col} with rows {sorted(set(rows[cols == col].tolist()) - {row})}")
+    center = ~unit
+    center_rows = np.flatnonzero(np.bincount(rows[center], minlength=block.shape[0]))
+    if center_rows.size > 3:
+        raise StructureError(
+            f"{name} does not partition into unit and center rows: {center_rows.size} "
+            f"rows are neither empty nor unit rows, at most 3 may be")
+    center_cols = np.flatnonzero(np.bincount(cols[center], minlength=block.shape[1]))
+    sub = np.zeros((center_rows.size, center_cols.size))
+    sub[np.searchsorted(center_rows, rows[center]),
+        np.searchsorted(center_cols, cols[center])] = vals[center]
+    center_rank = int(np.linalg.matrix_rank(sub)) if sub.size else 0
+    return int(unit.sum()) + center_rank, int(np.count_nonzero(per_row))
 
 
 @dataclass(frozen=True)
@@ -196,8 +250,8 @@ class TensorComplex:
         self.spaces = (space_r, space_s, space_t)
         self.nr, self.ns, self.nt = (sp.dim for sp in self.spaces)
         check_size_floors(self.nr, self.ns, self.nt)
-        # built on first use and kept: the complex is immutable
-        self._derivatives = {}
+        # the apply path's operators, built on first use and kept: the
+        # complex is immutable
         self._operators = [None, None, None]
 
     @property
@@ -281,19 +335,34 @@ class TensorComplex:
 
     # --------------------- coefficient derivatives --------------------------
 
+    def _stencil_entries(self, axis, pattern, sign, row0, col0):
+        """The entries of ``sign * derivative(axis, pattern)`` shifted to
+        (row0, col0), and the block's shape.
+
+        The stencil's entries along `axis` are broadcast against the index
+        ranges of the other two directions, in the module's layout.
+        """
+        stencil = self.spaces[axis].difference_stencil
+        src = list(self.component_shape(pattern))
+        dst = list(src)
+        dst[axis], src[axis] = stencil.shape
+        dst_stride = (1, dst[0], dst[0] * dst[1])
+        src_stride = (1, src[0], src[0] * src[1])
+        a, b = (d for d in range(3) if d != axis)
+        at_a, at_b = np.arange(src[a]), np.arange(src[b])[:, None]
+        s_row, s_col, s_val = triplet(stencil)
+        rows = (at_b * dst_stride[b] + at_a * dst_stride[a]).reshape(-1, 1) + s_row * dst_stride[axis]
+        cols = (at_b * src_stride[b] + at_a * src_stride[a]).reshape(-1, 1) + s_col * src_stride[axis]
+        vals = np.tile(sign * s_val, src[a] * src[b])
+        shape = (dst[0] * dst[1] * dst[2], src[0] * src[1] * src[2])
+        return (rows.ravel() + row0, cols.ravel() + col0, vals), shape
+
     def derivative(self, axis, pattern=(0, 0, 0)):
         """The difference stencil of direction `axis` acting on one
         component: identities over the other directions of
-        ``component_shape(pattern)`` (integer entries).  Built once per
-        axis and component shape and shared until the apply path caches an
-        operator (see `_apply`)."""
-        shape = self.component_shape(pattern)
-        if (axis, shape) not in self._derivatives:
-            factors = [sparse.identity(n, dtype=np.int64, format="csr") for n in shape]
-            factors[axis] = self.spaces[axis].difference_stencil
-            self._derivatives[axis, shape] = sparse.kron(
-                factors[2], sparse.kron(factors[1], factors[0]), format="csr")
-        return self._derivatives[axis, shape]
+        ``component_shape(pattern)`` (int64 CSR, no stored zeros)."""
+        entries, shape = self._stencil_entries(axis, pattern, 1, 0, 0)
+        return _csr_from_triplet(entries, shape)
 
     def derivative_r(self):
         return self.derivative(0)
@@ -309,28 +378,31 @@ class TensorComplex:
         return self.derivative_r(), self.derivative_s(), self.derivative_t()
 
     def level_operator(self, level):
-        """The level -> level + 1 coefficient map (integer entries).
+        """The level -> level + 1 coefficient map (int64 CSR, no stored
+        zeros).
 
         Block (q, p) is ``+/- derivative(a, p)`` when component q is
         component p lowered in one more direction a, and empty otherwise.
         The sign is + except from level 1, which orients the 2-form
         components as (s, t), (t, r), (r, s): the derivative along a of
         the 1-form component along b enters with + when b = a + 1
-        (mod 3) and with - otherwise.  Empty blocks are empty CSR, so the
-        blocks stack without a COO round trip.
+        (mod 3) and with - otherwise.  Every block's entries are placed at
+        its offsets and the level is assembled in one COO -> CSR pass.
         """
         sources, targets = LEVEL_PATTERNS[level], LEVEL_PATTERNS[level + 1]
-        blocks = [[sparse.csr_array((self.component_dim(q), self.component_dim(p)),
-                                    dtype=np.int64) for p in sources] for q in targets]
+        row0 = np.cumsum([0] + [self.component_dim(q) for q in targets])
+        col0 = np.cumsum([0] + [self.component_dim(p) for p in sources])
+        parts = []
         for col, p in enumerate(sources):
             for axis in range(3):
                 if p[axis]:
                     continue
                 q = tuple(b + (d == axis) for d, b in enumerate(p))
-                block = self.derivative(axis, p)
-                negative = level == 1 and p.index(1) != (axis + 1) % 3
-                blocks[targets.index(q)][col] = -block if negative else block
-        return sparse.bmat(blocks, format="csr")
+                sign = -1 if level == 1 and p.index(1) != (axis + 1) % 3 else 1
+                entries, _ = self._stencil_entries(
+                    axis, p, sign, row0[targets.index(q)], col0[col])
+                parts.append(entries)
+        return _csr_from_triplet(cat_triplets(parts), (row0[-1], col0[-1]))
 
     def grad_matrix(self):
         return self.level_operator(0)
@@ -355,9 +427,6 @@ class TensorComplex:
         operators = self._operators
         if operators[level] is None:
             operators[level] = (self.grad_matrix, self.curl_matrix, self.div_matrix)[level]()
-            # the operator holds every block, so the cached stencils
-            # would only double its memory
-            self._derivatives.clear()
         return operators[level] @ coeffs
 
     def apply_grad(self, coeffs):

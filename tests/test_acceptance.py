@@ -4,14 +4,18 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines; every tolerance is pinned here.
 """
 
+import dataclasses
 import time
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import polar_derham as pd
 from polar_derham.cli import main
 from polar_derham.incidence import max_abs
+from polar_derham.tensor import kron_block
+from polar_derham.torus import PolarComplex
 
 SIZE_GRID = [(4, 4, 3), (5, 5, 4), (6, 4, 5), (5, 8, 3)]
 DEGREE_GRID = [(2, 2, 2), (3, 2, 3)]
@@ -137,22 +141,49 @@ def test_criterion_5_dta_and_independence(grid_complexes):
 
 @pytest.mark.parametrize("degrees,dims", [((2, 2, 2), (4, 4, 3)), ((3, 3, 3), (5, 6, 4))])
 def test_criterion_5_per_joint_dta_matches_dense(degrees, dims, complex_cache):
-    # the verify suite decides on one per-joint block; the dense oracle
-    # decides on the full matrices and must report the same figures
-    cx = complex_cache(degrees=degrees, dims=dims)
-    suite = pd.run_verification(cx).suites["dta"]
-    diag = pd.is_dta_compatible(cx.extraction.E000, 1e-12)
-    ok = suite["pass"] and suite["method"] == "per-joint"
-    ok = ok and suite["dta"]["E000"] == {
-        "ok": diag.ok, "rank": diag.rank, "min_entry": diag.min_entry,
-        "max_column_sum_error": diag.max_column_sum_error,
-        "max_row_support": diag.max_row_support, "violation": diag.violation,
-    }
-    for name, got in suite["nonzero_row_independence"].items():
-        dense = getattr(cx.extraction, name).toarray()
-        nz = dense[np.abs(dense).sum(axis=1) > 1e-12]
-        ok = ok and got == {"rank": int(np.linalg.matrix_rank(nz)), "nonzero_rows": nz.shape[0]}
-    record(5, ok, f"{dims} degree {degrees[0]}: per-joint DTA figures equal the dense ones")
+    # the verify suite certifies the rank of one per-joint block; the dense
+    # oracle decides on the full matrices and must report the same figures,
+    # also when a perturbed center block breaks the column sums
+    ok = True
+    for perturbation in (0.0, 1e-3):
+        spec = pd.TorusComplexSpec(degrees=degrees, dims=dims)
+        cx = (pd.build_complex(spec, ebar_perturbation=perturbation) if perturbation
+              else complex_cache(degrees=degrees, dims=dims))
+        suite = pd.run_verification(cx).suites["dta"]
+        diag = pd.is_dta_compatible(cx.extraction.E000, 1e-12)
+        dense = cx.extraction.E000.toarray()
+        ok = ok and suite["pass"] == (perturbation == 0.0) and suite["method"] == "per-joint"
+        ok = ok and suite["dta"]["E000"] == {
+            "ok": diag.ok, "rank": int(np.linalg.matrix_rank(dense)),
+            "min_entry": float(dense.min()),
+            "max_column_sum_error": float(np.abs(dense.sum(axis=0) - 1.0).max()),
+            "max_row_support": int((np.abs(dense) > 1e-12).sum(axis=1).max()),
+            "violation": diag.violation,
+        }
+        for name, got in suite["nonzero_row_independence"].items():
+            dense = getattr(cx.extraction, name).toarray()
+            nz = dense[np.abs(dense).sum(axis=1) > 1e-12]
+            ok = ok and got == {"rank": int(np.linalg.matrix_rank(nz)),
+                                "nonzero_rows": nz.shape[0]}
+    record(5, ok, f"{dims} degree {degrees[0]}: per-joint DTA figures equal the dense ones, "
+                  f"with and without a perturbed center")
+
+
+def test_criterion_5_unpartitioned_block_fails_dta(complex_cache):
+    # two unit rows of the per-joint E000 block share a column: the rank
+    # certificate does not apply, and the suite fails naming the block
+    cx = complex_cache()
+    block = kron_block(cx.extraction.E000, cx.counts.nt, "E000").tolil()
+    block[4] = block[3]
+    extraction = dataclasses.replace(
+        cx.extraction, E000=sparse.kron(sparse.identity(cx.counts.nt), block, format="csr"))
+    bad = PolarComplex(cx.spec, cx.tensor, extraction, cx.incidence, cx.polar_map,
+                       cx.geometry_map)
+    report = pd.run_verification(bad)
+    suite = report.suites["dta"]
+    ok = (not report.passed and not suite["pass"]
+          and suite["structure_violation"].startswith("E000 does not partition"))
+    record(5, ok, f"shared unit column: {suite.get('structure_violation')}")
 
 
 def test_criterion_6_polar_curve_regularity(grid_complexes):

@@ -7,8 +7,10 @@ import numpy.testing as npt
 import pytest
 
 import polar_derham as pd
+from polar_derham import cli
 from polar_derham.cli import main
-from polar_derham.incidence import max_abs, rank_with_gap, toroidal_spectrum
+from polar_derham.incidence import (disk_blocks, kunneth_spectrum, max_abs, rank_with_gap,
+                                    toroidal_spectrum)
 from polar_derham.iotools import write_triplet
 from polar_derham.tensor import StructureError
 from polar_derham.torus import PolarComplex
@@ -216,6 +218,91 @@ def test_fourier_spectrum_matches_dense(dims, perturbation):
         assert rep.ranks[index] == rank_with_gap(matrix)[0], name
     assert sum(f.multiplicity for f in rep.frequencies) == nt
     assert tuple(sum(f.multiplicity * np.array(f.ranks) for f in rep.frequencies)) == rep.ranks
+
+
+@pytest.mark.parametrize("dims", [(4, 4, 3), (5, 6, 4), (7, 7, 5)])
+@pytest.mark.parametrize("degree", [2, 3])
+def test_kunneth_closed_form_matches_fourier_blocks(dims, degree):
+    # the closed form from the two disk SVDs reproduces every frequency
+    # block's singular values, and its ranks are the dense ranks
+    inc = pd.build_complex(pd.TorusComplexSpec(degrees=(degree,) * 3, dims=dims)).incidence
+    rep = pd.cohomology_dimensions(inc, harmonic=False)
+    assert rep.method == "kunneth"
+    s0, s1 = (np.linalg.svd(d.toarray(), compute_uv=False) for d in disk_blocks(inc))
+    for index, (name, (svals, _)) in enumerate(zip(("D0", "D1", "D2"),
+                                                   kunneth_spectrum(inc.counts, s0, s1))):
+        matrix = getattr(inc, name)
+        _, fourier, _ = toroidal_spectrum(matrix, inc.counts.nt, name)
+        scale = max(float(s[0]) for s in fourier)
+        assert len(svals) == len(fourier)
+        for k, (closed, block) in enumerate(zip(svals, fourier)):
+            assert closed.shape == block.shape, (name, k)
+            assert np.abs(closed - block).max() <= 1e-12 * scale, (name, k)
+        assert rep.ranks[index] == rank_with_gap(matrix)[0], name
+
+
+@pytest.mark.parametrize("rank_tol", [0.05, 0.5, 1.5])
+def test_kunneth_ranks_follow_an_absolute_rank_tol(rank_tol, complex_cache):
+    # a cutoff among the disk values must not move them: the closed form
+    # decides every frequency as the per-frequency SVDs do
+    inc = complex_cache(dims=(5, 6, 4)).incidence
+    closed = pd.cohomology_dimensions(inc, rank_tol=rank_tol, harmonic=False)
+    # a negative residual tolerance forces the per-frequency path
+    fourier = pd.cohomology_dimensions(inc, rank_tol=rank_tol, harmonic=False,
+                                       residual_tol=-1.0)
+    assert (closed.method, fourier.method) == ("kunneth", "fourier")
+    assert closed.ranks == fourier.ranks
+    assert [f.ranks for f in closed.frequencies] == [f.ranks for f in fourier.frequencies]
+
+
+def test_perturbed_center_falls_back_to_fourier_blocks():
+    # a shifted center weight breaks d1 d0 = 0, so the closed form does not
+    # hold; the per-frequency SVDs decide, and the report says so
+    spec = pd.TorusComplexSpec(degrees=(2, 2, 2), dims=(4, 4, 3))
+    bad = run_verification(pd.build_complex(spec, ebar_perturbation=1e-3))
+    assert bad.suites["cohomology"]["method"] == "fourier"
+    assert not bad.passed
+    assert run_verification(pd.build_complex(spec)).suites["cohomology"]["method"] == "kunneth"
+
+
+def _tamper(cx, name, offset, row, col):
+    """Add 0.5 to the entry at joint-block (row, col) of block column
+    j + offset in every joint j, so the matrix stays block-circulant."""
+    matrix = getattr(cx.incidence, name).tolil(copy=True)
+    nt = cx.counts.nt
+    m, k = matrix.shape[0] // nt, matrix.shape[1] // nt
+    for j in range(nt):
+        matrix[j * m + row, (j + offset) % nt * k + col] += 0.5
+    incidence = dataclasses.replace(cx.incidence, **{name: matrix.tocsr()})
+    return PolarComplex(cx.spec, cx.tensor, cx.extraction, incidence,
+                        cx.polar_map, cx.geometry_map)
+
+
+@pytest.mark.parametrize("case", ["D1 copy of d0", "D2 copy of d1", "D0 identity", "D0 outside"])
+def test_lift_check_names_the_block_that_differs(case, cx443, tmp_path, monkeypatch):
+    c = cx443.counts
+    d0, d1 = disk_blocks(cx443.incidence)
+    name, offset, row, col, pattern = {
+        # one entry of D1's copy of d0 differs from D0's
+        "D1 copy of d0": ("D1", 0, c.nbar2 + d0.tocoo().row[0], c.nbar1 + d0.tocoo().col[0],
+                          r"its offset-0 d0 block \(rows 8:26, cols 18:29\) differs from D0's d0"),
+        "D2 copy of d1": ("D2", 0, d1.tocoo().row[0], c.nbar2 + d1.tocoo().col[0],
+                          r"its offset-0 d1 block \(rows 0:8, cols 8:26\) differs from D1's d1"),
+        "D0 identity": ("D0", 1, c.nbar1, 0, r"its offset-1 identity block \(rows 18:29, "
+                                             r"cols 0:11\) differs from \+1 times the identity"),
+        # an entry coupling joint j to joint j + 2, where the lift has none
+        "D0 outside": ("D0", 2, 0, 0, "joint 0 has entries outside the blocks of the lift"),
+    }[case]
+    bad = _tamper(cx443, name, offset, row, col)
+    with pytest.raises(StructureError, match=rf"^{name} is not the circle lift of one pair "
+                                             rf"\(d0, d1\): {pattern}$"):
+        bad.cohomology()
+    monkeypatch.setattr(cli, "build_complex", lambda spec, ebar_perturbation=0.0: bad)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--sizes", "4,4,3", "--out", str(out)]) == 1
+    suite = json.loads(out.read_text())["suites"]["cohomology"]
+    assert not suite["pass"]
+    assert suite["structure_violation"].startswith(f"{name} is not the circle lift")
 
 
 def test_kunneth_frequency_zero_carries_cohomology(complex_cache):
