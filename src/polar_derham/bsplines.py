@@ -23,6 +23,7 @@ __all__ = [
     "DtaDiagnostic",
     "make_uniform_open_knots",
     "difference_matrix",
+    "triplet",
     "periodic_h0",
     "periodic_h1",
     "eval_derivative",
@@ -222,6 +223,12 @@ def difference_matrix(n, periodic):
     return sparse.coo_array(
         (np.array(vals, dtype=np.int64), (rows, cols)), shape=shape
     ).tocsr()
+
+
+def triplet(matrix):
+    """(rows, cols, vals) of a matrix, in CSR storage order."""
+    csr = sparse.csr_array(matrix)
+    return np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr)), csr.indices, csr.data
 
 
 # =========================== derivative basis ===============================
@@ -593,7 +600,7 @@ def dta_diagnostic(matrix, rank, tol=1e-12):
     """
     M = sparse.csr_array(matrix)
     M.sum_duplicates()
-    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    rows = triplet(M)[0]
     full_rank = rank == min(M.shape)
     col_err = float(np.abs(np.bincount(M.indices, M.data, M.shape[1]) - 1.0).max())
     columns_ok = col_err <= tol

@@ -164,13 +164,16 @@ def disk_blocks(incidence):
     diagonal, and no entry lies outside these blocks.  The check runs on
     the stored nonzero entries of joint 0, after
     :func:`~polar_derham.tensor.circulant_blocks` has checked that every
-    joint repeats them.  Returns d0 and d1 as CSR; raises StructureError
-    naming the matrix and the block that break the lift.
+    joint repeats them.  Returns d0 and d1 as CSR and, keyed by matrix
+    name, the circulant_blocks result of each D (what
+    :func:`toroidal_spectrum` takes); raises StructureError naming the
+    matrix and the block that break the lift.
     """
     c = incidence.counts
-    joint0, shapes = {}, {}
-    for name in ("D0", "D1", "D2"):
-        shapes[name], joint0[name] = circulant_blocks(getattr(incidence, name), c.nt, name)
+    split = {name: circulant_blocks(getattr(incidence, name), c.nt, name)
+             for name in ("D0", "D1", "D2")}
+    shapes = {name: shape for name, (shape, _) in split.items()}
+    joint0 = {name: entries for name, (_, entries) in split.items()}
 
     def window(name, offset, row0, col0, shape):
         rows, offsets, cols, vals = joint0[name]
@@ -202,8 +205,9 @@ def disk_blocks(incidence):
         if covered != joint0[name][0].size:
             raise StructureError(f"{name} is not the circle lift of one pair (d0, d1): "
                                  f"joint 0 has entries outside the blocks of the lift")
-    return tuple(sparse.csr_array((v, (r, k)), shape=shape)
-                 for (r, k, v), shape in ((d0, (c.nbar1, c.nbar0)), (d1, (c.nbar2, c.nbar1))))
+    d0, d1 = (sparse.csr_array((v, (r, k)), shape=shape)
+              for (r, k, v), shape in ((d0, (c.nbar1, c.nbar0)), (d1, (c.nbar2, c.nbar1))))
+    return d0, d1, split
 
 
 def max_abs(matrix):
@@ -328,22 +332,23 @@ def rank_with_gap(matrix, rank_tol=None):
     return _decide(svals, _threshold(rank_tol, dense.shape, svals[0] if svals.size else 0.0))
 
 
-def toroidal_spectrum(matrix, nt, name, vectors=False):
+def toroidal_spectrum(blocks, nt, vectors=False):
     """Singular values of a block-circulant matrix, one frequency at a time.
 
-    Block (j, j + d) of `matrix` is the same C_d for every joint j
-    (checked by :func:`~polar_derham.tensor.circulant_blocks`), so the DFT
+    `blocks` is the (block shape, joint-0 entries) that
+    :func:`~polar_derham.tensor.circulant_blocks` returns for a matrix
+    whose block (j, j + d) is the same C_d for every joint j.  The DFT
     over the joints turns it into the blocks
     ``A_k = sum_d C_d exp(-2 pi i d k / nt)`` (Davis, *Circulant
     Matrices*, 1979).  A_{nt-k} is the conjugate of A_k, so k = 0..nt//2
-    cover every singular value.  Returns the per-joint block shape, the
-    descending singular values of each A_k and, with `vectors`, the full
-    (u, s, vt) of the real A_0 (else None), from the same decomposition.
-    One dense SVD per frequency: :func:`cohomology_dimensions` uses it
-    only when the disk blocks are not a complex, and the tests use it to
-    cross-check the closed form.
+    cover every singular value.  Returns the descending singular values
+    of each A_k and, with `vectors`, the full (u, s, vt) of the real A_0
+    (else None), from the same decomposition.  One dense SVD per
+    frequency: :func:`cohomology_dimensions` uses it only when the disk
+    blocks are not a complex, and the tests use it to cross-check the
+    closed form.
     """
-    shape, (rows, offsets, cols, vals) = circulant_blocks(matrix, nt, name)
+    shape, (rows, offsets, cols, vals) = blocks
     at, entry = np.unique(rows * shape[1] + cols, return_inverse=True)
     coeffs = np.zeros((at.size, nt))
     coeffs[entry, offsets] = vals
@@ -358,7 +363,7 @@ def toroidal_spectrum(matrix, nt, name, vectors=False):
             svals.append(svd0[1])
         else:
             svals.append(np.linalg.svd(block, compute_uv=False))
-    return shape, svals, svd0
+    return svals, svd0
 
 
 def kunneth_spectrum(counts, s0, s1, rank_tol=None):
@@ -413,7 +418,7 @@ def kunneth_spectrum(counts, s0, s1, rank_tol=None):
     return spectra
 
 
-def cohomology_dimensions(incidence, rank_tol=None, harmonic=True, residual_tol=1e-12):
+def cohomology_dimensions(incidence, rank_tol=None, harmonic=True):
     """Compute the cohomology dimensions of the reduced complex.
 
     h0 = dim ker D0, h1 = dim ker D1 - rank D0, h2 = dim ker D2 - rank D1,
@@ -421,11 +426,15 @@ def cohomology_dimensions(incidence, rank_tol=None, harmonic=True, residual_tol=
     of the full matrix, frequency block by frequency block.
     :func:`disk_blocks` first checks that D0, D1 and D2 are the circle
     lift of one pair (d0, d1) and raises StructureError otherwise.  When
-    ``max|d1 d0| <= residual_tol`` and their ranks agree, the disk blocks
-    are a complex and the values come in closed form from one SVD of
-    each (:func:`kunneth_spectrum`, method "kunneth"); otherwise, as
-    under a perturbed center block, from one dense SVD per frequency
-    (:func:`toroidal_spectrum`, method "fourier").  A gap ratio below 1e3
+    d1 d0 vanishes to rounding, ``max|d1 d0| <= max(shape) * ulp *
+    sigma_max(d0) * sigma_max(d1)`` over the shapes of d0 and d1, and
+    their ranks agree, the disk blocks are a complex and the values come
+    in closed form from one SVD of each (:func:`kunneth_spectrum`,
+    method "kunneth"); otherwise, as under a perturbed center block,
+    from one dense SVD per frequency (:func:`toroidal_spectrum`, method
+    "fourier").  The bound depends on the disk blocks alone, so no
+    tolerance of the caller can admit a d1 d0 the closed form does not
+    hold for.  A gap ratio below 1e3
     at any rank decision is recorded as a warning, not a failure.  A
     least-squares harmonic representative of h1 (kernel of D1 orthogonal
     to the image of D0) is attached as a non-normative diagnostic; it is
@@ -435,22 +444,21 @@ def cohomology_dimensions(incidence, rank_tol=None, harmonic=True, residual_tol=
     c = incidence.counts
     nt = c.nt
     multiplicity = [1 if 2 * k % nt == 0 else 2 for k in range(nt // 2 + 1)]
-    d0, d1 = disk_blocks(incidence)
+    d0, d1, split = disk_blocks(incidence)
+    if harmonic:
+        (u_d0, s0, vt_d0), (_, s1, vt_d1) = (np.linalg.svd(d.toarray()) for d in (d0, d1))
+    else:
+        s0, s1 = (np.linalg.svd(d.toarray(), compute_uv=False) for d in (d0, d1))
+    rounding = max(*d0.shape, d1.shape[0]) * np.finfo(float).eps * s0[0] * s1[0]
     spectra = None
-    if max_abs(d1 @ d0) <= residual_tol:
-        if harmonic:
-            (u_d0, s0, vt_d0), (_, s1, vt_d1) = (np.linalg.svd(d.toarray()) for d in (d0, d1))
-        else:
-            s0, s1 = (np.linalg.svd(d.toarray(), compute_uv=False) for d in (d0, d1))
+    if max_abs(d1 @ d0) <= rounding:
         spectra = kunneth_spectrum(c, s0, s1, rank_tol)
     method = "fourier" if spectra is None else "kunneth"
     if spectra is None:
         spectra, full_svds = [], []
         for name in ("D0", "D1", "D2"):
-            matrix = getattr(incidence, name)
-            _, svals, full = toroidal_spectrum(
-                matrix, nt, name, vectors=harmonic and name != "D2")
-            spectra.append((svals, _threshold(rank_tol, matrix.shape,
+            svals, full = toroidal_spectrum(split[name], nt, vectors=harmonic and name != "D2")
+            spectra.append((svals, _threshold(rank_tol, getattr(incidence, name).shape,
                                               max(float(s[0]) for s in svals))))
             full_svds.append(full)
     decisions, per_frequency = [], []

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .bsplines import SplineSpace, make_uniform_open_knots
+from .bsplines import SplineSpace, make_uniform_open_knots, triplet
 
 __all__ = [
     "check_size_floors",
@@ -61,15 +61,6 @@ def check_size_floors(nr, ns, nt):
 
 
 # ------------------------- one-pass Kronecker sums --------------------------
-
-def triplet(matrix):
-    """(rows, cols, vals) of a sparse matrix, in storage order."""
-    if sparse.issparse(matrix) and matrix.format == "csr":
-        rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-        return rows, matrix.indices, matrix.data
-    coo = sparse.coo_array(matrix)
-    return coo.row, coo.col, coo.data
-
 
 def cat_triplets(parts):
     """Concatenate (rows, cols, vals) parts into one flat triplet."""

@@ -218,9 +218,9 @@ class PolarComplex:
     def commutation_residuals(self):
         return verify_commutation(self.tensor, self.extraction, self.incidence)
 
-    def cohomology(self, rank_tol=None, harmonic=True, residual_tol=1e-12):
+    def cohomology(self, rank_tol=None, harmonic=True):
         return cohomology_dimensions(self.incidence, rank_tol=rank_tol,
-                                     harmonic=harmonic, residual_tol=residual_tol)
+                                     harmonic=harmonic)
 
     def named_matrices(self):
         """All exportable matrices keyed by their conventional names."""

@@ -212,7 +212,7 @@ def run_verification(cx, tolerances=None, rank_tol=None, seed=20240,
     # ----- cohomology -----------------------------------------------------------
     def cohomology_suite():
         try:
-            rep = cx.cohomology(rank_tol=rank_tol, harmonic=False, residual_tol=tol.residual)
+            rep = cx.cohomology(rank_tol=rank_tol, harmonic=False)
         except StructureError as exc:
             gate("cohomology", False, str(exc))
             return {"pass": False, "method": None, "structure_violation": str(exc)}

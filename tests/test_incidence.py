@@ -12,7 +12,7 @@ from polar_derham.cli import main
 from polar_derham.incidence import (disk_blocks, kunneth_spectrum, max_abs, rank_with_gap,
                                     toroidal_spectrum)
 from polar_derham.iotools import write_triplet
-from polar_derham.tensor import StructureError
+from polar_derham.tensor import StructureError, circulant_blocks
 from polar_derham.torus import PolarComplex
 from polar_derham.verification import run_verification
 
@@ -207,7 +207,7 @@ def test_fourier_spectrum_matches_dense(dims, perturbation):
     rep = pd.cohomology_dimensions(inc, harmonic=False)
     for index, name in enumerate(("D0", "D1", "D2")):
         matrix = getattr(inc, name)
-        _, svals, _ = toroidal_spectrum(matrix, nt, name)
+        svals, _ = toroidal_spectrum(circulant_blocks(matrix, nt, name), nt)
         assert len(svals) == nt // 2 + 1
         union = np.sort(np.concatenate([
             np.tile(s, 1 if 2 * k % nt == 0 else 2) for k, s in enumerate(svals)
@@ -228,11 +228,12 @@ def test_kunneth_closed_form_matches_fourier_blocks(dims, degree):
     inc = pd.build_complex(pd.TorusComplexSpec(degrees=(degree,) * 3, dims=dims)).incidence
     rep = pd.cohomology_dimensions(inc, harmonic=False)
     assert rep.method == "kunneth"
-    s0, s1 = (np.linalg.svd(d.toarray(), compute_uv=False) for d in disk_blocks(inc))
+    d0, d1, split = disk_blocks(inc)
+    s0, s1 = (np.linalg.svd(d.toarray(), compute_uv=False) for d in (d0, d1))
     for index, (name, (svals, _)) in enumerate(zip(("D0", "D1", "D2"),
                                                    kunneth_spectrum(inc.counts, s0, s1))):
         matrix = getattr(inc, name)
-        _, fourier, _ = toroidal_spectrum(matrix, inc.counts.nt, name)
+        fourier, _ = toroidal_spectrum(split[name], inc.counts.nt)
         scale = max(float(s[0]) for s in fourier)
         assert len(svals) == len(fourier)
         for k, (closed, block) in enumerate(zip(svals, fourier)):
@@ -247,12 +248,14 @@ def test_kunneth_ranks_follow_an_absolute_rank_tol(rank_tol, complex_cache):
     # decides every frequency as the per-frequency SVDs do
     inc = complex_cache(dims=(5, 6, 4)).incidence
     closed = pd.cohomology_dimensions(inc, rank_tol=rank_tol, harmonic=False)
-    # a negative residual tolerance forces the per-frequency path
-    fourier = pd.cohomology_dimensions(inc, rank_tol=rank_tol, harmonic=False,
-                                       residual_tol=-1.0)
-    assert (closed.method, fourier.method) == ("kunneth", "fourier")
-    assert closed.ranks == fourier.ranks
-    assert [f.ranks for f in closed.frequencies] == [f.ranks for f in fourier.frequencies]
+    assert closed.method == "kunneth"
+    split = disk_blocks(inc)[2]
+    fourier = [[int((s > rank_tol).sum()) for s in toroidal_spectrum(split[name], 4)[0]]
+               for name in ("D0", "D1", "D2")]
+    assert [list(f.ranks) for f in closed.frequencies] == [list(r) for r in zip(*fourier)]
+    nt = inc.counts.nt
+    assert closed.ranks == tuple(sum(r * (1 if 2 * k % nt == 0 else 2) for k, r in enumerate(ranks))
+                                 for ranks in fourier)
 
 
 def test_perturbed_center_falls_back_to_fourier_blocks():
@@ -265,15 +268,16 @@ def test_perturbed_center_falls_back_to_fourier_blocks():
     assert run_verification(pd.build_complex(spec)).suites["cohomology"]["method"] == "kunneth"
 
 
-def _tamper(cx, name, offset, row, col):
-    """Add 0.5 to the entry at joint-block (row, col) of block column
+def _tamper(cx, name, offset, row, col, amount=0.5, incidence=None):
+    """Add `amount` to the entry at joint-block (row, col) of block column
     j + offset in every joint j, so the matrix stays block-circulant."""
-    matrix = getattr(cx.incidence, name).tolil(copy=True)
+    incidence = cx.incidence if incidence is None else incidence
+    matrix = getattr(incidence, name).tolil(copy=True)
     nt = cx.counts.nt
     m, k = matrix.shape[0] // nt, matrix.shape[1] // nt
     for j in range(nt):
-        matrix[j * m + row, (j + offset) % nt * k + col] += 0.5
-    incidence = dataclasses.replace(cx.incidence, **{name: matrix.tocsr()})
+        matrix[j * m + row, (j + offset) % nt * k + col] += amount
+    incidence = dataclasses.replace(incidence, **{name: matrix.tocsr()})
     return PolarComplex(cx.spec, cx.tensor, cx.extraction, incidence,
                         cx.polar_map, cx.geometry_map)
 
@@ -281,7 +285,7 @@ def _tamper(cx, name, offset, row, col):
 @pytest.mark.parametrize("case", ["D1 copy of d0", "D2 copy of d1", "D0 identity", "D0 outside"])
 def test_lift_check_names_the_block_that_differs(case, cx443, tmp_path, monkeypatch):
     c = cx443.counts
-    d0, d1 = disk_blocks(cx443.incidence)
+    d0, d1, _ = disk_blocks(cx443.incidence)
     name, offset, row, col, pattern = {
         # one entry of D1's copy of d0 differs from D0's
         "D1 copy of d0": ("D1", 0, c.nbar2 + d0.tocoo().row[0], c.nbar1 + d0.tocoo().col[0],
@@ -303,6 +307,26 @@ def test_lift_check_names_the_block_that_differs(case, cx443, tmp_path, monkeypa
     suite = json.loads(out.read_text())["suites"]["cohomology"]
     assert not suite["pass"]
     assert suite["structure_violation"].startswith(f"{name} is not the circle lift")
+
+
+def test_loose_tol_does_not_admit_the_closed_form(cx443, tmp_path, monkeypatch):
+    # one d1 entry moved by 1e-6 in both D1 and D2 keeps the lift and the
+    # constants in ker d0, but d1 d0 no longer vanishes; a loose --tol
+    # passes the complex property, yet the closed form must not decide
+    c = cx443.counts
+    row, col = (int(i[0]) for i in cx443.incidence.D1[:c.nbar2, :c.nbar1].nonzero())
+    once = _tamper(cx443, "D1", 0, row, col, amount=1e-6)
+    bad = _tamper(cx443, "D2", 0, row, c.nbar2 + col, amount=1e-6, incidence=once.incidence)
+    d0, d1, _ = disk_blocks(bad.incidence)
+    assert 1e-7 < max_abs(d1 @ d0) <= 1e-5
+    assert bad.cohomology(harmonic=False).method == "fourier"
+    monkeypatch.setattr(cli, "build_complex", lambda spec, ebar_perturbation=0.0: bad)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--sizes", "4,4,3", "--tol", "1e-5", "--out", str(out)]) == 1
+    suites = json.loads(out.read_text())["suites"]
+    assert suites["complex_property"]["pass"]
+    assert suites["cohomology"]["method"] == "fourier"
+    assert not suites["cohomology"]["pass"]
 
 
 def test_kunneth_frequency_zero_carries_cohomology(complex_cache):
