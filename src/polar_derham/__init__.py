@@ -5,7 +5,6 @@ from .bsplines import (
     KnotVector,
     SplineSpace,
     difference_matrix,
-    eval_derivative,
     is_dta_compatible,
     make_uniform_open_knots,
     periodic_h0,

@@ -26,7 +26,6 @@ __all__ = [
     "triplet",
     "periodic_h0",
     "periodic_h1",
-    "eval_derivative",
     "is_dta_compatible",
     "dta_diagnostic",
 ]
@@ -555,10 +554,6 @@ def _check_coeffs(coeffs, dim):
     if coeffs.shape != (dim,):
         raise ValueError(f"expected {dim} coefficients, got shape {coeffs.shape}")
     return coeffs
-
-
-def eval_derivative(space, coeffs, t):
-    return space.eval_derivative(coeffs, t)
 
 
 # ========================== DTA compatibility ===============================

@@ -94,6 +94,8 @@ def cmd_build(args):
 def cmd_verify(args):
     if args.tol is not None and not (np.isfinite(args.tol) and args.tol >= 0):
         raise UsageError(f"--tol must be a finite number >= 0, got {args.tol}")
+    if not np.isfinite(args.perturb_ebar):
+        raise UsageError(f"--perturb-ebar must be a finite number, got {args.perturb_ebar}")
     config = _resolve_config(args)
     cx = _build_from_config(config, perturb_ebar=args.perturb_ebar)
     if args.drop_row:

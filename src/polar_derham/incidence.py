@@ -30,7 +30,7 @@ from scipy import sparse
 
 from .bsplines import difference_matrix
 from .extraction import PolarCounts, ebar_block, edge_round, polar_counts
-from .tensor import (LEVEL_PATTERNS, StructureError, cat_triplets, circulant_blocks, eye_triplet,
+from .tensor import (LEVEL_PATTERNS, StructureError, cat_triplets, eye_triplet, first_difference,
                      kron_lift, triplet)
 
 __all__ = [
@@ -158,56 +158,38 @@ def build_incidence(nr, ns, nt, ebar=None):
 def disk_blocks(incidence):
     """The disk blocks (d0, d1) whose circle lift D0, D1 and D2 are.
 
-    d0 is read from D0 and d1 from D1; every block of each D must then be
-    exactly the block the lift puts there: D1's copy of d0 equals D0's,
-    D2's copy of d1 equals D1's, the toroidal blocks are +/-1 on the
-    diagonal, and no entry lies outside these blocks.  The check runs on
-    the stored nonzero entries of joint 0, after
-    :func:`~polar_derham.tensor.circulant_blocks` has checked that every
-    joint repeats them.  Returns d0 and d1 as CSR and, keyed by matrix
-    name, the circulant_blocks result of each D (what
-    :func:`toroidal_spectrum` takes); raises StructureError naming the
-    matrix and the block that break the lift.
+    d0 is read from D0 and d1 from D1, in joint 0, and lifted again as
+    :func:`build_incidence` lifts them; each D must equal its lift
+    exactly, explicit zeros aside.  Returns d0 and d1 as CSR; raises
+    StructureError naming the matrix and the first joint that differs
+    or, in joint 0, the block of the lift that differs.
     """
     c = incidence.counts
-    split = {name: circulant_blocks(getattr(incidence, name), c.nt, name)
-             for name in ("D0", "D1", "D2")}
-    shapes = {name: shape for name, (shape, _) in split.items()}
-    joint0 = {name: entries for name, (_, entries) in split.items()}
-
-    def window(name, offset, row0, col0, shape):
-        rows, offsets, cols, vals = joint0[name]
-        at = ((offsets == offset) & (rows >= row0) & (rows < row0 + shape[0])
-              & (cols >= col0) & (cols < col0 + shape[1]))
-        return rows[at] - row0, cols[at] - col0, vals[at]
-
-    d0 = window("D0", 0, 0, 0, (c.nbar1, c.nbar0))
-    d1 = window("D1", 0, 0, 0, (c.nbar2, c.nbar1))
-    for name, (shape, terms) in _circle_lift(c, d0, d1).items():
-        if shapes[name] != shape:
-            raise StructureError(f"{name} is not the circle lift of one pair (d0, d1): "
-                                 f"joint block shape {shapes[name]}, expected {shape}")
-        covered = 0
-        for (c_row, c_col, c_val), (rows, cols, vals), row0, col0, label, b_shape in terms:
-            # joint 0's block row of C (x) B: B scaled by each entry of row
-            # 0 of C, in the block column of that entry's offset; B's
-            # entries are sorted by (row, col), as window returns them
-            for offset, scale in zip(c_col[c_row == 0], c_val[c_row == 0]):
-                got = window(name, offset, row0, col0, b_shape)
-                if not all(np.array_equal(g, w) for g, w in zip(got, (rows, cols, scale * vals))):
-                    expected = (f"D{label[1]}'s {label}" if label != "identity"
-                                else f"{scale * vals[0]:+g} times the identity")
-                    raise StructureError(
-                        f"{name} is not the circle lift of one pair (d0, d1): its "
-                        f"offset-{offset} {label} block (rows {row0}:{row0 + b_shape[0]}, "
-                        f"cols {col0}:{col0 + b_shape[1]}) differs from {expected}")
-                covered += got[0].size
-        if covered != joint0[name][0].size:
-            raise StructureError(f"{name} is not the circle lift of one pair (d0, d1): "
-                                 f"joint 0 has entries outside the blocks of the lift")
-    d0, d1 = (sparse.csr_array((v, (r, k)), shape=shape)
-              for (r, k, v), shape in ((d0, (c.nbar1, c.nbar0)), (d1, (c.nbar2, c.nbar1))))
-    return d0, d1, split
+    d0 = incidence.D0.tocsr()[:c.nbar1, :c.nbar0]
+    d1 = incidence.D1.tocsr()[:c.nbar2, :c.nbar1]
+    for name, (shape, terms) in _circle_lift(c, triplet(d0), triplet(d1)).items():
+        matrix, lifted = getattr(incidence, name), kron_lift(c.nt, shape, [t[:4] for t in terms])
+        lead = f"{name} is not the circle lift of one pair (d0, d1): "
+        if matrix.shape != lifted.shape:
+            raise StructureError(lead + f"shape {matrix.shape}, expected {lifted.shape}")
+        at = first_difference(matrix, lifted, c.nt)
+        if at is None:
+            continue
+        joint, offset, row, col = at
+        if joint:
+            # joint 0's block row is that of the block-circulant lift
+            raise StructureError(f"{name} is not block-circulant over {c.nt} joints: the "
+                                 f"entries of joint {joint} differ from those of joint 0")
+        for (c_row, c_col, c_val), (_, _, vals), row0, col0, label, (m, k) in terms:
+            scale = c_val[(c_row == 0) & (c_col == offset)]
+            if scale.size and row0 <= row < row0 + m and col0 <= col < col0 + k:
+                expected = (f"D{label[1]}'s {label}" if label != "identity"
+                            else f"{scale[0] * vals[0]:+g} times the identity")
+                raise StructureError(lead + f"its offset-{offset} {label} block (rows "
+                                     f"{row0}:{row0 + m}, cols {col0}:{col0 + k}) differs "
+                                     f"from {expected}")
+        raise StructureError(lead + "joint 0 has entries outside the blocks of the lift")
+    return d0, d1
 
 
 def max_abs(matrix):
@@ -332,38 +314,33 @@ def rank_with_gap(matrix, rank_tol=None):
     return _decide(svals, _threshold(rank_tol, dense.shape, svals[0] if svals.size else 0.0))
 
 
-def toroidal_spectrum(blocks, nt, vectors=False):
-    """Singular values of a block-circulant matrix, one frequency at a time.
+def toroidal_spectrum(counts, d0, d1):
+    """Singular values of D0, D1 and D2, one toroidal frequency at a time.
 
-    `blocks` is the (block shape, joint-0 entries) that
-    :func:`~polar_derham.tensor.circulant_blocks` returns for a matrix
-    whose block (j, j + d) is the same C_d for every joint j.  The DFT
-    over the joints turns it into the blocks
-    ``A_k = sum_d C_d exp(-2 pi i d k / nt)`` (Davis, *Circulant
-    Matrices*, 1979).  A_{nt-k} is the conjugate of A_k, so k = 0..nt//2
-    cover every singular value.  Returns the descending singular values
-    of each A_k and, with `vectors`, the full (u, s, vt) of the real A_0
-    (else None), from the same decomposition.  One dense SVD per
+    Each D is the circle lift of d0 and d1, a sum of terms ``C (x) B``
+    with C circulant over the joints (:func:`_circle_lift`).  The DFT
+    over the joints turns it into blocks A_k to which each term
+    contributes B times the DFT of row 0 of its C at k (Davis,
+    *Circulant Matrices*, 1979).  A_{nt-k} is the conjugate of A_k, so
+    k = 0..nt//2 cover every singular value.  Returns, keyed by matrix
+    name, the descending singular values of each A_k.  One dense SVD per
     frequency: :func:`cohomology_dimensions` uses it only when the disk
     blocks are not a complex, and the tests use it to cross-check the
     closed form.
     """
-    shape, (rows, offsets, cols, vals) = blocks
-    at, entry = np.unique(rows * shape[1] + cols, return_inverse=True)
-    coeffs = np.zeros((at.size, nt))
-    coeffs[entry, offsets] = vals
-    spectrum = np.fft.rfft(coeffs, axis=1)
-    svals, svd0 = [], None
-    for k in range(nt // 2 + 1):
-        real = 2 * k % nt == 0
-        block = np.zeros(shape, float if real else complex)
-        block.flat[at] = spectrum[:, k].real if real else spectrum[:, k]
-        if k == 0 and vectors:
-            svd0 = np.linalg.svd(block)
-            svals.append(svd0[1])
-        else:
-            svals.append(np.linalg.svd(block, compute_uv=False))
-    return svals, svd0
+    nt = counts.nt
+    spectra = {}
+    for name, (shape, terms) in _circle_lift(counts, triplet(d0), triplet(d1)).items():
+        scales = [np.fft.rfft(np.bincount(c_col[c_row == 0], c_val[c_row == 0], nt))
+                  for (c_row, c_col, c_val), *_ in terms]
+        spectra[name] = []
+        for k in range(nt // 2 + 1):
+            block = np.zeros(shape, complex)
+            for scale, (_, (rows, cols, vals), row0, col0, *_) in zip(scales, terms):
+                block[row0 + rows, col0 + cols] += scale[k] * vals
+            spectra[name].append(np.linalg.svd(block.real if 2 * k % nt == 0 else block,
+                                               compute_uv=False))
+    return spectra
 
 
 def kunneth_spectrum(counts, s0, s1, rank_tol=None):
@@ -439,12 +416,13 @@ def cohomology_dimensions(incidence, rank_tol=None, harmonic=True):
     least-squares harmonic representative of h1 (kernel of D1 orthogonal
     to the image of D0) is attached as a non-normative diagnostic; it is
     constant over the joints, so it comes from the frequency-0 blocks,
-    ``A_0(D0) = [d0; 0]`` and ``A_0(D1) = diag(d1, d0)``.
+    ``A_0(D0) = [d0; 0]`` and ``A_0(D1) = diag(d1, d0)``, that is from
+    the SVDs of d0 and d1 under either method, once the lift check holds.
     """
     c = incidence.counts
     nt = c.nt
     multiplicity = [1 if 2 * k % nt == 0 else 2 for k in range(nt // 2 + 1)]
-    d0, d1, split = disk_blocks(incidence)
+    d0, d1 = disk_blocks(incidence)
     if harmonic:
         (u_d0, s0, vt_d0), (_, s1, vt_d1) = (np.linalg.svd(d.toarray()) for d in (d0, d1))
     else:
@@ -455,12 +433,9 @@ def cohomology_dimensions(incidence, rank_tol=None, harmonic=True):
         spectra = kunneth_spectrum(c, s0, s1, rank_tol)
     method = "fourier" if spectra is None else "kunneth"
     if spectra is None:
-        spectra, full_svds = [], []
-        for name in ("D0", "D1", "D2"):
-            svals, full = toroidal_spectrum(split[name], nt, vectors=harmonic and name != "D2")
-            spectra.append((svals, _threshold(rank_tol, getattr(incidence, name).shape,
-                                              max(float(s[0]) for s in svals))))
-            full_svds.append(full)
+        spectra = [(svals, _threshold(rank_tol, getattr(incidence, name).shape,
+                                      max(float(s[0]) for s in svals)))
+                   for name, svals in toroidal_spectrum(c, d0, d1).items()]
     decisions, per_frequency = [], []
     for svals, tol in spectra:
         union = np.sort(np.concatenate(
@@ -487,21 +462,15 @@ def cohomology_dimensions(incidence, rank_tol=None, harmonic=True):
             )
     rep = None
     if harmonic and dims[1] > 0:
-        # the kernel of the frequency-0 D1 block orthogonal to the image of
-        # the D0 block, tiled over the joints with unit norm
+        # the kernel of A_0(D1) = diag(d1, d0) orthogonal to the image of
+        # A_0(D0) = [d0; 0], tiled over the joints with unit norm
         rank00 = frequencies[0].ranks[0]
-        if method == "kunneth":
-            tol1 = spectra[1][1]
-            rank_d0, rank_d1 = int((s0 > tol1).sum()), int((s1 > tol1).sum())
-            image = np.vstack([u_d0[:, :rank00], np.zeros((c.nbar0, rank00))])
-            ker1, ker0 = vt_d1[rank_d1:].T, vt_d0[rank_d0:].T
-            kernel = np.zeros((c.nbar1 + c.nbar0, ker1.shape[1] + ker0.shape[1]))
-            kernel[:c.nbar1, :ker1.shape[1]] = ker1
-            kernel[c.nbar1:, ker1.shape[1]:] = ker0
-        else:
-            (u0, _, _), (_, _, vt1) = full_svds[:2]
-            image = u0[:, :rank00]
-            kernel = vt1[frequencies[0].ranks[1]:].T
+        tol1 = spectra[1][1]
+        rank_d0, rank_d1 = int((s0 > tol1).sum()), int((s1 > tol1).sum())
+        image = np.vstack([u_d0[:, :rank00], np.zeros((c.nbar0, rank00))])
+        ker1, ker0 = vt_d1[rank_d1:].T, vt_d0[rank_d0:].T
+        kernel = np.block([[ker1, np.zeros((c.nbar1, ker0.shape[1]))],
+                           [np.zeros((c.nbar0, ker1.shape[1])), ker0]])
         if kernel.shape[1]:
             residual = kernel - image @ (image.T @ kernel)
             u, svals, _ = np.linalg.svd(residual)

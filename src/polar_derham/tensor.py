@@ -32,7 +32,7 @@ __all__ = [
     "eye_triplet",
     "kron_lift",
     "StructureError",
-    "circulant_blocks",
+    "first_difference",
     "kron_block",
     "partition_rank",
     "LocalFactors",
@@ -105,58 +105,54 @@ class StructureError(Exception):
     """
 
 
-def circulant_blocks(matrix, n, name):
-    """Block row 0 of a matrix that is block-circulant over n joints.
+def first_difference(matrix, lifted, n):
+    """Where a matrix first differs from the lift `lifted` of n joints,
+    as (joint, block offset, local row, local col), or None.
 
-    The matrix splits into n x n blocks of one shape, and block
-    (j, (j + d) mod n) must be the same C_d for every j.  This is checked
-    exactly on the stored nonzero entries.  Returns the block shape and
-    the (rows, offsets, cols, vals) of joint 0: value `vals` at local
-    (row, col) of C_offset.  Raises StructureError naming the first joint
-    whose entries differ from joint 0's.
+    Both matrices split into n x n blocks of one shape; entries compare
+    exactly, in row-major order, and explicit zeros are not entries.
+    The offset of block (j, l) is (l - j) mod n.
     """
     csr = matrix.tocsr()
-    if not csr.has_canonical_format:
-        csr = csr.copy()
-        csr.sum_duplicates()
-    if csr.shape[0] % n or csr.shape[1] % n:
-        raise StructureError(f"{name}: shape {csr.shape} does not split into {n} joints")
-    m, k = csr.shape[0] // n, csr.shape[1] // n
-    row, col, data = triplet(csr)
-    keep = data != 0
-    joint, rows = np.divmod(row[keep].astype(np.int64), m)
-    offsets = (col[keep] // k - joint) % n
-    cols = col[keep] % k
-    order = np.argsort(((joint * m + rows) * n + offsets) * k + cols, kind="stable")
-    counts = np.bincount(joint, minlength=n)
-    differs = counts != counts[0]
-    if not differs.any():
-        entries = np.stack([rows, offsets, cols, data[keep]])[:, order]
-        entries = entries.reshape(4, n, counts[0])
-        differs = (entries != entries[:, :1]).any(axis=(0, 2))
-    if differs.any():
-        raise StructureError(
-            f"{name} is not block-circulant over {n} joints: the entries of "
-            f"joint {int(np.argmax(differs))} differ from those of joint 0"
-        )
-    first = order[:counts[0]]
-    return (m, k), (rows[first], offsets[first], cols[first], data[keep][first])
+    if all(np.array_equal(getattr(csr, a), getattr(lifted, a))
+           for a in ("indptr", "indices", "data")):
+        return None
+    rows, cols = (csr != lifted).nonzero()
+    if not rows.size:
+        return None
+    (m, k), at = lifted.shape, np.argmin(rows.astype(np.int64) * lifted.shape[1] + cols)
+    joint, row = divmod(int(rows[at]), m // n)
+    block, col = divmod(int(cols[at]), k // n)
+    return joint, (block - joint) % n, row, col
 
 
 def kron_block(matrix, n, name):
     """The block B of a matrix that is exactly ``I_n (x) B``, as CSR.
 
-    Raises StructureError naming the first joint that breaks the pattern.
+    B is read from the joint-0 diagonal block and lifted again with
+    :func:`kron_lift`, as the construction lifts it; the matrix must
+    equal that lift.  Raises StructureError naming the first joint that
+    breaks the pattern.
     """
-    shape, (rows, offsets, cols, vals) = circulant_blocks(matrix, n, name)
-    if offsets.any():
+    csr = matrix.tocsr()
+    if csr.shape[0] % n or csr.shape[1] % n:
+        raise StructureError(f"{name}: shape {csr.shape} does not split into {n} joints")
+    shape = (csr.shape[0] // n, csr.shape[1] // n)
+    block = csr[:shape[0], :shape[1]]
+    block.sum_duplicates()
+    block.eliminate_zeros()
+    at = first_difference(csr, kron_lift(n, shape, [(eye_triplet(n), triplet(block), 0, 0)]), n)
+    if at is None:
+        return block
+    joint, offset = at[:2]
+    if not joint:
+        # joint 0's diagonal block is B itself
         raise StructureError(
             f"{name} is not I_{n} (x) block: joint 0 has entries in the block "
-            f"column of joint {int(offsets[offsets != 0][0])}"
-        )
-    # joint 0's entries come sorted by (row, col)
-    indptr = np.searchsorted(rows, np.arange(shape[0] + 1))
-    return sparse.csr_array((vals, cols, indptr), shape=shape)
+            f"column of joint {offset}")
+    # joint 0's block row is that of the block-circulant lift
+    raise StructureError(f"{name} is not block-circulant over {n} joints: the entries "
+                         f"of joint {joint} differ from those of joint 0")
 
 
 def partition_rank(block, name):

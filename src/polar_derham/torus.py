@@ -54,12 +54,12 @@ class TorusComplexSpec:
         if min(self.degrees) < 2:
             raise ValueError(f"degrees >= 2 required, got {self.degrees}")
         check_size_floors(*self.dims)
-        if not self.rho_bar > 2:
+        if not (np.isfinite(self.rho_bar) and self.rho_bar > 2):
             raise ValueError(
-                f"major-radius offset must exceed 2, got {self.rho_bar}"
+                f"rho_bar (major-radius offset) must be finite and exceed 2, got {self.rho_bar}"
             )
-        if min(self.lengths) <= 0:
-            raise ValueError(f"interval lengths must be positive, got {self.lengths}")
+        if not (np.isfinite(self.lengths).all() and min(self.lengths) > 0):
+            raise ValueError(f"lengths must be finite and positive, got {self.lengths}")
 
     @property
     def distinct_knots(self):

@@ -217,7 +217,7 @@ class TestEvalDerivative:
             space = pd.SplineSpace(pd.make_uniform_open_knots(2, 5, 0, 4),
                                    periodic=periodic)
             for t in (0.0, 1.234, 3.999):
-                assert pd.eval_derivative(space, np.ones(space.dim), t) == 0.0
+                assert space.eval_derivative(np.ones(space.dim), t) == 0.0
 
     @pytest.mark.parametrize("degree,periodic", [(2, False), (2, True),
                                                  (3, False), (3, True)])

@@ -12,7 +12,7 @@ from polar_derham.cli import main
 from polar_derham.incidence import (disk_blocks, kunneth_spectrum, max_abs, rank_with_gap,
                                     toroidal_spectrum)
 from polar_derham.iotools import write_triplet
-from polar_derham.tensor import StructureError, circulant_blocks
+from polar_derham.tensor import StructureError
 from polar_derham.torus import PolarComplex
 from polar_derham.verification import run_verification
 
@@ -205,9 +205,10 @@ def test_fourier_spectrum_matches_dense(dims, perturbation):
     inc = pd.build_complex(spec, ebar_perturbation=perturbation).incidence
     nt = inc.counts.nt
     rep = pd.cohomology_dimensions(inc, harmonic=False)
+    spectra = toroidal_spectrum(inc.counts, *disk_blocks(inc))
     for index, name in enumerate(("D0", "D1", "D2")):
         matrix = getattr(inc, name)
-        svals, _ = toroidal_spectrum(circulant_blocks(matrix, nt, name), nt)
+        svals = spectra[name]
         assert len(svals) == nt // 2 + 1
         union = np.sort(np.concatenate([
             np.tile(s, 1 if 2 * k % nt == 0 else 2) for k, s in enumerate(svals)
@@ -228,12 +229,13 @@ def test_kunneth_closed_form_matches_fourier_blocks(dims, degree):
     inc = pd.build_complex(pd.TorusComplexSpec(degrees=(degree,) * 3, dims=dims)).incidence
     rep = pd.cohomology_dimensions(inc, harmonic=False)
     assert rep.method == "kunneth"
-    d0, d1, split = disk_blocks(inc)
+    d0, d1 = disk_blocks(inc)
     s0, s1 = (np.linalg.svd(d.toarray(), compute_uv=False) for d in (d0, d1))
+    spectra = toroidal_spectrum(inc.counts, d0, d1)
     for index, (name, (svals, _)) in enumerate(zip(("D0", "D1", "D2"),
                                                    kunneth_spectrum(inc.counts, s0, s1))):
         matrix = getattr(inc, name)
-        fourier, _ = toroidal_spectrum(split[name], inc.counts.nt)
+        fourier = spectra[name]
         scale = max(float(s[0]) for s in fourier)
         assert len(svals) == len(fourier)
         for k, (closed, block) in enumerate(zip(svals, fourier)):
@@ -249,8 +251,8 @@ def test_kunneth_ranks_follow_an_absolute_rank_tol(rank_tol, complex_cache):
     inc = complex_cache(dims=(5, 6, 4)).incidence
     closed = pd.cohomology_dimensions(inc, rank_tol=rank_tol, harmonic=False)
     assert closed.method == "kunneth"
-    split = disk_blocks(inc)[2]
-    fourier = [[int((s > rank_tol).sum()) for s in toroidal_spectrum(split[name], 4)[0]]
+    spectra = toroidal_spectrum(inc.counts, *disk_blocks(inc))
+    fourier = [[int((s > rank_tol).sum()) for s in spectra[name]]
                for name in ("D0", "D1", "D2")]
     assert [list(f.ranks) for f in closed.frequencies] == [list(r) for r in zip(*fourier)]
     nt = inc.counts.nt
@@ -285,7 +287,7 @@ def _tamper(cx, name, offset, row, col, amount=0.5, incidence=None):
 @pytest.mark.parametrize("case", ["D1 copy of d0", "D2 copy of d1", "D0 identity", "D0 outside"])
 def test_lift_check_names_the_block_that_differs(case, cx443, tmp_path, monkeypatch):
     c = cx443.counts
-    d0, d1, _ = disk_blocks(cx443.incidence)
+    d0, d1 = disk_blocks(cx443.incidence)
     name, offset, row, col, pattern = {
         # one entry of D1's copy of d0 differs from D0's
         "D1 copy of d0": ("D1", 0, c.nbar2 + d0.tocoo().row[0], c.nbar1 + d0.tocoo().col[0],
@@ -317,7 +319,7 @@ def test_loose_tol_does_not_admit_the_closed_form(cx443, tmp_path, monkeypatch):
     row, col = (int(i[0]) for i in cx443.incidence.D1[:c.nbar2, :c.nbar1].nonzero())
     once = _tamper(cx443, "D1", 0, row, col, amount=1e-6)
     bad = _tamper(cx443, "D2", 0, row, c.nbar2 + col, amount=1e-6, incidence=once.incidence)
-    d0, d1, _ = disk_blocks(bad.incidence)
+    d0, d1 = disk_blocks(bad.incidence)
     assert 1e-7 < max_abs(d1 @ d0) <= 1e-5
     assert bad.cohomology(harmonic=False).method == "fourier"
     monkeypatch.setattr(cli, "build_complex", lambda spec, ebar_perturbation=0.0: bad)

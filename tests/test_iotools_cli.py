@@ -338,6 +338,28 @@ class TestCli:
     def test_rho_bar_floor_rejected(self, capsys):
         assert main(["verify", "--sizes", "4,4,3", "--rho-bar", "2"]) == 2
 
+    @pytest.mark.parametrize("field,flags,config", [
+        ("rho_bar", ["--rho-bar", "inf"], None),
+        ("rho_bar", ["--rho-bar", "nan"], None),
+        # JSON has no infinity; 1e400 overflows to it when parsed
+        ("rho_bar", [], '{"degrees": [2, 2, 2], "dims": [4, 4, 3], "rho_bar": 1e400}'),
+        ("lengths", ["--lengths", "1,1,inf"], None),
+        ("lengths", ["--lengths", "nan,1,1"], None),
+        ("lengths", [], '{"degrees": [2, 2, 2], "dims": [4, 4, 3], "lengths": [1, -1e400, 1]}'),
+    ])
+    def test_non_finite_geometry_rejected(self, field, flags, config, tmp_path, monkeypatch,
+                                          capsys):
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config)
+            flags = flags + ["--config", "cfg.json"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["build", "--sizes", "4,4,3", *flags]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "must be finite" in err
+        assert not (tmp_path / "polar_derham_bundle").exists()
+
     def test_sample_level0_basis(self, tmp_path, capsys):
         out = tmp_path / "samples.csv"
         code = main(["sample", "--sizes", "4,4,3", "--level", "0",
@@ -391,6 +413,14 @@ class TestCli:
         assert main(["verify", "--sizes", "4,4,3", "--tol", tol]) == code
         if code == 2:
             assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("amount", ["nan", "inf", "-inf"])
+    def test_non_finite_perturbation_rejected(self, amount, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--sizes", "4,4,3", f"--perturb-ebar={amount}",
+                     "--out", str(out)]) == 2
+        assert "--perturb-ebar" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sample_rejects_polar_face_for_densities(self, capsys):
         code = main(["sample", "--sizes", "4,4,3", "--level", "3",

@@ -1,0 +1,60 @@
+"""Property tests of the joint-structure checks and the toroidal spectrum
+over small random complexes."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import polar_derham as pd
+from polar_derham.incidence import disk_blocks, toroidal_spectrum
+from polar_derham.tensor import StructureError, kron_block
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+# degree, then (nr, ns, nt) from the size floors (3, 4, 3) up
+_sizes = st.tuples(st.integers(2, 3), st.integers(3, 6), st.integers(4, 6), st.integers(3, 5))
+_settings = settings(max_examples=30, deadline=None)
+
+
+@_settings
+@given(size=_sizes,
+       name=st.sampled_from(["D0", "D1", "D2", "E100", "E010", "E001", "E011", "E101", "E110"]),
+       data=st.data())
+def test_one_changed_entry_in_any_joint_names_the_matrix(complex_cache, size, name, data):
+    degree, *dims = size
+    cx = complex_cache(degrees=(degree,) * 3, dims=dims)
+    incidence = name.startswith("D")
+    matrix = getattr(cx.incidence if incidence else cx.extraction, name).tolil(copy=True)
+    nt = cx.counts.nt
+    rows = matrix.shape[0] // nt
+    joint = data.draw(st.integers(0, nt - 1), label="joint")
+    row = joint * rows + data.draw(st.integers(0, rows - 1), label="local row")
+    col = data.draw(st.integers(0, matrix.shape[1] - 1), label="col")
+    matrix[row, col] += data.draw(st.sampled_from([0.5, -0.25, 2.0]), label="amount")
+    with pytest.raises(StructureError) as err:
+        if incidence:
+            disk_blocks(dataclasses.replace(cx.incidence, **{name: matrix.tocsr()}))
+        else:
+            kron_block(matrix.tocsr(), nt, name)
+    # a change in a block read from joint 0 shows in the matrix that copies
+    # it, and that matrix's message names the source: "differs from D0's d0"
+    assert name in str(err.value)
+
+
+@_settings
+@given(size=_sizes, perturbation=st.sampled_from([0.0, 1e-3, 0.05]))
+def test_fourier_union_matches_the_dense_spectrum(size, perturbation):
+    degree, *dims = size
+    spec = pd.TorusComplexSpec(degrees=(degree,) * 3, dims=dims)
+    inc = pd.build_complex(spec, ebar_perturbation=perturbation).incidence
+    nt = inc.counts.nt
+    spectra = toroidal_spectrum(inc.counts, *disk_blocks(inc))
+    for name, svals in spectra.items():
+        assert len(svals) == nt // 2 + 1
+        union = np.sort(np.concatenate(
+            [np.tile(s, 1 if 2 * k % nt == 0 else 2) for k, s in enumerate(svals)]))[::-1]
+        dense = np.linalg.svd(getattr(inc, name).toarray(), compute_uv=False)
+        assert union.shape == dense.shape, name
+        assert np.abs(union - dense).max() <= 1e-12 * dense[0], name

@@ -6,7 +6,7 @@ import pytest
 from scipy import sparse
 
 import polar_derham as pd
-from polar_derham.tensor import (LEVEL_PATTERNS, StructureError, circulant_blocks, kron_block,
+from polar_derham.tensor import (LEVEL_PATTERNS, StructureError, kron_block,
                                  partition_rank)
 
 
@@ -243,31 +243,34 @@ def test_kron_block_recovers_the_per_joint_block(cx443):
 
 
 def test_kron_block_rejects_entries_off_the_joint_diagonal(cx443):
-    # D0 is block-circulant, but the toroidal edges couple joint j to j + 1
-    shape, (_, offsets, _, _) = circulant_blocks(cx443.incidence.D0, 3, "D0")
-    assert shape == (cx443.counts.nbar1 + cx443.counts.nbar0, cx443.counts.nbar0)
-    assert set(offsets.tolist()) == {0, 1}
+    # D0 repeats over the joints, but the toroidal edges couple joint j to j + 1
     with pytest.raises(StructureError, match=r"D0 is not I_3 \(x\) block: .* joint 1"):
         kron_block(cx443.incidence.D0, 3, "D0")
+    # its diagonal blocks alone are I_3 (x) block
+    shape = (cx443.counts.nbar1 + cx443.counts.nbar0, cx443.counts.nbar0)
+    block = cx443.incidence.D0[:shape[0], :shape[1]]
+    diagonal = sparse.kron(sparse.identity(3), block, format="csr")
+    assert (kron_block(diagonal, 3, "D0") != block).nnz == 0
 
 
-def test_circulant_blocks_name_the_first_joint_that_differs():
+def test_kron_block_names_the_first_joint_that_differs():
     block = sparse.csr_array(np.array([[1.0, 2.0], [0.0, 3.0]]))
     good = sparse.kron(sparse.identity(4), block, format="lil")
     bad = good.copy()
     bad[5, 4] = 7.0  # a new entry in joint 2
+    bad[7, 6] = 7.0  # and one in joint 3
     with pytest.raises(StructureError, match="M is not block-circulant over 4 joints: "
                                              "the entries of joint 2 differ"):
-        circulant_blocks(bad, 4, "M")
+        kron_block(bad, 4, "M")
     # explicit zeros are not entries
     stored_zero = good.tocsr()
     stored_zero.data[stored_zero.data == 2.0] = 0.0
-    assert circulant_blocks(stored_zero, 4, "M")[1][3].tolist() == [1.0, 3.0]
+    assert kron_block(stored_zero, 4, "M").data.tolist() == [1.0, 3.0]
     stored_zero.data[-1] = 0.0
     with pytest.raises(StructureError, match="joint 3 differ"):
-        circulant_blocks(stored_zero, 4, "M")
+        kron_block(stored_zero, 4, "M")
     with pytest.raises(StructureError, match="does not split into 3 joints"):
-        circulant_blocks(good, 3, "M")
+        kron_block(good, 3, "M")
 
 
 def test_partition_rank_matches_dense_rank(cx443):
