@@ -343,7 +343,7 @@ def toroidal_spectrum(counts, d0, d1):
     return spectra
 
 
-def kunneth_spectrum(counts, s0, s1, rank_tol=None):
+def kunneth_spectrum(counts, s0, s1):
     """Singular values of the frequency blocks of D0, D1 and D2 in closed
     form from the descending singular values s0 of d0 and s1 of d1.
 
@@ -358,12 +358,12 @@ def kunneth_spectrum(counts, s0, s1, rank_tol=None):
     D2.  Zeros pad every block to the smaller side of its joint block.
 
     A disk value counts as nonzero above the default threshold of its
-    own block (see :func:`rank_with_gap`), whatever `rank_tol`: the disk
-    ranks only place the values, they decide nothing.  The closed form
-    holds when d1 d0 = 0, which implies rank d0 + rank d1 <= nbar1;
-    when the ranks break that bound it returns None.  Otherwise it
-    returns, for D0, D1 and D2, the list of descending values of
-    k = 0..nt//2 and the rank threshold of the full matrix.
+    own block (see :func:`rank_with_gap`): the disk ranks only place the
+    values, they decide nothing.  The closed form holds when d1 d0 = 0,
+    which implies rank d0 + rank d1 <= nbar1; when the ranks break that
+    bound it returns None.  Otherwise it returns, as
+    :func:`toroidal_spectrum` does, the descending values of
+    k = 0..nt//2 keyed by matrix name.
     """
     c = counts
     r0 = int((s0 > _threshold(None, (c.nbar1, c.nbar0), s0[0])).sum())
@@ -371,16 +371,14 @@ def kunneth_spectrum(counts, s0, s1, rank_tol=None):
     if r0 + r1 > c.nbar1:
         return None
     ck2 = 4 * np.sin(np.pi * np.arange(c.nt // 2 + 1) / c.nt) ** 2
-    spectra = []
-    for factors, ranks, nonzero, width, shape in (
-        ((s0,), (r0,), c.nbar0, c.nbar0, (c.n1, c.n0)),
-        ((s0, s1), (r0, r1), c.nbar1, c.nbar2 + c.nbar1, (c.n2, c.n1)),
-        ((s1,), (r1,), c.nbar2, c.nbar2, (c.n3, c.n2)),
+    spectra = {}
+    for name, factors, ranks, nonzero, width in (
+        ("D0", (s0,), (r0,), c.nbar0, c.nbar0),
+        ("D1", (s0, s1), (r0, r1), c.nbar1, c.nbar2 + c.nbar1),
+        ("D2", (s1,), (r1,), c.nbar2, c.nbar2),
     ):
-        top = max(float(f[0]) for f in factors)
-        tol = _threshold(rank_tol, shape, np.sqrt(top ** 2 + ck2.max()))
         free = nonzero - sum(ranks)
-        svals = []
+        spectra[name] = []
         for k2 in ck2:
             if k2 == 0.0:
                 vals = np.concatenate(factors)
@@ -390,12 +388,11 @@ def kunneth_spectrum(counts, s0, s1, rank_tol=None):
                     + [np.full(free, np.sqrt(k2))])
             block = np.zeros(width)
             block[:vals.size] = np.sort(vals)[::-1]
-            svals.append(block)
-        spectra.append((svals, tol))
+            spectra[name].append(block)
     return spectra
 
 
-def cohomology_dimensions(incidence, rank_tol=None, harmonic=True):
+def cohomology_dimensions(incidence, rank_tol=None):
     """Compute the cohomology dimensions of the reduced complex.
 
     h0 = dim ker D0, h1 = dim ker D1 - rank D0, h2 = dim ker D2 - rank D1,
@@ -412,32 +409,30 @@ def cohomology_dimensions(incidence, rank_tol=None, harmonic=True):
     "fourier").  The bound depends on the disk blocks alone, so no
     tolerance of the caller can admit a d1 d0 the closed form does not
     hold for.  A gap ratio below 1e3
-    at any rank decision is recorded as a warning, not a failure.  A
-    least-squares harmonic representative of h1 (kernel of D1 orthogonal
-    to the image of D0) is attached as a non-normative diagnostic; it is
-    constant over the joints, so it comes from the frequency-0 blocks,
-    ``A_0(D0) = [d0; 0]`` and ``A_0(D1) = diag(d1, d0)``, that is from
-    the SVDs of d0 and d1 under either method, once the lift check holds.
+    at any rank decision is recorded as a warning, not a failure.
+
+    When h1 > 0 and the constants lie in ker d0 to rounding,
+    ``max|d0 1| <= max(shape) * ulp * sigma_max(d0)``, the normalised
+    indicator of the toroidal edges is attached as the harmonic one-form,
+    a non-normative diagnostic: D1 maps it to d0 1 in every joint, and
+    D0^T to the column sums of the periodic difference stencil, zero.
     """
     c = incidence.counts
     nt = c.nt
     multiplicity = [1 if 2 * k % nt == 0 else 2 for k in range(nt // 2 + 1)]
     d0, d1 = disk_blocks(incidence)
-    if harmonic:
-        (u_d0, s0, vt_d0), (_, s1, vt_d1) = (np.linalg.svd(d.toarray()) for d in (d0, d1))
-    else:
-        s0, s1 = (np.linalg.svd(d.toarray(), compute_uv=False) for d in (d0, d1))
-    rounding = max(*d0.shape, d1.shape[0]) * np.finfo(float).eps * s0[0] * s1[0]
+    s0, s1 = (np.linalg.svd(d.toarray(), compute_uv=False) for d in (d0, d1))
+    eps = np.finfo(float).eps
     spectra = None
-    if max_abs(d1 @ d0) <= rounding:
-        spectra = kunneth_spectrum(c, s0, s1, rank_tol)
+    if max_abs(d1 @ d0) <= max(*d0.shape, d1.shape[0]) * eps * s0[0] * s1[0]:
+        spectra = kunneth_spectrum(c, s0, s1)
     method = "fourier" if spectra is None else "kunneth"
     if spectra is None:
-        spectra = [(svals, _threshold(rank_tol, getattr(incidence, name).shape,
-                                      max(float(s[0]) for s in svals)))
-                   for name, svals in toroidal_spectrum(c, d0, d1).items()]
+        spectra = toroidal_spectrum(c, d0, d1)
     decisions, per_frequency = [], []
-    for svals, tol in spectra:
+    for name, svals in spectra.items():
+        tol = _threshold(rank_tol, getattr(incidence, name).shape,
+                         max(float(s[0]) for s in svals))
         union = np.sort(np.concatenate(
             [np.tile(s, m) for s, m in zip(svals, multiplicity)]))[::-1]
         decisions.append(_decide(union, tol))
@@ -461,21 +456,9 @@ def cohomology_dimensions(incidence, rank_tol=None, harmonic=True):
                 f"ill-conditioned rank gap for {name}: ratio {gap:.3e} < 1e3"
             )
     rep = None
-    if harmonic and dims[1] > 0:
-        # the kernel of A_0(D1) = diag(d1, d0) orthogonal to the image of
-        # A_0(D0) = [d0; 0], tiled over the joints with unit norm
-        rank00 = frequencies[0].ranks[0]
-        tol1 = spectra[1][1]
-        rank_d0, rank_d1 = int((s0 > tol1).sum()), int((s1 > tol1).sum())
-        image = np.vstack([u_d0[:, :rank00], np.zeros((c.nbar0, rank00))])
-        ker1, ker0 = vt_d1[rank_d1:].T, vt_d0[rank_d0:].T
-        kernel = np.block([[ker1, np.zeros((c.nbar1, ker0.shape[1]))],
-                           [np.zeros((c.nbar0, ker1.shape[1])), ker0]])
-        if kernel.shape[1]:
-            residual = kernel - image @ (image.T @ kernel)
-            u, svals, _ = np.linalg.svd(residual)
-            if svals.size and svals[0] > 0:
-                rep = np.tile(u[:, 0], nt) / np.sqrt(nt)
+    if dims[1] > 0 and max_abs(d0 @ np.ones(c.nbar0)) <= max(d0.shape) * eps * s0[0]:
+        joint = np.concatenate([np.zeros(c.nbar1), np.ones(c.nbar0)])
+        rep = np.tile(joint, nt) / np.sqrt(nt * c.nbar0)
     euler = dims[0] - dims[1] + dims[2] - dims[3]
     return CohomologyReport(
         dims=dims,

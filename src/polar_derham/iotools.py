@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
+from .tensor import dims_of_distinct_knots, distinct_knot_counts
 from .torus import TorusComplexSpec
 
 __all__ = [
@@ -81,13 +82,11 @@ class ComplexConfig:
         if "degrees" not in raw:
             raise ValueError("config is missing 'degrees'")
         degrees = _checked_triple("degrees", raw["degrees"], int)
-        pr, ps, pt = degrees
         distinct = None
         if "distinct_knots" in raw:
             distinct = _checked_triple("distinct_knots", raw["distinct_knots"], int)
         if "dims" in raw:
-            nr, ns, nt = _checked_triple("dims", raw["dims"], int)
-            from_dims = (nr - pr + 3, ns - ps + 1, nt - pt + 3)
+            from_dims = distinct_knot_counts(degrees, _checked_triple("dims", raw["dims"], int))
             if distinct is not None and distinct != from_dims:
                 raise ValueError(
                     f"'distinct_knots' {distinct} and 'dims' {tuple(raw['dims'])} "
@@ -122,8 +121,7 @@ class ComplexConfig:
 
     @property
     def dims(self):
-        (pr, ps, pt), (dr, ds, dt) = self.degrees, self.distinct_knots
-        return dr + pr - 3, ds + ps - 1, dt + pt - 3
+        return dims_of_distinct_knots(self.degrees, self.distinct_knots)
 
     def to_spec(self):
         return TorusComplexSpec(

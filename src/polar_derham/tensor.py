@@ -38,6 +38,8 @@ __all__ = [
     "LocalFactors",
     "TensorComplex",
     "build_tensor_sequence",
+    "distinct_knot_counts",
+    "dims_of_distinct_knots",
     "LEVEL_PATTERNS",
 ]
 
@@ -58,6 +60,21 @@ def check_size_floors(nr, ns, nt):
         raise ValueError(
             f"size floors violated: need (nr, ns, nt) >= (3, 4, 3), got ({nr}, {ns}, {nt})"
         )
+
+
+_KNOT_OFFSETS = (3, 1, 3)
+
+
+def distinct_knot_counts(degrees, dims):
+    """Distinct-knot counts of the uniform open vectors behind `dims`:
+    ``n - p + 3`` in the periodic first and third directions, whose
+    reduction drops two functions, and ``n - p + 1`` in the open one."""
+    return tuple(n - p + o for p, n, o in zip(degrees, dims, _KNOT_OFFSETS))
+
+
+def dims_of_distinct_knots(degrees, distinct):
+    """The dims whose :func:`distinct_knot_counts` are `distinct`."""
+    return tuple(d + p - o for p, d, o in zip(degrees, distinct, _KNOT_OFFSETS))
 
 
 # ------------------------- one-pass Kronecker sums --------------------------
@@ -437,17 +454,13 @@ def build_tensor_sequence(degrees, dims, lengths=(1.0, 1.0, 1.0)):
     """Construct the tensor complex from degree and dimension triples.
 
     `dims` counts basis functions after the periodic reduction in the
-    first and third directions; uniform open knot vectors are used, so the
-    distinct-knot counts are ``n - p + 3`` (periodic) and ``n - p + 1``
-    (open).
+    first and third directions; uniform open knot vectors with
+    :func:`distinct_knot_counts` values are used.
     """
-    pr, ps, pt = degrees
-    nr, ns, nt = dims
     if min(degrees) < 2:
         raise ValueError(f"degrees >= 2 required, got {degrees}")
-    check_size_floors(nr, ns, nt)
-    R, S, T = lengths
-    space_r = SplineSpace(make_uniform_open_knots(pr, nr - pr + 3, 0.0, R), periodic=True)
-    space_s = SplineSpace(make_uniform_open_knots(ps, ns - ps + 1, 0.0, S))
-    space_t = SplineSpace(make_uniform_open_knots(pt, nt - pt + 3, 0.0, T), periodic=True)
-    return TensorComplex(space_r, space_s, space_t)
+    check_size_floors(*dims)
+    return TensorComplex(*(
+        SplineSpace(make_uniform_open_knots(p, d, 0.0, length), periodic=periodic)
+        for p, d, length, periodic in zip(degrees, distinct_knot_counts(degrees, dims),
+                                          lengths, (True, False, True))))

@@ -19,7 +19,8 @@ from .geometry import (
     pushforward_eval,
 )
 from .incidence import build_incidence, cohomology_dimensions, verify_commutation
-from .tensor import LEVEL_PATTERNS, build_tensor_sequence, check_size_floors
+from .tensor import (LEVEL_PATTERNS, build_tensor_sequence, check_size_floors,
+                     dims_of_distinct_knots, distinct_knot_counts)
 
 __all__ = [
     "TorusComplexSpec",
@@ -27,6 +28,10 @@ __all__ = [
     "PolarComplex",
     "build_complex",
 ]
+
+# The largest supported major-radius offset: the C1 probe's absolute
+# noise floor must stay above the rounding of values that grow with it.
+RHO_BAR_MAX = 1e12
 
 
 @dataclass(frozen=True)
@@ -54,27 +59,22 @@ class TorusComplexSpec:
         if min(self.degrees) < 2:
             raise ValueError(f"degrees >= 2 required, got {self.degrees}")
         check_size_floors(*self.dims)
-        if not (np.isfinite(self.rho_bar) and self.rho_bar > 2):
-            raise ValueError(
-                f"rho_bar (major-radius offset) must be finite and exceed 2, got {self.rho_bar}"
-            )
+        if not 2 < self.rho_bar <= RHO_BAR_MAX:
+            raise ValueError(f"rho_bar (major-radius offset) must be finite, exceed 2 and "
+                             f"be at most {RHO_BAR_MAX:g}, got {self.rho_bar}")
         if not (np.isfinite(self.lengths).all() and min(self.lengths) > 0):
             raise ValueError(f"lengths must be finite and positive, got {self.lengths}")
 
     @property
     def distinct_knots(self):
         """Distinct-knot counts per direction for the uniform open vectors."""
-        (pr, ps, pt), (nr, ns, nt) = self.degrees, self.dims
-        return nr - pr + 3, ns - ps + 1, nt - pt + 3
+        return distinct_knot_counts(self.degrees, self.dims)
 
     @classmethod
     def from_distinct_knots(cls, degrees, distinct, rho_bar=3.0,
                             lengths=(1.0, 1.0, 1.0)):
-        pr, ps, pt = degrees
-        dr, ds, dt = distinct
-        dims = (dr + pr - 3, ds + ps - 1, dt + pt - 3)
-        return cls(degrees=tuple(degrees), dims=dims, rho_bar=rho_bar,
-                   lengths=tuple(lengths))
+        return cls(degrees=tuple(degrees), dims=dims_of_distinct_knots(degrees, distinct),
+                   rho_bar=rho_bar, lengths=tuple(lengths))
 
 
 @dataclass
@@ -218,9 +218,8 @@ class PolarComplex:
     def commutation_residuals(self):
         return verify_commutation(self.tensor, self.extraction, self.incidence)
 
-    def cohomology(self, rank_tol=None, harmonic=True):
-        return cohomology_dimensions(self.incidence, rank_tol=rank_tol,
-                                     harmonic=harmonic)
+    def cohomology(self, rank_tol=None):
+        return cohomology_dimensions(self.incidence, rank_tol=rank_tol)
 
     def named_matrices(self):
         """All exportable matrices keyed by their conventional names."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsplines import dta_diagnostic, is_dta_compatible
+from .bsplines import dta_diagnostic
 from .incidence import divergence_preimage, max_abs
 from .tensor import StructureError, kron_block, partition_rank
 from .torus import PolarComplex
@@ -151,24 +151,27 @@ def run_verification(cx, tolerances=None, rank_tol=None, seed=20240,
 
     # ----- DTA compatibility and row independence ----------------------------
     # Every 3D extraction matrix must be I_nt (x) its per-joint block, and
-    # every block must partition into unit and center rows; its rank is
-    # then certified without a dense decomposition (partition_rank).
+    # every block, like the univariate H0_r and H0_t, must partition into
+    # unit and center rows; its rank is then certified without a dense
+    # decomposition (partition_rank).
     def dta_suite():
+        # (name, matrix, joints its certified block repeats over)
+        dta = (("E000", cx.extraction.E000, c.nt),
+               ("H0_r", cx.tensor.spaces[0].h0, 1),
+               ("H0_t", cx.tensor.spaces[2].h0, 1))
         try:
             ranks = {
                 name: partition_rank(kron_block(getattr(cx.extraction, name), c.nt, name), name)
                 for name in ("E000", "E100", "E010", "E001", "E011", "E101", "E110")
             }
+            ranks.update({name: partition_rank(matrix, name) for name, matrix, _ in dta[1:]})
         except StructureError as exc:
             gate("dta", False, str(exc))
             return {"pass": False, "method": "per-joint", "structure_violation": str(exc)}
         results = {}
         ok = True
-        for name, diag in (
-            ("E000", dta_diagnostic(cx.extraction.E000, c.nt * ranks["E000"][0], tol.dta)),
-            ("H0_r", is_dta_compatible(cx.tensor.spaces[0].h0, tol.dta)),
-            ("H0_t", is_dta_compatible(cx.tensor.spaces[2].h0, tol.dta)),
-        ):
+        for name, matrix, joints in dta:
+            diag = dta_diagnostic(matrix, joints * ranks[name][0], tol.dta)
             results[name] = {
                 "ok": diag.ok,
                 "rank": diag.rank,
@@ -212,7 +215,7 @@ def run_verification(cx, tolerances=None, rank_tol=None, seed=20240,
     # ----- cohomology -----------------------------------------------------------
     def cohomology_suite():
         try:
-            rep = cx.cohomology(rank_tol=rank_tol, harmonic=False)
+            rep = cx.cohomology(rank_tol=rank_tol)
         except StructureError as exc:
             gate("cohomology", False, str(exc))
             return {"pass": False, "method": None, "structure_violation": str(exc)}

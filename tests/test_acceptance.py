@@ -44,7 +44,7 @@ def test_criterion_1_cohomology_preservation():
     for degrees in DEGREE_GRID:
         for dims in SIZE_GRID:
             cx = pd.build_complex(pd.TorusComplexSpec(degrees=degrees, dims=dims))
-            rep = cx.cohomology(harmonic=False)
+            rep = cx.cohomology()
             c = cx.counts
             assert rep.dims == (1, 1, 0, 0), (degrees, dims, rep.dims)
             assert rep.ranks[1] == c.nt * (c.nbar2 + c.nbar0 - 1)

@@ -187,7 +187,7 @@ def test_euler_identity(complex_cache):
 
 
 def test_harmonic_representative(cx443):
-    rep = cx443.cohomology(harmonic=True)
+    rep = cx443.cohomology()
     v = rep.harmonic_one_form
     assert v is not None
     assert np.abs(cx443.incidence.D1 @ v).max() <= 1e-10
@@ -204,7 +204,7 @@ def test_fourier_spectrum_matches_dense(dims, perturbation):
     spec = pd.TorusComplexSpec(degrees=(3, 3, 3), dims=dims)
     inc = pd.build_complex(spec, ebar_perturbation=perturbation).incidence
     nt = inc.counts.nt
-    rep = pd.cohomology_dimensions(inc, harmonic=False)
+    rep = pd.cohomology_dimensions(inc)
     spectra = toroidal_spectrum(inc.counts, *disk_blocks(inc))
     for index, name in enumerate(("D0", "D1", "D2")):
         matrix = getattr(inc, name)
@@ -227,13 +227,12 @@ def test_kunneth_closed_form_matches_fourier_blocks(dims, degree):
     # the closed form from the two disk SVDs reproduces every frequency
     # block's singular values, and its ranks are the dense ranks
     inc = pd.build_complex(pd.TorusComplexSpec(degrees=(degree,) * 3, dims=dims)).incidence
-    rep = pd.cohomology_dimensions(inc, harmonic=False)
+    rep = pd.cohomology_dimensions(inc)
     assert rep.method == "kunneth"
     d0, d1 = disk_blocks(inc)
     s0, s1 = (np.linalg.svd(d.toarray(), compute_uv=False) for d in (d0, d1))
     spectra = toroidal_spectrum(inc.counts, d0, d1)
-    for index, (name, (svals, _)) in enumerate(zip(("D0", "D1", "D2"),
-                                                   kunneth_spectrum(inc.counts, s0, s1))):
+    for index, (name, svals) in enumerate(kunneth_spectrum(inc.counts, s0, s1).items()):
         matrix = getattr(inc, name)
         fourier = spectra[name]
         scale = max(float(s[0]) for s in fourier)
@@ -249,7 +248,7 @@ def test_kunneth_ranks_follow_an_absolute_rank_tol(rank_tol, complex_cache):
     # a cutoff among the disk values must not move them: the closed form
     # decides every frequency as the per-frequency SVDs do
     inc = complex_cache(dims=(5, 6, 4)).incidence
-    closed = pd.cohomology_dimensions(inc, rank_tol=rank_tol, harmonic=False)
+    closed = pd.cohomology_dimensions(inc, rank_tol=rank_tol)
     assert closed.method == "kunneth"
     spectra = toroidal_spectrum(inc.counts, *disk_blocks(inc))
     fourier = [[int((s > rank_tol).sum()) for s in spectra[name]]
@@ -321,7 +320,7 @@ def test_loose_tol_does_not_admit_the_closed_form(cx443, tmp_path, monkeypatch):
     bad = _tamper(cx443, "D2", 0, row, c.nbar2 + col, amount=1e-6, incidence=once.incidence)
     d0, d1 = disk_blocks(bad.incidence)
     assert 1e-7 < max_abs(d1 @ d0) <= 1e-5
-    assert bad.cohomology(harmonic=False).method == "fourier"
+    assert bad.cohomology().method == "fourier"
     monkeypatch.setattr(cli, "build_complex", lambda spec, ebar_perturbation=0.0: bad)
     out = tmp_path / "report.json"
     assert main(["verify", "--sizes", "4,4,3", "--tol", "1e-5", "--out", str(out)]) == 1
@@ -332,14 +331,34 @@ def test_loose_tol_does_not_admit_the_closed_form(cx443, tmp_path, monkeypatch):
 
 
 def test_kunneth_frequency_zero_carries_cohomology(complex_cache):
-    rep = complex_cache(dims=(5, 6, 4)).cohomology(harmonic=False)
+    rep = complex_cache(dims=(5, 6, 4)).cohomology()
     assert rep.kunneth_ok
     assert rep.frequencies[0].dims == (1, 1, 0, 0)
     assert all(f.dims == (0, 0, 0, 0) for f in rep.frequencies[1:])
 
 
-def test_harmonic_representative_is_constant_over_joints(complex_cache):
-    cx = complex_cache(dims=(5, 6, 4))
+def _svd_harmonic_one_form(incidence):
+    """The harmonic one-form from full SVDs of the disk blocks: the kernel
+    of A_0(D1) = diag(d1, d0) orthogonal to the image of A_0(D0) = [d0; 0],
+    tiled over the joints with unit norm."""
+    c = incidence.counts
+    d0, d1 = (d.toarray() for d in disk_blocks(incidence))
+    (u_d0, _, vt_d0), (_, _, vt_d1) = np.linalg.svd(d0), np.linalg.svd(d1)
+    rank_d0, rank_d1 = rank_with_gap(d0)[0], rank_with_gap(d1)[0]
+    image = np.vstack([u_d0[:, :rank_d0], np.zeros((c.nbar0, rank_d0))])
+    ker1, ker0 = vt_d1[rank_d1:].T, vt_d0[rank_d0:].T
+    kernel = np.block([[ker1, np.zeros((c.nbar1, ker0.shape[1]))],
+                       [np.zeros((c.nbar0, ker1.shape[1])), ker0]])
+    u, svals, _ = np.linalg.svd(kernel - image @ (image.T @ kernel))
+    assert svals[0] > 0
+    return np.tile(u[:, 0], c.nt) / np.sqrt(c.nt)
+
+
+@pytest.mark.parametrize("degree,dims", [(2, (4, 4, 3)), (2, (5, 6, 4)), (3, (5, 6, 4)),
+                                         (2, (8, 8, 6)), (2, (16, 16, 8))],
+                         ids=["4x4x3", "5x6x4", "5x6x4-p3", "8x8x6", "16x16x8"])
+def test_harmonic_representative_is_constant_over_joints(degree, dims, complex_cache):
+    cx = complex_cache(degrees=(degree,) * 3, dims=dims)
     v = cx.cohomology().harmonic_one_form
     c = cx.counts
     per_joint = v.reshape(c.nt, -1)
@@ -347,6 +366,13 @@ def test_harmonic_representative_is_constant_over_joints(complex_cache):
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     assert np.abs(cx.incidence.D1 @ v).max() <= 1e-10
     assert np.abs(cx.incidence.D0.T @ v).max() <= 1e-10
+    assert abs(v @ _svd_harmonic_one_form(cx.incidence)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_perturbed_center_has_no_harmonic_representative():
+    # the shifted center weight moves the constants out of ker d0
+    spec = pd.TorusComplexSpec(degrees=(2, 2, 2), dims=(4, 4, 3))
+    assert pd.build_complex(spec, ebar_perturbation=1e-3).cohomology().harmonic_one_form is None
 
 
 # -------------------------- structure tampering --------------------------------

@@ -346,6 +346,8 @@ class TestCli:
         ("lengths", ["--lengths", "1,1,inf"], None),
         ("lengths", ["--lengths", "nan,1,1"], None),
         ("lengths", [], '{"degrees": [2, 2, 2], "dims": [4, 4, 3], "lengths": [1, -1e400, 1]}'),
+        # above the supported ceiling the C1 probe's absolute floor is below one ulp
+        ("rho_bar", ["--rho-bar", "1e15"], None),
     ])
     def test_non_finite_geometry_rejected(self, field, flags, config, tmp_path, monkeypatch,
                                           capsys):

@@ -281,6 +281,20 @@ def test_partition_rank_matches_dense_rank(cx443):
         assert partition_rank(block, name) == (np.linalg.matrix_rank(nonzero), nonzero.shape[0])
 
 
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_partition_rank_of_periodic_h0_matches_dense_rank(degree, perturbed):
+    # the DTA suite takes the ranks of H0_r and H0_t from the certificate
+    rng = np.random.default_rng(degree)
+    for distinct in range(max(2, 5 - degree), 42 - degree):
+        values = np.linspace(0.0, 1.0, distinct)
+        if perturbed:
+            values[1:-1] += rng.uniform(-0.3, 0.3, distinct - 2) / (distinct - 1)
+        h0 = pd.periodic_h0(pd.KnotVector(degree, np.concatenate(
+            [np.zeros(degree), values, np.ones(degree)])))
+        assert partition_rank(h0, "H0") == (np.linalg.matrix_rank(h0.toarray()), h0.shape[0])
+
+
 def test_partition_rank_rejects_unit_rows_sharing_a_column():
     block = sparse.csr_array(np.array([
         [0.5, 0.5, 0.0, 0.0],   # center row
