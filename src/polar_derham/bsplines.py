@@ -19,6 +19,7 @@ __all__ = [
     "KnotVector",
     "SplineSpace",
     "LocalBasis",
+    "SpanLookup",
     "DerivativeBasis",
     "DtaDiagnostic",
     "make_uniform_open_knots",
@@ -426,12 +427,13 @@ class SplineSpace:
         coefficients, in the span-local coordinate u in [0, 1], of their
         values, derivatives and derivative-space values.
 
-        Returns ``index`` (spans, w) and ``deriv_index`` (spans, wd) as in
-        :class:`LocalBasis`, the knots ``t_p .. t_{n-1}`` (span k's left
-        end is entry k), each span's inverse length, and
-        ``table`` (spans, p+1, 2w+wd): power j of u times ``table[k, j]``
-        summed over j gives the span's values, derivatives and
-        derivative-space values side by side.  H0/H1 (periodic spaces),
+        Returns ``index`` (spans, 2, w), the functions of the space ([:, 0])
+        and of its derivative space ([:, 1]) as in :class:`LocalBasis`; the
+        two local widths, of which w is the larger; the knots
+        ``t_p .. t_{n-1}`` (span k's left end is entry k); each span's
+        inverse length; and ``table`` (spans, p+1, 3, w): power j of u
+        times ``table[k, j]`` summed over j gives the span's values,
+        derivatives and derivative-space values.  H0/H1 (periodic spaces),
         the derivative-basis scales and the difference stencil are folded
         in, so evaluation never touches a matrix the size of the space.
         The coefficients come from one Cox-de Boor pass at p+1 nodes of
@@ -455,6 +457,10 @@ class SplineSpace:
         index, real = _nonzero_rows(
             (np.abs(value_blocks).sum(axis=2) + np.abs(slope_blocks).sum(axis=2)).T > 0)
         deriv_index, deriv_real = _nonzero_rows(np.abs(deriv_blocks).sum(axis=2).T > 0)
+        widths = (index.shape[1], deriv_index.shape[1])
+        index, real, deriv_index, deriv_real = (
+            np.pad(a, ((0, 0), (0, max(widths) - a.shape[1])))
+            for a in (index, real, deriv_index, deriv_real))
 
         left = knots[spans]
         length = knots[spans + 1] - left
@@ -476,47 +482,30 @@ class SplineSpace:
         table = np.zeros((spans.size, p + 1, gather.shape[1]))
         table[k] = np.linalg.solve(np.vander(nodes, increasing=True), at_nodes)
         inverse_length = np.divide(1.0, length, out=np.zeros_like(length), where=live)
-        return index, deriv_index, left, inverse_length, table
+        return (np.stack([index, deriv_index], axis=1), widths, left, inverse_length,
+                table.reshape(spans.size, p + 1, 3, -1))
+
+    @cached_property
+    def _lookup(self):
+        return SpanLookup((self,))
 
     def eval_local(self, x, name="parameter"):
         """Nonzero basis functions at a 1-D array of parameters.
 
-        Spans come from one binary search; the values, derivatives and
-        derivative-space values then come from one contraction of the
-        powers of the span-local coordinate with that span's polynomial
-        table (`_span_tables`), so the cost per parameter is fixed by the
-        degree, not by the size of the space.  Periodic spaces wrap x into
-        the interval first.  Non-finite parameters and parameters outside
-        an open space's interval raise ValueError, naming them `name`.
-        Returns a :class:`LocalBasis`.
+        The :class:`SpanLookup` of this one space: the cost per parameter
+        is fixed by the degree, not by the size of the space.  Periodic
+        spaces wrap x into the interval first.  Non-finite parameters and
+        parameters outside an open space's interval raise ValueError,
+        naming them `name`.  Returns a :class:`LocalBasis` whose index
+        arrays share one width, padded as the class describes.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim != 1:
             raise ValueError(f"{name} values must form a 1-D array, got shape {x.shape}")
-        finite = np.isfinite(x)
-        if not finite.all():
-            raise ValueError(f"{name} = {x[~finite][0]} is not finite")
-        a, b = self.interval
-        if self.periodic:
-            x = self._wrap(x)
-        else:
-            outside = (x < a) | (x > b)
-            if outside.any():
-                raise ValueError(f"{name} = {x[outside][0]} outside [{a}, {b}]")
-        index, deriv_index, left, inverse_length, table = self._span_tables
-        # searching past left[0] puts x >= a in span 0 or above and
-        # the right interval end in the last span
-        k = np.searchsorted(left[1:], x, side="right")
-        u = (x - left[k]) * inverse_length[k]
-        out = np.einsum("mj,mjw->mw", u[:, None] ** np.arange(self.degree + 1), table[k])
-        w = index.shape[1]
-        return LocalBasis(
-            index=index[k],
-            values=out[:, :w],
-            derivatives=out[:, w : 2 * w],
-            deriv_index=deriv_index[k],
-            deriv_values=out[:, 2 * w :],
-        )
+        row, (values,) = self._lookup(x[:, None], (name,))
+        index = self._lookup.index[row[:, 0]]
+        return LocalBasis(index=index[:, 0], values=values[0].T, derivatives=values[1].T,
+                          deriv_index=index[:, 1], deriv_values=values[2].T)
 
     def eval(self, coeffs, t):
         """Spline value at t, a scalar or a 1-D array of parameters."""
@@ -547,6 +536,85 @@ class SplineSpace:
     def __repr__(self):
         tag = ", periodic" if self.periodic else ""
         return f"SplineSpace(degree={self.degree}, dim={self.dim}{tag})"
+
+
+class SpanLookup:
+    """The per-span tables of k spline spaces, stacked so that one call
+    evaluates every space's local basis at its own parameters.
+
+    A call validates an (m, k) array of parameters, column d for space d,
+    wraps the periodic columns, finds every span in one binary search and
+    contracts the powers of the span-local coordinates with the spans'
+    tables (`SplineSpace._span_tables`) in one product.  The search runs
+    over the complex keys ``d + 1j * knot``, which numpy orders by space
+    first and by knot second, so no parameter is shifted and each lands in
+    the span a search of its own space alone would give.
+
+    It returns each parameter's row in the stacked tables, (m, k), and
+    ``values`` (k, 3, w, m): the values, first derivatives and
+    derivative-space values of the functions that ``index[row]`` (2, w)
+    lists, those of the space ([0]) for the first two and those of its
+    derivative space ([1]) for the third.  The width w is the largest
+    local width of the k spaces, ``widths[d]`` space d's two local
+    widths; padding slots carry index 0 and value 0.  ``owner`` maps a row
+    to its space.
+    """
+
+    def __init__(self, spaces):
+        tables = [sp._span_tables for sp in spaces]
+        width = max(t[0].shape[2] for t in tables)
+        order = max(t[4].shape[1] for t in tables)
+        self.intervals = [sp.interval for sp in spaces]
+        self.start, end = np.array(self.intervals).T
+        self.widths = np.array([t[1] for t in tables])
+        # Row 0 is a spare, so that the number of keys up to a parameter's
+        # is its row: every span's left end, as an offset from the
+        # interval's start, is one key.
+        index = [np.zeros((1, 2, width), dtype=np.int64)]
+        table = [np.zeros((1, order, 3, width))]
+        spans = [np.zeros((1, 2))]
+        for a, (ix, _, left, inverse_length, coeffs) in zip(self.start, tables):
+            index.append(np.pad(ix, ((0, 0), (0, 0), (0, width - ix.shape[2]))))
+            table.append(np.pad(coeffs, ((0, 0), (0, order - coeffs.shape[1]), (0, 0),
+                                         (0, width - coeffs.shape[3]))))
+            spans.append(np.column_stack([left - a, inverse_length]))
+        self.index, self.spans = np.concatenate(index), np.concatenate(spans)
+        self.table = np.concatenate(table).reshape(len(self.index), order, 3 * width)
+        self.keys = np.concatenate([d + 1j * s[:, 0] for d, s in enumerate(spans[1:])])
+        self.space = np.arange(len(spaces))
+        self.owner = np.repeat(np.append(0, self.space), [1] + [len(t[0]) for t in tables])
+        self.powers = np.arange(order)
+        periodic = np.array([sp.periodic for sp in spaces])
+        # an open space's parameters, checked to lie in its interval, keep
+        # their offset from its start under an infinite modulus
+        self.modulus = np.where(periodic, end - self.start, np.inf)
+        # periodic columns only need to be finite; every comparison with
+        # NaN fails
+        big = np.finfo(float).max
+        self.lower = np.where(periodic, -big, self.start)
+        self.upper = np.where(periodic, big, end)
+
+    def __call__(self, x, names):
+        """(rows, values) at the (m, k) parameters `x`; errors name the
+        parameters of column d `names[d]`."""
+        inside = (x >= self.lower) & (x <= self.upper)
+        if not inside.all():
+            self._reject(x, inside, names)
+        offset = (x - self.start) % self.modulus
+        row = np.searchsorted(self.keys, offset * 1j + self.space, side="right")
+        span = self.spans[row]
+        u = (offset - span[..., 0]) * span[..., 1]
+        values = np.einsum("mkj,mkjw->kwm", u[..., None] ** self.powers, self.table[row],
+                           order="C")
+        return row, values.reshape(len(self.space), 3, self.index.shape[2], len(x))
+
+    def _reject(self, x, inside, names):
+        for column, ok, name, (a, b) in zip(x.T, inside.T, names, self.intervals):
+            finite = np.isfinite(column)
+            if not finite.all():
+                raise ValueError(f"{name} = {column[~finite][0]} is not finite")
+            if not ok.all():
+                raise ValueError(f"{name} = {column[~ok][0]} outside [{a}, {b}]")
 
 
 def _check_coeffs(coeffs, dim):

@@ -20,6 +20,7 @@ def _cap_threads():
 _cap_threads()
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -216,7 +217,10 @@ def _add_config_options(sub, bundle=False):
     sub.add_argument("--lengths", help="parametric interval lengths, e.g. 1,1,1")
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="polar-derham",
         description="Polar spline de Rham complexes on solid toroidal domains",

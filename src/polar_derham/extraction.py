@@ -231,14 +231,17 @@ class ExtractionSet:
     def _columns(self):
         return {}
 
-    def columns(self, pattern):
-        """CSC form of one component's matrix, converted on first use and
-        kept on this instance: column c lists the reduced functions that
-        tensor function c contributes to."""
+    def columns(self, level):
+        """CSC form of one level's matrices side by side, ``[E_1 E_2 E_3]``,
+        built on first use and kept on this instance: column c lists the
+        reduced functions that function c of the level's tensor
+        coefficients (its components in LEVEL_PATTERNS order) contributes
+        to."""
         cache = self._columns
-        if pattern not in cache:
-            cache[pattern] = sparse.csc_array(self.by_pattern(pattern))
-        return cache[pattern]
+        if level not in cache:
+            cache[level] = sparse.hstack(
+                [sparse.csc_array(E) for _, E in self.level_matrices(level)], format="csc")
+        return cache[level]
 
 
 def assemble_3d(nr, ns, nt, ebar=None):
@@ -278,23 +281,6 @@ def assemble_3d(nr, ns, nt, ebar=None):
 
 # --------------------------- basis evaluation -------------------------------
 
-def _gather(extraction, tensor, pattern, factors):
-    """Triplets (point, reduced row, weight) of ``E[:, cols] @ b[cols]``.
-
-    Only the columns of E that belong to the tensor functions nonzero at
-    each point are read, so the cost per point is the local support size
-    times the column length, independent of the mesh size.
-    """
-    cols, vals = tensor.local_component_basis(pattern, factors)
-    csc = extraction.columns(pattern)
-    flat = cols.ravel()
-    start = csc.indptr[flat]
-    count = csc.indptr[flat + 1] - start
-    entry = np.repeat(np.arange(flat.size), count)
-    pos = np.arange(entry.size) + (start - (np.cumsum(count) - count))[entry]
-    return entry // cols.shape[1], csc.indices[pos], csc.data[pos] * vals.ravel()[entry]
-
-
 def reduced_basis_values(extraction, tensor, level, point, coeffs=None):
     """Values of every reduced basis function of one level, or of a field.
 
@@ -304,9 +290,14 @@ def reduced_basis_values(extraction, tensor, level, point, coeffs=None):
     and 2, with a leading m axis for a batch.  With a length-n_level
     `coeffs` it holds the field ``sum_l coeffs[l] * phi_l``: a scalar or
     (3,), with a leading m axis for a batch.
+
+    The tensor functions nonzero at each point, for all of the level's
+    components at once, select their columns of :meth:`ExtractionSet.columns`
+    in one gather, so the cost per point is the local support size times
+    the column length, independent of the mesh size.
     """
-    mats = extraction.level_matrices(level)
-    n = mats[0][1].shape[0]
+    csc = extraction.columns(level)
+    n = csc.shape[0]
     if coeffs is not None:
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (n,):
@@ -314,16 +305,23 @@ def reduced_basis_values(extraction, tensor, level, point, coeffs=None):
                 f"level-{level} field needs {n} coefficients, got {coeffs.shape}"
             )
     factors = tensor.local_factors(point)
-    m = factors.size
-    comps = []
-    for pat, _ in mats:
-        pts, rows, weights = _gather(extraction, tensor, pat, factors)
-        if coeffs is None:
-            flat = np.bincount(pts * n + rows, weights=weights, minlength=m * n)
-            comps.append(flat.reshape(m, n))
-        else:
-            comps.append(np.bincount(pts, weights=coeffs[rows] * weights, minlength=m))
-    out = comps[0] if level in (0, 3) else np.stack(comps, axis=-1)
+    cols, vals = tensor.local_level_basis(level, factors)
+    k, m = cols.shape[1:]
+    flat, vals = cols.ravel(), vals.ravel()
+    start = csc.indptr[flat]
+    # padding slots, and functions that vanish at the point, add nothing
+    count = (csc.indptr[flat + 1] - start) * (vals != 0)
+    entry = np.repeat(np.arange(flat.size), count)
+    pos = np.arange(entry.size) + (start - (np.cumsum(count) - count))[entry]
+    rows, weights = csc.indices[pos], csc.data[pos] * vals[entry]
+    slot = entry % (k * m)  # component * m + point
+    if coeffs is None:
+        out = np.bincount(slot * n + rows, weights=weights, minlength=k * m * n)
+        out = out.reshape(k, m, n).transpose(1, 2, 0)
+    else:
+        out = np.bincount(slot, weights=coeffs[rows] * weights, minlength=k * m).reshape(k, m).T
+    if k == 1:
+        out = out[..., 0]
     return out[0] if factors.single else out
 
 

@@ -23,7 +23,13 @@ __all__ = [
     "polar_smoothness_probe",
     "polar_basis_smoothness_probe",
     "SmoothnessProbeReport",
+    "RHO_BAR_MAX",
+    "check_rho_bar",
 ]
+
+# The largest supported major-radius offset: the C1 probe's absolute
+# noise floor must stay above the rounding of values that grow with it.
+RHO_BAR_MAX = 1e12
 
 
 class SingularityProximityError(ValueError):
@@ -31,6 +37,10 @@ class SingularityProximityError(ValueError):
 
 
 # ============================== spline maps ==================================
+
+# The value, then the r, s and t partials: 1 picks a direction's derivatives.
+_JACOBIAN_CHOICES = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+
 
 class SplineMap:
     """R^3-valued spline over the level-0 tensor-product basis.
@@ -50,32 +60,31 @@ class SplineMap:
         self.control_points = control_points
         self._grid = control_points.reshape(tensor.nt, tensor.ns, tensor.nr, 3)
 
-    def _local_net(self, factors):
-        """Control points of each point's local support, (m, wt, ws, wr, 3)."""
-        ir, is_, it = (b.index for b in factors.bases)
-        return self._grid[it[:, :, None, None], is_[:, None, :, None], ir[:, None, None, :]]
+    def _contract(self, factors, choices):
+        """(m, k, 3): the local control points weighted by the
+        :meth:`TensorComplex.local_products` of each row of `choices`, which
+        picks values or derivatives (0 or 1) per direction.  All rows read
+        the same functions, so the first row's indices, which count from 0,
+        address the control net for every row."""
+        cols, weights = self.tensor.local_products(factors, choices)
+        return np.einsum("ckm,cmd->mkd", weights, self.control_points[cols[:, 0]])
 
     def eval(self, point):
         """Image of one (r, s, t) point, (3,), or of an (m, 3) batch, (m, 3)."""
         factors = self.tensor.local_factors(point)
-        br, bs, bt = (b.values for b in factors.bases)
-        xyz = np.einsum("mr,ms,mt,mtsrd->md", br, bs, bt, self._local_net(factors))
+        xyz = self._contract(factors, _JACOBIAN_CHOICES[:1])[:, 0]
         return xyz[0] if factors.single else xyz
 
     def jacobian(self, point):
         """(xyz, DF, det DF); DF columns are the r, s, t partials.
 
         A batch of m points gives shapes (m, 3), (m, 3, 3) and (m,).  The
-        local control block is contracted one direction at a time against
-        the value and derivative rows of that direction.
+        local control points are gathered once and weighted by the value
+        and the three partials in one product.
         """
         factors = self.tensor.local_factors(point)
-        r, s, t = (np.stack([b.values, b.derivatives], axis=1) for b in factors.bases)
-        c = np.einsum("mar,mtsrd->mtsad", r, self._local_net(factors))
-        c = np.einsum("mbs,mtsad->mtbad", s, c)
-        c = np.einsum("mct,mtbad->mcbad", t, c)
-        xyz = c[:, 0, 0, 0]
-        jac = np.stack([c[:, 0, 0, 1], c[:, 0, 1, 0], c[:, 1, 0, 0]], axis=-1)
+        c = self._contract(factors, _JACOBIAN_CHOICES)
+        xyz, jac = c[:, 0], np.swapaxes(c[:, 1:], 1, 2)
         det = np.linalg.det(jac)
         if factors.single:
             return xyz[0], jac[0], float(det[0])
@@ -104,12 +113,21 @@ class PolarMap(SplineMap):
         return self.data.rho_bar
 
 
+def check_rho_bar(rho_bar):
+    """The major-radius offset as a float; ValueError naming rho_bar unless
+    it is finite, exceeds 2 and is at most RHO_BAR_MAX."""
+    rho_bar = float(rho_bar)
+    if not 2 < rho_bar <= RHO_BAR_MAX:
+        raise ValueError(f"rho_bar (major-radius offset) must be finite, exceed 2 and "
+                         f"be at most {RHO_BAR_MAX:g}, got {rho_bar}")
+    return rho_bar
+
+
 def build_polar_map(tensor, rho_bar):
     """Control net of the polar map: circles of radius rho_j around the
     ring of major radius rho_bar, collapsing to the polar curve at the
     innermost ring."""
-    if not rho_bar > 2:
-        raise ValueError(f"major-radius offset must exceed 2, got {rho_bar}")
+    rho_bar = check_rho_bar(rho_bar)
     nr, ns, nt = tensor.dims
     rhos = np.arange(ns) / (ns - 1)
     thetas = control_angles(nr)
@@ -120,7 +138,7 @@ def build_polar_map(tensor, rho_bar):
     net[..., 1] = rad * np.sin(phis)[:, None, None]
     net[..., 2] = rhos[:, None] * np.sin(thetas)
     return PolarMap(
-        tensor, net.reshape(-1, 3), PolarMapData(float(rho_bar), rhos, thetas, phis)
+        tensor, net.reshape(-1, 3), PolarMapData(rho_bar, rhos, thetas, phis)
     )
 
 
@@ -161,8 +179,9 @@ def build_geometry_g(tensor, extraction, polar_map):
 
 # ============================= pushforwards ==================================
 
-# Points per batch inside one call; bounds the gather's temporary arrays.
-_CHUNK = 2048
+# Points per batch inside one call; bounds the gather's temporaries, which
+# hold all of a level's components at once (a few MB at 512 points).
+_CHUNK = 512
 
 
 def pushforward_eval(polar_map, tensor, extraction, level, coeffs, point,
@@ -294,8 +313,8 @@ def polar_smoothness_probe(polar_map, tensor, extraction, coeffs, t, eps_list,
     tensor_coeffs = extraction.E000.T @ coeffs if space == "reduced" else coeffs
 
     def value(points):
-        cols, vals = tensor.local_component_basis((0, 0, 0), points)
-        return np.einsum("mk,mk->m", tensor_coeffs[cols], vals)
+        cols, vals = tensor.local_level_basis(0, points)
+        return np.einsum("km,km->m", tensor_coeffs[cols[:, 0]], vals[:, 0])
 
     return _probe_engine(value, polar_map, tensor, t, eps_list, num_r)
 
@@ -313,9 +332,9 @@ def polar_basis_smoothness_probe(polar_map, tensor, extraction, t, eps_list,
     def values(points):
         if space == "reduced":
             return reduced_basis_values(extraction, tensor, 0, points)
-        cols, vals = tensor.local_component_basis((0, 0, 0), points)
+        cols, vals = tensor.local_level_basis(0, points)
         n, m = tensor.level_dim(0), len(points)
-        flat = np.arange(m)[:, None] * n + cols
+        flat = np.arange(m) * n + cols
         return np.bincount(flat.ravel(), weights=vals.ravel(), minlength=m * n).reshape(m, n)
 
     return _probe_engine(values, polar_map, tensor, t, eps_list, num_r)

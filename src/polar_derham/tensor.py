@@ -18,12 +18,13 @@ univariate functions of every direction at a batch of points, from which
 each component's local tensor support follows.
 """
 
-from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 
-from .bsplines import SplineSpace, make_uniform_open_knots, triplet
+from .bsplines import SpanLookup, SplineSpace, make_uniform_open_knots, triplet
 
 __all__ = [
     "check_size_floors",
@@ -51,6 +52,11 @@ LEVEL_PATTERNS = {
     2: ((0, 1, 1), (1, 0, 1), (1, 1, 0)),
     3: ((1, 1, 1),),
 }
+# The same patterns as :meth:`TensorComplex.local_products` choices: a
+# lowered direction picks the derivative-space values.
+_LEVEL_CHOICES = {level: tuple(tuple(2 * b for b in pat) for pat in pats)
+                 for level, pats in LEVEL_PATTERNS.items()}
+_DIRECTIONS = np.arange(3)[:, None]
 
 
 def check_size_floors(nr, ns, nt):
@@ -211,19 +217,21 @@ def partition_rank(block, name):
     return int(unit.sum()) + center_rank, int(np.count_nonzero(per_row))
 
 
-@dataclass(frozen=True)
-class LocalFactors:
+class LocalFactors(NamedTuple):
     """Local univariate bases of the three directions at m points.
 
-    ``points`` is the validated (m, 3) array, ``bases`` one
-    :class:`~polar_derham.bsplines.LocalBasis` per direction and
-    ``single`` records that the input was one (3,) point, whose results
-    the entry points return without the batch axis.
+    ``points`` is the validated (m, 3) array and ``single`` records that
+    the input was one (3,) point, whose results the entry points return
+    without the batch axis.  ``rows`` (m, 3) and ``values`` (3, 3, w, m)
+    are the tensor's :class:`SpanLookup` results, direction by direction:
+    each point's span rows and the values, first derivatives and
+    derivative-space values of the functions nonzero there.
     """
 
     spaces: tuple
     points: np.ndarray
-    bases: tuple
+    rows: np.ndarray
+    values: np.ndarray
     single: bool
 
     @property
@@ -257,6 +265,7 @@ class TensorComplex:
         # the apply path's operators, built on first use and kept: the
         # complex is immutable
         self._operators = [None, None, None]
+        self._plans = {}
 
     @property
     def dims(self):
@@ -294,8 +303,14 @@ class TensorComplex:
         bt = self._direction_basis(2, pattern[2], t)
         return np.kron(bt, np.kron(bs, br))
 
+    @cached_property
+    def span_lookup(self):
+        """The three spaces' span tables, stacked in one :class:`SpanLookup`."""
+        return SpanLookup(self.spaces)
+
     def local_factors(self, points):
-        """Validate points and evaluate every direction's local basis once.
+        """Validate points and evaluate the three directions' local bases in
+        one :class:`SpanLookup` call.
 
         `points` is one (r, s, t) point or an (m, 3) array of them; each
         coordinate must be finite, s must lie in the open direction's
@@ -313,29 +328,59 @@ class TensorComplex:
             raise ValueError(
                 f"points must have shape (3,) or (m, 3), got {np.shape(points)}"
             )
-        bases = tuple(
-            sp.eval_local(pts[:, axis], name)
-            for axis, (sp, name) in enumerate(zip(self.spaces, "rst"))
-        )
-        return LocalFactors(self.spaces, pts, bases, single)
+        rows, values = self.span_lookup(pts, "rst")
+        return LocalFactors(self.spaces, pts, rows, values, single)
 
-    def local_component_basis(self, pattern, points):
-        """One component's tensor basis functions nonzero at each point.
+    def local_products(self, points, choices):
+        """Tensor products of one local univariate factor per direction.
 
-        Returns (m, K) arrays of 0-based flat indices into the component's
-        coefficients (the module's layout) and of values; K is
-        the product of the three directions' local widths.
+        Each (r, s, t) triple of the tuple `choices` picks, per direction,
+        the values (0), first derivatives (1) or derivative-space values
+        (2) of the local basis.  Returns (K, k, m) arrays, for the k
+        choices at the m points, of 0-based flat indices and of the
+        products' values; K is the product of the local widths the choices
+        read per direction.  The indices are in the module's layout, with
+        the components the choices read (one function fewer along s where
+        a choice picks 2 there) side by side in choice order, as a level's
+        coefficients stack them, so the first choice's count from 0.  The
+        points run last, so that broadcasts over a batch loop over them
+        innermost.
         """
         factors = self.local_factors(points)
-        nr, ns, _ = self.component_shape(pattern)
-        (ir, br), (is_, bs), (it, bt) = (
-            (b.deriv_index, b.deriv_values) if lowered else (b.index, b.values)
-            for b, lowered in zip(factors.bases, pattern)
-        )
-        m = factors.size
-        cols = (it[:, :, None, None] * ns + is_[:, None, :, None]) * nr + ir[:, None, None, :]
-        vals = bt[:, :, None, None] * (bs[:, :, None] * br[:, None, :])[:, None]
-        return cols.reshape(m, -1), vals.reshape(m, -1)
+        if choices not in self._plans:
+            self._plans[choices] = self._product_plan(choices)
+        index, kind, (wr, ws, wt) = self._plans[choices]
+        i = np.take(index, factors.rows.T, axis=-1)
+        v = factors.values[_DIRECTIONS, kind]
+        # (w, k, m) per direction, combined into (wt, ws, wr, k, m)
+        cols = i[:wt, None, None, :, 2] + i[None, :ws, None, :, 1] + i[None, None, :wr, :, 0]
+        vs = v[1, :, :ws].transpose(1, 0, 2)[:, None] * v[0, :, :wr].transpose(1, 0, 2)
+        vals = v[2, :, :wt].transpose(1, 0, 2)[:, None, None] * vs
+        shape = (wt * ws * wr, len(choices), factors.size)
+        return cols.reshape(shape), vals.reshape(shape)
+
+    def _product_plan(self, choices):
+        """Per local slot, choice and span row of the lookup, the index of
+        the function the choice reads there, already scaled by the row's
+        direction's stride in the choice's component and shifted by the
+        component's offset; per direction and choice, the values row; and
+        per direction, the widest local width the choices read.
+        """
+        kind = np.array(choices).T
+        ns = self.ns - (kind[1] == 2)
+        stride = np.stack([np.ones_like(ns), np.full_like(ns, self.nr), self.nr * ns])
+        offset = np.zeros_like(stride)
+        offset[0, 1:] = np.cumsum(self.nr * ns * self.nt)[:-1]
+        lookup = self.span_lookup
+        d = lookup.owner
+        index = lookup.index[np.arange(d.size)[:, None], kind[d] // 2]
+        index = index * stride[d, :, None] + offset[d, :, None]
+        widths = lookup.widths[_DIRECTIONS, kind // 2].max(axis=1)
+        return np.ascontiguousarray(index.transpose(2, 1, 0)), kind, tuple(widths)
+
+    def local_level_basis(self, level, points):
+        """:meth:`local_products` of the level's components."""
+        return self.local_products(points, _LEVEL_CHOICES[level])
 
     # --------------------- coefficient derivatives --------------------------
 

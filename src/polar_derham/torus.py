@@ -14,6 +14,7 @@ from .extraction import assemble_3d, ebar_block, reduced_basis_values
 from .geometry import (
     build_geometry_g,
     build_polar_map,
+    check_rho_bar,
     polar_basis_smoothness_probe,
     polar_smoothness_probe,
     pushforward_eval,
@@ -28,11 +29,6 @@ __all__ = [
     "PolarComplex",
     "build_complex",
 ]
-
-# The largest supported major-radius offset: the C1 probe's absolute
-# noise floor must stay above the rounding of values that grow with it.
-RHO_BAR_MAX = 1e12
-
 
 @dataclass(frozen=True)
 class TorusComplexSpec:
@@ -59,9 +55,7 @@ class TorusComplexSpec:
         if min(self.degrees) < 2:
             raise ValueError(f"degrees >= 2 required, got {self.degrees}")
         check_size_floors(*self.dims)
-        if not 2 < self.rho_bar <= RHO_BAR_MAX:
-            raise ValueError(f"rho_bar (major-radius offset) must be finite, exceed 2 and "
-                             f"be at most {RHO_BAR_MAX:g}, got {self.rho_bar}")
+        check_rho_bar(self.rho_bar)
         if not (np.isfinite(self.lengths).all() and min(self.lengths) > 0):
             raise ValueError(f"lengths must be finite and positive, got {self.lengths}")
 
@@ -183,8 +177,7 @@ class PolarComplex:
         f = self._validated(self._check_field(field_coeffs, None, "reduced"))
         if f.space == "tensor":
             return f
-        mats = [E for _, E in self.extraction.level_matrices(f.level)]
-        data = np.concatenate([np.asarray(E.T @ f.data) for E in mats])
+        data = self.extraction.columns(f.level).T @ f.data
         return FieldCoefficients(f.level, "tensor", data)
 
     # ------------------------- pointwise evaluation -------------------------

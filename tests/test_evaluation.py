@@ -218,7 +218,7 @@ def test_evaluation_reads_the_given_extraction(cx443):
     np.testing.assert_array_equal(before[1:], after[1:])
     # a replaced set keeps no column cache of the set it was copied from
     copy = dataclasses.replace(cx443.extraction)
-    assert copy.columns((0, 0, 0)) is not cx443.extraction.columns((0, 0, 0))
+    assert copy.columns(0) is not cx443.extraction.columns(0)
 
 
 def test_evaluated_complexes_are_released():
@@ -260,3 +260,39 @@ def test_operator_matrices_built_once(monkeypatch):
         tc.apply_div(c)
     assert sorted(calls) == ["curl_matrix", "div_matrix", "grad_matrix"]
     assert tc.spaces[0].difference_stencil is tc.spaces[0].difference_stencil
+
+
+# ------------------------ a single point is a batch of one ---------------------
+
+@pytest.mark.parametrize("degrees,dims", [((2, 2, 2), (8, 8, 6)), ((3, 2, 3), (5, 6, 4))])
+def test_single_points_equal_batch_rows_exactly(complex_cache, degrees, dims):
+    cx = complex_cache(degrees=degrees, dims=dims)
+    rng = np.random.default_rng(45)
+    points = probe_points(cx, rng)
+    points = np.vstack([points[points[:, 1] >= 0.01], rng.uniform(0.01, 1.0, (1100, 3))])
+    # every listed point, with the rows on both sides of two chunk boundaries
+    check = list(range(0, len(points), 13)) + [511, 512, 1023, 1024]
+    for level, n in enumerate((cx.counts.n0, cx.counts.n1, cx.counts.n2, cx.counts.n3)):
+        coeffs = rng.standard_normal(n)
+        xyz, values = cx.pushforward(coeffs, points, level=level)
+        basis = cx.reduced_basis_values(level, points[:40])
+        for k in check:
+            xyz1, value1 = cx.pushforward(coeffs, points[k], level=level)
+            np.testing.assert_array_equal(xyz1, xyz[k])
+            np.testing.assert_array_equal(value1, values[k])
+        for k in range(40):
+            np.testing.assert_array_equal(cx.reduced_basis_values(level, points[k]), basis[k])
+    xyz, jac, det = cx.polar_map.jacobian(points)
+    for k in check:
+        xyz1, jac1, det1 = cx.polar_map.jacobian(points[k])
+        np.testing.assert_array_equal(xyz1, xyz[k])
+        np.testing.assert_array_equal(jac1, jac[k])
+        assert det1 == det[k]
+
+
+def test_empty_batch_gives_empty_results(cx443):
+    for level, shape in ((0, ()), (1, (3,)), (2, (3,)), (3, ())):
+        n = cx443.counts.level_dim(level)
+        xyz, values = cx443.pushforward(np.ones(n), np.zeros((0, 3)), level=level)
+        assert xyz.shape == (0, 3) and values.shape == (0, *shape)
+        assert cx443.reduced_basis_values(level, np.zeros((0, 3))).shape == (0, n, *shape)

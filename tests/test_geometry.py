@@ -30,6 +30,15 @@ class TestPolarMap:
         with pytest.raises(ValueError):
             pd.TorusComplexSpec(degrees=(2, 2, 2), dims=(4, 4, 3), rho_bar=1.5)
 
+    @pytest.mark.parametrize("rho_bar", [2.0, 1e15, np.inf, np.nan])
+    def test_rho_bar_range_is_shared_with_the_spec(self, cx443, rho_bar):
+        with pytest.raises(ValueError, match="^rho_bar") as direct:
+            pd.build_polar_map(cx443.tensor, rho_bar)
+        with pytest.raises(ValueError, match="^rho_bar") as spec:
+            pd.TorusComplexSpec(degrees=(2, 2, 2), dims=(4, 4, 3), rho_bar=rho_bar)
+        assert str(direct.value) == str(spec.value)
+        assert pd.build_polar_map(cx443.tensor, 1e12).rho_bar == 1e12
+
     def test_control_net_formula(self, cx443):
         F = cx443.polar_map
         nr, ns = cx443.tensor.nr, cx443.tensor.ns

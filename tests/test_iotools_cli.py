@@ -9,6 +9,7 @@ import pytest
 from scipy import sparse
 
 from polar_derham import TorusComplexSpec, build_complex
+from polar_derham import cli
 from polar_derham.cli import _csv_text, main
 from polar_derham.iotools import (
     ComplexConfig,
@@ -288,6 +289,26 @@ def test_control_net_bytes_pinned(degrees, dims, complex_cache, tmp_path):
 # --------------------------------- CLI ------------------------------------------
 
 class TestCli:
+    def test_one_parser_serves_consecutive_commands(self, tmp_path, capsys):
+        runs = [
+            (["export", "--sizes", "4,4,3", "--out", str(tmp_path / "e"), "D0"], 0),
+            (["verify", "--sizes", "4,4,3", "--drop-row", "D1:5",
+              "--out", str(tmp_path / "r.json")], 1),
+            (["export", "--sizes", "4,4,3", "NOPE"], 2),
+            (["sample", "--sizes", "4,4,3", "--level", "1", "--basis", "2",
+              "--grid", "2,2,2", "--smin", "0.1"], 0),
+            (["build", "--sizes", "4,4,3", "--out", str(tmp_path / "b")], 0),
+        ]
+        first = []
+        for argv, code in runs:
+            assert main(argv) == code
+            first.append(capsys.readouterr())
+        # the same commands again, in another order, on the same parser
+        for (argv, code), out in reversed(list(zip(runs, first))):
+            assert main(argv) == code
+            assert capsys.readouterr() == out
+        assert cli.build_parser() is cli.build_parser()
+
     def test_build_and_verify(self, tmp_path, capsys):
         bundle = tmp_path / "bundle"
         assert main(["build", "--sizes", "4,4,3", "--out", str(bundle)]) == 0

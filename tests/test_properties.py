@@ -58,3 +58,41 @@ def test_fourier_union_matches_the_dense_spectrum(size, perturbation):
         dense = np.linalg.svd(getattr(inc, name).toarray(), compute_uv=False)
         assert union.shape == dense.shape, name
         assert np.abs(union - dense).max() <= 1e-12 * dense[0], name
+
+
+def _parameters(space, count):
+    """`count` parameters of one space: knots, the interval ends and
+    arbitrary values, shifted by whole periods for a periodic space."""
+    a, b = space.interval
+    x = st.one_of(st.sampled_from(np.unique(space.kv.knots).tolist()), st.floats(a, b))
+    if space.periodic:
+        x = st.builds(lambda v, n: v + n * (b - a), x, st.integers(-3, 3))
+    return st.lists(x, min_size=count, max_size=count)
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+@_settings
+@given(data=st.data())
+def test_one_lookup_of_three_spaces_matches_each_space_alone(complex_cache, degree, data):
+    tensor = complex_cache(degrees=(degree,) * 3, dims=(6, 7, 5)).tensor
+    count = data.draw(st.integers(1, 6), label="points")
+    points = np.column_stack([data.draw(_parameters(sp, count), label=name)
+                              for sp, name in zip(tensor.spaces, "rst")])
+    factors = tensor.local_factors(points)
+    lookup = tensor.span_lookup
+    for d, sp in enumerate(tensor.spaces):
+        x = points[:, d]
+        # the span found: its left end, against the knot vector's own search
+        wrapped = sp._wrap(x) if sp.periodic else x
+        spans = [sp.kv.find_span(v) for v in wrapped]
+        np.testing.assert_array_equal(lookup.spans[factors.rows[:, d], 0], sp.kv.knots[spans])
+        alone = sp.eval_local(x)
+        width = alone.index.shape[1]
+        index = lookup.index[factors.rows[:, d]]
+        np.testing.assert_array_equal(index[:, 0, :width], alone.index)
+        np.testing.assert_array_equal(index[:, 1, :width], alone.deriv_index)
+        assert not index[:, :, width:].any()
+        values = factors.values[d]
+        for kind, own in enumerate((alone.values, alone.derivatives, alone.deriv_values)):
+            assert np.abs(values[kind, :width].T - own).max() <= 1e-14 * max(1.0, np.abs(own).max())
+            assert not values[kind, width:].any()

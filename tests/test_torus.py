@@ -49,6 +49,18 @@ class TestFieldCoefficients:
             cx443.to_tensor(np.ones(c.n0))
         assert f"levels 0..3 take {c.n0}, {c.n1}, {c.n2}, {c.n3} coefficients" in str(info.value)
 
+    @pytest.mark.parametrize("dims", [(4, 4, 3), (32, 32, 16)])
+    def test_to_tensor_equals_the_per_component_transposes(self, complex_cache, dims):
+        cx = complex_cache(dims=dims)
+        rng = np.random.default_rng(46)
+        for level in range(4):
+            data = rng.standard_normal(cx.counts.level_dim(level))
+            per_component = np.concatenate(
+                [E.T @ data for _, E in cx.extraction.level_matrices(level)])
+            got = cx.to_tensor(pd.FieldCoefficients(level, "reduced", data))
+            assert got.space == "tensor" and got.level == level
+            np.testing.assert_array_equal(got.data, per_component)
+
     def test_level_mismatch(self, cx443):
         field = pd.FieldCoefficients(level=1, space="reduced",
                                      data=np.zeros(cx443.counts.n1))
