@@ -5,7 +5,6 @@ from .bsplines import (
     KnotVector,
     SplineSpace,
     difference_matrix,
-    is_dta_compatible,
     make_uniform_open_knots,
     periodic_h0,
     periodic_h1,
@@ -21,7 +20,6 @@ from .extraction import (
     extraction_e10,
     extraction_e2,
     polar_counts,
-    reduced_basis_eval,
     reduced_basis_values,
 )
 from .geometry import (
@@ -43,7 +41,7 @@ from .incidence import (
 )
 from .tensor import LEVEL_PATTERNS, TensorComplex, build_tensor_sequence
 from .torus import FieldCoefficients, PolarComplex, TorusComplexSpec, build_complex
-from .iotools import ComplexConfig, load_config, read_triplet, write_bundle, write_triplet
+from .iotools import ComplexConfig, read_triplet, write_bundle, write_triplet
 from .verification import Tolerances, VerificationReport, run_verification
 
 __version__ = "0.1.0"

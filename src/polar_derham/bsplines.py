@@ -4,8 +4,8 @@ Provides the Cox-de Boor evaluation kernel and the per-knot-span
 polynomial tables built from it, the derivative basis of a spline space,
 the extraction matrices tying a C1 space into its C1-periodic subspace,
 the bidiagonal coefficient-difference stencils and the
-design-through-analysis (DTA) compatibility check used throughout the
-polar construction.
+design-through-analysis (DTA) diagnostic used throughout the polar
+construction.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +27,6 @@ __all__ = [
     "triplet",
     "periodic_h0",
     "periodic_h1",
-    "is_dta_compatible",
     "dta_diagnostic",
 ]
 
@@ -92,29 +91,6 @@ class KnotVector:
         max_mult = int(interior.max()) if interior.size else 1
         return self.degree - max_mult
 
-    def find_span(self, t):
-        """0-based index of the knot span containing t.
-
-        Half-open spans ``[t_i, t_{i+1})``, closed at the right interval
-        endpoint.
-        """
-        a, b = self.interval
-        if t < a or t > b:
-            raise ValueError(f"parameter {t} outside knot interval [{a}, {b}]")
-        p, n = self.degree, self.n
-        if t >= self.knots[n]:
-            return n - 1
-        span = int(np.searchsorted(self.knots, t, side="right")) - 1
-        return min(max(span, p), n - 1)
-
-    def eval_all(self, t):
-        """Values of all n basis functions at t (dense vector)."""
-        span = self.find_span(t)
-        vals = _basis_funs(self.knots, self.degree, t, span)
-        out = np.zeros(self.n)
-        out[span - self.degree : span + 1] = vals
-        return out
-
     def greville(self):
         """Knot-average abscissae (midpoints of the spans for p = 0)."""
         p, t = self.degree, self.knots
@@ -133,26 +109,9 @@ class KnotVector:
         )
 
 
-def _basis_funs(knots, p, t, span):
-    """Non-vanishing basis values at t (NURBS-book triangular scheme)."""
-    left = np.empty(p)
-    right = np.empty(p)
-    vals = np.empty(p + 1)
-    vals[0] = 1.0
-    for j in range(1, p + 1):
-        left[j - 1] = t - knots[span + 1 - j]
-        right[j - 1] = knots[span + j] - t
-        saved = 0.0
-        for r in range(j):
-            tmp = vals[r] / (right[r] + left[j - r - 1])
-            vals[r] = saved + right[r] * tmp
-            saved = left[j - r - 1] * tmp
-        vals[j] = saved
-    return vals
-
-
 def _basis_funs_batch(knots, p, x, span):
-    """The triangular scheme of `_basis_funs` over a batch of parameters.
+    """The Cox-de Boor triangular scheme (NURBS book, BasisFuns) over a
+    batch of parameters, each with its 0-based knot span.
 
     Returns the p+1 degree-p values and the p degree-(p-1) values that are
     nonzero on each parameter's span, as (m, p+1) and (m, p) arrays.
@@ -210,19 +169,13 @@ def difference_matrix(n, periodic):
     """
     if n < 2:
         raise ValueError(f"difference stencil needs n >= 2, got {n}")
-    rows, cols, vals = [], [], []
-    for i in range(n - 1):
-        rows += [i, i]
-        cols += [i, i + 1]
-        vals += [-1, 1]
-    if periodic:
-        rows += [n - 1, n - 1]
-        cols += [0, n - 1]
-        vals += [1, -1]
-    shape = (n, n) if periodic else (n - 1, n)
-    return sparse.coo_array(
-        (np.array(vals, dtype=np.int64), (rows, cols)), shape=shape
-    ).tocsr()
+    m = n if periodic else n - 1
+    # row i: -1 at column i, +1 at column i + 1, wrapping in the last
+    # periodic row
+    rows = np.repeat(np.arange(m), 2)
+    cols = (rows + np.tile([0, 1], m)) % n
+    vals = np.tile(np.array([-1, 1], dtype=np.int64), m)
+    return sparse.coo_array((vals, (rows, cols)), shape=(m, n)).tocsr()
 
 
 def triplet(matrix):
@@ -262,10 +215,6 @@ class DerivativeBasis:
     def n(self):
         return self.parent.n - 1
 
-    def eval_all(self, t):
-        """Values of the n-1 scaled derivative-space functions at t."""
-        return self.scales * self.hat_kv.eval_all(t)
-
 
 # ======================== C1-periodic extraction ============================
 
@@ -276,18 +225,24 @@ def _periodic_weights(kv):
     return num / num.sum()
 
 
-def periodic_h0(space):
-    """Extraction matrix of the C1-periodic subspace, size (n-2) x n.
+def _check_c1_periodic(kv):
+    """Reject a knot vector without a C1-periodic subspace: the space must
+    be C1 and have n >= 4 functions."""
+    if kv.smoothness() < 1:
+        raise ValueError("C1-periodic subspace requires a C1 space")
+    if kv.n < 4:
+        raise ValueError(f"C1-periodic subspace requires n >= 4, got n = {kv.n}")
+
+
+def periodic_h0(kv):
+    """Extraction matrix of the C1-periodic subspace of the space on the
+    KnotVector `kv`, size (n-2) x n.
 
     Column block layout ``[c | I_{n-2} | c]`` with
     ``c = (c1, 0, ..., 0, c2)^T``; every column sums to 1.
     """
-    kv = _as_knot_vector(space)
+    _check_c1_periodic(kv)
     n = kv.n
-    if kv.smoothness() < 1:
-        raise ValueError("C1-periodic subspace requires a C1 space")
-    if n < 4:
-        raise ValueError(f"C1-periodic subspace requires n >= 4, got n = {n}")
     c1, c2 = _periodic_weights(kv)
     rows = [0, n - 3] + list(range(n - 2)) + [0, n - 3]
     cols = [0, 0] + list(range(1, n - 1)) + [n - 1, n - 1]
@@ -295,29 +250,20 @@ def periodic_h0(space):
     return sparse.coo_array((vals, (rows, cols)), shape=(n - 2, n)).tocsr()
 
 
-def periodic_h1(space):
-    """Extraction matrix of the C0-periodic derivative basis, (n-2) x (n-1).
+def periodic_h1(kv):
+    """Extraction matrix of the C0-periodic derivative basis of the space
+    on the KnotVector `kv`, (n-2) x (n-1).
 
     Identity of size n-3 in the upper middle block; the last row carries
     c2 in the first column and c1 in the last.
     """
-    kv = _as_knot_vector(space)
+    _check_c1_periodic(kv)
     n = kv.n
-    if kv.smoothness() < 1:
-        raise ValueError("C1-periodic subspace requires a C1 space")
-    if n < 4:
-        raise ValueError(f"C1-periodic subspace requires n >= 4, got n = {n}")
     c1, c2 = _periodic_weights(kv)
     rows = list(range(n - 3)) + [n - 3, n - 3]
     cols = list(range(1, n - 2)) + [0, n - 2]
     vals = [1.0] * (n - 3) + [c2, c1]
     return sparse.coo_array((vals, (rows, cols)), shape=(n - 2, n - 1)).tocsr()
-
-
-def _as_knot_vector(space):
-    if isinstance(space, KnotVector):
-        return space
-    return space.kv
 
 
 # ============================= spline spaces ================================
@@ -352,11 +298,6 @@ class SplineSpace:
     def __init__(self, kv, periodic=False):
         self.kv = kv
         self.periodic = bool(periodic)
-        if self.periodic:
-            if kv.smoothness() < 1:
-                raise ValueError("periodic restriction requires a C1 space")
-            if kv.n < 4:
-                raise ValueError("periodic restriction requires n >= 4")
         self._h0 = periodic_h0(kv) if self.periodic else None
         self._h1 = periodic_h1(kv) if self.periodic else None
         self._deriv = None
@@ -386,35 +327,6 @@ class SplineSpace:
         if self._deriv is None:
             self._deriv = DerivativeBasis(self.kv)
         return self._deriv
-
-    def _wrap(self, t):
-        a, b = self.kv.interval
-        if not self.periodic:
-            return t
-        return a + (t - a) % (b - a)
-
-    def eval_basis(self, t):
-        """Values of the dim(space) basis functions at t."""
-        t = self._wrap(t)
-        vals = self.kv.eval_all(t)
-        if self.periodic:
-            return self._h0 @ vals
-        return vals
-
-    def eval_deriv_space_basis(self, t):
-        """Values of the functions spanning the derivative space at t.
-
-        Length n-1 (open) or n-2 (periodic, extracted through H1).
-        """
-        t = self._wrap(t)
-        vals = self.derivative_basis.eval_all(t)
-        if self.periodic:
-            return self._h1 @ vals
-        return vals
-
-    def eval_basis_derivative(self, t):
-        """First derivatives of the dim(space) basis functions at t."""
-        return self.difference_stencil.T @ self.eval_deriv_space_basis(t)
 
     @cached_property
     def difference_stencil(self):
@@ -642,13 +554,6 @@ class DtaDiagnostic:
 
     def __bool__(self):
         return self.ok
-
-
-def is_dta_compatible(matrix, tol=1e-12):
-    """Check full rank, unit column sums and non-negativity of `matrix`,
-    with its rank from a dense SVD (see :func:`dta_diagnostic`)."""
-    dense = matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix, dtype=float)
-    return dta_diagnostic(matrix, int(np.linalg.matrix_rank(dense)), tol)
 
 
 def dta_diagnostic(matrix, rank, tol=1e-12):

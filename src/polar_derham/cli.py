@@ -105,8 +105,7 @@ def cmd_verify(args):
             raise UsageError("--drop-row expects MATRIX:ROW, e.g. D1:5")
         cx = inject_row_drop(cx, name, int(row))
     tolerances = Tolerances() if args.tol is None else Tolerances(residual=args.tol)
-    report = run_verification(cx, tolerances=tolerances, rank_tol=config.rank_tol,
-                              config_echo=config.to_dict())
+    report = run_verification(cx, tolerances=tolerances, config_echo=config.to_dict())
     payload = report.to_dict()
     payload["negative_controls"] = {
         "perturb_ebar": args.perturb_ebar,

@@ -15,7 +15,8 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .tensor import LEVEL_PATTERNS, check_size_floors, eye_triplet, kron_lift, triplet
+from .bsplines import triplet
+from .tensor import LEVEL_PATTERNS, check_size_floors, eye_triplet, kron_lift
 
 __all__ = [
     "EbarBlock",
@@ -30,7 +31,6 @@ __all__ = [
     "extraction_e2",
     "assemble_3d",
     "reduced_basis_values",
-    "reduced_basis_eval",
 ]
 
 # Maps barycentric deviations to the three center functions.
@@ -323,12 +323,3 @@ def reduced_basis_values(extraction, tensor, level, point, coeffs=None):
     if k == 1:
         out = out[..., 0]
     return out[0] if factors.single else out
-
-
-def reduced_basis_eval(extraction, tensor, level, ell, point):
-    """Value of the 1-based ell-th reduced basis function of a level."""
-    n_level = extraction.counts.level_dim(level)
-    if not 1 <= ell <= n_level:
-        raise IndexError(f"basis index {ell} out of range 1..{n_level}")
-    values = reduced_basis_values(extraction, tensor, level, point)
-    return values[ell - 1]

@@ -75,16 +75,20 @@ class SplineMap:
         xyz = self._contract(factors, _JACOBIAN_CHOICES[:1])[:, 0]
         return xyz[0] if factors.single else xyz
 
+    def _value_and_partials(self, factors):
+        """(xyz, DF) at the factors' points, (m, 3) and (m, 3, 3): the local
+        control points are gathered once and weighted by the value and the
+        three partials in one product."""
+        c = self._contract(factors, _JACOBIAN_CHOICES)
+        return c[:, 0], np.swapaxes(c[:, 1:], 1, 2)
+
     def jacobian(self, point):
         """(xyz, DF, det DF); DF columns are the r, s, t partials.
 
-        A batch of m points gives shapes (m, 3), (m, 3, 3) and (m,).  The
-        local control points are gathered once and weighted by the value
-        and the three partials in one product.
+        A batch of m points gives shapes (m, 3), (m, 3, 3) and (m,).
         """
         factors = self.tensor.local_factors(point)
-        c = self._contract(factors, _JACOBIAN_CHOICES)
-        xyz, jac = c[:, 0], np.swapaxes(c[:, 1:], 1, 2)
+        xyz, jac = self._value_and_partials(factors)
         det = np.linalg.det(jac)
         if factors.single:
             return xyz[0], jac[0], float(det[0])
@@ -224,9 +228,13 @@ def pushforward_eval(polar_map, tensor, extraction, level, coeffs, point,
     param = reduced_basis_values(extraction, tensor, level, factors, coeffs=coeffs)
     if level == 0:
         return polar_map.eval(factors), (float(param) if factors.single else param)
-    xyz, jac, det = polar_map.jacobian(factors)
+    xyz, jac = polar_map._value_and_partials(factors)
+    if factors.single:
+        xyz, jac = xyz[0], jac[0]
     if level == 1:
+        # a covector needs no determinant
         return xyz, np.linalg.solve(np.swapaxes(jac, -1, -2), param[..., None])[..., 0]
+    det = np.linalg.det(jac)
     if level == 2:
         return xyz, np.einsum("...ij,...j->...i", jac, param) / np.expand_dims(det, -1)
     value = param / det

@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .bsplines import difference_matrix
+from .bsplines import difference_matrix, triplet
 from .extraction import PolarCounts, ebar_block, edge_round, polar_counts
 from .tensor import (LEVEL_PATTERNS, StructureError, cat_triplets, eye_triplet, first_difference,
-                     kron_lift, triplet)
+                     kron_lift)
 
 __all__ = [
     "IncidenceSet",
@@ -44,7 +44,6 @@ __all__ = [
     "kunneth_spectrum",
     "divergence_preimage",
     "max_abs",
-    "rank_with_gap",
     "toroidal_spectrum",
 ]
 
@@ -52,14 +51,14 @@ __all__ = [
 # ============================ polar disk =====================================
 
 def _disk_blocks(ebar, ns):
-    """The per-joint disk blocks d0 and d1 as (rows, cols, vals) triplets,
-    and the rows of each that carry center-block weights.
+    """The per-joint disk blocks d0 and d1 as (rows, cols, vals) triplets.
 
     Outer vertex ``(i, ring)`` sits at ``3 + ring * n_r + i`` after the
     three center vertices and face ``(i, ring)`` at ``ring * n_r + i``.
-    Apart from the weighted rows and the two center edges, every entry
-    comes from the periodic (poloidal) and open (radial) difference
-    stencils.
+    Apart from the two center edges and the rows that carry center-block
+    weights, d0's first radial round (edges 2 .. n_r + 1) and d1's
+    innermost faces (0 .. n_r - 1), every entry comes from the periodic
+    (poloidal) and open (radial) difference stencils.
     """
     nr, rings = ebar.nr, ns - 2
     i = np.arange(nr)
@@ -89,7 +88,7 @@ def _disk_blocks(ebar, ns):
         (ring * nr + i, edge_round(nr, ring, 1) + i, -np.ones((rings, nr))),
         (ring[1:] * nr + i, edge_round(nr, ring[:-1], 1) + i, np.ones((rings - 1, nr))),
     ])
-    return d0, d1, first, i
+    return d0, d1
 
 
 @dataclass(frozen=True)
@@ -100,8 +99,6 @@ class IncidenceSet:
     D0: sparse.csr_array
     D1: sparse.csr_array
     D2: sparse.csr_array
-    # rows whose entries carry center-block weights rather than pure +/-1
-    weighted_rows: dict = field(default_factory=dict)
 
 
 def _circle_lift(counts, d0, d1):
@@ -135,24 +132,9 @@ def build_incidence(nr, ns, nt, ebar=None):
     circle as the module docstring sets out."""
     c = polar_counts(nr, ns, nt)
     ebar = ebar_block(nr) if ebar is None else ebar
-    d0, d1, w0, w1 = _disk_blocks(ebar, ns)
-    n0, n1, n2 = c.nbar0, c.nbar1, c.nbar2
-
-    def lifted_rows(stride, *joint_rows):
-        joints = np.arange(nt)[:, None] * stride
-        return sorted(np.concatenate([(joints + r).ravel() for r in joint_rows]).tolist())
-
     lifts = {name: kron_lift(nt, shape, [term[:4] for term in terms])
-             for name, (shape, terms) in _circle_lift(c, d0, d1).items()}
-    return IncidenceSet(
-        counts=c,
-        **lifts,
-        weighted_rows={
-            "D0": lifted_rows(n1 + n0, w0),
-            "D1": lifted_rows(n2 + n1, w1, n2 + w0),
-            "D2": lifted_rows(n2, w1),
-        },
-    )
+             for name, (shape, terms) in _circle_lift(c, *_disk_blocks(ebar, ns)).items()}
+    return IncidenceSet(counts=c, **lifts)
 
 
 def disk_blocks(incidence):
@@ -296,22 +278,9 @@ def _decide(svals, tol):
     return rank, gap, (kept, dropped)
 
 
-def _threshold(rank_tol, shape, sigma_max):
-    """The absolute `rank_tol`, or max(shape) * ulp * sigma_max."""
-    return rank_tol if rank_tol is not None else max(shape) * np.finfo(float).eps * sigma_max
-
-
-def rank_with_gap(matrix, rank_tol=None):
-    """Numerical rank by singular-value counting on the dense matrix.
-
-    Returns (rank, gap_ratio, (smallest kept, largest dropped)).  The
-    default threshold is max(shape) * ulp * sigma_max; `rank_tol`
-    overrides it with an absolute cutoff.  The dense cross-check of
-    :func:`toroidal_spectrum`.
-    """
-    dense = matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix, float)
-    svals = np.linalg.svd(dense, compute_uv=False)
-    return _decide(svals, _threshold(rank_tol, dense.shape, svals[0] if svals.size else 0.0))
+def _threshold(shape, sigma_max):
+    """The rank threshold of every decision: max(shape) * ulp * sigma_max."""
+    return max(shape) * np.finfo(float).eps * sigma_max
 
 
 def toroidal_spectrum(counts, d0, d1):
@@ -357,17 +326,17 @@ def kunneth_spectrum(counts, s0, s1):
     h1(disk) = nbar1 - rank d0 - rank d1 for D1 and nbar2 - rank d1 for
     D2.  Zeros pad every block to the smaller side of its joint block.
 
-    A disk value counts as nonzero above the default threshold of its
-    own block (see :func:`rank_with_gap`): the disk ranks only place the
-    values, they decide nothing.  The closed form holds when d1 d0 = 0,
+    A disk value counts as nonzero above the threshold of its own block
+    (:func:`_threshold`): the disk ranks only place the values, they
+    decide nothing.  The closed form holds when d1 d0 = 0,
     which implies rank d0 + rank d1 <= nbar1; when the ranks break that
     bound it returns None.  Otherwise it returns, as
     :func:`toroidal_spectrum` does, the descending values of
     k = 0..nt//2 keyed by matrix name.
     """
     c = counts
-    r0 = int((s0 > _threshold(None, (c.nbar1, c.nbar0), s0[0])).sum())
-    r1 = int((s1 > _threshold(None, (c.nbar2, c.nbar1), s1[0])).sum())
+    r0 = int((s0 > _threshold((c.nbar1, c.nbar0), s0[0])).sum())
+    r1 = int((s1 > _threshold((c.nbar2, c.nbar1), s1[0])).sum())
     if r0 + r1 > c.nbar1:
         return None
     ck2 = 4 * np.sin(np.pi * np.arange(c.nt // 2 + 1) / c.nt) ** 2
@@ -392,12 +361,13 @@ def kunneth_spectrum(counts, s0, s1):
     return spectra
 
 
-def cohomology_dimensions(incidence, rank_tol=None):
+def cohomology_dimensions(incidence):
     """Compute the cohomology dimensions of the reduced complex.
 
     h0 = dim ker D0, h1 = dim ker D1 - rank D0, h2 = dim ker D2 - rank D1,
     h3 = n3 - rank D2.  Ranks count singular values above the threshold
-    of the full matrix, frequency block by frequency block.
+    of the full matrix, max(shape) * ulp * sigma_max, frequency block by
+    frequency block.
     :func:`disk_blocks` first checks that D0, D1 and D2 are the circle
     lift of one pair (d0, d1) and raises StructureError otherwise.  When
     d1 d0 vanishes to rounding, ``max|d1 d0| <= max(shape) * ulp *
@@ -431,8 +401,7 @@ def cohomology_dimensions(incidence, rank_tol=None):
         spectra = toroidal_spectrum(c, d0, d1)
     decisions, per_frequency = [], []
     for name, svals in spectra.items():
-        tol = _threshold(rank_tol, getattr(incidence, name).shape,
-                         max(float(s[0]) for s in svals))
+        tol = _threshold(getattr(incidence, name).shape, max(float(s[0]) for s in svals))
         union = np.sort(np.concatenate(
             [np.tile(s, m) for s, m in zip(svals, multiplicity)]))[::-1]
         decisions.append(_decide(union, tol))

@@ -8,7 +8,6 @@ reports are JSON.
 
 import io
 import json
-import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,13 +23,11 @@ __all__ = [
     "write_triplet",
     "read_triplet",
     "write_bundle",
-    "load_config",
 ]
 
 _CONFIG_DEFAULTS = {
     "rho_bar": 3.0,
     "lengths": [1.0, 1.0, 1.0],
-    "rank_tol": None,
     "out_dir": None,
 }
 
@@ -64,7 +61,6 @@ class ComplexConfig:
     distinct_knots: tuple
     rho_bar: float = 3.0
     lengths: tuple = (1.0, 1.0, 1.0)
-    rank_tol: float | None = None
     out_dir: str | None = None
     applied_defaults: list = field(default_factory=list)
 
@@ -74,8 +70,7 @@ class ComplexConfig:
             raise ValueError("config must be a JSON object")
         raw = {k: v for k, v in raw.items() if k != "applied_defaults"}
         unknown = set(raw) - {
-            "degrees", "distinct_knots", "dims", "rho_bar", "lengths",
-            "rank_tol", "out_dir",
+            "degrees", "distinct_knots", "dims", "rho_bar", "lengths", "out_dir",
         }
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -95,13 +90,7 @@ class ComplexConfig:
             distinct = from_dims
         if distinct is None:
             raise ValueError("config needs 'distinct_knots' or 'dims'")
-        rank_tol, out_dir = raw.get("rank_tol"), raw.get("out_dir")
-        if rank_tol is not None:
-            rank_tol = _checked("rank_tol", rank_tol, float)
-            if not (math.isfinite(rank_tol) and rank_tol > 0):
-                raise ValueError(
-                    f"config 'rank_tol' must be a finite number > 0, got {rank_tol!r}"
-                )
+        out_dir = raw.get("out_dir")
         if out_dir is not None and not isinstance(out_dir, str):
             raise ValueError(f"config 'out_dir' must be a string, got {out_dir!r}")
         applied = [k for k in _CONFIG_DEFAULTS if k not in raw]
@@ -114,7 +103,6 @@ class ComplexConfig:
             lengths=_checked_triple(
                 "lengths", raw.get("lengths", _CONFIG_DEFAULTS["lengths"]), float
             ),
-            rank_tol=rank_tol,
             out_dir=out_dir,
             applied_defaults=applied,
         )
@@ -138,7 +126,6 @@ class ComplexConfig:
             "dims": list(self.dims),
             "rho_bar": self.rho_bar,
             "lengths": list(self.lengths),
-            "rank_tol": self.rank_tol,
             "out_dir": self.out_dir,
             "applied_defaults": list(self.applied_defaults),
         }
@@ -262,8 +249,3 @@ def load_raw_config(path):
         raise ValueError(f"{p}: config must be a JSON object")
     raw.pop("applied_defaults", None)
     return raw
-
-
-def load_config(path):
-    """Load a config from a JSON file or from a bundle directory."""
-    return ComplexConfig.from_dict(load_raw_config(path))

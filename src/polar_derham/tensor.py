@@ -28,7 +28,6 @@ from .bsplines import SpanLookup, SplineSpace, make_uniform_open_knots, triplet
 
 __all__ = [
     "check_size_floors",
-    "triplet",
     "cat_triplets",
     "eye_triplet",
     "kron_lift",
@@ -291,18 +290,6 @@ class TensorComplex:
 
     # ------------------------ basis evaluation ------------------------------
 
-    def _direction_basis(self, axis, lowered, x):
-        sp = self.spaces[axis]
-        return sp.eval_deriv_space_basis(x) if lowered else sp.eval_basis(x)
-
-    def eval_component_basis(self, pattern, point):
-        """Dense vector of one component's tensor basis at (r, s, t)."""
-        r, s, t = point
-        br = self._direction_basis(0, pattern[0], r)
-        bs = self._direction_basis(1, pattern[1], s)
-        bt = self._direction_basis(2, pattern[2], t)
-        return np.kron(bt, np.kron(bs, br))
-
     @cached_property
     def span_lookup(self):
         """The three spaces' span tables, stacked in one :class:`SpanLookup`."""
@@ -413,19 +400,6 @@ class TensorComplex:
         entries, shape = self._stencil_entries(axis, pattern, 1, 0, 0)
         return _csr_from_triplet(entries, shape)
 
-    def derivative_r(self):
-        return self.derivative(0)
-
-    def derivative_s(self):
-        return self.derivative(1)
-
-    def derivative_t(self):
-        return self.derivative(2)
-
-    def derivative_matrices(self):
-        """The three coefficient-derivative matrices on level-0 input."""
-        return self.derivative_r(), self.derivative_s(), self.derivative_t()
-
     def level_operator(self, level):
         """The level -> level + 1 coefficient map (int64 CSR, no stored
         zeros).
@@ -486,13 +460,6 @@ class TensorComplex:
 
     def apply_div(self, coeffs):
         return self._apply(2, coeffs)
-
-    # ------------------------------ misc ------------------------------------
-
-    def greville_points(self):
-        """Level-0 Greville abscissae, one (r, s, t) row per flat index."""
-        t, s, r = np.meshgrid(*(sp.greville() for sp in self.spaces[::-1]), indexing="ij")
-        return np.column_stack([r.ravel(), s.ravel(), t.ravel()])
 
 
 def build_tensor_sequence(degrees, dims, lengths=(1.0, 1.0, 1.0)):

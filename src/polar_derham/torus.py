@@ -20,8 +20,7 @@ from .geometry import (
     pushforward_eval,
 )
 from .incidence import build_incidence, cohomology_dimensions, verify_commutation
-from .tensor import (LEVEL_PATTERNS, build_tensor_sequence, check_size_floors,
-                     dims_of_distinct_knots, distinct_knot_counts)
+from .tensor import LEVEL_PATTERNS, build_tensor_sequence, check_size_floors, distinct_knot_counts
 
 __all__ = [
     "TorusComplexSpec",
@@ -63,12 +62,6 @@ class TorusComplexSpec:
     def distinct_knots(self):
         """Distinct-knot counts per direction for the uniform open vectors."""
         return distinct_knot_counts(self.degrees, self.dims)
-
-    @classmethod
-    def from_distinct_knots(cls, degrees, distinct, rho_bar=3.0,
-                            lengths=(1.0, 1.0, 1.0)):
-        return cls(degrees=tuple(degrees), dims=dims_of_distinct_knots(degrees, distinct),
-                   rho_bar=rho_bar, lengths=tuple(lengths))
 
 
 @dataclass
@@ -211,8 +204,8 @@ class PolarComplex:
     def commutation_residuals(self):
         return verify_commutation(self.tensor, self.extraction, self.incidence)
 
-    def cohomology(self, rank_tol=None):
-        return cohomology_dimensions(self.incidence, rank_tol=rank_tol)
+    def cohomology(self):
+        return cohomology_dimensions(self.incidence)
 
     def named_matrices(self):
         """All exportable matrices keyed by their conventional names."""

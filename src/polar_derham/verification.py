@@ -110,7 +110,7 @@ def _timed(timings, name, fn):
     return result
 
 
-def run_verification(cx, tolerances=None, rank_tol=None, seed=20240,
+def run_verification(cx, tolerances=None, seed=20240,
                      num_points=200, eps_list=(1e-2, 1e-3, 1e-4),
                      probe_t=0.33, config_echo=None):
     """Run every suite on a built complex and collect a report.
@@ -215,7 +215,7 @@ def run_verification(cx, tolerances=None, rank_tol=None, seed=20240,
     # ----- cohomology -----------------------------------------------------------
     def cohomology_suite():
         try:
-            rep = cx.cohomology(rank_tol=rank_tol)
+            rep = cx.cohomology()
         except StructureError as exc:
             gate("cohomology", False, str(exc))
             return {"pass": False, "method": None, "structure_violation": str(exc)}

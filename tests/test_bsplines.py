@@ -1,8 +1,12 @@
+from functools import partial
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy import sparse
 
 import polar_derham as pd
+from oracles import eval_basis, eval_basis_derivative, eval_deriv_space_basis, is_dta_compatible
 from polar_derham import bsplines
 from polar_derham.bsplines import DerivativeBasis
 
@@ -53,22 +57,22 @@ def quad_space():
 
 class TestEvalBasis:
     def test_left_endpoint_interpolation(self, quad_space):
-        npt.assert_allclose(quad_space.eval_basis(0.0), [1, 0, 0, 0, 0, 0])
+        npt.assert_allclose(eval_basis(quad_space, 0.0), [1, 0, 0, 0, 0, 0])
 
     def test_right_endpoint_interpolation(self, quad_space):
-        npt.assert_allclose(quad_space.eval_basis(4.0), [0, 0, 0, 0, 0, 1])
+        npt.assert_allclose(eval_basis(quad_space, 4.0), [0, 0, 0, 0, 0, 1])
 
     def test_hand_values_at_interior_knot(self, quad_space):
         # Cox-de Boor by hand: at t=2 only the two splines with knots
         # (0,1,2,3) and (1,2,3,4) are nonzero, both equal to 1/2.
-        npt.assert_allclose(quad_space.eval_basis(2.0), [0, 0, 0.5, 0.5, 0, 0],
+        npt.assert_allclose(eval_basis(quad_space, 2.0), [0, 0, 0.5, 0.5, 0, 0],
                             atol=1e-15)
 
     def test_domain_error(self, quad_space):
         with pytest.raises(ValueError, match="outside"):
-            quad_space.eval_basis(4.0 + 1e-9)
+            eval_basis(quad_space, 4.0 + 1e-9)
         with pytest.raises(ValueError, match="outside"):
-            quad_space.eval_basis(-0.1)
+            eval_basis(quad_space, -0.1)
 
     @pytest.mark.parametrize("degree,periodic", [(2, False), (2, True),
                                                  (3, False), (3, True)])
@@ -77,24 +81,24 @@ class TestEvalBasis:
         space = pd.SplineSpace(kv, periodic=periodic)
         rng = np.random.default_rng(42)
         for t in rng.uniform(0.0, 2.0, size=40):
-            vals = space.eval_basis(t)
+            vals = eval_basis(space, t)
             assert abs(vals.sum() - 1.0) <= 1e-12
             assert vals.min() >= -1e-14
 
     def test_support_width(self, quad_space):
         rng = np.random.default_rng(0)
         for t in rng.uniform(0.0, 4.0, size=25):
-            assert np.count_nonzero(quad_space.eval_basis(t)) <= 3
+            assert np.count_nonzero(eval_basis(quad_space, t)) <= 3
 
     def test_periodic_endpoint_identification(self):
         kv = pd.make_uniform_open_knots(2, 5, 0.0, 4.0)
         per = pd.SplineSpace(kv, periodic=True)
         assert per.dim == 4
-        npt.assert_allclose(per.eval_basis(0.0), per.eval_basis(4.0))
+        npt.assert_allclose(eval_basis(per, 0.0), eval_basis(per, 4.0))
 
     def test_nonuniform_knots_accepted(self):
         space = pd.SplineSpace(pd.KnotVector(2, [0, 0, 0, 0.5, 0.7, 3, 3, 3]))
-        vals = space.eval_basis(0.6)
+        vals = eval_basis(space, 0.6)
         assert abs(vals.sum() - 1.0) <= 1e-12
 
 
@@ -132,6 +136,14 @@ class TestPeriodicH0:
         with pytest.raises(ValueError, match="C1"):
             pd.periodic_h0(pd.KnotVector(2, [0, 0, 0, 1, 1, 2, 2, 2]))
 
+    @pytest.mark.parametrize("build", [pd.periodic_h1,
+                                       partial(pd.SplineSpace, periodic=True)])
+    def test_h1_and_periodic_space_share_the_checks(self, build):
+        with pytest.raises(ValueError, match="n >= 4"):
+            build(pd.KnotVector(2, [0, 0, 0, 1, 1, 1]))
+        with pytest.raises(ValueError, match="C1"):
+            build(pd.KnotVector(2, [0, 0, 0, 1, 1, 2, 2, 2]))
+
 
 class TestPeriodicH1:
     def test_layout_n6(self):
@@ -156,8 +168,8 @@ class TestPeriodicH1:
         # every function of H1 @ B1 ties in with C0 continuity at the ends
         kv = pd.make_uniform_open_knots(2, 6, 0.0, 1.0)
         space = pd.SplineSpace(kv, periodic=True)
-        left = space.eval_deriv_space_basis(0.0)
-        right = space.eval_deriv_space_basis(1.0 - 1e-13)
+        left = eval_deriv_space_basis(space, 0.0)
+        right = eval_deriv_space_basis(space, 1.0 - 1e-13)
         npt.assert_allclose(left, right, atol=1e-9)
 
     def test_h0_derivatives_land_in_h1_span(self):
@@ -198,6 +210,31 @@ def test_difference_matrix_periodic():
         pd.difference_matrix(3, periodic=True).toarray(),
         [[-1, 1, 0], [0, -1, 1], [1, 0, -1]],
     )
+
+
+def _looped_difference_matrix(n, periodic):
+    """The stencil built row by row, the reference of the vectorised one."""
+    rows, cols, vals = [], [], []
+    for i in range(n - 1):
+        rows += [i, i]
+        cols += [i, i + 1]
+        vals += [-1, 1]
+    if periodic:
+        rows += [n - 1, n - 1]
+        cols += [0, n - 1]
+        vals += [1, -1]
+    shape = (n, n) if periodic else (n - 1, n)
+    return sparse.coo_array((np.array(vals, dtype=np.int64), (rows, cols)), shape=shape).tocsr()
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_difference_matrix_equals_the_looped_stencil(periodic):
+    for n in range(2, 40):
+        got, expected = pd.difference_matrix(n, periodic), _looped_difference_matrix(n, periodic)
+        assert got.shape == expected.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (n, name)
 
 
 def test_difference_matrix_row_sums_and_floor():
@@ -286,9 +323,9 @@ def test_eval_local_matches_dense_oracles(degree, kind, periodic):
     loc = space.eval_local(x)
     deriv_dim = space.dim if periodic else space.dim - 1
     for index, got, oracle, dim in (
-        (loc.index, loc.values, space.eval_basis, space.dim),
-        (loc.index, loc.derivatives, space.eval_basis_derivative, space.dim),
-        (loc.deriv_index, loc.deriv_values, space.eval_deriv_space_basis, deriv_dim),
+        (loc.index, loc.values, partial(eval_basis, space), space.dim),
+        (loc.index, loc.derivatives, partial(eval_basis_derivative, space), space.dim),
+        (loc.deriv_index, loc.deriv_values, partial(eval_deriv_space_basis, space), deriv_dim),
     ):
         expected = np.array([oracle(t) for t in x])
         error = np.abs(_scatter(index, got, dim) - expected).max()
@@ -339,24 +376,24 @@ def test_derivative_basis_structure():
 
 class TestDtaCompatible:
     def test_identity(self):
-        diag = pd.is_dta_compatible(np.eye(5), 1e-12)
+        diag = is_dta_compatible(np.eye(5), 1e-12)
         assert diag.ok and bool(diag)
 
     def test_h0(self):
         h0 = pd.periodic_h0(pd.make_uniform_open_knots(2, 5, 0.0, 4.0))
-        assert pd.is_dta_compatible(h0, 1e-12).ok
+        assert is_dta_compatible(h0, 1e-12).ok
 
     def test_negative_entry_rejected(self):
         mat = np.eye(4)
         mat[0, 1] = -0.1
         mat[1, 1] = 1.1
-        diag = pd.is_dta_compatible(mat, 1e-12)
+        diag = is_dta_compatible(mat, 1e-12)
         assert not diag.ok
         assert "negative" in diag.violation
 
     def test_rank_deficiency_rejected(self):
         mat = np.ones((2, 2)) * 0.5
-        diag = pd.is_dta_compatible(mat, 1e-12)
+        diag = is_dta_compatible(mat, 1e-12)
         assert not diag.ok
         assert "rank" in diag.violation
 

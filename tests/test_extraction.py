@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 import polar_derham as pd
+from oracles import is_dta_compatible
 
 
 # ----------------------------- center block ----------------------------------
@@ -48,8 +49,8 @@ class TestE0:
         assert pd.extraction_e0(4, 4).shape == (11, 16)
 
     def test_dta(self):
-        assert pd.is_dta_compatible(pd.extraction_e0(4, 4)).ok
-        assert pd.is_dta_compatible(pd.extraction_e0(5, 6)).ok
+        assert is_dta_compatible(pd.extraction_e0(4, 4)).ok
+        assert is_dta_compatible(pd.extraction_e0(5, 6)).ok
 
     def test_identity_rows(self):
         e0 = pd.extraction_e0(4, 4).toarray()
@@ -180,7 +181,7 @@ class TestAssembly:
         assert set(np.unique(ext443.E111.toarray())) <= {0, 1}
 
     def test_e000_dta(self, ext443):
-        assert pd.is_dta_compatible(ext443.E000).ok
+        assert is_dta_compatible(ext443.E000).ok
 
     def test_no_common_zero_rows_level1(self, ext443):
         stacked = np.abs(
@@ -248,20 +249,22 @@ class TestReducedBasis:
 
     def test_level1_zero_component(self, setup):
         tensor, ext = setup
-        # index nbar1 + 1 sits in the zero block of the poloidal component
-        ell = ext.counts.nbar1 + 1
-        vec = pd.reduced_basis_eval(ext, tensor, 1, ell, (0.3, 0.4, 0.5))
+        # 1-based index nbar1 + 1 sits in the zero block of the poloidal
+        # component
+        vec = pd.reduced_basis_values(ext, tensor, 1, (0.3, 0.4, 0.5))[ext.counts.nbar1]
         assert vec.shape == (3,)
         assert vec[0] == 0.0
 
     def test_level3_scalar(self, setup):
         tensor, ext = setup
-        val = pd.reduced_basis_eval(ext, tensor, 3, 1, (0.3, 0.6, 0.5))
+        val = pd.reduced_basis_values(ext, tensor, 3, (0.3, 0.6, 0.5))[0]
         assert np.isscalar(val) or np.ndim(val) == 0
 
     def test_index_out_of_range(self, setup):
+        # one value per reduced function: 0-based indices 0 .. n_level - 1
         tensor, ext = setup
-        with pytest.raises(IndexError):
-            pd.reduced_basis_eval(ext, tensor, 0, 0, (0.1, 0.1, 0.1))
-        with pytest.raises(IndexError):
-            pd.reduced_basis_eval(ext, tensor, 0, ext.counts.n0 + 1, (0.1, 0.1, 0.1))
+        for level in range(4):
+            values = pd.reduced_basis_values(ext, tensor, level, (0.1, 0.1, 0.1))
+            assert len(values) == ext.counts.level_dim(level)
+            with pytest.raises(IndexError):
+                values[ext.counts.level_dim(level)]

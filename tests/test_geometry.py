@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 import polar_derham as pd
+from oracles import eval_component_basis
 from polar_derham import SingularityProximityError
 
 
@@ -161,6 +162,20 @@ class TestPushforward:
             err = np.abs(value - expected).max() / max(1.0, np.abs(expected).max())
             assert err <= 1e-4
 
+    def test_covector_pushforward_forms_no_determinant(self, cx443, monkeypatch):
+        g = cx443.grad(np.random.default_rng(35).standard_normal(cx443.counts.n0))
+        points = np.array([[0.2, 0.3, 0.4], [0.7, 0.9, 0.1]])
+        expected = cx443.pushforward(g, points)
+
+        def refuse(*args):
+            raise AssertionError("determinant formed")
+
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        for got, want in zip(cx443.pushforward(g, points), expected):
+            np.testing.assert_array_equal(got, want)
+        with pytest.raises(AssertionError, match="determinant"):
+            cx443.pushforward(np.zeros(cx443.counts.n2), points, level=2)
+
     def test_level3_bounded_near_polar_curve(self, cx443):
         rng = np.random.default_rng(34)
         m = rng.standard_normal(cx443.counts.n3)
@@ -255,7 +270,7 @@ class TestSmoothnessProbe:
         rep = cx.basis_smoothness_probe(t, EPS_LIST, space=space)
 
         def dense(r, s):
-            b = cx.tensor.eval_component_basis((0, 0, 0), (r, s, t))
+            b = eval_component_basis(cx.tensor, (0, 0, 0), (r, s, t))
             return cx.extraction.E000 @ b if space == "reduced" else b
 
         vals0 = np.stack([dense(r, 0.0) for r in rep.r_samples])

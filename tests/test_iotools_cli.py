@@ -13,7 +13,7 @@ from polar_derham import cli
 from polar_derham.cli import _csv_text, main
 from polar_derham.iotools import (
     ComplexConfig,
-    load_config,
+    load_raw_config,
     read_triplet,
     write_bundle,
     write_triplet,
@@ -255,7 +255,7 @@ def test_bundle_round_trip(tmp_path, cx443):
     cfg = ComplexConfig.from_dict({"degrees": [2, 2, 2], "dims": [4, 4, 3]})
     out = write_bundle(tmp_path / "bundle", cx443, cfg)
     assert (out / "dimensions.json").exists()
-    reloaded = load_config(out)
+    reloaded = ComplexConfig.from_dict(load_raw_config(out))
     assert reloaded.dims == (4, 4, 3)
     for name, matrix in cx443.named_matrices().items():
         again = read_triplet(out / "matrices" / f"{name}.txt")
@@ -514,3 +514,21 @@ class TestCli:
         assert main(["build", "--config", str(cfg)]) == 2
         assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "polar_derham_bundle").exists()
+
+    def test_retired_rank_tol_key_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"degrees": [2, 2, 2], "dims": [4, 4, 3], "rank_tol": 1e-8}))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert "unknown config keys: ['rank_tol']" in capsys.readouterr().err
+
+    def test_config_echo_with_null_rank_tol_still_verifies(self, tmp_path, capsys):
+        # bundles written before the key was retired echo it as null
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "degrees": [2, 2, 2], "distinct_knots": [5, 3, 4], "dims": [4, 4, 3],
+            "rho_bar": 3.0, "lengths": [1.0, 1.0, 1.0], "rank_tol": None, "out_dir": None,
+            "applied_defaults": ["rho_bar", "lengths", "rank_tol", "out_dir"],
+        }))
+        report = tmp_path / "report.json"
+        assert main(["verify", "--bundle", str(tmp_path), "--out", str(report)]) == 0
+        assert "rank_tol" not in json.loads(report.read_text())["config"]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import polar_derham as pd
+from oracles import find_span, wrap
 from polar_derham.incidence import disk_blocks, toroidal_spectrum
 from polar_derham.tensor import StructureError, kron_block
 
@@ -83,8 +84,7 @@ def test_one_lookup_of_three_spaces_matches_each_space_alone(complex_cache, degr
     for d, sp in enumerate(tensor.spaces):
         x = points[:, d]
         # the span found: its left end, against the knot vector's own search
-        wrapped = sp._wrap(x) if sp.periodic else x
-        spans = [sp.kv.find_span(v) for v in wrapped]
+        spans = [find_span(sp.kv, wrap(sp, v)) for v in x]
         np.testing.assert_array_equal(lookup.spans[factors.rows[:, d], 0], sp.kv.knots[spans])
         alone = sp.eval_local(x)
         width = alone.index.shape[1]

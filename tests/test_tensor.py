@@ -6,6 +6,7 @@ import pytest
 from scipy import sparse
 
 import polar_derham as pd
+from oracles import eval_basis, eval_basis_derivative, eval_component_basis
 from polar_derham.tensor import (LEVEL_PATTERNS, StructureError, kron_block,
                                  partition_rank)
 
@@ -36,7 +37,7 @@ def test_size_floor_violations():
 # --------------------------- derivative matrices ------------------------------
 
 def test_derivative_matrix_shapes(tc):
-    dr, ds, dt = tc.derivative_matrices()
+    dr, ds, dt = (tc.derivative(axis) for axis in range(3))
     assert dr.shape == (48, 48)
     assert ds.shape == (36, 48)
     assert dt.shape == (48, 48)
@@ -47,15 +48,15 @@ def test_kronecker_structure(tc):
 
     eye = lambda n: sparse.identity(n, dtype=np.int64, format="csr")
     ds_expected = sparse.kron(eye(3), sparse.kron(difference_matrix(4, False), eye(4)))
-    assert (tc.derivative_s() - ds_expected).nnz == 0
+    assert (tc.derivative(1) - ds_expected).nnz == 0
     dr_expected = sparse.kron(eye(3), sparse.kron(eye(4), difference_matrix(4, True)))
-    assert (tc.derivative_r() - dr_expected).nnz == 0
+    assert (tc.derivative(0) - dr_expected).nnz == 0
     dt_expected = sparse.kron(difference_matrix(3, True), sparse.kron(eye(4), eye(4)))
-    assert (tc.derivative_t() - dt_expected).nnz == 0
+    assert (tc.derivative(2) - dt_expected).nnz == 0
 
 
 def test_row_sums_zero(tc):
-    for mat in tc.derivative_matrices():
+    for mat in (tc.derivative(axis) for axis in range(3)):
         npt.assert_array_equal(np.asarray(mat.sum(axis=1)), 0)
 
 
@@ -71,7 +72,7 @@ def test_fiberwise_application(tc):
 
     rng = np.random.default_rng(2)
     coeffs = rng.standard_normal(tc.level_dim(0))
-    out = (tc.derivative_r() @ coeffs).reshape(tc.nt, tc.ns, tc.nr)
+    out = (tc.derivative(0) @ coeffs).reshape(tc.nt, tc.ns, tc.nr)
     grid = coeffs.reshape(tc.nt, tc.ns, tc.nr)
     delta = difference_matrix(tc.nr, periodic=True).toarray()
     for k in range(tc.nt):
@@ -122,11 +123,19 @@ def _operator_digest(matrix):
     return h.hexdigest()
 
 
+def _pinned_operator(tc, name):
+    """The level operators by method name; derivative_r, _s and _t are the
+    level-0 stencils of directions 0, 1 and 2."""
+    if name.startswith("derivative_"):
+        return tc.derivative("rst".index(name[-1]))
+    return getattr(tc, name)()
+
+
 @pytest.mark.parametrize("degrees,dims", list(PINNED_OPERATOR_DIGESTS))
 def test_operator_digests_pinned(degrees, dims):
     tc = pd.build_tensor_sequence(degrees, dims)
     for name, digest in PINNED_OPERATOR_DIGESTS[(degrees, dims)].items():
-        matrix = getattr(tc, name)()
+        matrix = _pinned_operator(tc, name)
         assert matrix.dtype == np.int64, name
         assert _operator_digest(matrix) == digest, name
 
@@ -161,8 +170,8 @@ def test_operators_match_kron_oracle_without_stored_zeros(degrees, dims):
     # scipy's kron stores explicit zeros when nr <= 4; the one-pass
     # builder stores none and otherwise gives the same CSR arrays
     tc = pd.build_tensor_sequence(degrees, dims)
-    pairs = [(f"derivative_{d}", getattr(tc, f"derivative_{d}")(), _kron_derivative(tc, axis))
-             for axis, d in enumerate("rst")]
+    pairs = [(f"derivative({axis})", tc.derivative(axis), _kron_derivative(tc, axis))
+             for axis in range(3)]
     pairs += [(name, getattr(tc, name)(), _bmat_level_operator(tc, level))
               for level, name in enumerate(("grad_matrix", "curl_matrix", "div_matrix"))]
     for name, got, oracle in pairs:
@@ -193,16 +202,16 @@ def test_apply_dimension_checks(tc):
 def test_coefficient_derivative_matches_analytic(tc):
     rng = np.random.default_rng(6)
     coeffs = rng.standard_normal(tc.level_dim(0))
-    d_coeffs = tc.derivative_r() @ coeffs
+    d_coeffs = tc.derivative(0) @ coeffs
     grid = coeffs.reshape(tc.nt, tc.ns, tc.nr)
     for _ in range(20):
         point = tuple(rng.uniform(0.02, 0.98, size=3))
         r, s, t = point
-        dbr = tc.spaces[0].eval_basis_derivative(r)
-        bs = tc.spaces[1].eval_basis(s)
-        bt = tc.spaces[2].eval_basis(t)
+        dbr = eval_basis_derivative(tc.spaces[0], r)
+        bs = eval_basis(tc.spaces[1], s)
+        bt = eval_basis(tc.spaces[2], t)
         analytic = np.einsum("r,s,t,tsr->", dbr, bs, bt, grid)
-        via_matrix = d_coeffs @ tc.eval_component_basis((1, 0, 0), point)
+        via_matrix = d_coeffs @ eval_component_basis(tc, (1, 0, 0), point)
         assert abs(analytic - via_matrix) <= 1e-10
 
 
@@ -210,7 +219,7 @@ def test_component_basis_partition_only_level0(tc):
     rng = np.random.default_rng(8)
     for _ in range(10):
         point = tuple(rng.uniform(0, 1, size=3))
-        vals = tc.eval_component_basis((0, 0, 0), point)
+        vals = eval_component_basis(tc, (0, 0, 0), point)
         assert abs(vals.sum() - 1.0) <= 1e-12
 
 
@@ -223,12 +232,14 @@ def test_component_shapes(tc):
 # ------------------------------- Greville -------------------------------------
 
 def test_greville_points(tc):
-    pts = tc.greville_points()
-    assert pts.shape == (48, 3)
-    # first flat index is (i=1, j=1, k=1)
+    # level-0 Greville abscissae, one (r, s, t) row per flat index
     gr = tc.spaces[0].greville()
     gs = tc.spaces[1].greville()
     gt = tc.spaces[2].greville()
+    t, s, r = np.meshgrid(gt, gs, gr, indexing="ij")
+    pts = np.column_stack([r.ravel(), s.ravel(), t.ravel()])
+    assert pts.shape == (48, 3)
+    # first flat index is (i=1, j=1, k=1)
     npt.assert_allclose(pts[0], [gr[0], gs[0], gt[0]])
     npt.assert_allclose(pts[-1], [gr[-1], gs[-1], gt[-1]])
     assert len(gs) == tc.ns and gs[0] == 0.0 and gs[-1] == 1.0

@@ -3,13 +3,14 @@ import numpy.testing as npt
 import pytest
 
 import polar_derham as pd
+from polar_derham.tensor import dims_of_distinct_knots
 
 
 class TestSpec:
     def test_distinct_knot_round_trip(self):
         spec = pd.TorusComplexSpec(degrees=(3, 2, 3), dims=(5, 6, 4))
-        again = pd.TorusComplexSpec.from_distinct_knots((3, 2, 3),
-                                                        spec.distinct_knots)
+        dims = dims_of_distinct_knots((3, 2, 3), spec.distinct_knots)
+        again = pd.TorusComplexSpec(degrees=(3, 2, 3), dims=dims)
         assert again.dims == (5, 6, 4)
 
     @pytest.mark.parametrize("kwargs", [
