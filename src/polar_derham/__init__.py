@@ -1,7 +1,6 @@
 """Discrete de Rham complexes of polar splines on solid toroidal domains."""
 
 from .bsplines import (
-    DerivativeBasis,
     KnotVector,
     SplineSpace,
     difference_matrix,
@@ -28,7 +27,6 @@ from .geometry import (
     build_geometry_g,
     build_polar_map,
     polar_basis_smoothness_probe,
-    polar_smoothness_probe,
     pushforward_eval,
 )
 from .incidence import (
@@ -42,6 +40,6 @@ from .incidence import (
 from .tensor import LEVEL_PATTERNS, TensorComplex, build_tensor_sequence
 from .torus import FieldCoefficients, PolarComplex, TorusComplexSpec, build_complex
 from .iotools import ComplexConfig, read_triplet, write_bundle, write_triplet
-from .verification import Tolerances, VerificationReport, run_verification
+from .verification import VerificationReport, run_verification
 
 __version__ = "0.1.0"

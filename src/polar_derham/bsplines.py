@@ -8,7 +8,7 @@ design-through-analysis (DTA) diagnostic used throughout the polar
 construction.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -20,7 +20,6 @@ __all__ = [
     "SplineSpace",
     "LocalBasis",
     "SpanLookup",
-    "DerivativeBasis",
     "DtaDiagnostic",
     "make_uniform_open_knots",
     "difference_matrix",
@@ -28,6 +27,7 @@ __all__ = [
     "periodic_h0",
     "periodic_h1",
     "dta_diagnostic",
+    "DTA_TOL",
 ]
 
 
@@ -90,13 +90,6 @@ class KnotVector:
         interior = counts[1:-1]
         max_mult = int(interior.max()) if interior.size else 1
         return self.degree - max_mult
-
-    def greville(self):
-        """Knot-average abscissae (midpoints of the spans for p = 0)."""
-        p, t = self.degree, self.knots
-        if p == 0:
-            return 0.5 * (t[:-1] + t[1:])
-        return np.array([t[j + 1 : j + p + 1].mean() for j in range(self.n)])
 
     def __repr__(self):
         return f"KnotVector(degree={self.degree}, knots={self.knots.tolist()})"
@@ -184,38 +177,6 @@ def triplet(matrix):
     return np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr)), csr.indices, csr.data
 
 
-# =========================== derivative basis ===============================
-
-@dataclass(frozen=True)
-class DerivativeBasis:
-    """Scaled degree-(p-1) basis spanning the derivatives of a spline space.
-
-    The j-th function is ``p / (t_{j+p+1} - t_{j+1})`` times the j-th
-    B-spline on the clipped knot vector ``(t_2, ..., t_{n+p})``.
-    """
-
-    parent: KnotVector
-    hat_kv: KnotVector = field(init=False)
-    scales: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        p, t = self.parent.degree, self.parent.knots
-        if p < 1:
-            raise ValueError("derivative basis needs degree >= 1")
-        denom = t[p + 1 : -1] - t[1 : -p - 1]
-        if np.any(denom <= 0):
-            raise ValueError(
-                "derivative basis requires interior knot multiplicity <= degree"
-            )
-        object.__setattr__(self, "hat_kv", KnotVector(p - 1, t[1:-1]))
-        object.__setattr__(self, "scales", p / denom)
-        self.scales.setflags(write=False)
-
-    @property
-    def n(self):
-        return self.parent.n - 1
-
-
 # ======================== C1-periodic extraction ============================
 
 def _periodic_weights(kv):
@@ -300,7 +261,6 @@ class SplineSpace:
         self.periodic = bool(periodic)
         self._h0 = periodic_h0(kv) if self.periodic else None
         self._h1 = periodic_h1(kv) if self.periodic else None
-        self._deriv = None
 
     @property
     def degree(self):
@@ -322,11 +282,22 @@ class SplineSpace:
     def h1(self):
         return self._h1
 
-    @property
-    def derivative_basis(self):
-        if self._deriv is None:
-            self._deriv = DerivativeBasis(self.kv)
-        return self._deriv
+    @cached_property
+    def derivative_scales(self):
+        """Scales of the degree-(p-1) basis spanning the derivatives: its
+        j-th function is ``p / (t_{j+p+1} - t_{j+1})`` times the j-th
+        B-spline on the clipped knot vector ``(t_2, ..., t_{n+p})``."""
+        p, t = self.kv.degree, self.kv.knots
+        if p < 1:
+            raise ValueError("derivative basis needs degree >= 1")
+        denom = t[p + 1 : -1] - t[1 : -p - 1]
+        if np.any(denom <= 0):
+            raise ValueError(
+                "derivative basis requires interior knot multiplicity <= degree"
+            )
+        scales = p / denom
+        scales.setflags(write=False)
+        return scales
 
     @cached_property
     def difference_stencil(self):
@@ -362,7 +333,7 @@ class SplineSpace:
             slope_blocks = np.zeros((self.dim, spans.size, 0))
         else:
             ext1 = self._h1.toarray() if self.periodic else np.eye(n - 1)
-            ext1 = ext1 * self.derivative_basis.scales
+            ext1 = ext1 * self.derivative_scales
             cols = spans[:, None] - p + np.arange(p)
             deriv_blocks = ext1[:, cols]
             slope_blocks = (self.difference_stencil.T @ ext1)[:, cols]
@@ -433,17 +404,6 @@ class SplineSpace:
         diffs = self.difference_stencil @ coeffs
         out = np.einsum("mw,mw->m", diffs[loc.deriv_index], loc.deriv_values)
         return float(out[0]) if np.ndim(t) == 0 else out
-
-    def greville(self):
-        """Greville abscissae identifying the degrees of freedom.
-
-        For the periodic restriction the two merged boundary functions are
-        dropped and the interior knot averages are kept.
-        """
-        pts = self.kv.greville()
-        if self.periodic:
-            return pts[1:-1]
-        return pts
 
     def __repr__(self):
         tag = ", periodic" if self.periodic else ""
@@ -556,9 +516,13 @@ class DtaDiagnostic:
         return self.ok
 
 
-def dta_diagnostic(matrix, rank, tol=1e-12):
+# Roundoff allowed in the column sums and below zero.
+DTA_TOL = 1e-12
+
+
+def dta_diagnostic(matrix, rank):
     """Check full rank, unit column sums and non-negativity of `matrix`
-    of the given `rank`.
+    of the given `rank`, to within DTA_TOL.
 
     Column sums, the minimum entry and the row supports come from the
     stored entries in row order, so they equal those of the dense matrix
@@ -571,12 +535,12 @@ def dta_diagnostic(matrix, rank, tol=1e-12):
     rows = triplet(M)[0]
     full_rank = rank == min(M.shape)
     col_err = float(np.abs(np.bincount(M.indices, M.data, M.shape[1]) - 1.0).max())
-    columns_ok = col_err <= tol
+    columns_ok = col_err <= DTA_TOL
     min_entry = float(M.data.min(initial=np.inf))
     if M.nnz < M.shape[0] * M.shape[1]:
         min_entry = min(min_entry, 0.0)
-    nonneg = min_entry >= -tol
-    max_support = int(np.bincount(rows[np.abs(M.data) > tol], minlength=M.shape[0]).max())
+    nonneg = min_entry >= -DTA_TOL
+    max_support = int(np.bincount(rows[np.abs(M.data) > DTA_TOL], minlength=M.shape[0]).max())
     violation = None
     if not full_rank:
         violation = f"rank deficient: rank {rank} < {min(M.shape)}"

@@ -4,21 +4,6 @@ Exit-code contract: 0 on success (verify: all checks pass), 1 when a
 verification check fails, 2 on usage or configuration errors.
 """
 
-import os
-
-
-def _cap_threads():
-    # Honored only if set before the numeric libraries initialize their
-    # thread pools, hence before any numpy import below.
-    cap = os.environ.get("POLAR_DERHAM_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
-_cap_threads()
-
 import argparse
 import functools
 import json
@@ -30,7 +15,7 @@ import numpy as np
 from .geometry import SingularityProximityError
 from .iotools import ComplexConfig, load_raw_config, write_bundle, write_triplet
 from .torus import build_complex
-from .verification import Tolerances, inject_row_drop, run_verification
+from .verification import RESIDUAL_TOL, inject_row_drop, run_verification
 
 __all__ = ["main"]
 
@@ -73,16 +58,12 @@ def _resolve_config(args):
     return ComplexConfig.from_dict(raw)
 
 
-def _build_from_config(config, perturb_ebar=0.0):
-    return build_complex(config.to_spec(), ebar_perturbation=perturb_ebar)
-
-
 # ------------------------------- subcommands ---------------------------------
 
 def cmd_build(args):
     config = _resolve_config(args)
     out = Path(args.out or config.out_dir or "polar_derham_bundle")
-    cx = _build_from_config(config)
+    cx = build_complex(config.to_spec())
     write_bundle(out, cx, config)
     record = cx.dims_record()
     print(f"bundle written to {out}")
@@ -93,19 +74,18 @@ def cmd_build(args):
 
 
 def cmd_verify(args):
-    if args.tol is not None and not (np.isfinite(args.tol) and args.tol >= 0):
+    if not (np.isfinite(args.tol) and args.tol >= 0):
         raise UsageError(f"--tol must be a finite number >= 0, got {args.tol}")
     if not np.isfinite(args.perturb_ebar):
         raise UsageError(f"--perturb-ebar must be a finite number, got {args.perturb_ebar}")
     config = _resolve_config(args)
-    cx = _build_from_config(config, perturb_ebar=args.perturb_ebar)
+    cx = build_complex(config.to_spec(), ebar_perturbation=args.perturb_ebar)
     if args.drop_row:
         name, _, row = args.drop_row.partition(":")
         if not row:
             raise UsageError("--drop-row expects MATRIX:ROW, e.g. D1:5")
         cx = inject_row_drop(cx, name, int(row))
-    tolerances = Tolerances() if args.tol is None else Tolerances(residual=args.tol)
-    report = run_verification(cx, tolerances=tolerances, config_echo=config.to_dict())
+    report = run_verification(cx, residual=args.tol, config_echo=config.to_dict())
     payload = report.to_dict()
     payload["negative_controls"] = {
         "perturb_ebar": args.perturb_ebar,
@@ -126,7 +106,7 @@ def cmd_verify(args):
 
 def cmd_sample(args):
     config = _resolve_config(args)
-    cx = _build_from_config(config)
+    cx = build_complex(config.to_spec())
     level = args.level
     n_level = cx.counts.level_dim(level)
     if (args.basis is None) == (args.coeffs is None):
@@ -184,7 +164,7 @@ def _csv_text(header, table):
 
 def cmd_export(args):
     config = _resolve_config(args)
-    cx = _build_from_config(config)
+    cx = build_complex(config.to_spec())
     available = cx.named_matrices()
     names = list(args.names)
     if any(n.upper() == "ALL" for n in names):
@@ -234,8 +214,8 @@ def build_parser():
     v = subs.add_parser("verify", help="run all verification suites")
     _add_config_options(v, bundle=True)
     v.add_argument("--out", help="write the JSON report here instead of stdout")
-    v.add_argument("--tol", type=float,
-                   help="override the residual tolerance (default 1e-12)")
+    v.add_argument("--tol", type=float, default=RESIDUAL_TOL,
+                   help="residual tolerance (default %(default)g)")
     v.add_argument("--perturb-ebar", dest="perturb_ebar", type=float, default=0.0,
                    help="negative control: shift one center-block entry")
     v.add_argument("--drop-row", dest="drop_row",

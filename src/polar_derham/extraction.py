@@ -197,16 +197,12 @@ def extraction_e2(nr, ns):
 class ExtractionSet:
     """All extraction matrices of one polar complex.
 
-    Per-joint blocks E0, E10, E01, E2 plus the eight toroidal assemblies,
-    keyed by which directions carry the derivative basis.
+    The eight toroidal assemblies of the per-joint blocks, keyed by which
+    directions carry the derivative basis.
     """
 
     counts: PolarCounts
     ebar: EbarBlock
-    E0: sparse.csr_array
-    E10: sparse.csr_array
-    E01: sparse.csr_array
-    E2: sparse.csr_array
     E000: sparse.csr_array
     E100: sparse.csr_array
     E010: sparse.csr_array
@@ -264,10 +260,6 @@ def assemble_3d(nr, ns, nt, ebar=None):
     return ExtractionSet(
         counts=counts,
         ebar=ebar,
-        E0=e0,
-        E10=e10,
-        E01=e01,
-        E2=e2,
         E000=joints(t0, (n0, w0)),
         E100=joints(t10, (n1 + n0, w0)),
         E010=joints(t01, (n1 + n0, w1)),

@@ -20,10 +20,11 @@ __all__ = [
     "build_polar_map",
     "build_geometry_g",
     "pushforward_eval",
-    "polar_smoothness_probe",
     "polar_basis_smoothness_probe",
     "SmoothnessProbeReport",
     "RHO_BAR_MAX",
+    "S_MIN_FACTOR",
+    "PROBE_R_SAMPLES",
     "check_rho_bar",
 ]
 
@@ -183,18 +184,21 @@ def build_geometry_g(tensor, extraction, polar_map):
 
 # ============================= pushforwards ==================================
 
+# The singularity floor: levels 1-3 refuse points with s below this
+# fraction of the s-interval, where det DF vanishes at s = 0.
+S_MIN_FACTOR = 1e-8
+
 # Points per batch inside one call; bounds the gather's temporaries, which
 # hold all of a level's components at once (a few MB at 512 points).
 _CHUNK = 512
 
 
-def pushforward_eval(polar_map, tensor, extraction, level, coeffs, point,
-                     s_min_factor=1e-8):
+def pushforward_eval(polar_map, tensor, extraction, level, coeffs, point):
     """Physical location and pushforward value of a reduced-space field.
 
     Levels transform as scalar, covector (DF^{-T}), vector density
     (DF / det) and density (1 / det); the latter three refuse points with
-    s below ``s_min_factor * S``.  Everything is evaluated parametrically.
+    s below ``S_MIN_FACTOR * S``.  Everything is evaluated parametrically.
 
     `point` is one (r, s, t) point, giving xyz (3,) and a scalar or (3,)
     value, or an (m, 3) array, giving xyz (m, 3) and values (m,) or
@@ -212,13 +216,13 @@ def pushforward_eval(polar_map, tensor, extraction, level, coeffs, point,
     if pts.ndim == 2 and len(pts) > _CHUNK:
         parts = [
             pushforward_eval(polar_map, tensor, extraction, level, coeffs,
-                             pts[i : i + _CHUNK], s_min_factor)
+                             pts[i : i + _CHUNK])
             for i in range(0, len(pts), _CHUNK)
         ]
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
     factors = tensor.local_factors(pts)
     S = tensor.spaces[1].interval[1]
-    s_min = s_min_factor * S
+    s_min = S_MIN_FACTOR * S
     s = factors.points[:, 1].min(initial=np.inf)
     if level > 0 and s < s_min:
         raise SingularityProximityError(
@@ -260,16 +264,15 @@ class SmoothnessProbeReport:
     c1_table: list
     weights: np.ndarray
 
-    def scalar(self):
-        """Collapse to plain floats when a single field was probed."""
-        disc = float(np.asarray(self.value_discrepancy).max())
-        table = [(eps, float(np.asarray(d).max())) for eps, d in self.c1_table]
-        return disc, table
+
+# Samples of the collapsed s = 0 face.
+PROBE_R_SAMPLES = 8
 
 
-def _probe_engine(value_fn, polar_map, tensor, t, eps_list, num_r):
+def _probe_engine(value_fn, polar_map, tensor, t, eps_list):
     """Run the probe on `value_fn`, which maps an (m, 3) array of points to
     (m,) or (m, K) values; every point is evaluated in one batch."""
+    num_r = PROBE_R_SAMPLES
     R = tensor.spaces[0].interval[1]
     S = tensor.spaces[1].interval[1]
     rs = np.linspace(0.0, R, num_r, endpoint=False) + 0.37 * R / num_r
@@ -300,42 +303,17 @@ def _probe_engine(value_fn, polar_map, tensor, t, eps_list, num_r):
     )
 
 
-def _check_space(space):
-    if space not in ("reduced", "tensor"):
-        raise ValueError(f"unknown space {space!r}")
-
-
-def polar_smoothness_probe(polar_map, tensor, extraction, coeffs, t, eps_list,
-                           space="reduced", num_r=8):
-    """Probe one scalar field for regularity at the polar curve.
-
-    `space` selects the coefficient interpretation: "reduced" (the polar
-    vertex basis) or "tensor" (raw tensor-product coefficients, the
-    negative control, which is generically multivalued at s = 0).
-    """
-    _check_space(space)
-    coeffs = np.asarray(coeffs, dtype=float)
-    n = extraction.counts.n0 if space == "reduced" else tensor.level_dim(0)
-    if coeffs.shape != (n,):
-        raise ValueError(f"expected {n} {space} coefficients")
-    tensor_coeffs = extraction.E000.T @ coeffs if space == "reduced" else coeffs
-
-    def value(points):
-        cols, vals = tensor.local_level_basis(0, points)
-        return np.einsum("km,km->m", tensor_coeffs[cols[:, 0]], vals[:, 0])
-
-    return _probe_engine(value, polar_map, tensor, t, eps_list, num_r)
-
-
 def polar_basis_smoothness_probe(polar_map, tensor, extraction, t, eps_list,
-                                 space="reduced", num_r=8):
+                                 space="reduced"):
     """Probe every level-0 basis function at once.
 
     Returns a report whose discrepancy entries are vectors indexed by
-    basis function (reduced basis, or the raw tensor basis for the
-    negative control).
+    basis function: `space` "reduced" probes the polar vertex basis,
+    "tensor" the raw tensor-product basis, the negative control, which is
+    generically multivalued at s = 0.
     """
-    _check_space(space)
+    if space not in ("reduced", "tensor"):
+        raise ValueError(f"unknown space {space!r}")
 
     def values(points):
         if space == "reduced":
@@ -345,4 +323,4 @@ def polar_basis_smoothness_probe(polar_map, tensor, extraction, t, eps_list,
         flat = np.arange(m) * n + cols
         return np.bincount(flat.ravel(), weights=vals.ravel(), minlength=m * n).reshape(m, n)
 
-    return _probe_engine(values, polar_map, tensor, t, eps_list, num_r)
+    return _probe_engine(values, polar_map, tensor, t, eps_list)

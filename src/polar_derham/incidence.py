@@ -197,8 +197,7 @@ def verify_commutation(tensor, extraction, incidence):
     three curl diagrams and the divergence diagram.  All vanish
     identically up to roundoff in the center-block weights.
     """
-    lift = [sparse.hstack([E for _, E in extraction.level_matrices(level)], format="csr").T
-            for level in range(4)]
+    lift = [extraction.columns(level).T for level in range(4)]
     residuals = {}
     for level, names in enumerate(_IDENTITY_NAMES):
         try:

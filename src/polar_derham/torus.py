@@ -16,7 +16,6 @@ from .geometry import (
     build_polar_map,
     check_rho_bar,
     polar_basis_smoothness_probe,
-    polar_smoothness_probe,
     pushforward_eval,
 )
 from .incidence import build_incidence, cohomology_dimensions, verify_commutation
@@ -178,25 +177,17 @@ class PolarComplex:
     def reduced_basis_values(self, level, point):
         return reduced_basis_values(self.extraction, self.tensor, level, point)
 
-    def pushforward(self, coeffs, point, level=None, s_min_factor=1e-8):
+    def pushforward(self, coeffs, point, level=None):
         f = self._validated(self._check_field(coeffs, level, "reduced"))
         if f.space != "reduced":
             raise ValueError("pushforward evaluation expects a reduced field")
         return pushforward_eval(
-            self.polar_map, self.tensor, self.extraction,
-            f.level, f.data, point, s_min_factor=s_min_factor,
+            self.polar_map, self.tensor, self.extraction, f.level, f.data, point,
         )
 
-    def smoothness_probe(self, coeffs, t, eps_list, space="reduced", num_r=8):
-        return polar_smoothness_probe(
-            self.polar_map, self.tensor, self.extraction,
-            coeffs, t, eps_list, space=space, num_r=num_r,
-        )
-
-    def basis_smoothness_probe(self, t, eps_list, space="reduced", num_r=8):
+    def basis_smoothness_probe(self, t, eps_list, space="reduced"):
         return polar_basis_smoothness_probe(
-            self.polar_map, self.tensor, self.extraction,
-            t, eps_list, space=space, num_r=num_r,
+            self.polar_map, self.tensor, self.extraction, t, eps_list, space=space,
         )
 
     # ----------------------------- reporting --------------------------------

@@ -19,26 +19,36 @@ from .tensor import StructureError, kron_block, partition_rank
 from .torus import PolarComplex
 
 __all__ = [
-    "Tolerances",
     "VerificationReport",
     "run_verification",
     "inject_row_drop",
     "SCHEMA_VERSION",
+    "RESIDUAL_TOL",
+    "PROBE_FLOOR",
+    "PREIMAGE_TOL",
+    "GAP_RATIO_MIN",
+    "NEGATIVE_CONTROL_MIN",
+    "SEED",
+    "NUM_POINTS",
+    "EPS_LIST",
+    "PROBE_T",
 ]
 
 SCHEMA_VERSION = 1
 
+# Pass/fail thresholds of the verification suites; only the residual one is
+# a parameter of `run_verification` (the CLI's --tol).
+RESIDUAL_TOL = 1e-12            # complex property, commutation, PoU, probes
+PROBE_FLOOR = 1e-10             # noise floor of the C1 probe decrease
+PREIMAGE_TOL = 1e-12            # relative divergence-preimage residual
+GAP_RATIO_MIN = 1e6             # SVD gap required at each rank decision
+NEGATIVE_CONTROL_MIN = 1e-4     # spread the probe must see in the raw basis
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Pass/fail thresholds of the verification suites."""
-
-    residual: float = 1e-12          # complex property, commutation, PoU, probes
-    probe_floor: float = 1e-10       # noise floor of the C1 probe decrease
-    preimage: float = 1e-12          # relative divergence-preimage residual
-    gap_ratio_min: float = 1e6       # SVD gap required at each rank decision
-    dta: float = 1e-12
-    negative_control_min: float = 1e-4
+# Sampling of the randomized and probing suites.
+SEED = 20240
+NUM_POINTS = 200                # partition-of-unity sample points
+EPS_LIST = (1e-2, 1e-3, 1e-4)   # probe steps away from the polar curve
+PROBE_T = 0.33                  # toroidal parameter of the probe
 
 
 def inject_row_drop(cx, name, row):
@@ -110,16 +120,14 @@ def _timed(timings, name, fn):
     return result
 
 
-def run_verification(cx, tolerances=None, seed=20240,
-                     num_points=200, eps_list=(1e-2, 1e-3, 1e-4),
-                     probe_t=0.33, config_echo=None):
+def run_verification(cx, residual=RESIDUAL_TOL, config_echo=None):
     """Run every suite on a built complex and collect a report.
 
-    Deterministic for a fixed seed; timings are the only run-to-run
-    variation in the output.
+    `residual` bounds the complex-property, commutation, partition-of-unity
+    and probe residuals.  The random draws are seeded, so timings are the
+    only run-to-run variation in the output.
     """
-    tol = tolerances or Tolerances()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     c = cx.counts
     suites = {}
     timings = {}
@@ -171,7 +179,7 @@ def run_verification(cx, tolerances=None, seed=20240,
         results = {}
         ok = True
         for name, matrix, joints in dta:
-            diag = dta_diagnostic(matrix, joints * ranks[name][0], tol.dta)
+            diag = dta_diagnostic(matrix, joints * ranks[name][0])
             results[name] = {
                 "ok": diag.ok,
                 "rank": diag.rank,
@@ -196,7 +204,7 @@ def run_verification(cx, tolerances=None, seed=20240,
     def complex_suite():
         r10 = max_abs(cx.incidence.D1 @ cx.incidence.D0)
         r21 = max_abs(cx.incidence.D2 @ cx.incidence.D1)
-        ok = r10 <= tol.residual and r21 <= tol.residual
+        ok = r10 <= residual and r21 <= residual
         gate("complex_property", ok, f"D1 D0 residual {r10:.3e}, D2 D1 residual {r21:.3e}")
         return {"pass": ok, "d1_d0": r10, "d2_d1": r21}
 
@@ -206,8 +214,8 @@ def run_verification(cx, tolerances=None, seed=20240,
     def commutation_suite():
         residuals = cx.commutation_residuals()
         worst = max(residuals.values())
-        ok = worst <= tol.residual
-        gate("commutation", ok, f"worst residual {worst:.3e} > {tol.residual:.0e}")
+        ok = worst <= residual
+        gate("commutation", ok, f"worst residual {worst:.3e} > {residual:.0e}")
         return {"pass": ok, "residuals": residuals, "worst": worst}
 
     suites["commutation"] = _timed(timings, "commutation", commutation_suite)
@@ -222,7 +230,7 @@ def run_verification(cx, tolerances=None, seed=20240,
         expected_rank_d1 = c.nt * (c.nbar2 + c.nbar0 - 1)
         dims_ok = rep.dims == (1, 1, 0, 0)
         ranks_ok = rep.ranks[1] == expected_rank_d1 and rep.ranks[2] == c.n3
-        gaps_ok = all(g >= tol.gap_ratio_min for g in rep.gap_ratios)
+        gaps_ok = all(g >= GAP_RATIO_MIN for g in rep.gap_ratios)
         m_worst = 0.0
         for _ in range(10):
             m = rng.standard_normal(c.n3)
@@ -231,7 +239,7 @@ def run_verification(cx, tolerances=None, seed=20240,
                 m_worst,
                 float(np.abs(cx.incidence.D2 @ h - m).max() / np.abs(m).max()),
             )
-        preimage_ok = m_worst <= tol.preimage
+        preimage_ok = m_worst <= PREIMAGE_TOL
         ok = dims_ok and ranks_ok and gaps_ok and preimage_ok
         gate("cohomology", ok,
              f"dims {rep.dims}, ranks {rep.ranks} (D1 expected {expected_rank_d1}, "
@@ -260,31 +268,31 @@ def run_verification(cx, tolerances=None, seed=20240,
     # ----- partition of unity ---------------------------------------------------
     def pou_suite():
         upper = [sp.interval[1] for sp in cx.tensor.spaces]
-        vals = cx.reduced_basis_values(0, rng.uniform(0, upper, size=(num_points, 3)))
+        vals = cx.reduced_basis_values(0, rng.uniform(0, upper, size=(NUM_POINTS, 3)))
         worst_sum = float(np.abs(vals.sum(axis=1) - 1.0).max(initial=0.0))
         min_val = float(vals.min(initial=0.0))
-        ok = worst_sum <= tol.residual and min_val >= -tol.residual
+        ok = worst_sum <= residual and min_val >= -residual
         gate("partition_of_unity", ok,
              f"worst |sum-1| {worst_sum:.3e}, min value {min_val:.3e}")
         return {"pass": ok, "worst_sum_error": worst_sum, "min_value": min_val,
-                "points": num_points}
+                "points": NUM_POINTS}
 
     suites["partition_of_unity"] = _timed(timings, "partition_of_unity", pou_suite)
 
     # ----- polar-curve regularity -----------------------------------------------
     def probe_suite():
-        rep = cx.basis_smoothness_probe(probe_t, eps_list)
+        rep = cx.basis_smoothness_probe(PROBE_T, EPS_LIST)
         value_disc = float(rep.value_discrepancy.max())
         deltas = [d for _, d in rep.c1_table]
         mono = True
         for prev, nxt in zip(deltas, deltas[1:]):
             mono = mono and bool(
-                np.all((nxt <= prev) | (nxt <= tol.probe_floor))
+                np.all((nxt <= prev) | (nxt <= PROBE_FLOOR))
             )
-        neg = cx.basis_smoothness_probe(probe_t, eps_list[:1], space="tensor")
+        neg = cx.basis_smoothness_probe(PROBE_T, EPS_LIST[:1], space="tensor")
         neg_disc = float(neg.value_discrepancy.max())
-        ok = (value_disc <= tol.residual and mono
-              and neg_disc > tol.negative_control_min)
+        ok = (value_disc <= residual and mono
+              and neg_disc > NEGATIVE_CONTROL_MIN)
         gate("smoothness_probe", ok,
              f"value discrepancy {value_disc:.3e}, monotone {mono}, "
              f"negative control {neg_disc:.3e}")

@@ -11,7 +11,7 @@ reproduce.
 import numpy as np
 from scipy import sparse
 
-from polar_derham.bsplines import dta_diagnostic
+from polar_derham.bsplines import KnotVector, dta_diagnostic
 from polar_derham.incidence import _decide, _threshold
 
 
@@ -60,9 +60,12 @@ def eval_all(kv, t):
     return out
 
 
-def deriv_eval_all(basis, t):
-    """Values of the n-1 scaled functions of a DerivativeBasis at t."""
-    return basis.scales * eval_all(basis.hat_kv, t)
+def deriv_eval_all(space, t):
+    """Values of the n-1 derivative-basis functions of `space` at t: its
+    `derivative_scales` times the degree-(p-1) B-splines on the clipped
+    knot vector ``(t_2, ..., t_{n+p})``."""
+    kv = space.kv
+    return space.derivative_scales * eval_all(KnotVector(kv.degree - 1, kv.knots[1:-1]), t)
 
 
 # ============================= spline spaces ================================
@@ -90,7 +93,7 @@ def eval_deriv_space_basis(space, t):
     Length n-1 (open) or n-2 (periodic, extracted through H1).
     """
     t = wrap(space, t)
-    vals = deriv_eval_all(space.derivative_basis, t)
+    vals = deriv_eval_all(space, t)
     if space.periodic:
         return space.h1 @ vals
     return vals
@@ -130,8 +133,8 @@ def rank_with_gap(matrix):
     return _decide(svals, _threshold(dense.shape, svals[0] if svals.size else 0.0))
 
 
-def is_dta_compatible(matrix, tol=1e-12):
+def is_dta_compatible(matrix):
     """Check full rank, unit column sums and non-negativity of `matrix`,
     with its rank from a dense SVD (see `dta_diagnostic`)."""
     dense = matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix, dtype=float)
-    return dta_diagnostic(matrix, int(np.linalg.matrix_rank(dense)), tol)
+    return dta_diagnostic(matrix, int(np.linalg.matrix_rank(dense)))

@@ -5,6 +5,7 @@ lines; every tolerance is pinned here.
 """
 
 import dataclasses
+import inspect
 import time
 
 import numpy as np
@@ -13,7 +14,8 @@ from scipy import sparse
 
 import polar_derham as pd
 from oracles import is_dta_compatible
-from polar_derham.cli import main
+from polar_derham import bsplines, geometry, verification
+from polar_derham.cli import build_parser, main
 from polar_derham.incidence import max_abs
 from polar_derham.tensor import kron_block
 from polar_derham.torus import PolarComplex
@@ -128,7 +130,7 @@ def test_criterion_5_dta_and_independence(grid_complexes):
     for name, matrix in (("E000", cx.extraction.E000),
                          ("H0_r", cx.tensor.spaces[0].h0),
                          ("H0_t", cx.tensor.spaces[2].h0)):
-        diag = is_dta_compatible(matrix, 1e-12)
+        diag = is_dta_compatible(matrix)
         ok = ok and diag.ok
         detail.append(f"{name}: {'ok' if diag.ok else diag.violation}")
     for name in ("E100", "E010", "E001", "E011", "E101", "E110"):
@@ -198,7 +200,7 @@ def test_criterion_5_unpartitioned_block_fails_dta(complex_cache):
 
 def test_criterion_6_polar_curve_regularity(grid_complexes):
     cx = grid_complexes[((2, 2, 2), (4, 4, 3))]
-    report = cx.basis_smoothness_probe(t=0.33, eps_list=EPS_LIST, num_r=8)
+    report = cx.basis_smoothness_probe(t=0.33, eps_list=EPS_LIST)
     single_valued = float(report.value_discrepancy.max())
     deltas = [d for _, d in report.c1_table]
     floor = 1e-10
@@ -266,3 +268,23 @@ def test_criterion_9_partition_of_unity(grid_complexes):
         worst = max(worst, abs(float(vals.sum()) - 1.0))
     record(9, worst <= 1e-12,
            f"max |sum of reduced basis - 1| over 200 points = {worst:.2e}")
+
+
+def test_verification_settings_are_pinned(grid_complexes):
+    # the verifier runs one fixed set of thresholds and samples; only the
+    # residual tolerance is a parameter (the CLI's --tol)
+    v = verification
+    assert (v.RESIDUAL_TOL, v.PROBE_FLOOR, v.PREIMAGE_TOL, v.GAP_RATIO_MIN,
+            v.NEGATIVE_CONTROL_MIN, bsplines.DTA_TOL) == (1e-12, 1e-10, 1e-12, 1e6, 1e-4, 1e-12)
+    params = inspect.signature(pd.run_verification).parameters
+    assert list(params) == ["cx", "residual", "config_echo"]
+    assert params["residual"].default == 1e-12
+    assert build_parser().parse_args(["verify"]).tol == 1e-12
+    assert (v.SEED, v.NUM_POINTS, v.EPS_LIST, v.PROBE_T) == (20240, 200, (1e-2, 1e-3, 1e-4), 0.33)
+    assert geometry.S_MIN_FACTOR == 1e-8
+    cx = grid_complexes[((2, 2, 2), (4, 4, 3))]
+    with pytest.raises(pd.SingularityProximityError):
+        cx.pushforward(np.ones(cx.counts.n3), (0.5, 0.99e-8, 0.5), level=3)
+    cx.pushforward(np.ones(cx.counts.n3), (0.5, 1e-8, 0.5), level=3)
+    assert geometry.PROBE_R_SAMPLES == 8
+    assert len(cx.basis_smoothness_probe(v.PROBE_T, v.EPS_LIST).r_samples) == 8

@@ -229,28 +229,12 @@ def test_component_shapes(tc):
     assert [tc.component_dim(p) for p in LEVEL_PATTERNS[2]] == [36, 48, 36]
 
 
-# ------------------------------- Greville -------------------------------------
-
-def test_greville_points(tc):
-    # level-0 Greville abscissae, one (r, s, t) row per flat index
-    gr = tc.spaces[0].greville()
-    gs = tc.spaces[1].greville()
-    gt = tc.spaces[2].greville()
-    t, s, r = np.meshgrid(gt, gs, gr, indexing="ij")
-    pts = np.column_stack([r.ravel(), s.ravel(), t.ravel()])
-    assert pts.shape == (48, 3)
-    # first flat index is (i=1, j=1, k=1)
-    npt.assert_allclose(pts[0], [gr[0], gs[0], gt[0]])
-    npt.assert_allclose(pts[-1], [gr[-1], gs[-1], gt[-1]])
-    assert len(gs) == tc.ns and gs[0] == 0.0 and gs[-1] == 1.0
-
-
 # ------------------------ joint-structure checks -------------------------------
 
 def test_kron_block_recovers_the_per_joint_block(cx443):
     e = cx443.extraction
-    assert (kron_block(e.E000, 3, "E000") != e.E0).nnz == 0
-    assert (kron_block(e.E111, 3, "E111") != e.E2).nnz == 0
+    assert (kron_block(e.E000, 3, "E000") != pd.extraction_e0(4, 4, e.ebar)).nnz == 0
+    assert (kron_block(e.E111, 3, "E111") != pd.extraction_e2(4, 4)).nnz == 0
 
 
 def test_kron_block_rejects_entries_off_the_joint_diagonal(cx443):
