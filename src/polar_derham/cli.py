@@ -12,9 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import SingularityProximityError
+from .geometry import RHO_BAR_MAX, SingularityProximityError
 from .iotools import ComplexConfig, load_raw_config, write_bundle, write_triplet
-from .torus import build_complex
+from .torus import TorusComplexSpec, build_complex
 from .verification import RESIDUAL_TOL, inject_row_drop, run_verification
 
 __all__ = ["main"]
@@ -122,6 +122,8 @@ def cmd_sample(args):
             raise UsageError(
                 f"coefficient file has {coeffs.size} values, level {level} needs {n_level}"
             )
+        if not np.isfinite(coeffs).all():
+            raise UsageError(f"coefficient file {args.coeffs} holds non-finite values")
     counts = _triple(args.grid)
     if min(counts) < 1:
         raise UsageError(f"grid counts must be positive, got {args.grid!r}")
@@ -192,7 +194,8 @@ def _add_config_options(sub, bundle=False):
     sub.add_argument("--degrees", help="degree triple, e.g. 2,2,2")
     sub.add_argument("--sizes", help="reduced dimension triple (nr,ns,nt), e.g. 4,4,3")
     sub.add_argument("--rho-bar", dest="rho_bar", type=float,
-                     help="major-radius offset (> 2, default 3)")
+                     help=f"major-radius offset (2 < rho_bar <= {RHO_BAR_MAX:g}, "
+                          f"default {TorusComplexSpec.rho_bar:g})")
     sub.add_argument("--lengths", help="parametric interval lengths, e.g. 1,1,1")
 
 
@@ -248,10 +251,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, FileNotFoundError, SingularityProximityError) as exc:
+    except (UsageError, ValueError, OSError, SingularityProximityError) as exc:
+        # an OSError's message names the path the OS refused
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

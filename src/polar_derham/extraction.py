@@ -136,27 +136,18 @@ def extraction_e0(nr, ns, ebar=None):
     )
 
 
-def edge_round(nr, ring, poloidal):
-    """First per-joint edge index of one round of n_r edges.
-
-    After the two center edges, every outer vertex ring (0-based `ring`)
-    owns the radial round reaching it (``poloidal=0``), then the poloidal
-    round running around it (``poloidal=1``).
-    """
-    return 2 + (2 * ring + poloidal) * nr
-
-
 def _edge_block(nr, ns, head, poloidal):
     """Per-joint edge block of one derivative component.
 
     The 2 x n_r `head` ties the component's function ring `poloidal` to the
     two center edges; the following function rings map one to one, in
     order, onto the poloidal (1) or radial (0) edge rounds of vertex rings
-    0, 1, ...
+    0, 1, ...; after the two center edges, each vertex ring owns the
+    radial round reaching it, then the poloidal round around it.
     """
     i = np.arange(nr)
     ring = np.arange(ns - 2)[:, None]
-    rows = np.append(np.repeat([0, 1], nr), edge_round(nr, ring, poloidal) + i)
+    rows = np.append(np.repeat([0, 1], nr), 2 + (2 * ring + poloidal) * nr + i)
     cols = np.append(np.tile(poloidal * nr + i, 2), (ring + poloidal + 1) * nr + i)
     vals = np.append(head, np.ones(nr * (ns - 2)))
     shape = (2 * nr * (ns - 2) + 2, nr * (ns - 1 + poloidal))
@@ -198,11 +189,13 @@ class ExtractionSet:
     """All extraction matrices of one polar complex.
 
     The eight toroidal assemblies of the per-joint blocks, keyed by which
-    directions carry the derivative basis.
+    directions carry the derivative basis, and the blocks' triplets (e0,
+    e10, e01, e2), from which the incidence matrices follow.
     """
 
     counts: PolarCounts
     ebar: EbarBlock
+    joint_blocks: tuple
     E000: sparse.csr_array
     E100: sparse.csr_array
     E010: sparse.csr_array
@@ -260,6 +253,7 @@ def assemble_3d(nr, ns, nt, ebar=None):
     return ExtractionSet(
         counts=counts,
         ebar=ebar,
+        joint_blocks=(t0, t10, t01, t2),
         E000=joints(t0, (n0, w0)),
         E100=joints(t10, (n1 + n0, w0)),
         E010=joints(t01, (n1 + n0, w1)),

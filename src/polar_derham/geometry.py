@@ -113,10 +113,6 @@ class PolarMap(SplineMap):
         super().__init__(tensor, control_points)
         self.data = data
 
-    @property
-    def rho_bar(self):
-        return self.data.rho_bar
-
 
 def check_rho_bar(rho_bar):
     """The major-radius offset as a float; ValueError naming rho_bar unless
@@ -258,7 +254,6 @@ class SmoothnessProbeReport:
     whose pushforward is C1 there.
     """
 
-    t: float
     r_samples: np.ndarray
     value_discrepancy: np.ndarray
     c1_table: list
@@ -295,7 +290,6 @@ def _probe_engine(value_fn, polar_map, tensor, t, eps_list):
         for e, v in zip(eps_list, approach)
     ]
     return SmoothnessProbeReport(
-        t=float(t),
         r_samples=rs,
         value_discrepancy=vals0.max(axis=0) - vals0.min(axis=0),
         c1_table=table,

@@ -21,6 +21,12 @@ difference stencil Dt of the joints to
 * ``D0 = I (x) [d0; 0] + Dt (x) [0; I]``,
 * ``D1 = I (x) diag(d1, d0) + Dt (x) [[0, 0], [-I, 0]]``,
 * ``D2 = I (x) [0, d1] + Dt (x) [I, 0]``.
+
+The disk blocks follow from the per-joint extraction blocks (e0, e1 =
+[e10 e01], e2) and the disk's tensor derivatives (g0 grad, g1 curl) by
+the commuting diagram ``g_l e_l^T = e_{l+1}^T d_l``, so only the
+extraction states the DOF numbering; ``tests/oracles.py`` keeps an
+entry-by-entry transcription of d0 and d1 as the tests' reference.
 """
 
 from dataclasses import dataclass, field
@@ -29,9 +35,9 @@ import numpy as np
 from scipy import sparse
 
 from .bsplines import difference_matrix, triplet
-from .extraction import PolarCounts, ebar_block, edge_round, polar_counts
+from .extraction import PolarCounts
 from .tensor import (LEVEL_PATTERNS, StructureError, cat_triplets, eye_triplet, first_difference,
-                     kron_lift)
+                     kron_lift, unit_entries)
 
 __all__ = [
     "IncidenceSet",
@@ -50,45 +56,50 @@ __all__ = [
 
 # ============================ polar disk =====================================
 
-def _disk_blocks(ebar, ns):
-    """The per-joint disk blocks d0 and d1 as (rows, cols, vals) triplets.
+def _diagram_rows(g, e, e_next, shape, first, name):
+    """Rows `first` on of the d with ``g e^T = e_next^T d``, as a triplet
+    with duplicates unsummed: each row owns a unit tensor function, a
+    column of `e_next` (of `shape`) holding a single +1 in that row alone,
+    and is that function's row of ``g e^T``.  A row without one raises
+    StructureError naming `name`."""
+    (rows, cols, vals), unit, shared = unit_entries(e_next)
+    own = unit & ~shared & (vals == 1)
+    missing = np.flatnonzero(np.bincount(rows[own], minlength=shape[0])[first:] == 0)
+    if missing.size:
+        raise StructureError(f"{name} row {first + missing[0]} owns no unit tensor function: "
+                             "no column holds a single +1 in that row alone")
+    row_of = np.full(shape[1], -1)
+    row_of[cols[own]] = rows[own]
+    keep = row_of[g[0]] >= first
+    g_row, g_col, g_val = row_of[g[0][keep]], g[1][keep], g[2][keep]
+    # entry (i, k, x) of g meets each entry (j, k, y) of e, sorted by k, as (i, j, x * y)
+    e_row, e_col, e_val = e
+    count = np.bincount(e_col, minlength=g[1].max() + 1)
+    per_col, stop = count[g_col], np.cumsum(count)[g_col]
+    at = np.repeat(np.arange(g_col.size), per_col)
+    pos = np.argsort(e_col, kind="stable")[
+        np.arange(at.size) - np.repeat(np.cumsum(per_col) - stop, per_col)]
+    return g_row[at], e_row[pos], g_val[at] * e_val[pos]
 
-    Outer vertex ``(i, ring)`` sits at ``3 + ring * n_r + i`` after the
-    three center vertices and face ``(i, ring)`` at ``ring * n_r + i``.
-    Apart from the two center edges and the rows that carry center-block
-    weights, d0's first radial round (edges 2 .. n_r + 1) and d1's
-    innermost faces (0 .. n_r - 1), every entry comes from the periodic
-    (poloidal) and open (radial) difference stencils.
-    """
-    nr, rings = ebar.nr, ns - 2
-    i = np.arange(nr)
-    ring = np.arange(rings)[:, None]
-    dr_row, dr_col, dr_val = triplet(difference_matrix(nr, periodic=True))
-    ds_row, ds_col, ds_val = triplet(difference_matrix(rings, periodic=False))
-    dr_vals = np.tile(dr_val, (rings, 1))
-    first = edge_round(nr, 0, 0) + i
+
+def _disk_blocks(counts, e0, e10, e01, e2):
+    """d0 and d1 as triplets, from the per-joint extraction blocks' triplets
+    (module docstring).  g0 and g1 carry the signs of
+    :meth:`~polar_derham.tensor.TensorComplex.level_operator`; function
+    (i, j) of a disk component sits at ``i + nr * j``, r before s."""
+    at = np.arange(counts.nr * counts.ns).reshape(counts.ns, counts.nr)
+    inner, outer, around, w0 = at[:-1], at[1:], np.roll(at, -1, axis=1), at.size
+    g0, g1 = (cat_triplets([(r, c, np.full(r.shape, v)) for r, c, v in g]) for g in (
+        [(at, at, -1), (at, around, 1), (w0 + inner, inner, -1), (w0 + inner, outer, 1)],
+        [(inner, inner, 1), (inner, outer, -1), (inner, w0 + inner, -1),
+         (inner, w0 + around[:-1], 1)]))
+    e1 = cat_triplets([e10, (e01[0], e01[1] + w0, e01[2])])
     d0 = cat_triplets([
-        # center edges: vertex 2 - vertex 1 and vertex 3 - vertex 1
+        # the center edges: vertex 2 - vertex 1 and vertex 3 - vertex 1
         ([0, 0, 1, 1], [1, 0, 2, 0], [1, -1, 1, -1]),
-        # first radial round: ring-0 vertex minus its center combination
-        (first, 3 + i, np.ones(nr)),
-        (np.tile(first, 3), np.repeat([0, 1, 2], nr), -ebar.matrix[:, nr:]),
-        # poloidal rounds around every ring
-        (edge_round(nr, ring, 1) + dr_row, 3 + ring * nr + dr_col, dr_vals),
-        # radial rounds between consecutive rings
-        (edge_round(nr, ds_row[:, None] + 1, 0) + i, 3 + ds_col[:, None] * nr + i,
-         np.repeat(ds_val[:, None], nr, axis=1)),
+        _diagram_rows(g0, e0, e1, (counts.nbar1, w0 + inner.size), 2, "e1"),
     ])
-    d1 = cat_triplets([
-        # innermost faces: the two center edges replace the missing inner round
-        (np.tile(i, 2), np.repeat([0, 1], nr), ebar.ring_steps()),
-        # the radial edges on either side of each face
-        (ring * nr + dr_row, edge_round(nr, ring, 0) + dr_col, dr_vals),
-        # the poloidal edges outside and inside each face
-        (ring * nr + i, edge_round(nr, ring, 1) + i, -np.ones((rings, nr))),
-        (ring[1:] * nr + i, edge_round(nr, ring[:-1], 1) + i, np.ones((rings - 1, nr))),
-    ])
-    return d0, d1
+    return d0, _diagram_rows(g1, e1, e2, (counts.nbar2, inner.size), 0, "e2")
 
 
 @dataclass(frozen=True)
@@ -127,13 +138,12 @@ def _circle_lift(counts, d0, d1):
     }
 
 
-def build_incidence(nr, ns, nt, ebar=None):
-    """D0, D1 and D2 on n_t joints: the disk blocks lifted along the
-    circle as the module docstring sets out."""
-    c = polar_counts(nr, ns, nt)
-    ebar = ebar_block(nr) if ebar is None else ebar
-    lifts = {name: kron_lift(nt, shape, [term[:4] for term in terms])
-             for name, (shape, terms) in _circle_lift(c, *_disk_blocks(ebar, ns)).items()}
+def build_incidence(extraction):
+    """D0, D1 and D2 of an ExtractionSet: the disk blocks its per-joint
+    blocks fix, lifted along the circle as the module docstring sets out."""
+    c = extraction.counts
+    lifts = {name: kron_lift(c.nt, shape, [term[:4] for term in terms]) for name, (shape, terms)
+             in _circle_lift(c, *_disk_blocks(c, *extraction.joint_blocks)).items()}
     return IncidenceSet(counts=c, **lifts)
 
 

@@ -9,7 +9,7 @@ reports are JSON.
 import io
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +25,9 @@ __all__ = [
     "write_bundle",
 ]
 
+# The keys a config may omit, in `applied_defaults` order: the spec's, then out_dir.
 _CONFIG_DEFAULTS = {
-    "rho_bar": 3.0,
-    "lengths": [1.0, 1.0, 1.0],
+    **{f.name: f.default for f in fields(TorusComplexSpec) if f.default is not MISSING},
     "out_dir": None,
 }
 
@@ -59,8 +59,8 @@ class ComplexConfig:
 
     degrees: tuple
     distinct_knots: tuple
-    rho_bar: float = 3.0
-    lengths: tuple = (1.0, 1.0, 1.0)
+    rho_bar: float
+    lengths: tuple
     out_dir: str | None = None
     applied_defaults: list = field(default_factory=list)
 
@@ -90,20 +90,16 @@ class ComplexConfig:
             distinct = from_dims
         if distinct is None:
             raise ValueError("config needs 'distinct_knots' or 'dims'")
-        out_dir = raw.get("out_dir")
-        if out_dir is not None and not isinstance(out_dir, str):
-            raise ValueError(f"config 'out_dir' must be a string, got {out_dir!r}")
         applied = [k for k in _CONFIG_DEFAULTS if k not in raw]
+        raw = {**_CONFIG_DEFAULTS, **raw}
+        if raw["out_dir"] is not None and not isinstance(raw["out_dir"], str):
+            raise ValueError(f"config 'out_dir' must be a string, got {raw['out_dir']!r}")
         return cls(
             degrees=degrees,
             distinct_knots=distinct,
-            rho_bar=_checked(
-                "rho_bar", raw.get("rho_bar", _CONFIG_DEFAULTS["rho_bar"]), float
-            ),
-            lengths=_checked_triple(
-                "lengths", raw.get("lengths", _CONFIG_DEFAULTS["lengths"]), float
-            ),
-            out_dir=out_dir,
+            rho_bar=_checked("rho_bar", raw["rho_bar"], float),
+            lengths=_checked_triple("lengths", raw["lengths"], float),
+            out_dir=raw["out_dir"],
             applied_defaults=applied,
         )
 
@@ -247,5 +243,4 @@ def load_raw_config(path):
         raw = json.load(handle)
     if not isinstance(raw, dict):
         raise ValueError(f"{p}: config must be a JSON object")
-    raw.pop("applied_defaults", None)
     return raw

@@ -34,6 +34,7 @@ __all__ = [
     "StructureError",
     "first_difference",
     "kron_block",
+    "unit_entries",
     "partition_rank",
     "LocalFactors",
     "TensorComplex",
@@ -177,6 +178,16 @@ def kron_block(matrix, n, name):
                          f"of joint {joint} differ from those of joint 0")
 
 
+def unit_entries(entries):
+    """The nonzero entries (rows, cols, vals) of a block's triplet, the mask
+    of its unit entries (a +/-1 alone in its row) and the mask of the unit
+    entries whose column another row touches."""
+    keep = entries[2] != 0
+    rows, cols, vals = (part[keep] for part in entries)
+    unit = (np.bincount(rows)[rows] == 1) & (np.abs(vals) == 1)
+    return (rows, cols, vals), unit, unit & (np.bincount(cols)[cols] > 1)
+
+
 def partition_rank(block, name):
     """Exact rank and number of nonzero rows of a per-joint extraction
     block (a sparse matrix without duplicate entries, as
@@ -190,13 +201,7 @@ def partition_rank(block, name):
     checked in O(nnz); a block that fails it raises StructureError naming
     the block.
     """
-    rows, cols, vals = triplet(block)
-    keep = vals != 0
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    per_row = np.bincount(rows, minlength=block.shape[0])
-    per_col = np.bincount(cols, minlength=block.shape[1])
-    unit = (per_row[rows] == 1) & (np.abs(vals) == 1)
-    shared = unit & (per_col[cols] > 1)
+    (rows, cols, vals), unit, shared = unit_entries(triplet(block))
     if shared.any():
         row, col = rows[shared][0], cols[shared][0]
         raise StructureError(
@@ -213,7 +218,7 @@ def partition_rank(block, name):
     sub[np.searchsorted(center_rows, rows[center]),
         np.searchsorted(center_cols, cols[center])] = vals[center]
     center_rank = int(np.linalg.matrix_rank(sub)) if sub.size else 0
-    return int(unit.sum()) + center_rank, int(np.count_nonzero(per_row))
+    return int(unit.sum()) + center_rank, int(np.unique(rows).size)
 
 
 class LocalFactors(NamedTuple):

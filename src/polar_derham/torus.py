@@ -226,7 +226,7 @@ def build_complex(spec, ebar_perturbation=0.0):
     if ebar_perturbation:
         ebar = ebar.perturbed(ebar_perturbation)
     extraction = assemble_3d(nr, ns, nt, ebar)
-    incidence = build_incidence(nr, ns, nt, ebar)
+    incidence = build_incidence(extraction)
     polar_map = build_polar_map(tensor, spec.rho_bar)
     geometry_map = build_geometry_g(tensor, extraction, polar_map)
     return PolarComplex(spec, tensor, extraction, incidence, polar_map, geometry_map)

@@ -5,14 +5,18 @@ matrix, so its cost grows with the size of the space.  The library itself
 evaluates through per-span tables (`SplineSpace.eval_local`,
 `TensorComplex.local_products`) and decides ranks from structure; these
 are the independent, one-point-at-a-time definitions those paths must
-reproduce.
+reproduce.  The disk blocks of the incidence matrices are kept here as an
+entry-by-entry transcription of the DOF numbering; the library derives
+them from the extraction blocks.
 """
 
 import numpy as np
 from scipy import sparse
 
-from polar_derham.bsplines import KnotVector, dta_diagnostic
-from polar_derham.incidence import _decide, _threshold
+import polar_derham as pd
+from polar_derham.bsplines import KnotVector, difference_matrix, dta_diagnostic, triplet
+from polar_derham.incidence import _decide, _disk_blocks, _threshold
+from polar_derham.tensor import cat_triplets
 
 
 # =============================== knot vectors ===============================
@@ -138,3 +142,79 @@ def is_dta_compatible(matrix):
     with its rank from a dense SVD (see `dta_diagnostic`)."""
     dense = matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix, dtype=float)
     return dta_diagnostic(matrix, int(np.linalg.matrix_rank(dense)))
+
+
+# =============================== disk blocks ================================
+
+def edge_round(nr, ring, poloidal):
+    """First per-joint edge index of one round of n_r edges.
+
+    After the two center edges, every outer vertex ring (0-based `ring`)
+    owns the radial round reaching it (``poloidal=0``), then the poloidal
+    round running around it (``poloidal=1``).
+    """
+    return 2 + (2 * ring + poloidal) * nr
+
+
+def disk_blocks_transcribed(ebar, ns):
+    """The per-joint disk blocks d0 and d1 as (rows, cols, vals) triplets.
+
+    Outer vertex ``(i, ring)`` sits at ``3 + ring * n_r + i`` after the
+    three center vertices and face ``(i, ring)`` at ``ring * n_r + i``.
+    Apart from the two center edges and the rows that carry center-block
+    weights, d0's first radial round (edges 2 .. n_r + 1) and d1's
+    innermost faces (0 .. n_r - 1), every entry comes from the periodic
+    (poloidal) and open (radial) difference stencils.
+    """
+    nr, rings = ebar.nr, ns - 2
+    i = np.arange(nr)
+    ring = np.arange(rings)[:, None]
+    dr_row, dr_col, dr_val = triplet(difference_matrix(nr, periodic=True))
+    ds_row, ds_col, ds_val = triplet(difference_matrix(rings, periodic=False))
+    dr_vals = np.tile(dr_val, (rings, 1))
+    first = edge_round(nr, 0, 0) + i
+    d0 = cat_triplets([
+        # center edges: vertex 2 - vertex 1 and vertex 3 - vertex 1
+        ([0, 0, 1, 1], [1, 0, 2, 0], [1, -1, 1, -1]),
+        # first radial round: ring-0 vertex minus its center combination
+        (first, 3 + i, np.ones(nr)),
+        (np.tile(first, 3), np.repeat([0, 1, 2], nr), -ebar.matrix[:, nr:]),
+        # poloidal rounds around every ring
+        (edge_round(nr, ring, 1) + dr_row, 3 + ring * nr + dr_col, dr_vals),
+        # radial rounds between consecutive rings
+        (edge_round(nr, ds_row[:, None] + 1, 0) + i, 3 + ds_col[:, None] * nr + i,
+         np.repeat(ds_val[:, None], nr, axis=1)),
+    ])
+    d1 = cat_triplets([
+        # innermost faces: the two center edges replace the missing inner round
+        (np.tile(i, 2), np.repeat([0, 1], nr), ebar.ring_steps()),
+        # the radial edges on either side of each face
+        (ring * nr + dr_row, edge_round(nr, ring, 0) + dr_col, dr_vals),
+        # the poloidal edges outside and inside each face
+        (ring * nr + i, edge_round(nr, ring, 1) + i, -np.ones((rings, nr))),
+        (ring[1:] * nr + i, edge_round(nr, ring[:-1], 1) + i, np.ones((rings - 1, nr))),
+    ])
+    return d0, d1
+
+
+def disk_block_pairs(nr, ns, perturbation=0.0):
+    """(derived, transcribed) pairs of d0 and d1 from one center block,
+    shifted by `perturbation`: the library's blocks, derived from the
+    per-joint extraction blocks, and :func:`disk_blocks_transcribed`, each
+    as its CSR (dtype, indptr, indices, data)."""
+    ebar = pd.ebar_block(nr)
+    if perturbation:
+        ebar = ebar.perturbed(perturbation)
+    extraction = pd.assemble_3d(nr, ns, 3, ebar)
+    c = extraction.counts
+    pairs = []
+    for blocks, shape in zip(
+            zip(_disk_blocks(c, *extraction.joint_blocks), disk_blocks_transcribed(ebar, ns)),
+            [(c.nbar1, c.nbar0), (c.nbar2, c.nbar1)]):
+        pair = []
+        for rows, cols, vals in blocks:
+            csr = sparse.coo_array((vals, (rows, cols)), shape=shape).tocsr()
+            csr.eliminate_zeros()
+            pair.append((csr.dtype, csr.indptr, csr.indices, csr.data))
+        pairs.append(pair)
+    return pairs

@@ -38,7 +38,7 @@ class TestPolarMap:
         with pytest.raises(ValueError, match="^rho_bar") as spec:
             pd.TorusComplexSpec(degrees=(2, 2, 2), dims=(4, 4, 3), rho_bar=rho_bar)
         assert str(direct.value) == str(spec.value)
-        assert pd.build_polar_map(cx443.tensor, 1e12).rho_bar == 1e12
+        assert pd.build_polar_map(cx443.tensor, 1e12).data.rho_bar == 1e12
 
     def test_control_net_formula(self, cx443):
         F = cx443.polar_map

@@ -7,10 +7,11 @@ import numpy.testing as npt
 import pytest
 
 import polar_derham as pd
-from oracles import rank_with_gap
+from oracles import disk_block_pairs, rank_with_gap
 from polar_derham import cli
 from polar_derham.cli import main
-from polar_derham.incidence import disk_blocks, kunneth_spectrum, max_abs, toroidal_spectrum
+from polar_derham.incidence import (_disk_blocks, disk_blocks, kunneth_spectrum, max_abs,
+                                    toroidal_spectrum)
 from polar_derham.iotools import write_triplet
 from polar_derham.tensor import StructureError
 from polar_derham.torus import PolarComplex
@@ -19,7 +20,7 @@ from polar_derham.verification import run_verification
 
 @pytest.fixture(scope="module")
 def inc443():
-    return pd.build_incidence(4, 4, 3)
+    return pd.build_incidence(pd.assemble_3d(4, 4, 3))
 
 
 GRID = [(4, 4, 3), (5, 5, 4), (6, 4, 5), (5, 8, 3)]
@@ -111,6 +112,40 @@ class TestD2:
                 assert 6 <= nnz <= 8
             else:
                 assert nnz == 6
+
+
+# ------------------- disk blocks from the commuting diagram ----------------------
+
+@pytest.mark.parametrize("perturbation", [0.0, 1e-3])
+@pytest.mark.parametrize("nr,ns", [(3, 4), (4, 4), (5, 6), (7, 7), (8, 8), (16, 16), (32, 32)])
+def test_derived_disk_blocks_equal_the_transcription(nr, ns, perturbation):
+    for derived, transcribed in disk_block_pairs(nr, ns, perturbation):
+        assert derived[0] == transcribed[0]
+        assert all(map(np.array_equal, derived[1:], transcribed[1:]))
+
+
+def _scale_row(rows, cols, vals, row):
+    vals = vals.astype(float)
+    vals[rows == row] = 2.0
+    return rows, cols, vals
+
+
+def _share_column(rows, cols, vals, row):
+    cols = cols.copy()
+    cols[rows == row + 1] = cols[rows == row]
+    return rows, cols, vals
+
+
+@pytest.mark.parametrize("block,row,tamper,name", [
+    (3, 7, _scale_row, "e2"),       # a face whose selector entry is 2
+    (2, 4, _share_column, "e1"),    # two radial edges on one tensor function
+])
+def test_a_row_without_unit_function_raises(block, row, tamper, name):
+    extraction = pd.assemble_3d(4, 4, 3)
+    blocks = list(extraction.joint_blocks)
+    blocks[block] = tamper(*blocks[block], row)
+    with pytest.raises(StructureError, match=f"^{name} row {row} owns no unit tensor function"):
+        _disk_blocks(extraction.counts, *blocks)
 
 
 @pytest.mark.parametrize("dims", GRID + [(16, 16, 8), (32, 32, 16)])

@@ -458,6 +458,33 @@ class TestCli:
                      "--coeffs", str(coeffs), "--grid", "2,2,2"])
         assert code == 2
 
+    @pytest.mark.parametrize("values", [[float("nan"), 1.0], [1.0, float("inf")]])
+    def test_sample_rejects_non_finite_coefficients(self, values, tmp_path, capsys):
+        coeffs = tmp_path / "c.txt"
+        np.savetxt(coeffs, np.resize(values, 33))  # n0 at (4,4,3)
+        code = main(["sample", "--sizes", "4,4,3", "--level", "0",
+                     "--coeffs", str(coeffs), "--grid", "2,2,2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(coeffs) in err and "non-finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "--sizes", "4,4,3", "--out", "{blocked}"],
+        ["export", "--sizes", "4,4,3", "--out", "{blocked}", "D0"],
+        ["verify", "--sizes", "4,4,3", "--out", "{blocked}.json"],
+        ["sample", "--sizes", "4,4,3", "--level", "0", "--basis", "1", "--grid", "2,2,2",
+         "--out", "{blocked}.csv"],
+        ["sample", "--sizes", "4,4,3", "--level", "0", "--coeffs", "{directory}",
+         "--grid", "2,2,2"],
+    ])
+    def test_path_the_os_refuses_is_a_usage_error(self, argv, tmp_path, capsys):
+        # a path below a regular file, or a directory read as a file
+        (tmp_path / "afile").write_text("")
+        paths = {"blocked": str(tmp_path / "afile" / "x"), "directory": str(tmp_path)}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+
     def test_export_all(self, tmp_path, capsys):
         out = tmp_path / "mats"
         assert main(["export", "--sizes", "4,4,3", "--out", str(out), "ALL"]) == 0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import polar_derham as pd
-from oracles import find_span, wrap
+from oracles import disk_block_pairs, find_span, wrap
 from polar_derham.incidence import disk_blocks, toroidal_spectrum
 from polar_derham.tensor import StructureError, kron_block
 
@@ -59,6 +59,14 @@ def test_fourier_union_matches_the_dense_spectrum(size, perturbation):
         dense = np.linalg.svd(getattr(inc, name).toarray(), compute_uv=False)
         assert union.shape == dense.shape, name
         assert np.abs(union - dense).max() <= 1e-12 * dense[0], name
+
+
+@_settings
+@given(nr=st.integers(3, 40), ns=st.integers(4, 40), perturbation=st.floats(-0.5, 0.5))
+def test_derived_disk_blocks_equal_the_transcription(nr, ns, perturbation):
+    for derived, transcribed in disk_block_pairs(nr, ns, perturbation):
+        assert derived[0] == transcribed[0]
+        assert all(map(np.array_equal, derived[1:], transcribed[1:]))
 
 
 def _parameters(space, count):
