@@ -14,10 +14,6 @@ from .extraction import (
     PolarCounts,
     assemble_3d,
     ebar_block,
-    extraction_e0,
-    extraction_e01,
-    extraction_e10,
-    extraction_e2,
     polar_counts,
     reduced_basis_values,
 )

@@ -10,7 +10,6 @@ construction.
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -18,7 +17,6 @@ from scipy import sparse
 __all__ = [
     "KnotVector",
     "SplineSpace",
-    "LocalBasis",
     "SpanLookup",
     "DtaDiagnostic",
     "make_uniform_open_knots",
@@ -229,23 +227,6 @@ def periodic_h1(kv):
 
 # ============================= spline spaces ================================
 
-class LocalBasis(NamedTuple):
-    """Nonzero basis functions of a spline space at m parameters.
-
-    Row k of ``index`` holds the 0-based indices of the space's functions
-    that can be nonzero at the k-th parameter, ``values`` and
-    ``derivatives`` their values and first derivatives; ``deriv_index``
-    and ``deriv_values`` do the same for the derivative-space basis.
-    Padding slots carry index 0 and value 0.
-    """
-
-    index: np.ndarray
-    values: np.ndarray
-    derivatives: np.ndarray
-    deriv_index: np.ndarray
-    deriv_values: np.ndarray
-
-
 class SplineSpace:
     """Degree-p spline space on an open knot vector, optionally restricted
     to its C1-periodic subspace.
@@ -310,9 +291,10 @@ class SplineSpace:
         coefficients, in the span-local coordinate u in [0, 1], of their
         values, derivatives and derivative-space values.
 
-        Returns ``index`` (spans, 2, w), the functions of the space ([:, 0])
-        and of its derivative space ([:, 1]) as in :class:`LocalBasis`; the
-        two local widths, of which w is the larger; the knots
+        Returns ``index`` (spans, 2, w), the 0-based indices of the
+        functions of the space ([:, 0]) and of its derivative space ([:, 1])
+        that can be nonzero on each span, padded with index 0; the two
+        local widths, of which w is the larger; the knots
         ``t_p .. t_{n-1}`` (span k's left end is entry k); each span's
         inverse length; and ``table`` (spans, p+1, 3, w): power j of u
         times ``table[k, j]`` summed over j gives the span's values,
@@ -367,43 +349,6 @@ class SplineSpace:
         inverse_length = np.divide(1.0, length, out=np.zeros_like(length), where=live)
         return (np.stack([index, deriv_index], axis=1), widths, left, inverse_length,
                 table.reshape(spans.size, p + 1, 3, -1))
-
-    @cached_property
-    def _lookup(self):
-        return SpanLookup((self,))
-
-    def eval_local(self, x, name="parameter"):
-        """Nonzero basis functions at a 1-D array of parameters.
-
-        The :class:`SpanLookup` of this one space: the cost per parameter
-        is fixed by the degree, not by the size of the space.  Periodic
-        spaces wrap x into the interval first.  Non-finite parameters and
-        parameters outside an open space's interval raise ValueError,
-        naming them `name`.  Returns a :class:`LocalBasis` whose index
-        arrays share one width, padded as the class describes.
-        """
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1:
-            raise ValueError(f"{name} values must form a 1-D array, got shape {x.shape}")
-        row, (values,) = self._lookup(x[:, None], (name,))
-        index = self._lookup.index[row[:, 0]]
-        return LocalBasis(index=index[:, 0], values=values[0].T, derivatives=values[1].T,
-                          deriv_index=index[:, 1], deriv_values=values[2].T)
-
-    def eval(self, coeffs, t):
-        """Spline value at t, a scalar or a 1-D array of parameters."""
-        coeffs = _check_coeffs(coeffs, self.dim)
-        loc = self.eval_local(np.atleast_1d(t))
-        out = np.einsum("mw,mw->m", coeffs[loc.index], loc.values)
-        return float(out[0]) if np.ndim(t) == 0 else out
-
-    def eval_derivative(self, coeffs, t):
-        """f'(t) through the derivative basis and the difference stencil."""
-        coeffs = _check_coeffs(coeffs, self.dim)
-        loc = self.eval_local(np.atleast_1d(t))
-        diffs = self.difference_stencil @ coeffs
-        out = np.einsum("mw,mw->m", diffs[loc.deriv_index], loc.deriv_values)
-        return float(out[0]) if np.ndim(t) == 0 else out
 
     def __repr__(self):
         tag = ", periodic" if self.periodic else ""
@@ -487,13 +432,6 @@ class SpanLookup:
                 raise ValueError(f"{name} = {column[~finite][0]} is not finite")
             if not ok.all():
                 raise ValueError(f"{name} = {column[~ok][0]} outside [{a}, {b}]")
-
-
-def _check_coeffs(coeffs, dim):
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (dim,):
-        raise ValueError(f"expected {dim} coefficients, got shape {coeffs.shape}")
-    return coeffs
 
 
 # ========================== DTA compatibility ===============================

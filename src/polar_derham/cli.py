@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import RHO_BAR_MAX, SingularityProximityError
+from .extraction import polar_counts
+from .geometry import RHO_BAR_MAX, SingularityProximityError, check_singularity_floor
 from .iotools import ComplexConfig, load_raw_config, write_bundle, write_triplet
 from .torus import TorusComplexSpec, build_complex
 from .verification import RESIDUAL_TOL, inject_row_drop, run_verification
@@ -106,9 +107,9 @@ def cmd_verify(args):
 
 def cmd_sample(args):
     config = _resolve_config(args)
-    cx = build_complex(config.to_spec())
+    spec = config.to_spec()
     level = args.level
-    n_level = cx.counts.level_dim(level)
+    n_level = polar_counts(*spec.dims).level_dim(level)
     if (args.basis is None) == (args.coeffs is None):
         raise UsageError("give exactly one of --basis or --coeffs")
     if args.basis is not None:
@@ -127,9 +128,12 @@ def cmd_sample(args):
     counts = _triple(args.grid)
     if min(counts) < 1:
         raise UsageError(f"grid counts must be positive, got {args.grid!r}")
-    R, S, T = (sp.interval[1] for sp in cx.tensor.spaces)
+    R, S, T = spec.lengths
     if not 0.0 <= args.smin < S:
         raise UsageError(f"--smin must lie in [0, {S}), got {args.smin}")
+    check_singularity_floor(level, args.smin, S)
+    # every option above is checked against the counts and lengths alone
+    cx = build_complex(spec)
     rs = np.linspace(0.0, R, counts[0])
     ss = np.linspace(args.smin, S, counts[1])
     ts = np.linspace(0.0, T, counts[2])

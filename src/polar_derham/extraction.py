@@ -2,11 +2,14 @@
 
 The reduced spaces are spanned by ``E @ B`` where B collects a
 tensor-product level's basis functions and E is one of eight extraction
-matrices.  All of them derive from four small per-joint blocks: the
-3 x 2n_r barycentric block tying the two innermost rings of functions to
-three center functions, the two edge-level blocks that feed the center
-edges from it and map the outer functions onto edge rounds, and a plain
-selector for faces/volumes.
+matrices.  All of them derive from four small per-joint blocks
+(:func:`joint_blocks`): the vertex block tying the two innermost rings
+of functions to three center functions through the 3 x 2n_r barycentric
+center block, the two edge blocks that feed the center edges from it and
+map the outer functions onto edge rounds, and a plain selector for
+faces/volumes.  :func:`lift_table` states how these eight and the three
+incidence matrices lift per-joint blocks along the toroidal circle: the
+build lifts from it and the verification reads the blocks back through it.
 """
 
 from dataclasses import dataclass
@@ -15,8 +18,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .bsplines import triplet
-from .tensor import LEVEL_PATTERNS, check_size_floors, eye_triplet, kron_lift
+from .tensor import LEVEL_PATTERNS, LiftTable, cat_triplets, check_size_floors, eye_triplet
 
 __all__ = [
     "EbarBlock",
@@ -25,10 +27,8 @@ __all__ = [
     "ExtractionSet",
     "ebar_block",
     "polar_counts",
-    "extraction_e0",
-    "extraction_e10",
-    "extraction_e01",
-    "extraction_e2",
+    "joint_blocks",
+    "lift_table",
     "assemble_3d",
     "reduced_basis_values",
 ]
@@ -126,60 +126,63 @@ def polar_counts(nr, ns, nt):
 
 # --------------------------- per-joint blocks -------------------------------
 
-def extraction_e0(nr, ns, ebar=None):
-    """Vertex-level block: block diagonal of the center block and an
-    identity over the outer rings; DTA-compatible by construction."""
-    ebar = ebar_block(nr) if ebar is None else ebar
-    eye = sparse.identity(nr * (ns - 2), dtype=float, format="csr")
-    return sparse.block_diag(
-        [sparse.csr_array(ebar.matrix), eye], format="csr"
-    )
-
-
-def _edge_block(nr, ns, head, poloidal):
-    """Per-joint edge block of one derivative component.
-
-    The 2 x n_r `head` ties the component's function ring `poloidal` to the
-    two center edges; the following function rings map one to one, in
-    order, onto the poloidal (1) or radial (0) edge rounds of vertex rings
-    0, 1, ...; after the two center edges, each vertex ring owns the
-    radial round reaching it, then the poloidal round around it.
+def joint_blocks(nr, ns, ebar):
+    """The per-joint blocks e0, e10, e01 and e2 as triplets in CSR order,
+    without zeros, in the shapes of :func:`lift_table`.  e0: the center
+    block on the two innermost function rings, then one vertex per outer
+    function.  e10 and e01, of the poloidal- and the radial-derivative
+    component: the two center edges take the center block's second-ring
+    steps (e10) or its first-to-second-ring change (e01); after them each
+    vertex ring owns the radial round reaching it, then the poloidal round
+    around it, and the outer function rings feed, in order, the poloidal
+    (e10) or the radial (e01) rounds.  e2: every ring but the innermost.
     """
-    i = np.arange(nr)
-    ring = np.arange(ns - 2)[:, None]
-    rows = np.append(np.repeat([0, 1], nr), 2 + (2 * ring + poloidal) * nr + i)
-    cols = np.append(np.tile(poloidal * nr + i, 2), (ring + poloidal + 1) * nr + i)
-    vals = np.append(head, np.ones(nr * (ns - 2)))
-    shape = (2 * nr * (ns - 2) + 2, nr * (ns - 1 + poloidal))
-    mat = sparse.coo_array((vals, (rows, cols)), shape=shape).tocsr()
-    mat.eliminate_zeros()
-    return mat
+    outer = nr * (ns - 2)
+    e0 = cat_triplets([
+        (np.repeat(np.arange(3), 2 * nr), np.tile(np.arange(2 * nr), 3), ebar.matrix),
+        (3 + np.arange(outer), 2 * nr + np.arange(outer), np.ones(outer)),
+    ])
+    i, ring = np.arange(nr), np.arange(ns - 2)[:, None]
+    edges = [cat_triplets([
+        (np.repeat([0, 1], nr), np.tile(poloidal * nr + i, 2), head),
+        (2 + (2 * ring + poloidal) * nr + i, (ring + poloidal + 1) * nr + i, np.ones(outer)),
+    ]) for head, poloidal in ((ebar.ring_steps(), 1),
+                              (ebar.matrix[1:, nr:] - ebar.matrix[1:, :nr], 0))]
+    e2 = np.arange(outer), np.arange(outer) + nr, np.ones(outer, dtype=np.int64)
+    return tuple(tuple(part[b[2] != 0] for part in b) for b in (e0, *edges, e2))
 
 
-def extraction_e10(nr, ns, ebar=None):
-    """Edge-level block acting on the poloidal-derivative component: the
-    center edges take the center block's second-ring poloidal steps, the
-    outer functions feed the poloidal rounds."""
-    ebar = ebar_block(nr) if ebar is None else ebar
-    return _edge_block(nr, ns, ebar.ring_steps(), poloidal=1)
-
-
-def extraction_e01(nr, ns, ebar=None):
-    """Edge-level block acting on the radial-derivative component: the
-    center edges take the center block's first-to-second-ring change, the
-    outer functions feed the radial rounds."""
-    ebar = ebar_block(nr) if ebar is None else ebar
-    head = ebar.matrix[1:, nr:] - ebar.matrix[1:, :nr]
-    return _edge_block(nr, ns, head, poloidal=0)
-
-
-def extraction_e2(nr, ns):
-    """Face/volume-level selector dropping the innermost ring."""
-    rows = np.arange(nr * (ns - 2))
-    vals = np.ones(rows.size, dtype=np.int64)
-    return sparse.coo_array(
-        (vals, (rows, rows + nr)), shape=(rows.size, nr * (ns - 1))
-    ).tocsr()
+def lift_table(counts):
+    """The :class:`~polar_derham.tensor.LiftTable` of E000 to E111 and D0
+    to D2 over the nt joints, C the identity, its negative or the periodic
+    difference stencil Dt.  The joint rows are ordered as in
+    :mod:`polar_derham.incidence`: E001 places e0 below the in-joint edges,
+    E011 and E101 place e01 and -e10 on the side faces.  E111 alone has
+    integer entries, as e2."""
+    c = counts
+    n0, n1, n2 = c.nbar0, c.nbar1, c.nbar2
+    w0, w1 = c.nr * c.ns, c.nr * (c.ns - 1)
+    same, minus = eye_triplet(c.nt), eye_triplet(c.nt, -1.0)
+    # row j of Dt: -1 at joint j, +1 at joint j + 1
+    at = np.arange(c.nt)
+    step = (np.repeat(at, 2), np.column_stack([at, (at + 1) % c.nt]).ravel(),
+            np.tile(np.array([-1, 1], dtype=np.int64), c.nt))
+    shapes = {"e0": (n0, w0), "e10": (n1, w0), "e01": (n1, w1), "e2": (n2, w1),
+              "d0": (n1, n0), "d1": (n2, n1)}
+    return LiftTable(c.nt, shapes, {
+        "E000": ((n0, w0), [(same, "e0", 0, 0)]),
+        "E100": ((n1 + n0, w0), [(same, "e10", 0, 0)]),
+        "E010": ((n1 + n0, w1), [(same, "e01", 0, 0)]),
+        "E001": ((n1 + n0, w0), [(same, "e0", n1, 0)]),
+        "E011": ((n2 + n1, w1), [(same, "e01", n2, 0)]),
+        "E101": ((n2 + n1, w0), [(minus, "e10", n2, 0)]),
+        "E110": ((n2 + n1, w1), [(same, "e2", 0, 0)]),
+        "E111": ((n2, w1), [(eye_triplet(c.nt, 1), "e2", 0, 0)]),
+        "D0": ((n1 + n0, n0), [(same, "d0", 0, 0), (step, eye_triplet(n0), n1, 0)]),
+        "D1": ((n2 + n1, n1 + n0), [(same, "d1", 0, 0), (same, "d0", n2, n1),
+                                    (step, eye_triplet(n1, -1.0), n2, 0)]),
+        "D2": ((n2, n2 + n1), [(same, "d1", 0, n2), (step, eye_triplet(n2), 0, 0)]),
+    })
 
 
 # ----------------------------- 3D assembly ----------------------------------
@@ -188,7 +191,7 @@ def extraction_e2(nr, ns):
 class ExtractionSet:
     """All extraction matrices of one polar complex.
 
-    The eight toroidal assemblies of the per-joint blocks, keyed by which
+    The eight circle lifts of the per-joint blocks, keyed by which
     directions carry the derivative basis, and the blocks' triplets (e0,
     e10, e01, e2), from which the incidence matrices follow.
     """
@@ -211,7 +214,8 @@ class ExtractionSet:
     def level_matrices(self, level):
         return [(pat, self.by_pattern(pat)) for pat in LEVEL_PATTERNS[level]]
 
-    def names(self):
+    @staticmethod
+    def names():
         """E000 to E111, level by level in LEVEL_PATTERNS order."""
         return ["E" + "".join(str(b) for b in pat)
                 for pats in LEVEL_PATTERNS.values() for pat in pats]
@@ -234,35 +238,14 @@ class ExtractionSet:
 
 
 def assemble_3d(nr, ns, nt, ebar=None):
-    """Assemble the eight extraction matrices for n_t joints: each is the
-    identity over the joints Kronecker one per-joint block, placed inside
-    the level's per-joint row layout (see :mod:`polar_derham.incidence`)."""
+    """Assemble the eight extraction matrices for n_t joints, lifted from
+    the per-joint blocks as :func:`lift_table` states."""
     counts = polar_counts(nr, ns, nt)
     ebar = ebar_block(nr) if ebar is None else ebar
-    e0 = extraction_e0(nr, ns, ebar)
-    e10 = extraction_e10(nr, ns, ebar)
-    e01 = extraction_e01(nr, ns, ebar)
-    e2 = extraction_e2(nr, ns)
-    n0, n1, n2 = counts.nbar0, counts.nbar1, counts.nbar2
-    w0, w1 = nr * ns, nr * (ns - 1)
-    t0, t10, t01, t2 = (triplet(b) for b in (e0, e10, e01, e2))
-
-    def joints(block, shape, row0=0, sign=1.0):
-        return kron_lift(nt, shape, [(eye_triplet(nt, sign), block, row0, 0)])
-
-    return ExtractionSet(
-        counts=counts,
-        ebar=ebar,
-        joint_blocks=(t0, t10, t01, t2),
-        E000=joints(t0, (n0, w0)),
-        E100=joints(t10, (n1 + n0, w0)),
-        E010=joints(t01, (n1 + n0, w1)),
-        E001=joints(t0, (n1 + n0, w0), row0=n1),
-        E011=joints(t01, (n2 + n1, w1), row0=n2),
-        E101=joints(t10, (n2 + n1, w0), row0=n2, sign=-1.0),
-        E110=joints(t2, (n2 + n1, w1)),
-        E111=joints(t2, (n2, w1), sign=1),
-    )
+    blocks = joint_blocks(nr, ns, ebar)
+    lifts = lift_table(counts).lift(dict(zip(("e0", "e10", "e01", "e2"), blocks)),
+                                    ExtractionSet.names())
+    return ExtractionSet(counts=counts, ebar=ebar, joint_blocks=blocks, **lifts)
 
 
 # --------------------------- basis evaluation -------------------------------

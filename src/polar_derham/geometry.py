@@ -16,6 +16,7 @@ from .extraction import control_angles, reduced_basis_values
 
 __all__ = [
     "SingularityProximityError",
+    "check_singularity_floor",
     "SplineMap",
     "build_polar_map",
     "build_geometry_g",
@@ -189,6 +190,16 @@ S_MIN_FACTOR = 1e-8
 _CHUNK = 512
 
 
+def check_singularity_floor(level, s, S):
+    """Reject a level > 0 pushforward at s below ``S_MIN_FACTOR * S``."""
+    s_min = S_MIN_FACTOR * S
+    if level > 0 and s < s_min:
+        raise SingularityProximityError(
+            f"level-{level} pushforward undefined this close to the polar "
+            f"curve: s = {s} < s_min = {s_min}"
+        )
+
+
 def pushforward_eval(polar_map, tensor, extraction, level, coeffs, point):
     """Physical location and pushforward value of a reduced-space field.
 
@@ -217,14 +228,8 @@ def pushforward_eval(polar_map, tensor, extraction, level, coeffs, point):
         ]
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
     factors = tensor.local_factors(pts)
-    S = tensor.spaces[1].interval[1]
-    s_min = S_MIN_FACTOR * S
-    s = factors.points[:, 1].min(initial=np.inf)
-    if level > 0 and s < s_min:
-        raise SingularityProximityError(
-            f"level-{level} pushforward undefined this close to the polar "
-            f"curve: s = {s} < s_min = {s_min}"
-        )
+    check_singularity_floor(level, factors.points[:, 1].min(initial=np.inf),
+                            tensor.spaces[1].interval[1])
     param = reduced_basis_values(extraction, tensor, level, factors, coeffs=coeffs)
     if level == 0:
         return polar_map.eval(factors), (float(param) if factors.single else param)

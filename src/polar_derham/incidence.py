@@ -20,13 +20,15 @@ difference stencil Dt of the joints to
 
 * ``D0 = I (x) [d0; 0] + Dt (x) [0; I]``,
 * ``D1 = I (x) diag(d1, d0) + Dt (x) [[0, 0], [-I, 0]]``,
-* ``D2 = I (x) [0, d1] + Dt (x) [I, 0]``.
+* ``D2 = I (x) [0, d1] + Dt (x) [I, 0]``,
 
-The disk blocks follow from the per-joint extraction blocks (e0, e1 =
-[e10 e01], e2) and the disk's tensor derivatives (g0 grad, g1 curl) by
-the commuting diagram ``g_l e_l^T = e_{l+1}^T d_l``, so only the
-extraction states the DOF numbering; ``tests/oracles.py`` keeps an
-entry-by-entry transcription of d0 and d1 as the tests' reference.
+as :func:`~polar_derham.extraction.lift_table` states them, next to the
+lifts of the extraction matrices.  The disk blocks follow from the
+per-joint extraction blocks (e0, e1 = [e10 e01], e2) and the disk's
+tensor derivatives (g0 grad, g1 curl) by the commuting diagram
+``g_l e_l^T = e_{l+1}^T d_l``, so only the extraction states the DOF
+numbering; ``tests/oracles.py`` keeps an entry-by-entry transcription of
+d0 and d1 as the tests' reference.
 """
 
 from dataclasses import dataclass, field
@@ -34,10 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .bsplines import difference_matrix, triplet
-from .extraction import PolarCounts
-from .tensor import (LEVEL_PATTERNS, StructureError, cat_triplets, eye_triplet, first_difference,
-                     kron_lift, unit_entries)
+from .bsplines import triplet
+from .extraction import PolarCounts, lift_table
+from .tensor import LEVEL_PATTERNS, StructureError, cat_triplets, unit_entries
 
 __all__ = [
     "IncidenceSet",
@@ -112,76 +113,23 @@ class IncidenceSet:
     D2: sparse.csr_array
 
 
-def _circle_lift(counts, d0, d1):
-    """The circle lift of the disk blocks d0 and d1 (module docstring).
-
-    Per D, the joint block shape and the terms ``(C, B, row0, col0)`` of
-    :func:`~polar_derham.tensor.kron_lift`, each followed by B's label
-    and shape.
-    """
-    n0, n1, n2, nt = counts.nbar0, counts.nbar1, counts.nbar2, counts.nt
-    same, step = eye_triplet(nt), triplet(difference_matrix(nt, periodic=True))
-    return {
-        "D0": ((n1 + n0, n0), [
-            (same, d0, 0, 0, "d0", (n1, n0)),
-            (step, eye_triplet(n0), n1, 0, "identity", (n0, n0)),
-        ]),
-        "D1": ((n2 + n1, n1 + n0), [
-            (same, d1, 0, 0, "d1", (n2, n1)),
-            (same, d0, n2, n1, "d0", (n1, n0)),
-            (step, eye_triplet(n1, -1.0), n2, 0, "identity", (n1, n1)),
-        ]),
-        "D2": ((n2, n2 + n1), [
-            (same, d1, 0, n2, "d1", (n2, n1)),
-            (step, eye_triplet(n2), 0, 0, "identity", (n2, n2)),
-        ]),
-    }
-
-
 def build_incidence(extraction):
     """D0, D1 and D2 of an ExtractionSet: the disk blocks its per-joint
-    blocks fix, lifted along the circle as the module docstring sets out."""
+    blocks fix, lifted along the circle as
+    :func:`~polar_derham.extraction.lift_table` states."""
     c = extraction.counts
-    lifts = {name: kron_lift(c.nt, shape, [term[:4] for term in terms]) for name, (shape, terms)
-             in _circle_lift(c, *_disk_blocks(c, *extraction.joint_blocks)).items()}
-    return IncidenceSet(counts=c, **lifts)
+    d0, d1 = _disk_blocks(c, *extraction.joint_blocks)
+    return IncidenceSet(counts=c, **lift_table(c).lift({"d0": d0, "d1": d1}, ("D0", "D1", "D2")))
 
 
 def disk_blocks(incidence):
-    """The disk blocks (d0, d1) whose circle lift D0, D1 and D2 are.
-
-    d0 is read from D0 and d1 from D1, in joint 0, and lifted again as
-    :func:`build_incidence` lifts them; each D must equal its lift
-    exactly, explicit zeros aside.  Returns d0 and d1 as CSR; raises
-    StructureError naming the matrix and the first joint that differs
-    or, in joint 0, the block of the lift that differs.
-    """
-    c = incidence.counts
-    d0 = incidence.D0.tocsr()[:c.nbar1, :c.nbar0]
-    d1 = incidence.D1.tocsr()[:c.nbar2, :c.nbar1]
-    for name, (shape, terms) in _circle_lift(c, triplet(d0), triplet(d1)).items():
-        matrix, lifted = getattr(incidence, name), kron_lift(c.nt, shape, [t[:4] for t in terms])
-        lead = f"{name} is not the circle lift of one pair (d0, d1): "
-        if matrix.shape != lifted.shape:
-            raise StructureError(lead + f"shape {matrix.shape}, expected {lifted.shape}")
-        at = first_difference(matrix, lifted, c.nt)
-        if at is None:
-            continue
-        joint, offset, row, col = at
-        if joint:
-            # joint 0's block row is that of the block-circulant lift
-            raise StructureError(f"{name} is not block-circulant over {c.nt} joints: the "
-                                 f"entries of joint {joint} differ from those of joint 0")
-        for (c_row, c_col, c_val), (_, _, vals), row0, col0, label, (m, k) in terms:
-            scale = c_val[(c_row == 0) & (c_col == offset)]
-            if scale.size and row0 <= row < row0 + m and col0 <= col < col0 + k:
-                expected = (f"D{label[1]}'s {label}" if label != "identity"
-                            else f"{scale[0] * vals[0]:+g} times the identity")
-                raise StructureError(lead + f"its offset-{offset} {label} block (rows "
-                                     f"{row0}:{row0 + m}, cols {col0}:{col0 + k}) differs "
-                                     f"from {expected}")
-        raise StructureError(lead + "joint 0 has entries outside the blocks of the lift")
-    return d0, d1
+    """The disk blocks (d0, d1) whose circle lift D0, D1 and D2 are, as
+    CSR: d0 is read from D0 and d1 from D1, and each D must equal its
+    lift (:meth:`~polar_derham.tensor.LiftTable.read`, which raises
+    StructureError otherwise)."""
+    blocks = lift_table(incidence.counts).read(
+        {name: getattr(incidence, name) for name in ("D0", "D1", "D2")})
+    return blocks["d0"], blocks["d1"]
 
 
 def max_abs(matrix):
@@ -296,7 +244,8 @@ def toroidal_spectrum(counts, d0, d1):
     """Singular values of D0, D1 and D2, one toroidal frequency at a time.
 
     Each D is the circle lift of d0 and d1, a sum of terms ``C (x) B``
-    with C circulant over the joints (:func:`_circle_lift`).  The DFT
+    with C circulant over the joints
+    (:func:`~polar_derham.extraction.lift_table`).  The DFT
     over the joints turns it into blocks A_k to which each term
     contributes B times the DFT of row 0 of its C at k (Davis,
     *Circulant Matrices*, 1979).  A_{nt-k} is the conjugate of A_k, so
@@ -306,15 +255,17 @@ def toroidal_spectrum(counts, d0, d1):
     blocks are not a complex, and the tests use it to cross-check the
     closed form.
     """
-    nt = counts.nt
+    nt, table = counts.nt, lift_table(counts)
+    blocks = {"d0": triplet(d0), "d1": triplet(d1)}
     spectra = {}
-    for name, (shape, terms) in _circle_lift(counts, triplet(d0), triplet(d1)).items():
+    for name in ("D0", "D1", "D2"):
+        terms = table.kron_terms(name, blocks)
         scales = [np.fft.rfft(np.bincount(c_col[c_row == 0], c_val[c_row == 0], nt))
                   for (c_row, c_col, c_val), *_ in terms]
         spectra[name] = []
         for k in range(nt // 2 + 1):
-            block = np.zeros(shape, complex)
-            for scale, (_, (rows, cols, vals), row0, col0, *_) in zip(scales, terms):
+            block = np.zeros(table.terms[name][0], complex)
+            for scale, (_, (rows, cols, vals), row0, col0) in zip(scales, terms):
                 block[row0 + rows, col0 + cols] += scale[k] * vals
             spectra[name].append(np.linalg.svd(block.real if 2 * k % nt == 0 else block,
                                                compute_uv=False))

@@ -33,7 +33,7 @@ __all__ = [
     "kron_lift",
     "StructureError",
     "first_difference",
-    "kron_block",
+    "LiftTable",
     "unit_entries",
     "partition_rank",
     "LocalFactors",
@@ -149,33 +149,83 @@ def first_difference(matrix, lifted, n):
     return joint, (block - joint) % n, row, col
 
 
-def kron_block(matrix, n, name):
-    """The block B of a matrix that is exactly ``I_n (x) B``, as CSR.
+class LiftTable(NamedTuple):
+    """How matrices lift per-joint blocks along a circle of n joints.
 
-    B is read from the joint-0 diagonal block and lifted again with
-    :func:`kron_lift`, as the construction lifts it; the matrix must
-    equal that lift.  Raises StructureError naming the first joint that
-    breaks the pattern.
+    `terms` maps each matrix name to its joint block shape and its terms
+    ``(C, B, row0, col0)`` of :func:`kron_lift`: C is an n x n triplet and
+    B the label of a block of `shapes` or a fixed identity triplet.
     """
-    csr = matrix.tocsr()
-    if csr.shape[0] % n or csr.shape[1] % n:
-        raise StructureError(f"{name}: shape {csr.shape} does not split into {n} joints")
-    shape = (csr.shape[0] // n, csr.shape[1] // n)
-    block = csr[:shape[0], :shape[1]]
-    block.sum_duplicates()
-    block.eliminate_zeros()
-    at = first_difference(csr, kron_lift(n, shape, [(eye_triplet(n), triplet(block), 0, 0)]), n)
-    if at is None:
-        return block
-    joint, offset = at[:2]
-    if not joint:
-        # joint 0's diagonal block is B itself
-        raise StructureError(
-            f"{name} is not I_{n} (x) block: joint 0 has entries in the block "
-            f"column of joint {offset}")
-    # joint 0's block row is that of the block-circulant lift
-    raise StructureError(f"{name} is not block-circulant over {n} joints: the entries "
-                         f"of joint {joint} differ from those of joint 0")
+
+    n: int
+    shapes: dict
+    terms: dict
+
+    def kron_terms(self, name, blocks):
+        """The :func:`kron_lift` terms of one matrix, its labels resolved in
+        `blocks` (label -> triplet)."""
+        return [(c, blocks[b] if isinstance(b, str) else b, row0, col0)
+                for c, b, row0, col0 in self.terms[name][1]]
+
+    def lift(self, blocks, names):
+        """The named matrices lifted from `blocks`, one :func:`kron_lift` each."""
+        return {name: kron_lift(self.n, self.terms[name][0], self.kron_terms(name, blocks))
+                for name in names}
+
+    def read(self, matrices):
+        """The per-joint blocks whose lift the `matrices` (name -> matrix,
+        in table order) are, as CSR keyed by label.
+
+        Each labelled block is read from joint 0 of the first matrix that
+        holds it, divided by the entry (0, 0) of its C, and every matrix is
+        lifted again: it must equal its lift exactly, explicit zeros aside.
+        Raises StructureError naming the matrix and the first joint that
+        differs or, in joint 0, the term of the lift that differs.
+        """
+        blocks, source = {}, {}
+        for name, matrix in matrices.items():
+            shape = self.terms[name][0]
+            if matrix.shape != (self.n * shape[0], self.n * shape[1]):
+                raise StructureError(f"{name}: shape {matrix.shape} does not split into "
+                                     f"{self.n} joints of {shape}")
+            csr = matrix.tocsr()
+            for (c_row, c_col, c_val), label, row0, col0 in self.terms[name][1]:
+                if isinstance(label, str) and label not in blocks:
+                    m, k = self.shapes[label]
+                    block = csr[row0:row0 + m, col0:col0 + k]
+                    block.sum_duplicates()
+                    block.eliminate_zeros()
+                    # joint 0 holds the block times C's entry (0, 0), e.g. -1 in E101
+                    scale = c_val[(c_row == 0) & (c_col == 0)][0]
+                    blocks[label] = block if scale == 1 else block / scale
+                    source[label] = name
+        lifted = self.lift({label: triplet(b) for label, b in blocks.items()}, matrices)
+        what = ("pair " if len(blocks) == 2 else "set ") + f"({', '.join(blocks)})"
+        for name, matrix in matrices.items():
+            at = first_difference(matrix, lifted[name], self.n)
+            if at is None:
+                continue
+            joint, offset, row, col = at
+            if joint:
+                # joint 0's block row is that of the block-circulant lift
+                raise StructureError(f"{name} is not block-circulant over {self.n} joints: the "
+                                     f"entries of joint {joint} differ from those of joint 0")
+            lead = f"{name} is not the circle lift of one {what}: "
+            for (c_row, c_col, c_val), b, row0, col0 in self.terms[name][1]:
+                scale = c_val[(c_row == 0) & (c_col == offset)]
+                m, k = self.shapes[b] if isinstance(b, str) else (b[0].size,) * 2
+                if not (scale.size and row0 <= row < row0 + m and col0 <= col < col0 + k):
+                    continue
+                if isinstance(b, str):
+                    times = "" if scale[0] == 1 else f"{scale[0]:+g} times "
+                    label, expected = b, f"{times}{source[b]}'s {b}"
+                else:
+                    label, expected = "identity", f"{scale[0] * b[2][0]:+g} times the identity"
+                raise StructureError(lead + f"its offset-{offset} {label} block (rows "
+                                     f"{row0}:{row0 + m}, cols {col0}:{col0 + k}) differs "
+                                     f"from {expected}")
+            raise StructureError(lead + "joint 0 has entries outside the blocks of the lift")
+        return blocks
 
 
 def unit_entries(entries):
@@ -191,7 +241,7 @@ def unit_entries(entries):
 def partition_rank(block, name):
     """Exact rank and number of nonzero rows of a per-joint extraction
     block (a sparse matrix without duplicate entries, as
-    :func:`kron_block` returns), certified by its row partition.
+    :meth:`LiftTable.read` returns), certified by its row partition.
 
     Every row must be empty, a unit row (a single +/-1 in a column no
     other row touches) or one of at most three center rows.  Unit rows

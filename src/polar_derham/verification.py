@@ -15,7 +15,8 @@ import numpy as np
 
 from .bsplines import dta_diagnostic
 from .incidence import divergence_preimage, max_abs
-from .tensor import StructureError, kron_block, partition_rank
+from .extraction import lift_table
+from .tensor import StructureError, partition_rank
 from .torus import PolarComplex
 
 __all__ = [
@@ -98,15 +99,7 @@ class VerificationReport:
     failures: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "schema_version": self.schema_version,
-            "config": self.config,
-            "dims": self.dims,
-            "suites": self.suites,
-            "timings": self.timings,
-            "passed": self.passed,
-            "failures": self.failures,
-        }
+        return dataclasses.asdict(self)
 
 
 def _json_gaps(gaps):
@@ -158,20 +151,23 @@ def run_verification(cx, residual=RESIDUAL_TOL, config_echo=None):
     suites["dimensions"] = _timed(timings, "dimensions", dims_suite)
 
     # ----- DTA compatibility and row independence ----------------------------
-    # Every 3D extraction matrix must be I_nt (x) its per-joint block, and
-    # every block, like the univariate H0_r and H0_t, must partition into
-    # unit and center rows; its rank is then certified without a dense
-    # decomposition (partition_rank).
+    # Every 3D extraction matrix must be the lift of its blocks (lift_table),
+    # and every block, like the univariate H0_r and H0_t, must partition
+    # into unit and center rows; its rank is then certified without a
+    # dense decomposition (partition_rank).
     def dta_suite():
         # (name, matrix, joints its certified block repeats over)
         dta = (("E000", cx.extraction.E000, c.nt),
                ("H0_r", cx.tensor.spaces[0].h0, 1),
                ("H0_t", cx.tensor.spaces[2].h0, 1))
+        table = lift_table(c)
         try:
-            ranks = {
-                name: partition_rank(kron_block(getattr(cx.extraction, name), c.nt, name), name)
-                for name in ("E000", "E100", "E010", "E001", "E011", "E101", "E110")
-            }
+            blocks = table.read({name: getattr(cx.extraction, name)
+                                 for name in cx.extraction.names()})
+            # each E lifts one block, +/-I (x) block: their joint ranks agree
+            ranks = {name: partition_rank(blocks[label], name)
+                     for name in ("E000", "E100", "E010", "E001", "E011", "E101", "E110")
+                     for _, label, _, _ in table.terms[name][1]}
             ranks.update({name: partition_rank(matrix, name) for name, matrix, _ in dta[1:]})
         except StructureError as exc:
             gate("dta", False, str(exc))

@@ -2,19 +2,25 @@
 
 Each one builds a vector as long as the space or decomposes a dense
 matrix, so its cost grows with the size of the space.  The library itself
-evaluates through per-span tables (`SplineSpace.eval_local`,
+evaluates through per-span tables (`SpanLookup`,
 `TensorComplex.local_products`) and decides ranks from structure; these
 are the independent, one-point-at-a-time definitions those paths must
-reproduce.  The disk blocks of the incidence matrices are kept here as an
-entry-by-entry transcription of the DOF numbering; the library derives
-them from the extraction blocks.
+reproduce.  The univariate evaluation of one space through its own
+`SpanLookup` lives here too: only the tests evaluate a single space.  The
+disk blocks of the incidence matrices are kept here as an entry-by-entry
+transcription of the DOF numbering; the library derives them from the
+extraction blocks.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 
 import polar_derham as pd
-from polar_derham.bsplines import KnotVector, difference_matrix, dta_diagnostic, triplet
+from polar_derham.bsplines import (KnotVector, SpanLookup, difference_matrix, dta_diagnostic,
+                                   triplet)
+from polar_derham.extraction import joint_blocks, lift_table
 from polar_derham.incidence import _decide, _disk_blocks, _threshold
 from polar_derham.tensor import cat_triplets
 
@@ -108,6 +114,69 @@ def eval_basis_derivative(space, t):
     return space.difference_stencil.T @ eval_deriv_space_basis(space, t)
 
 
+# ====================== one space through its span tables ====================
+
+class LocalBasis(NamedTuple):
+    """Nonzero basis functions of a spline space at m parameters.
+
+    Row k of ``index`` holds the 0-based indices of the space's functions
+    that can be nonzero at the k-th parameter, ``values`` and
+    ``derivatives`` their values and first derivatives; ``deriv_index``
+    and ``deriv_values`` do the same for the derivative-space basis.
+    Padding slots carry index 0 and value 0.
+    """
+
+    index: np.ndarray
+    values: np.ndarray
+    derivatives: np.ndarray
+    deriv_index: np.ndarray
+    deriv_values: np.ndarray
+
+
+def eval_local(space, x, name="parameter"):
+    """Nonzero basis functions of `space` at a 1-D array of parameters.
+
+    The :class:`SpanLookup` of this one space: the cost per parameter is
+    fixed by the degree, not by the size of the space.  Periodic spaces
+    wrap x into the interval first.  Non-finite parameters and parameters
+    outside an open space's interval raise ValueError, naming them
+    `name`.  Returns a :class:`LocalBasis` whose index arrays share one
+    width, padded as the class describes.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"{name} values must form a 1-D array, got shape {x.shape}")
+    lookup = SpanLookup((space,))
+    row, (values,) = lookup(x[:, None], (name,))
+    index = lookup.index[row[:, 0]]
+    return LocalBasis(index=index[:, 0], values=values[0].T, derivatives=values[1].T,
+                      deriv_index=index[:, 1], deriv_values=values[2].T)
+
+
+def _check_coeffs(coeffs, dim):
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (dim,):
+        raise ValueError(f"expected {dim} coefficients, got shape {coeffs.shape}")
+    return coeffs
+
+
+def eval_spline(space, coeffs, t):
+    """Spline value at t, a scalar or a 1-D array of parameters."""
+    coeffs = _check_coeffs(coeffs, space.dim)
+    loc = eval_local(space, np.atleast_1d(t))
+    out = np.einsum("mw,mw->m", coeffs[loc.index], loc.values)
+    return float(out[0]) if np.ndim(t) == 0 else out
+
+
+def eval_spline_derivative(space, coeffs, t):
+    """f'(t) through the derivative basis and the difference stencil."""
+    coeffs = _check_coeffs(coeffs, space.dim)
+    loc = eval_local(space, np.atleast_1d(t))
+    diffs = space.difference_stencil @ coeffs
+    out = np.einsum("mw,mw->m", diffs[loc.deriv_index], loc.deriv_values)
+    return float(out[0]) if np.ndim(t) == 0 else out
+
+
 # ============================== tensor levels ===============================
 
 def direction_basis(tensor, axis, lowered, x):
@@ -142,6 +211,17 @@ def is_dta_compatible(matrix):
     with its rank from a dense SVD (see `dta_diagnostic`)."""
     dense = matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix, dtype=float)
     return dta_diagnostic(matrix, int(np.linalg.matrix_rank(dense)))
+
+
+# ============================ per-joint blocks ==============================
+
+def joint_block(label, nr, ns, ebar=None):
+    """One per-joint extraction block, e0, e10, e01 or e2, as CSR: the
+    library's triplet, in the shape of its lift table."""
+    ebar = pd.ebar_block(nr) if ebar is None else ebar
+    rows, cols, vals = dict(zip(("e0", "e10", "e01", "e2"), joint_blocks(nr, ns, ebar)))[label]
+    shape = lift_table(pd.polar_counts(nr, ns, 3)).shapes[label]
+    return sparse.csr_array((vals, (rows, cols)), shape=shape)
 
 
 # =============================== disk blocks ================================

@@ -13,11 +13,11 @@ import pytest
 from scipy import sparse
 
 import polar_derham as pd
-from oracles import is_dta_compatible
+from oracles import eval_spline, eval_spline_derivative, is_dta_compatible
 from polar_derham import bsplines, geometry, verification
 from polar_derham.cli import build_parser, main
+from polar_derham.extraction import lift_table
 from polar_derham.incidence import max_abs
-from polar_derham.tensor import kron_block
 from polar_derham.torus import PolarComplex
 
 SIZE_GRID = [(4, 4, 3), (5, 5, 4), (6, 4, 5), (5, 8, 3)]
@@ -182,10 +182,10 @@ def test_criterion_5_per_joint_dta_matches_dense(degrees, dims, complex_cache):
 
 
 def test_criterion_5_unpartitioned_block_fails_dta(complex_cache):
-    # two unit rows of the per-joint E000 block share a column: the rank
-    # certificate does not apply, and the suite fails naming the block
+    # two unit rows of the per-joint E000 block share a column: E001 no
+    # longer carries E000's block, and the suite fails naming both
     cx = complex_cache()
-    block = kron_block(cx.extraction.E000, cx.counts.nt, "E000").tolil()
+    block = lift_table(cx.counts).read({"E000": cx.extraction.E000})["e0"].tolil()
     block[4] = block[3]
     extraction = dataclasses.replace(
         cx.extraction, E000=sparse.kron(sparse.identity(cx.counts.nt), block, format="csr"))
@@ -194,8 +194,28 @@ def test_criterion_5_unpartitioned_block_fails_dta(complex_cache):
     report = pd.run_verification(bad)
     suite = report.suites["dta"]
     ok = (not report.passed and not suite["pass"]
-          and suite["structure_violation"].startswith("E000 does not partition"))
+          and suite["structure_violation"].startswith("E001 is not the circle lift")
+          and "differs from E000's e0" in suite["structure_violation"])
     record(5, ok, f"shared unit column: {suite.get('structure_violation')}")
+
+
+def test_criterion_5_unpartitioned_block_lifted_everywhere_fails_dta(complex_cache):
+    # the same block lifted into both matrices that carry e0: the lift
+    # holds, the rank certificate does not apply, and the suite fails
+    # naming the block's first matrix
+    cx = complex_cache()
+    c = cx.counts
+    block = lift_table(c).read({"E000": cx.extraction.E000})["e0"].tolil()
+    block[4] = block[3]
+    below = sparse.vstack([sparse.csr_array((c.nbar1, block.shape[1])), block])
+    extraction = dataclasses.replace(
+        cx.extraction, E000=sparse.kron(sparse.identity(c.nt), block, format="csr"),
+        E001=sparse.kron(sparse.identity(c.nt), below, format="csr"))
+    bad = PolarComplex(cx.spec, cx.tensor, extraction, cx.incidence, cx.polar_map,
+                       cx.geometry_map)
+    suite = pd.run_verification(bad).suites["dta"]
+    assert not suite["pass"]
+    assert suite["structure_violation"].startswith("E000 does not partition")
 
 
 def test_criterion_6_polar_curve_regularity(grid_complexes):
@@ -251,8 +271,9 @@ def test_criterion_8_derivative_formula():
                 if np.abs(knots - t).min() < 10 * h:
                     continue
                 count += 1
-                fd = (space.eval(coeffs, t + h) - space.eval(coeffs, t - h)) / (2 * h)
-                an = space.eval_derivative(coeffs, t)
+                fd = (eval_spline(space, coeffs, t + h)
+                      - eval_spline(space, coeffs, t - h)) / (2 * h)
+                an = eval_spline_derivative(space, coeffs, t)
                 worst = max(worst, abs(an - fd) / max(1.0, abs(an)))
     record(8, worst <= 1e-6,
            f"worst relative FD mismatch over 4 spaces x 100 points = {worst:.2e}")

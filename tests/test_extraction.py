@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import polar_derham as pd
-from oracles import is_dta_compatible
+from polar_derham.torus import PolarComplex
+from oracles import is_dta_compatible, joint_block
 
 
 # ----------------------------- center block ----------------------------------
@@ -46,14 +49,14 @@ class TestEbarBlock:
 
 class TestE0:
     def test_size(self):
-        assert pd.extraction_e0(4, 4).shape == (11, 16)
+        assert joint_block("e0", 4, 4).shape == (11, 16)
 
     def test_dta(self):
-        assert is_dta_compatible(pd.extraction_e0(4, 4)).ok
-        assert is_dta_compatible(pd.extraction_e0(5, 6)).ok
+        assert is_dta_compatible(joint_block("e0", 4, 4)).ok
+        assert is_dta_compatible(joint_block("e0", 5, 6)).ok
 
     def test_identity_rows(self):
-        e0 = pd.extraction_e0(4, 4).toarray()
+        e0 = joint_block("e0", 4, 4).toarray()
         for row in e0[3:]:
             assert np.count_nonzero(row) == 1
             assert row.max() == 1.0
@@ -92,23 +95,23 @@ class TestEdgeBlocks:
     def test_action_matches_transcription(self, nr, ns):
         ebar = pd.ebar_block(nr)
         npt.assert_allclose(
-            pd.extraction_e10(nr, ns, ebar).toarray(), _e10_direct(nr, ns, ebar),
+            joint_block("e10", nr, ns, ebar).toarray(), _e10_direct(nr, ns, ebar),
             atol=1e-15,
         )
         npt.assert_allclose(
-            pd.extraction_e01(nr, ns, ebar).toarray(), _e01_direct(nr, ns, ebar),
+            joint_block("e01", nr, ns, ebar).toarray(), _e01_direct(nr, ns, ebar),
             atol=1e-15,
         )
 
     def test_e10_head_rows_support(self):
         nr, ns = 4, 4
-        e10 = pd.extraction_e10(nr, ns).toarray()
+        e10 = joint_block("e10", nr, ns).toarray()
         support = np.nonzero(np.abs(e10[:2]).sum(axis=0))[0]
         assert set(support) <= set(range(nr, 2 * nr))
 
     def test_e10_zero_row_positions(self):
         nr, ns = 4, 5
-        e10 = pd.extraction_e10(nr, ns).toarray()
+        e10 = joint_block("e10", nr, ns).toarray()
         zero_rows = {r for r in range(e10.shape[0]) if not e10[r].any()}
         expected = {
             2 + i + (2 * j - 6) * nr - 1
@@ -119,21 +122,21 @@ class TestEdgeBlocks:
 
     def test_e01_first_row_balance(self):
         # second-ring deviations sum to zero over the symmetric angles
-        e01 = pd.extraction_e01(5, 5).toarray()
+        e01 = joint_block("e01", 5, 5).toarray()
         assert abs(e01[0, :5].sum()) <= 1e-14
         assert abs(e01[1, :5].sum()) <= 1e-14
 
 
 class TestE2:
     def test_selector_structure(self):
-        e2 = pd.extraction_e2(4, 4)
+        e2 = joint_block("e2", 4, 4)
         assert e2.shape == (8, 12)
         coo = e2.tocoo()
         npt.assert_array_equal(coo.coords[1], coo.coords[0] + 4)
         npt.assert_array_equal(coo.data, 1)
 
     def test_rank_and_column_sums(self):
-        e2 = pd.extraction_e2(5, 6).toarray()
+        e2 = joint_block("e2", 5, 6).toarray()
         assert np.linalg.matrix_rank(e2) == e2.shape[0]
         npt.assert_array_equal(e2[:, :5].sum(axis=0), 0)
         npt.assert_array_equal(e2[:, 5:].sum(axis=0), 1)
@@ -162,7 +165,7 @@ class TestAssembly:
         # zero rows on top, the vertex block in the last nbar0 rows per joint
         c = ext443.counts
         dense = ext443.E001.toarray()
-        e0 = pd.extraction_e0(4, 4, ext443.ebar).toarray()
+        e0 = joint_block("e0", 4, 4, ext443.ebar).toarray()
         for k in range(c.nt):
             block = dense[k * (c.nbar1 + c.nbar0):(k + 1) * (c.nbar1 + c.nbar0),
                           k * 16:(k + 1) * 16]
@@ -172,7 +175,7 @@ class TestAssembly:
     def test_e101_sign_flip(self, ext443):
         c = ext443.counts
         dense = ext443.E101.toarray()
-        e10 = pd.extraction_e10(4, 4, ext443.ebar).toarray()
+        e10 = joint_block("e10", 4, 4, ext443.ebar).toarray()
         block = dense[:c.nbar2 + c.nbar1, :16]
         npt.assert_allclose(block[c.nbar2:], -e10)
 
@@ -206,6 +209,52 @@ class TestAssembly:
         dense = getattr(ext443, name).toarray()
         nz = dense[np.abs(dense).sum(axis=1) > 1e-12]
         assert np.linalg.matrix_rank(nz) == nz.shape[0]
+
+
+# ------------------------ the lifts read back by verify ------------------------
+
+def _drop_in_every_joint(matrix, counts, row):
+    """Zero the local `row` of every joint of a 3D matrix, as
+    inject_row_drop zeroes one row."""
+    patched = matrix.tolil(copy=True)
+    rows = matrix.shape[0] // counts.nt
+    for joint in range(counts.nt):
+        patched[joint * rows + row, :] = 0
+    patched = patched.tocsr()
+    patched.eliminate_zeros()
+    return patched
+
+
+def _change_one_entry(matrix, counts, row):
+    patched = matrix.tocsr(copy=True)
+    patched.data[patched.indptr[row]] = 2
+    return patched
+
+
+@pytest.mark.parametrize("dims", [(4, 4, 3), (8, 8, 6)])
+@pytest.mark.parametrize("name,fault", [
+    # a unit row of the e0 copy below the in-joint edges
+    ("E001", lambda m, c: _drop_in_every_joint(m, c, c.nbar1 + 3)),
+    # a unit row of the -e10 copy on the side faces: the first poloidal round
+    ("E101", lambda m, c: _drop_in_every_joint(m, c, c.nbar2 + 2 + c.nr)),
+    ("E111", lambda m, c: _change_one_entry(m, c, 0)),
+], ids=["E001-row-in-every-joint", "E101-row-in-every-joint", "E111-one-entry"])
+def test_dta_fails_on_a_lift_that_does_not_carry_its_source_block(dims, name, fault,
+                                                                  complex_cache):
+    # each fault keeps the matrix block-circulant and every block partitioned;
+    # only the comparison with the block another matrix holds finds it
+    cx = complex_cache(dims=dims)
+    matrix = getattr(cx.extraction, name)
+    patched = fault(matrix, cx.counts)
+    assert patched.nnz and (patched != matrix).nnz
+    extraction = dataclasses.replace(cx.extraction, **{name: patched})
+    bad = PolarComplex(cx.spec, cx.tensor, extraction, cx.incidence, cx.polar_map,
+                       cx.geometry_map)
+    report = pd.run_verification(bad)
+    suite = report.suites["dta"]
+    assert not suite["pass"]
+    assert suite["structure_violation"].startswith(f"{name} is not the circle lift")
+    assert any(f.startswith(f"dta: {name} is not") for f in report.failures)
 
 
 def test_count_identities_random_sizes():

@@ -559,3 +559,28 @@ class TestCli:
         report = tmp_path / "report.json"
         assert main(["verify", "--bundle", str(tmp_path), "--out", str(report)]) == 0
         assert "rank_tol" not in json.loads(report.read_text())["config"]
+
+
+@pytest.mark.parametrize("options", [
+    ["--level", "0", "--basis", "1", "--grid", "0,1,1"],
+    ["--level", "0", "--basis", "1", "--grid", "2,2"],
+    ["--level", "0", "--basis", "0", "--grid", "2,2,2"],
+    ["--level", "0", "--basis", "53065", "--grid", "2,2,2"],  # n0 + 1 at (48,48,24)
+    ["--level", "0", "--grid", "2,2,2"],
+    ["--level", "0", "--basis", "1", "--coeffs", "{coeffs}", "--grid", "2,2,2"],
+    ["--level", "0", "--coeffs", "{coeffs}", "--grid", "2,2,2"],
+    ["--level", "0", "--basis", "1", "--grid", "2,2,2", "--smin", "1.0"],
+    ["--level", "0", "--basis", "1", "--grid", "2,2,2", "--smin", "-0.5"],
+    ["--level", "3", "--basis", "1", "--grid", "2,2,2"],
+], ids=["grid-zero", "grid-pair", "basis-zero", "basis-past-n0", "neither", "both",
+        "coeff-count", "smin-at-end", "smin-negative", "level3-at-the-polar-curve"])
+def test_sample_checks_every_option_before_it_builds(options, tmp_path, monkeypatch, capsys):
+    def build_complex(*args, **kwargs):
+        raise AssertionError("sample built the complex before checking its options")
+
+    monkeypatch.setattr(cli, "build_complex", build_complex)
+    coeffs = tmp_path / "c.txt"
+    np.savetxt(coeffs, np.ones(7))
+    argv = ["sample", "--sizes", "48,48,24", *(o.format(coeffs=coeffs) for o in options)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")

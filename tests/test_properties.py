@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import polar_derham as pd
-from oracles import disk_block_pairs, find_span, wrap
+from oracles import disk_block_pairs, eval_local, find_span, wrap
+from polar_derham.extraction import lift_table
 from polar_derham.incidence import disk_blocks, toroidal_spectrum
-from polar_derham.tensor import StructureError, kron_block
+from polar_derham.tensor import StructureError
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -38,7 +39,8 @@ def test_one_changed_entry_in_any_joint_names_the_matrix(complex_cache, size, na
         if incidence:
             disk_blocks(dataclasses.replace(cx.incidence, **{name: matrix.tocsr()}))
         else:
-            kron_block(matrix.tocsr(), nt, name)
+            lift_table(cx.counts).read({n: getattr(cx.extraction, n) for n in cx.extraction.names()}
+                                       | {name: matrix.tocsr()})
     # a change in a block read from joint 0 shows in the matrix that copies
     # it, and that matrix's message names the source: "differs from D0's d0"
     assert name in str(err.value)
@@ -94,7 +96,7 @@ def test_one_lookup_of_three_spaces_matches_each_space_alone(complex_cache, degr
         # the span found: its left end, against the knot vector's own search
         spans = [find_span(sp.kv, wrap(sp, v)) for v in x]
         np.testing.assert_array_equal(lookup.spans[factors.rows[:, d], 0], sp.kv.knots[spans])
-        alone = sp.eval_local(x)
+        alone = eval_local(sp, x)
         width = alone.index.shape[1]
         index = lookup.index[factors.rows[:, d]]
         np.testing.assert_array_equal(index[:, 0, :width], alone.index)

@@ -6,8 +6,9 @@ import pytest
 from scipy import sparse
 
 import polar_derham as pd
-from oracles import eval_basis, eval_basis_derivative, eval_component_basis
-from polar_derham.tensor import (LEVEL_PATTERNS, StructureError, kron_block,
+from oracles import eval_basis, eval_basis_derivative, eval_component_basis, joint_block
+from polar_derham.extraction import lift_table
+from polar_derham.tensor import (LEVEL_PATTERNS, LiftTable, StructureError, eye_triplet,
                                  partition_rank)
 
 
@@ -231,46 +232,55 @@ def test_component_shapes(tc):
 
 # ------------------------ joint-structure checks -------------------------------
 
-def test_kron_block_recovers_the_per_joint_block(cx443):
+def test_lift_read_recovers_the_per_joint_block(cx443):
     e = cx443.extraction
-    assert (kron_block(e.E000, 3, "E000") != pd.extraction_e0(4, 4, e.ebar)).nnz == 0
-    assert (kron_block(e.E111, 3, "E111") != pd.extraction_e2(4, 4)).nnz == 0
+    table = lift_table(e.counts)
+    assert (table.read({"E000": e.E000})["e0"] != joint_block("e0", 4, 4, e.ebar)).nnz == 0
+    assert (table.read({"E111": e.E111})["e2"] != joint_block("e2", 4, 4)).nnz == 0
 
 
-def test_kron_block_rejects_entries_off_the_joint_diagonal(cx443):
+def _identity_lift(n, shape, name):
+    """The lift table of one matrix that is ``I_n (x) block``."""
+    return LiftTable(n, {"block": shape}, {name: (shape, [(eye_triplet(n), "block", 0, 0)])})
+
+
+def test_lift_read_rejects_entries_off_the_joint_diagonal(cx443):
     # D0 repeats over the joints, but the toroidal edges couple joint j to j + 1
-    with pytest.raises(StructureError, match=r"D0 is not I_3 \(x\) block: .* joint 1"):
-        kron_block(cx443.incidence.D0, 3, "D0")
-    # its diagonal blocks alone are I_3 (x) block
     shape = (cx443.counts.nbar1 + cx443.counts.nbar0, cx443.counts.nbar0)
+    with pytest.raises(StructureError, match=r"D0 is not the circle lift of one set \(block\): "
+                                             r"joint 0 has entries outside"):
+        _identity_lift(3, shape, "D0").read({"D0": cx443.incidence.D0})
+    # its diagonal blocks alone are I_3 (x) block
     block = cx443.incidence.D0[:shape[0], :shape[1]]
     diagonal = sparse.kron(sparse.identity(3), block, format="csr")
-    assert (kron_block(diagonal, 3, "D0") != block).nnz == 0
+    assert (_identity_lift(3, shape, "D0").read({"D0": diagonal})["block"] != block).nnz == 0
 
 
-def test_kron_block_names_the_first_joint_that_differs():
+def test_lift_read_names_the_first_joint_that_differs():
     block = sparse.csr_array(np.array([[1.0, 2.0], [0.0, 3.0]]))
     good = sparse.kron(sparse.identity(4), block, format="lil")
     bad = good.copy()
     bad[5, 4] = 7.0  # a new entry in joint 2
     bad[7, 6] = 7.0  # and one in joint 3
+    table = _identity_lift(4, (2, 2), "M")
     with pytest.raises(StructureError, match="M is not block-circulant over 4 joints: "
                                              "the entries of joint 2 differ"):
-        kron_block(bad, 4, "M")
+        table.read({"M": bad})
     # explicit zeros are not entries
     stored_zero = good.tocsr()
     stored_zero.data[stored_zero.data == 2.0] = 0.0
-    assert kron_block(stored_zero, 4, "M").data.tolist() == [1.0, 3.0]
+    assert table.read({"M": stored_zero})["block"].data.tolist() == [1.0, 3.0]
     stored_zero.data[-1] = 0.0
     with pytest.raises(StructureError, match="joint 3 differ"):
-        kron_block(stored_zero, 4, "M")
+        table.read({"M": stored_zero})
     with pytest.raises(StructureError, match="does not split into 3 joints"):
-        kron_block(good, 3, "M")
+        _identity_lift(3, (2, 2), "M").read({"M": good})
 
 
 def test_partition_rank_matches_dense_rank(cx443):
+    table = lift_table(cx443.counts)
     for name in cx443.extraction.names():
-        block = kron_block(getattr(cx443.extraction, name), 3, name)
+        (block,) = table.read({name: getattr(cx443.extraction, name)}).values()
         dense = block.toarray()
         nonzero = dense[np.abs(dense).sum(axis=1) > 0]
         assert partition_rank(block, name) == (np.linalg.matrix_rank(nonzero), nonzero.shape[0])
