@@ -20,6 +20,7 @@ __all__ = [
     "SpanLookup",
     "DtaDiagnostic",
     "make_uniform_open_knots",
+    "difference_triplet",
     "difference_matrix",
     "triplet",
     "periodic_h0",
@@ -151,22 +152,23 @@ def make_uniform_open_knots(p, num_distinct, a, b):
 
 # ========================== coefficient differences =========================
 
-def difference_matrix(n, periodic):
-    """Bidiagonal -1/+1 stencil mapping coefficients to derivative
-    coefficients.
-
-    `(n-1) x n` for an open space; the periodic variant appends the
-    wraparound row ``(1, 0, ..., 0, -1)`` and is square of size n.
-    """
+def difference_triplet(n, periodic):
+    """The bidiagonal -1/+1 stencil mapping n coefficients to derivative
+    coefficients, as float64 (rows, cols, vals) in CSR order: row i holds
+    -1 at column i and +1 at column i + 1, n - 1 rows when open and n when
+    periodic, the last wrapping around to ``(1, 0, ..., 0, -1)``."""
     if n < 2:
         raise ValueError(f"difference stencil needs n >= 2, got {n}")
-    m = n if periodic else n - 1
-    # row i: -1 at column i, +1 at column i + 1, wrapping in the last
-    # periodic row
-    rows = np.repeat(np.arange(m), 2)
-    cols = (rows + np.tile([0, 1], m)) % n
-    vals = np.tile(np.array([-1, 1], dtype=np.int64), m)
-    return sparse.coo_array((vals, (rows, cols)), shape=(m, n)).tocsr()
+    at = np.arange(n if periodic else n - 1)
+    cols = np.sort(np.column_stack([at, (at + 1) % n]), axis=1).ravel()
+    rows = np.repeat(at, 2)
+    return rows, cols, np.where(cols == rows, -1.0, 1.0)
+
+
+def difference_matrix(n, periodic):
+    """:func:`difference_triplet` as CSR."""
+    rows, cols, vals = difference_triplet(n, periodic)
+    return sparse.coo_array((vals, (rows, cols)), shape=(rows.size // 2, n)).tocsr()
 
 
 def triplet(matrix):

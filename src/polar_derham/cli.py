@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .extraction import polar_counts
-from .geometry import RHO_BAR_MAX, SingularityProximityError, check_singularity_floor
+from .geometry import RHO_BAR_MAX, S_MIN_FACTOR, SingularityProximityError, check_singularity_floor
 from .iotools import ComplexConfig, load_raw_config, write_bundle, write_triplet
 from .torus import TorusComplexSpec, build_complex
 from .verification import RESIDUAL_TOL, inject_row_drop, run_verification
@@ -37,9 +37,11 @@ def _triple(text, kind=int):
 
 def _resolve_config(args):
     raw = {}
-    source = getattr(args, "config", None) or getattr(args, "bundle", None)
-    if source:
-        raw = {k: v for k, v in load_raw_config(source).items() if v is not None}
+    sources = [s for s in (getattr(args, "config", None), getattr(args, "bundle", None)) if s]
+    if len(sources) > 1:
+        raise UsageError("give at most one of --config and --bundle")
+    if sources:
+        raw = {k: v for k, v in load_raw_config(sources[0]).items() if v is not None}
     if getattr(args, "degrees", None):
         raw["degrees"] = _triple(args.degrees)
         if "dims" in raw:
@@ -83,9 +85,12 @@ def cmd_verify(args):
     cx = build_complex(config.to_spec(), ebar_perturbation=args.perturb_ebar)
     if args.drop_row:
         name, _, row = args.drop_row.partition(":")
-        if not row:
-            raise UsageError("--drop-row expects MATRIX:ROW, e.g. D1:5")
-        cx = inject_row_drop(cx, name, int(row))
+        try:
+            row = int(row)
+        except ValueError:
+            raise UsageError(
+                f"--drop-row MATRIX:ROW needs an integer ROW, got {args.drop_row!r}") from None
+        cx = inject_row_drop(cx, name, row)
     report = run_verification(cx, residual=args.tol, config_echo=config.to_dict())
     payload = report.to_dict()
     payload["negative_controls"] = {
@@ -129,13 +134,14 @@ def cmd_sample(args):
     if min(counts) < 1:
         raise UsageError(f"grid counts must be positive, got {args.grid!r}")
     R, S, T = spec.lengths
-    if not 0.0 <= args.smin < S:
-        raise UsageError(f"--smin must lie in [0, {S}), got {args.smin}")
-    check_singularity_floor(level, args.smin, S)
+    smin = (S_MIN_FACTOR * S if level else 0.0) if args.smin is None else args.smin
+    if not 0.0 <= smin < S:
+        raise UsageError(f"--smin must lie in [0, {S}), got {smin}")
+    check_singularity_floor(level, smin, S)
     # every option above is checked against the counts and lengths alone
     cx = build_complex(spec)
     rs = np.linspace(0.0, R, counts[0])
-    ss = np.linspace(args.smin, S, counts[1])
+    ss = np.linspace(smin, S, counts[1])
     ts = np.linspace(0.0, T, counts[2])
     t, s, r = np.meshgrid(ts, ss, rs, indexing="ij")
     points = np.column_stack([r.ravel(), s.ravel(), t.ravel()])
@@ -235,9 +241,10 @@ def build_parser():
     s.add_argument("--basis", type=int, help="1-based reduced basis index")
     s.add_argument("--coeffs", help="text file with one coefficient per line")
     s.add_argument("--grid", required=True, help="grid counts, e.g. 5,5,5")
-    s.add_argument("--smin", type=float, default=0.0,
-                   help="start of the s-grid (levels 1-3 must stay above "
-                        "the singularity floor)")
+    s.add_argument("--smin", type=float,
+                   help="start of the s-grid (levels 1-3 must stay at or above the "
+                        f"singularity floor {S_MIN_FACTOR:g} * S; default 0 at level 0 "
+                        "and the floor at levels 1-3)")
     s.add_argument("--out", help="CSV output file (default stdout)")
     s.set_defaults(func=cmd_sample)
 

@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
+from .bsplines import difference_triplet
 from .tensor import LEVEL_PATTERNS, LiftTable, cat_triplets, check_size_floors, eye_triplet
 
 __all__ = [
@@ -148,7 +149,7 @@ def joint_blocks(nr, ns, ebar):
         (2 + (2 * ring + poloidal) * nr + i, (ring + poloidal + 1) * nr + i, np.ones(outer)),
     ]) for head, poloidal in ((ebar.ring_steps(), 1),
                               (ebar.matrix[1:, nr:] - ebar.matrix[1:, :nr], 0))]
-    e2 = np.arange(outer), np.arange(outer) + nr, np.ones(outer, dtype=np.int64)
+    e2 = np.arange(outer), np.arange(outer) + nr, np.ones(outer)
     return tuple(tuple(part[b[2] != 0] for part in b) for b in (e0, *edges, e2))
 
 
@@ -157,16 +158,11 @@ def lift_table(counts):
     to D2 over the nt joints, C the identity, its negative or the periodic
     difference stencil Dt.  The joint rows are ordered as in
     :mod:`polar_derham.incidence`: E001 places e0 below the in-joint edges,
-    E011 and E101 place e01 and -e10 on the side faces.  E111 alone has
-    integer entries, as e2."""
+    E011 and E101 place e01 and -e10 on the side faces."""
     c = counts
     n0, n1, n2 = c.nbar0, c.nbar1, c.nbar2
     w0, w1 = c.nr * c.ns, c.nr * (c.ns - 1)
-    same, minus = eye_triplet(c.nt), eye_triplet(c.nt, -1.0)
-    # row j of Dt: -1 at joint j, +1 at joint j + 1
-    at = np.arange(c.nt)
-    step = (np.repeat(at, 2), np.column_stack([at, (at + 1) % c.nt]).ravel(),
-            np.tile(np.array([-1, 1], dtype=np.int64), c.nt))
+    same, minus, step = eye_triplet(c.nt), eye_triplet(c.nt, -1.0), difference_triplet(c.nt, True)
     shapes = {"e0": (n0, w0), "e10": (n1, w0), "e01": (n1, w1), "e2": (n2, w1),
               "d0": (n1, n0), "d1": (n2, n1)}
     return LiftTable(c.nt, shapes, {
@@ -177,7 +173,7 @@ def lift_table(counts):
         "E011": ((n2 + n1, w1), [(same, "e01", n2, 0)]),
         "E101": ((n2 + n1, w0), [(minus, "e10", n2, 0)]),
         "E110": ((n2 + n1, w1), [(same, "e2", 0, 0)]),
-        "E111": ((n2, w1), [(eye_triplet(c.nt, 1), "e2", 0, 0)]),
+        "E111": ((n2, w1), [(same, "e2", 0, 0)]),
         "D0": ((n1 + n0, n0), [(same, "d0", 0, 0), (step, eye_triplet(n0), n1, 0)]),
         "D1": ((n2 + n1, n1 + n0), [(same, "d1", 0, 0), (same, "d0", n2, n1),
                                     (step, eye_triplet(n1, -1.0), n2, 0)]),

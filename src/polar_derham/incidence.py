@@ -25,10 +25,10 @@ difference stencil Dt of the joints to
 as :func:`~polar_derham.extraction.lift_table` states them, next to the
 lifts of the extraction matrices.  The disk blocks follow from the
 per-joint extraction blocks (e0, e1 = [e10 e01], e2) and the disk's
-tensor derivatives (g0 grad, g1 curl) by the commuting diagram
-``g_l e_l^T = e_{l+1}^T d_l``, so only the extraction states the DOF
-numbering; ``tests/oracles.py`` keeps an entry-by-entry transcription of
-d0 and d1 as the tests' reference.
+tensor derivatives (g0 grad, g1 curl, the tensor complex's rule on one
+joint) by the commuting diagram ``g_l e_l^T = e_{l+1}^T d_l``, so only
+the extraction states the DOF numbering; ``tests/oracles.py`` keeps an
+entry-by-entry transcription of d0 and d1 as the tests' reference.
 """
 
 from dataclasses import dataclass, field
@@ -38,7 +38,7 @@ from scipy import sparse
 
 from .bsplines import triplet
 from .extraction import PolarCounts, lift_table
-from .tensor import LEVEL_PATTERNS, StructureError, cat_triplets, unit_entries
+from .tensor import LEVEL_PATTERNS, StructureError, cat_triplets, derivative_entries, unit_entries
 
 __all__ = [
     "IncidenceSet",
@@ -85,22 +85,19 @@ def _diagram_rows(g, e, e_next, shape, first, name):
 
 def _disk_blocks(counts, e0, e10, e01, e2):
     """d0 and d1 as triplets, from the per-joint extraction blocks' triplets
-    (module docstring).  g0 and g1 carry the signs of
-    :meth:`~polar_derham.tensor.TensorComplex.level_operator`; function
-    (i, j) of a disk component sits at ``i + nr * j``, r before s."""
-    at = np.arange(counts.nr * counts.ns).reshape(counts.ns, counts.nr)
-    inner, outer, around, w0 = at[:-1], at[1:], np.roll(at, -1, axis=1), at.size
-    g0, g1 = (cat_triplets([(r, c, np.full(r.shape, v)) for r, c, v in g]) for g in (
-        [(at, at, -1), (at, around, 1), (w0 + inner, inner, -1), (w0 + inner, outer, 1)],
-        [(inner, inner, 1), (inner, outer, -1), (inner, w0 + inner, -1),
-         (inner, w0 + around[:-1], 1)]))
+    (module docstring); g0 and g1 are :func:`~polar_derham.tensor.derivative_entries`
+    on the disk counts (nr, ns, 1) and the components without a t-bit."""
+    disk = [tuple(p for p in LEVEL_PATTERNS[level] if not p[2]) for level in range(3)]
+    (g0, (m0, w0)), (g1, (m1, _)) = (
+        derivative_entries((counts.nr, counts.ns, 1), disk[level], disk[level + 1])
+        for level in (0, 1))
     e1 = cat_triplets([e10, (e01[0], e01[1] + w0, e01[2])])
     d0 = cat_triplets([
         # the center edges: vertex 2 - vertex 1 and vertex 3 - vertex 1
         ([0, 0, 1, 1], [1, 0, 2, 0], [1, -1, 1, -1]),
-        _diagram_rows(g0, e0, e1, (counts.nbar1, w0 + inner.size), 2, "e1"),
+        _diagram_rows(g0, e0, e1, (counts.nbar1, m0), 2, "e1"),
     ])
-    return d0, _diagram_rows(g1, e1, e2, (counts.nbar2, inner.size), 0, "e2")
+    return d0, _diagram_rows(g1, e1, e2, (counts.nbar2, m1), 0, "e2")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ The four levels of the tensor complex (scalar potentials, curl-domain
 triples, div-domain triples, densities) share three univariate spaces:
 periodic in the first and third directions, open in the second.  All
 coefficient-level differential operators are Kronecker products of
-identities with the bidiagonal difference stencils.
+identities with the bidiagonal difference stencils, all float64:
+:func:`derivative_entries` states them once, for any component counts.
 
 Coefficient layout: the first index runs fastest, so the coefficients of
 a component with counts (nr, ns, nt) are the C-order array of shape
@@ -24,12 +25,13 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 
-from .bsplines import SpanLookup, SplineSpace, make_uniform_open_knots, triplet
+from .bsplines import SpanLookup, SplineSpace, difference_triplet, make_uniform_open_knots, triplet
 
 __all__ = [
     "check_size_floors",
     "cat_triplets",
     "eye_triplet",
+    "derivative_entries",
     "kron_lift",
     "StructureError",
     "first_difference",
@@ -83,6 +85,45 @@ def dims_of_distinct_knots(degrees, distinct):
     return tuple(d + p - o for p, d, o in zip(degrees, distinct, _KNOT_OFFSETS))
 
 
+# ----------------------- the tensor derivative rule -------------------------
+
+def derivative_entries(dims, sources, targets):
+    """The coefficient derivatives from the components `sources` to the
+    components `targets` (patterns of one level and the next), side by
+    side in the order given, as a float64 triplet and its shape.
+
+    A component's counts are ``(n0, n1 - pattern[1], n2)`` for `dims` =
+    (n0, n1, n2).  Block (q, p) is +/- the difference stencil of a
+    direction a (periodic in the first and third, open in the second),
+    its entries broadcast against the index ranges of the other two
+    directions, when q is p lowered in one more direction a, and empty
+    otherwise.  The sign is + except from the 1-form components, which
+    orients the 2-form components as (s, t), (t, r), (r, s): the
+    derivative along a of the 1-form component along b enters with +
+    when b = a + 1 (mod 3) and with - otherwise.
+    """
+    counts = {p: (dims[0], dims[1] - p[1], dims[2]) for p in (*sources, *targets)}
+    row0 = np.cumsum([0] + [np.prod(counts[q]) for q in targets])
+    col0 = np.cumsum([0] + [np.prod(counts[p]) for p in sources])
+    parts = []
+    for col, p in enumerate(sources):
+        for axis in range(3):
+            q = tuple(b + (d == axis) for d, b in enumerate(p))
+            if q not in targets:
+                continue
+            sign = -1.0 if sum(p) == 1 and p.index(1) != (axis + 1) % 3 else 1.0
+            src, dst = counts[p], counts[q]
+            s_row, s_col, s_val = difference_triplet(src[axis], axis != 1)
+            dst_stride, src_stride = np.cumprod([1, *dst[:2]]), np.cumprod([1, *src[:2]])
+            a, b = (d for d in range(3) if d != axis)
+            at_a, at_b = np.arange(src[a])[:, None], np.arange(src[b])[:, None, None]
+            rows = at_b * dst_stride[b] + at_a * dst_stride[a] + s_row * dst_stride[axis]
+            cols = at_b * src_stride[b] + at_a * src_stride[a] + s_col * src_stride[axis]
+            parts.append((rows.ravel() + row0[targets.index(q)], cols.ravel() + col0[col],
+                          np.tile(sign * s_val, src[a] * src[b])))
+    return cat_triplets(parts), (row0[-1], col0[-1])
+
+
 # ------------------------- one-pass Kronecker sums --------------------------
 
 def cat_triplets(parts):
@@ -91,7 +132,7 @@ def cat_triplets(parts):
 
 
 def eye_triplet(n, sign=1.0):
-    """``sign * I_n`` as a triplet; `sign` also fixes the dtype."""
+    """``sign * I_n`` as a triplet."""
     return np.arange(n), np.arange(n), np.full(n, sign)
 
 
@@ -99,9 +140,8 @@ def kron_lift(n, block_shape, terms):
     """CSR sum of the Kronecker products ``C (x) B`` over (C, B, row0, col0).
 
     C (n x n) and B are (rows, cols, vals) triplets; B is placed at
-    (row0, col0) inside a block of `block_shape`, repeated along C.  The
-    entries keep the dtype of the products C * B; stored zeros are
-    dropped.
+    (row0, col0) inside a block of `block_shape`, repeated along C;
+    stored zeros are dropped.
     """
     rows, cols, vals = cat_triplets([
         (c_row[:, None] * block_shape[0] + row0 + b_row,
@@ -426,61 +466,17 @@ class TensorComplex:
 
     # --------------------- coefficient derivatives --------------------------
 
-    def _stencil_entries(self, axis, pattern, sign, row0, col0):
-        """The entries of ``sign * derivative(axis, pattern)`` shifted to
-        (row0, col0), and the block's shape.
-
-        The stencil's entries along `axis` are broadcast against the index
-        ranges of the other two directions, in the module's layout.
-        """
-        stencil = self.spaces[axis].difference_stencil
-        src = list(self.component_shape(pattern))
-        dst = list(src)
-        dst[axis], src[axis] = stencil.shape
-        dst_stride = (1, dst[0], dst[0] * dst[1])
-        src_stride = (1, src[0], src[0] * src[1])
-        a, b = (d for d in range(3) if d != axis)
-        at_a, at_b = np.arange(src[a]), np.arange(src[b])[:, None]
-        s_row, s_col, s_val = triplet(stencil)
-        rows = (at_b * dst_stride[b] + at_a * dst_stride[a]).reshape(-1, 1) + s_row * dst_stride[axis]
-        cols = (at_b * src_stride[b] + at_a * src_stride[a]).reshape(-1, 1) + s_col * src_stride[axis]
-        vals = np.tile(sign * s_val, src[a] * src[b])
-        shape = (dst[0] * dst[1] * dst[2], src[0] * src[1] * src[2])
-        return (rows.ravel() + row0, cols.ravel() + col0, vals), shape
-
-    def derivative(self, axis, pattern=(0, 0, 0)):
-        """The difference stencil of direction `axis` acting on one
-        component: identities over the other directions of
-        ``component_shape(pattern)`` (int64 CSR, no stored zeros)."""
-        entries, shape = self._stencil_entries(axis, pattern, 1, 0, 0)
-        return _csr_from_triplet(entries, shape)
+    def derivative(self, axis):
+        """The difference stencil of direction `axis` on level 0: identities
+        over the other directions (float64 CSR, no stored zeros)."""
+        return _csr_from_triplet(*derivative_entries(
+            self.dims, LEVEL_PATTERNS[0], (LEVEL_PATTERNS[1][axis],)))
 
     def level_operator(self, level):
-        """The level -> level + 1 coefficient map (int64 CSR, no stored
-        zeros).
-
-        Block (q, p) is ``+/- derivative(a, p)`` when component q is
-        component p lowered in one more direction a, and empty otherwise.
-        The sign is + except from level 1, which orients the 2-form
-        components as (s, t), (t, r), (r, s): the derivative along a of
-        the 1-form component along b enters with + when b = a + 1
-        (mod 3) and with - otherwise.  Every block's entries are placed at
-        its offsets and the level is assembled in one COO -> CSR pass.
-        """
-        sources, targets = LEVEL_PATTERNS[level], LEVEL_PATTERNS[level + 1]
-        row0 = np.cumsum([0] + [self.component_dim(q) for q in targets])
-        col0 = np.cumsum([0] + [self.component_dim(p) for p in sources])
-        parts = []
-        for col, p in enumerate(sources):
-            for axis in range(3):
-                if p[axis]:
-                    continue
-                q = tuple(b + (d == axis) for d, b in enumerate(p))
-                sign = -1 if level == 1 and p.index(1) != (axis + 1) % 3 else 1
-                entries, _ = self._stencil_entries(
-                    axis, p, sign, row0[targets.index(q)], col0[col])
-                parts.append(entries)
-        return _csr_from_triplet(cat_triplets(parts), (row0[-1], col0[-1]))
+        """The level -> level + 1 coefficient map of
+        :func:`derivative_entries` (float64 CSR, no stored zeros)."""
+        return _csr_from_triplet(*derivative_entries(
+            self.dims, LEVEL_PATTERNS[level], LEVEL_PATTERNS[level + 1]))
 
     def grad_matrix(self):
         return self.level_operator(0)

@@ -225,7 +225,7 @@ def _looped_difference_matrix(n, periodic):
         cols += [0, n - 1]
         vals += [1, -1]
     shape = (n, n) if periodic else (n - 1, n)
-    return sparse.coo_array((np.array(vals, dtype=np.int64), (rows, cols)), shape=shape).tocsr()
+    return sparse.coo_array((np.array(vals, dtype=np.float64), (rows, cols)), shape=shape).tocsr()
 
 
 @pytest.mark.parametrize("periodic", [False, True])

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy import sparse
 
 import polar_derham as pd
 from oracles import disk_block_pairs, rank_with_gap
@@ -13,7 +14,7 @@ from polar_derham.cli import main
 from polar_derham.incidence import (_disk_blocks, disk_blocks, kunneth_spectrum, max_abs,
                                     toroidal_spectrum)
 from polar_derham.iotools import write_triplet
-from polar_derham.tensor import StructureError
+from polar_derham.tensor import LEVEL_PATTERNS, StructureError, derivative_entries
 from polar_derham.torus import PolarComplex
 from polar_derham.verification import run_verification
 
@@ -122,6 +123,36 @@ def test_derived_disk_blocks_equal_the_transcription(nr, ns, perturbation):
     for derived, transcribed in disk_block_pairs(nr, ns, perturbation):
         assert derived[0] == transcribed[0]
         assert all(map(np.array_equal, derived[1:], transcribed[1:]))
+
+
+def _joint0(tc, level, patterns):
+    """The indices, among level `level`'s coefficients, of joint 0 of the
+    components `patterns`."""
+    pats = LEVEL_PATTERNS[level]
+    start = np.cumsum([0] + [tc.component_dim(p) for p in pats])
+    return np.concatenate([start[pats.index(p)] + np.arange(tc.nr * (tc.ns - p[1]))
+                           for p in patterns])
+
+
+@pytest.mark.parametrize("degrees,dims", [((2, 2, 2), (4, 4, 3)), ((3, 3, 3), (7, 7, 5)),
+                                          ((2, 2, 2), (16, 16, 8))])
+def test_disk_derivatives_are_joint_0_of_the_level_operators(degrees, dims):
+    # the disk's grad and curl, the tensor rule on the counts (nr, ns, 1) and
+    # the components without a toroidal derivative, are the r/s blocks of the
+    # tensor level operators between those components' joint-0 coefficients
+    tc = pd.build_tensor_sequence(degrees, dims)
+    for level in (0, 1):
+        disk = [tuple(p for p in LEVEL_PATTERNS[lv] if not p[2]) for lv in (level, level + 1)]
+        (rows, cols, vals), shape = derivative_entries((tc.nr, tc.ns, 1), *disk)
+        got = sparse.coo_array((vals, (rows, cols)), shape=shape).tocsr()
+        band = tc.level_operator(level)[_joint0(tc, level + 1, disk[1])]
+        expected = band[:, _joint0(tc, level, disk[0])]
+        # the joint-0 rows reach no other coefficient
+        assert expected.nnz == band.nnz
+        expected.sort_indices()
+        assert got.dtype == expected.dtype == np.float64
+        for arr in ("indptr", "indices", "data"):
+            npt.assert_array_equal(getattr(got, arr), getattr(expected, arr), err_msg=arr)
 
 
 def _scale_row(rows, cols, vals, row):

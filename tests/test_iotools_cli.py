@@ -11,6 +11,7 @@ from scipy import sparse
 from polar_derham import TorusComplexSpec, build_complex
 from polar_derham import cli
 from polar_derham.cli import _csv_text, main
+from polar_derham.geometry import S_MIN_FACTOR
 from polar_derham.iotools import (
     ComplexConfig,
     load_raw_config,
@@ -349,12 +350,29 @@ class TestCli:
                      "--out", str(tmp_path / "bad.json")])
         assert code == 1
 
-    @pytest.mark.parametrize("drop,code", [("D1:5", 1), ("E100:1", 1), ("E100:5", 2)])
+    @pytest.mark.parametrize("drop,code", [("D1:5", 1), ("E100:1", 1), ("E100:5", 2),
+                                           ("D1:5x", 2), ("D1", 2)])
     def test_drop_row_must_inject_a_fault(self, drop, code, capsys):
-        # row 5 of E100 is empty at (4,4,3): dropping it would change nothing
+        # row 5 of E100 is empty at (4,4,3): dropping it would change nothing;
+        # a row that is no integer names the option's form
         assert main(["verify", "--sizes", "4,4,3", "--drop-row", drop]) == code
         if code == 2:
-            assert "row 5 of E100 is already all zero" in capsys.readouterr().err
+            expected = ("row 5 of E100 is already all zero" if drop == "E100:5"
+                        else f"--drop-row MATRIX:ROW needs an integer ROW, got {drop!r}")
+            assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["verify"], ["sample", "--level", "0", "--basis", "1",
+                                                      "--grid", "2,2,2"], ["export", "D0"]],
+                             ids=["verify", "sample", "export"])
+    def test_config_and_bundle_together_is_a_usage_error(self, command, tmp_path, capsys):
+        for name, dims in (("a", "4,4,3"), ("b", "5,6,4")):
+            assert main(["build", "--sizes", dims, "--out", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        argv = [command[0], "--config", str(tmp_path / "a"), "--bundle", str(tmp_path / "b"),
+                *command[1:]]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.err == "error: give at most one of --config and --bundle\n" and not out.out
 
     def test_rho_bar_floor_rejected(self, capsys):
         assert main(["verify", "--sizes", "4,4,3", "--rho-bar", "2"]) == 2
@@ -447,9 +465,19 @@ class TestCli:
 
     def test_sample_rejects_polar_face_for_densities(self, capsys):
         code = main(["sample", "--sizes", "4,4,3", "--level", "3",
-                     "--basis", "1", "--grid", "3,3,3"])
+                     "--basis", "1", "--grid", "3,3,3", "--smin", "0"])
         assert code == 2
         assert "s_min" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_sample_default_smin_is_valid_at_every_level(self, level, tmp_path):
+        # the s-grid starts at 0 for scalars and at the singularity floor above
+        out = tmp_path / "samples.csv"
+        assert main(["sample", "--sizes", "4,4,3", "--level", str(level), "--basis", "2",
+                     "--grid", "3,3,3", "--out", str(out)]) == 0
+        s = np.loadtxt(out, skiprows=1, delimiter=",")[:, 1]
+        assert s.min() == (S_MIN_FACTOR if level else 0.0)
+        npt.assert_array_equal(np.unique(s), np.linspace(s.min(), 1.0, 3))
 
     def test_sample_coeff_length_mismatch(self, tmp_path, capsys):
         coeffs = tmp_path / "c.txt"
@@ -491,9 +519,9 @@ class TestCli:
         files = sorted(p.name for p in out.iterdir())
         assert len(files) == 18
         assert "E111.txt" in files
-        # the volume selector stays integer 0/1 in the export
+        # the volume selector's entries are all 1, written as float64
         text = (out / "E111.txt").read_text().splitlines()
-        assert all(line.split()[2] == "1" for line in text[1:])
+        assert all(line.split()[2] == "1.0" for line in text[1:])
 
     def test_export_d0_row_count(self, tmp_path, capsys):
         out = tmp_path / "mats"
@@ -571,7 +599,7 @@ class TestCli:
     ["--level", "0", "--coeffs", "{coeffs}", "--grid", "2,2,2"],
     ["--level", "0", "--basis", "1", "--grid", "2,2,2", "--smin", "1.0"],
     ["--level", "0", "--basis", "1", "--grid", "2,2,2", "--smin", "-0.5"],
-    ["--level", "3", "--basis", "1", "--grid", "2,2,2"],
+    ["--level", "3", "--basis", "1", "--grid", "2,2,2", "--smin", "0"],
 ], ids=["grid-zero", "grid-pair", "basis-zero", "basis-past-n0", "neither", "both",
         "coeff-count", "smin-at-end", "smin-negative", "level3-at-the-polar-curve"])
 def test_sample_checks_every_option_before_it_builds(options, tmp_path, monkeypatch, capsys):

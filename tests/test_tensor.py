@@ -87,7 +87,7 @@ def test_complex_property_exact(tc):
     grad = tc.grad_matrix()
     curl = tc.curl_matrix()
     div = tc.div_matrix()
-    assert np.issubdtype(grad.dtype, np.integer)
+    assert grad.dtype == np.float64
     assert (curl @ grad).nnz == 0
     assert (div @ curl).nnz == 0
 
@@ -96,22 +96,23 @@ def test_complex_property_exact(tc):
 # each CSR operator: a changed entry, sign, order or dtype shows here.
 PINNED_OPERATOR_DIGESTS = {
     # re-recorded when the operators stopped storing the explicit zeros
-    # that scipy's kron leaves in the r-stencil blocks at nr = 4
+    # that scipy's kron leaves in the r-stencil blocks at nr = 4, and when
+    # they became float64 (indptr, indices and values unchanged)
     ((2, 2, 2), (4, 4, 3)): {
-        "grad_matrix": "2374b168624be5b9f0f0471b95abf72e98e16cd0770c318fc908ef65d64830f5",
-        "curl_matrix": "b8f841d871356dfaefd5a527298036fcb79df6223b4d19ed3f22a53f4ab6d298",
-        "div_matrix": "529a815828032e2737c94a5029e200642a2f75d299af676477360c0ba068fe81",
-        "derivative_r": "98ae1cb37cb116dd3b2b683206725e3c39897cb9c7fed0cef7d8de2009f539ba",
-        "derivative_s": "06884ed662b1c041acd8115ff72929603ac015b434ef2b8b2a51efd08e3e5c63",
-        "derivative_t": "e731db8c9806892278e4b5d8b342e8e709e32c5ca43fd732149191be1347d7b8",
+        "grad_matrix": "75a8eb7630f5227b80cab780d665e7783fd1ac54383b46b3c0a081db197cb81f",
+        "curl_matrix": "410fec106f1643d4b50c015b3054949144b276991be4b664af4ea304e335005d",
+        "div_matrix": "adcaf66f776646605ffa7d13cd0cea80324a92e5473614ae9d4ff86abe3fe706",
+        "derivative_r": "518ed4b6dc2b5d10213d47f323aa274816af85d7f8ed5c813a0be6c5955372c1",
+        "derivative_s": "a73045aa6a9193bfb3b7ab55aefed656cc4ce81afe4f9bce1c9fa4046b602f31",
+        "derivative_t": "801789a3b05c802aed6d96c0367e6fb4487d78f7ec49d9520322e84b44242f00",
     },
     ((3, 3, 3), (5, 6, 4)): {
-        "grad_matrix": "5201fe53fd2d9d9b1e7e9741e4a202e664e6d45677c4d696624c8bbe08270696",
-        "curl_matrix": "e4faa55c684ed9ee9d4401ac6ac70fc0d5aa9fa417e0de40f9be39d9543cb491",
-        "div_matrix": "be65a48239162c4f1cc614998e71c62e7c743d539c2b1c57b839ec9081fb8c02",
-        "derivative_r": "4133bf0c4e8c90f8697fbd02d6092db19abd0b6fa406c218aa05bc9f7a7457d9",
-        "derivative_s": "b1aa3c16e13ef8072d926ebc6211d003ebde7db18b9cb893863e73aaa5bd8384",
-        "derivative_t": "064f16b598ae948085a8ef8036a13e4ebd7ea61e48f05e014b51078fa6acb01f",
+        "grad_matrix": "3c1a64ec73248f7ba092693d5fd84483df200787dedc316f45d768333b749b84",
+        "curl_matrix": "f47a35cfce4cca26cd868af2524e6d4a190a586e219b7224b247c36b3e642836",
+        "div_matrix": "5467dd3c33ffc8edb2fc104d1c21d0dbcb9a17b58f54e60a8e3a654e2374e0ad",
+        "derivative_r": "17b793f68d3c31509ac840c79001a110e55a0fa360503bb571dd8f94b910acf7",
+        "derivative_s": "520df71199494ede5c76dca413c3ea98396c125e50ac878d3cbde771b93cef50",
+        "derivative_t": "a9b45769c8f433a311faca9c3e4262c64a153946454a66157b86f3d3c59a881b",
     },
 }
 
@@ -137,14 +138,14 @@ def test_operator_digests_pinned(degrees, dims):
     tc = pd.build_tensor_sequence(degrees, dims)
     for name, digest in PINNED_OPERATOR_DIGESTS[(degrees, dims)].items():
         matrix = _pinned_operator(tc, name)
-        assert matrix.dtype == np.int64, name
+        assert matrix.dtype == np.float64, name
         assert _operator_digest(matrix) == digest, name
 
 
 def _kron_derivative(tc, axis, pattern=(0, 0, 0)):
     """The stencil of `axis` on one component as nested scipy Kronecker
     products: the construction the one-pass builder replaced."""
-    factors = [sparse.identity(n, dtype=np.int64, format="csr")
+    factors = [sparse.identity(n, dtype=np.float64, format="csr")
                for n in tc.component_shape(pattern)]
     factors[axis] = tc.spaces[axis].difference_stencil
     return sparse.kron(factors[2], sparse.kron(factors[1], factors[0]), format="csr")
@@ -153,7 +154,7 @@ def _kron_derivative(tc, axis, pattern=(0, 0, 0)):
 def _bmat_level_operator(tc, level):
     """The level operator stacked block by block with scipy's bmat."""
     sources, targets = LEVEL_PATTERNS[level], LEVEL_PATTERNS[level + 1]
-    blocks = [[sparse.csr_array((tc.component_dim(q), tc.component_dim(p)), dtype=np.int64)
+    blocks = [[sparse.csr_array((tc.component_dim(q), tc.component_dim(p)), dtype=np.float64)
                for p in sources] for q in targets]
     for col, p in enumerate(sources):
         for axis in range(3):
@@ -178,7 +179,7 @@ def test_operators_match_kron_oracle_without_stored_zeros(degrees, dims):
     for name, got, oracle in pairs:
         assert np.count_nonzero(got.data) == got.nnz, name
         oracle.eliminate_zeros()
-        assert got.dtype == oracle.dtype == np.int64, name
+        assert got.dtype == oracle.dtype == np.float64, name
         for arr in ("indptr", "indices", "data"):
             npt.assert_array_equal(getattr(got, arr), getattr(oracle, arr), err_msg=name)
 

@@ -128,3 +128,9 @@ def test_named_matrices(cx443):
     assert mats["E000"].shape == (33, 48)
     assert mats["H0_r"].shape == (4, 6)
     assert mats["D100"].shape == (48, 48)
+
+
+@pytest.mark.parametrize("degrees,dims", [((2, 2, 2), (4, 4, 3)), ((3, 3, 3), (7, 7, 5))])
+def test_every_named_matrix_is_float64(degrees, dims, complex_cache):
+    mats = complex_cache(degrees=degrees, dims=dims).named_matrices()
+    assert {name: m.dtype for name, m in mats.items() if m.dtype != np.float64} == {}
