@@ -14,7 +14,9 @@ import numpy as np
 
 from .extraction import polar_counts
 from .geometry import RHO_BAR_MAX, S_MIN_FACTOR, SingularityProximityError, check_singularity_floor
-from .iotools import ComplexConfig, load_raw_config, write_bundle, write_triplet
+from .iotools import (
+    ComplexConfig, csv_text, load_raw_config, read_coefficients, write_bundle, write_triplet,
+)
 from .torus import TorusComplexSpec, build_complex
 from .verification import RESIDUAL_TOL, inject_row_drop, run_verification
 
@@ -123,13 +125,9 @@ def cmd_sample(args):
         coeffs = np.zeros(n_level)
         coeffs[args.basis - 1] = 1.0
     else:
-        coeffs = np.loadtxt(args.coeffs, ndmin=1)
+        coeffs = read_coefficients(args.coeffs)
         if coeffs.shape != (n_level,):
-            raise UsageError(
-                f"coefficient file has {coeffs.size} values, level {level} needs {n_level}"
-            )
-        if not np.isfinite(coeffs).all():
-            raise UsageError(f"coefficient file {args.coeffs} holds non-finite values")
+            raise UsageError(f"{args.coeffs}: {coeffs.size} values, level {level} needs {n_level}")
     counts = _triple(args.grid)
     if min(counts) < 1:
         raise UsageError(f"grid counts must be positive, got {args.grid!r}")
@@ -148,30 +146,13 @@ def cmd_sample(args):
     xyz, values = cx.pushforward(coeffs, points, level=level)
     table = np.column_stack([points, xyz, values])
     header = "r,s,t,x,y,z," + ("v1,v2,v3" if level in (1, 2) else "v1")
-    text = _csv_text(header, table)
+    text = csv_text(header, table)
     if args.out:
         Path(args.out).write_text(text + "\n")
         print(f"{len(table)} samples written to {args.out}")
     else:
         print(text)
     return 0
-
-
-def _csv_text(header, table):
-    """The header line, then one line per row of the 2-D float array
-    `table`: each value's shortest round-tripping repr, comma-separated.
-
-    As in `write_triplet`, each distinct value is formatted once and the
-    body in one pass; values are told apart by their bits, so -0.0 and
-    0.0 keep their own repr.
-    """
-    rows, cols = table.shape
-    bits = np.ascontiguousarray(table, dtype=float).view(np.int64).ravel()
-    distinct, which = np.unique(bits, return_inverse=True)
-    tokens = np.array([repr(v) for v in distinct.view(float).tolist()], dtype=object)
-    line = ",".join(["%s"] * cols)
-    body = "\n".join([line] * rows) % tuple(tokens[which.ravel()].tolist())
-    return f"{header}\n{body}"
 
 
 def cmd_export(args):

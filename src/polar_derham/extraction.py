@@ -111,7 +111,7 @@ class PolarCounts:
 
 
 def polar_counts(nr, ns, nt):
-    check_size_floors(nr, ns, nt)
+    check_size_floors((2, 2, 2), (nr, ns, nt))  # the degree-free polar floors
     nbar0 = nr * (ns - 2) + 3
     nbar1 = 2 * (nbar0 - 2)
     nbar2 = nbar0 - 3

@@ -262,7 +262,6 @@ class SmoothnessProbeReport:
     r_samples: np.ndarray
     value_discrepancy: np.ndarray
     c1_table: list
-    weights: np.ndarray
 
 
 # Samples of the collapsed s = 0 face.
@@ -298,7 +297,6 @@ def _probe_engine(value_fn, polar_map, tensor, t, eps_list):
         r_samples=rs,
         value_discrepancy=vals0.max(axis=0) - vals0.min(axis=0),
         c1_table=table,
-        weights=weights,
     )
 
 

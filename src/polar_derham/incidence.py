@@ -402,20 +402,19 @@ def cohomology_dimensions(incidence):
 
 # ======================= divergence surjectivity =============================
 
-def divergence_preimage(counts, m, beta=0.0):
+def divergence_preimage(counts, m):
     """Back-substitute a level-2 coefficient vector h with D2 @ h = m.
 
-    Per joint, every joint face is set to the free parameter beta, the side
-    faces of the two center edges and of the radial rounds are zeroed, and
-    the side round of ring j's poloidal edges carries minus the running sum
-    of the volumes of rings 0..j.
+    Per joint, every joint face, the side faces of the two center edges
+    and those of the radial rounds are zero, and the side round of ring
+    j's poloidal edges carries minus the running sum of the volumes of
+    rings 0..j.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (counts.n3,):
         raise ValueError(f"expected {counts.n3} volume DOFs, got shape {m.shape}")
     nr, ns, nt = counts.nr, counts.ns, counts.nt
     h = np.zeros((nt, counts.nbar2 + counts.nbar1))
-    h[:, :counts.nbar2] = beta
     rounds = h[:, counts.nbar2 + 2:].reshape(nt, ns - 2, 2, nr)
     rounds[:, :, 1] = -np.cumsum(m.reshape(nt, ns - 2, nr), axis=1)
     return h.ravel()

@@ -1,9 +1,10 @@
-"""Configuration files, triplet matrix serialization and bundle layout.
+"""Configuration files, number text and bundle layout.
 
 Matrices travel as plain-text coordinate triplets ("rows cols nnz"
 header, then 1-based "i j value" lines in row-major order) so that a
-build -> export -> import round trip is bit-identical; configs and
-reports are JSON.
+build -> export -> import round trip is bit-identical; sampled fields as
+CSV and field coefficients as one value per line; configs and reports
+are JSON.
 """
 
 import io
@@ -20,6 +21,8 @@ from .torus import TorusComplexSpec
 
 __all__ = [
     "ComplexConfig",
+    "csv_text",
+    "read_coefficients",
     "write_triplet",
     "read_triplet",
     "write_bundle",
@@ -127,42 +130,77 @@ class ComplexConfig:
         }
 
 
-# ============================ triplet format =================================
+# ============================== number text ==================================
+# Matrix entries, sampled values and field coefficients are float64 in
+# text: written as their shortest round-tripping repr, read by one
+# np.loadtxt per file.
 
-_INT_ENTRIES, _FLOAT_ENTRIES = (
-    np.dtype([("i", np.int64), ("j", np.int64), ("v", value)])
-    for value in (np.int64, np.float64)
-)
+_ENTRIES = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+
+
+def _repr_tokens(values):
+    """The shortest round-tripping `repr` of each value of the array
+    `values` as float64, in C order, as a list. Each distinct bit pattern
+    is formatted once, so -0.0 and 0.0 keep their own repr."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64).ravel()
+    distinct, which = np.unique(bits, return_inverse=True)
+    tokens = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    return tokens[which].tolist()
+
+
+def csv_text(header, table):
+    """The header line, then one line per row of the 2-D array `table`:
+    its values' `repr` tokens, comma-separated, formatted in one pass."""
+    rows, cols = table.shape
+    line = ",".join(["%s"] * cols)
+    return f"{header}\n" + "\n".join([line] * rows) % tuple(_repr_tokens(table))
+
+
+def read_coefficients(path):
+    """The float64 values of a coefficient file, one per line (`#` starts
+    a comment); a file without values, with a token that does not parse
+    or with a non-finite value raises ValueError naming the file."""
+    with warnings.catch_warnings():
+        # an empty file is reported below, not as loadtxt's UserWarning
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            values = np.loadtxt(path, dtype=np.float64, ndmin=1)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not values.size:
+        raise ValueError(f"{path}: no coefficients")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: holds non-finite values")
+    return values
 
 
 def write_triplet(path, matrix):
-    """Write a sparse matrix as 1-based row-major coordinate triplets.
-
-    Values are written as `str` of the integer for integer dtypes and as
-    `repr` of the float otherwise; each distinct value is formatted once
-    and the body is formatted in one pass over all entries.
-    """
+    """Write a sparse matrix as 1-based row-major coordinate triplets, each
+    value as the `repr` of its float64; the body is formatted in one pass
+    over all entries."""
     csr = matrix.tocsr()
     csr.sum_duplicates()
     csr.sort_indices()
     csr.eliminate_zeros()
     coo = csr.tocoo()
-    integer = np.issubdtype(csr.dtype, np.integer)
-    distinct, which = np.unique(coo.data if integer else coo.data.astype(np.float64),
-                                return_inverse=True)
-    # tolist() gives Python ints or floats, and repr of an int is its str
-    tokens = np.array([repr(v) for v in distinct.tolist()], dtype=object)
     fields = [None] * (3 * coo.nnz)
     fields[0::3] = (coo.row + 1).tolist()
     fields[1::3] = (coo.col + 1).tolist()
-    fields[2::3] = tokens[which].tolist()
+    fields[2::3] = _repr_tokens(coo.data)
     body = ("%d %d %s\n" * coo.nnz) % tuple(fields)
     Path(path).write_text(f"{csr.shape[0]} {csr.shape[1]} {coo.nnz}\n" + body)
 
 
 def read_triplet(path):
-    """Read a triplet file back into a CSR matrix (int64 when every value
-    token is an integer literal, float64 otherwise; duplicates are summed)."""
+    """Read a triplet file back into a float64 CSR matrix (duplicates are
+    summed).
+
+    The lines are parsed once, as int64 indices and float64 values;
+    loadtxt rejects a line without three fields, and with `comments=None`
+    a `#` line is malformed. numpy 1.23 to 1.26 parse a float token into
+    an integer field by truncating it with a DeprecationWarning; raised as
+    an error, that warning makes them reject the token as later numpy
+    does."""
     text = Path(path).read_text().strip()
     if not text:
         raise ValueError(f"{path}: empty triplet file")
@@ -177,9 +215,11 @@ def read_triplet(path):
     if found != nnz:
         raise ValueError(f"{path}: header declares {nnz} entries, found {found}")
     if not nnz:
-        return sparse.csr_array((rows, cols), dtype=np.int64)
+        return sparse.csr_array((rows, cols), dtype=np.float64)
     try:
-        entries = _parse_entries(body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            entries = np.loadtxt(io.StringIO(body), dtype=_ENTRIES, comments=None, ndmin=1)
         if len(entries) != nnz:  # loadtxt skips blank lines
             raise ValueError("blank triplet line")
     except ValueError as exc:
@@ -192,24 +232,6 @@ def read_triplet(path):
     return sparse.coo_array(
         (entries["v"], (entries["i"] - 1, entries["j"] - 1)), shape=(rows, cols)
     ).tocsr()
-
-
-def _parse_entries(body):
-    """Triplet lines as int64 records, or as float64-valued records when a
-    value token is not an integer. loadtxt rejects a line without three
-    fields, and with `comments=None` a `#` line is malformed.
-
-    numpy 1.23 to 1.26 parse a float token into an integer field by
-    truncating it with a DeprecationWarning; raised as an error, that
-    warning makes them reject the token as later numpy does."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        try:
-            return np.loadtxt(io.StringIO(body), dtype=_INT_ENTRIES, comments=None,
-                              ndmin=1)
-        except ValueError:
-            return np.loadtxt(io.StringIO(body), dtype=_FLOAT_ENTRIES, comments=None,
-                              ndmin=1)
 
 
 # ============================== bundles ======================================

@@ -61,16 +61,20 @@ _LEVEL_CHOICES = {level: tuple(tuple(2 * b for b in pat) for pat in pats)
 _DIRECTIONS = np.arange(3)[:, None]
 
 
-def check_size_floors(nr, ns, nt):
-    """Reject sizes below the smallest the polar construction supports,
-    (nr, ns, nt) >= (3, 4, 3)."""
-    if nr < 3 or ns < 4 or nt < 3:
-        raise ValueError(
-            f"size floors violated: need (nr, ns, nt) >= (3, 4, 3), got ({nr}, {ns}, {nt})"
-        )
-
-
 _KNOT_OFFSETS = (3, 1, 3)
+
+
+def check_size_floors(degrees, dims):
+    """Reject degrees and dims the construction does not support: every
+    degree at least 2, and dims (nr, ns, nt) at least (3, 4, 3), the polar
+    floors, and at least (p_r - 1, p_s + 1, p_t - 1), two distinct knots
+    per direction (see :func:`distinct_knot_counts`)."""
+    floors = tuple(max(f, p - o + 2) for f, p, o in zip((3, 4, 3), degrees, _KNOT_OFFSETS))
+    if min(degrees) < 2 or any(n < f for n, f in zip(dims, floors)):
+        raise ValueError(
+            f"size floors violated: need degrees >= (2, 2, 2) and dims >= {floors}, "
+            f"got degrees {tuple(degrees)} and dims {tuple(dims)}"
+        )
 
 
 def distinct_knot_counts(degrees, dims):
@@ -348,14 +352,9 @@ class TensorComplex:
             raise ValueError("first and third directions must be periodic")
         if space_s.periodic:
             raise ValueError("second direction must be a plain open space")
-        for name, sp in (("r", space_r), ("s", space_s), ("t", space_t)):
-            if sp.degree < 2:
-                raise ValueError(
-                    f"direction {name}: degree >= 2 required, got {sp.degree}"
-                )
         self.spaces = (space_r, space_s, space_t)
         self.nr, self.ns, self.nt = (sp.dim for sp in self.spaces)
-        check_size_floors(self.nr, self.ns, self.nt)
+        check_size_floors(self.degrees, self.dims)
         # the apply path's operators, built on first use and kept: the
         # complex is immutable
         self._operators = [None, None, None]
@@ -520,9 +519,7 @@ def build_tensor_sequence(degrees, dims, lengths=(1.0, 1.0, 1.0)):
     first and third directions; uniform open knot vectors with
     :func:`distinct_knot_counts` values are used.
     """
-    if min(degrees) < 2:
-        raise ValueError(f"degrees >= 2 required, got {degrees}")
-    check_size_floors(*dims)
+    check_size_floors(degrees, dims)
     return TensorComplex(*(
         SplineSpace(make_uniform_open_knots(p, d, 0.0, length), periodic=periodic)
         for p, d, length, periodic in zip(degrees, distinct_knot_counts(degrees, dims),

@@ -50,9 +50,7 @@ class TorusComplexSpec:
         object.__setattr__(self, "rho_bar", float(self.rho_bar))
         if len(self.degrees) != 3 or len(self.dims) != 3 or len(self.lengths) != 3:
             raise ValueError("degrees, dims and lengths must be triples")
-        if min(self.degrees) < 2:
-            raise ValueError(f"degrees >= 2 required, got {self.degrees}")
-        check_size_floors(*self.dims)
+        check_size_floors(self.degrees, self.dims)
         check_rho_bar(self.rho_bar)
         if not (np.isfinite(self.lengths).all() and min(self.lengths) > 0):
             raise ValueError(f"lengths must be finite and positive, got {self.lengths}")

@@ -253,7 +253,6 @@ class TestSmoothnessProbe:
         r3 = (0.15 + np.array([0.0, 1.0 / 3.0, 2.0 / 3.0])) % 1.0
         dirs = np.stack([cx.polar_map.jacobian((r, 0.0, t))[1][:, 1] for r in r3], axis=1)
         weights = np.linalg.svd(dirs)[2][-1]
-        assert abs(abs(rep.weights @ weights) - 1.0) <= 1e-12
         base = np.stack([dense(r, 0.0) for r in r3])
         for eps, delta in rep.c1_table:
             vals = np.stack([dense(r, eps) for r in r3])

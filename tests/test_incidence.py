@@ -483,19 +483,6 @@ class TestDivergencePreimage:
             resid = np.abs(inc443.D2 @ h - m).max()
             assert resid <= 1e-12 * np.abs(m).max()
 
-    def test_beta_parameter(self, inc443):
-        c = inc443.counts
-        m = np.zeros(c.n3)
-        h = pd.divergence_preimage(c, m, beta=2.5)
-        # joint faces carry beta, side faces stay zero
-        joint = [ell + (k - 1) * (c.nbar2 + c.nbar1)
-                 for k in range(1, c.nt + 1) for ell in range(1, c.nbar2 + 1)]
-        mask = np.zeros(c.n2, dtype=bool)
-        mask[np.array(joint) - 1] = True
-        npt.assert_array_equal(h[mask], 2.5)
-        npt.assert_array_equal(h[~mask], 0.0)
-        assert np.abs(inc443.D2 @ h).max() <= 1e-12
-
     def test_unit_vector_support(self, inc443):
         c = inc443.counts
         m = np.zeros(c.n3)
@@ -506,14 +493,13 @@ class TestDivergencePreimage:
         assert set(support) <= side_k1
 
     @pytest.mark.parametrize("dims", [(16, 16, 8), (32, 32, 16)])
-    @pytest.mark.parametrize("beta", [0.0, 0.5])
-    def test_larger_complexes(self, dims, beta, complex_cache):
+    def test_larger_complexes(self, dims, complex_cache):
         inc = complex_cache(dims=dims).incidence
         c = inc.counts
         m = np.random.default_rng(18).standard_normal(c.n3)
-        h = pd.divergence_preimage(c, m, beta=beta)
+        h = pd.divergence_preimage(c, m)
         assert np.abs(inc.D2 @ h - m).max() <= 1e-12 * np.abs(m).max()
-        npt.assert_array_equal(h.reshape(c.nt, -1)[:, :c.nbar2], beta)
+        npt.assert_array_equal(h.reshape(c.nt, -1)[:, :c.nbar2], 0.0)
 
     def test_length_check(self, inc443):
         with pytest.raises(ValueError, match="volume"):

@@ -10,10 +10,11 @@ from scipy import sparse
 
 from polar_derham import TorusComplexSpec, build_complex
 from polar_derham import cli
-from polar_derham.cli import _csv_text, main
+from polar_derham.cli import main
 from polar_derham.geometry import S_MIN_FACTOR
 from polar_derham.iotools import (
     ComplexConfig,
+    csv_text,
     load_raw_config,
     read_triplet,
     write_bundle,
@@ -117,12 +118,33 @@ class TestTripletParser:
         with pytest.raises(ValueError, match="bad.txt"):
             read_triplet(path)
 
-    def test_integer_tokens_read_as_int64(self, tmp_path):
+    def test_integer_tokens_read_as_float64(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("2 3 3\n1 1 1\n1 3 -4\n2 2 7\n")
         mat = read_triplet(path)
-        assert mat.dtype == np.int64
-        npt.assert_array_equal(mat.toarray(), [[1, 0, -4], [0, 7, 0]])
+        assert mat.dtype == np.float64
+        npt.assert_array_equal(mat.toarray(), [[1.0, 0.0, -4.0], [0.0, 7.0, 0.0]])
+
+    def test_empty_matrix_is_float64(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("2 3 0\n")
+        mat = read_triplet(path)
+        assert mat.dtype == np.float64 and mat.shape == (2, 3) and mat.nnz == 0
+
+    def test_one_loadtxt_call_per_file(self, tmp_path, monkeypatch, cx443):
+        loadtxt, calls = np.loadtxt, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting)
+        for name, matrix in cx443.named_matrices().items():
+            path = tmp_path / f"{name}.txt"
+            write_triplet(path, matrix)
+            calls.clear()
+            read_triplet(path)
+            assert len(calls) == 1, name
 
     def test_one_float_token_makes_float64(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -180,10 +202,9 @@ def _per_entry_triplet_text(matrix):
     csr.sort_indices()
     csr.eliminate_zeros()
     coo = csr.tocoo()
-    integer = np.issubdtype(csr.dtype, np.integer)
     lines = [f"{csr.shape[0]} {csr.shape[1]} {coo.nnz}"]
     for i, j, v in zip(coo.row, coo.col, coo.data):
-        lines.append(f"{i + 1} {j + 1} {str(int(v)) if integer else repr(float(v))}")
+        lines.append(f"{i + 1} {j + 1} {float(v)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -229,8 +250,8 @@ def _per_row_csv_text(header, table):
 def test_csv_text_matches_per_row_oracle():
     row = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 0.1 + 0.2, -2.5e-17]
     table = np.array([row, row[::-1], row[1:] + row[:1]])
-    assert _csv_text("a,b", table) == _per_row_csv_text("a,b", table)
-    assert _csv_text("a", table[:1, :1]) == _per_row_csv_text("a", table[:1, :1])
+    assert csv_text("a,b", table) == _per_row_csv_text("a,b", table)
+    assert csv_text("a", table[:1, :1]) == _per_row_csv_text("a", table[:1, :1])
 
 
 @pytest.mark.parametrize("level", [0, 1])
@@ -377,6 +398,13 @@ class TestCli:
     def test_rho_bar_floor_rejected(self, capsys):
         assert main(["verify", "--sizes", "4,4,3", "--rho-bar", "2"]) == 2
 
+    def test_degree_dependent_size_floor_names_degrees_and_dims(self, capsys):
+        # degree 4 in s needs ns >= 5 for two distinct knots
+        assert main(["verify", "--degrees", "2,4,2", "--sizes", "3,4,3"]) == 2
+        assert capsys.readouterr().err == (
+            "error: size floors violated: need degrees >= (2, 2, 2) and dims >= (3, 5, 3), "
+            "got degrees (2, 4, 2) and dims (3, 4, 3)\n")
+
     @pytest.mark.parametrize("field,flags,config", [
         ("rho_bar", ["--rho-bar", "inf"], None),
         ("rho_bar", ["--rho-bar", "nan"], None),
@@ -485,6 +513,7 @@ class TestCli:
         code = main(["sample", "--sizes", "4,4,3", "--level", "0",
                      "--coeffs", str(coeffs), "--grid", "2,2,2"])
         assert code == 2
+        assert capsys.readouterr().err == f"error: {coeffs}: 7 values, level 0 needs 33\n"
 
     @pytest.mark.parametrize("values", [[float("nan"), 1.0], [1.0, float("inf")]])
     def test_sample_rejects_non_finite_coefficients(self, values, tmp_path, capsys):
@@ -495,6 +524,20 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert str(coeffs) in err and "non-finite" in err
+
+    @pytest.mark.parametrize("text", ["", "# no values\n", "1.0\na\n", "1.0 a\n"],
+                             ids=["empty", "comment-only", "non-numeric", "non-numeric-field"])
+    def test_sample_rejects_unparsable_coefficient_files(self, text, tmp_path, capsys):
+        coeffs = tmp_path / "c.txt"
+        coeffs.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["sample", "--sizes", "4,4,3", "--level", "0",
+                         "--coeffs", str(coeffs), "--grid", "2,2,2"])
+        assert code == 2
+        assert not caught, [str(w.message) for w in caught]
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {coeffs}: ") and len(err.splitlines()) == 1, err
 
     @pytest.mark.parametrize("argv", [
         ["build", "--sizes", "4,4,3", "--out", "{blocked}"],

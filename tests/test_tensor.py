@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -33,6 +34,21 @@ def test_size_floor_violations():
         pd.build_tensor_sequence((1, 2, 2), (4, 4, 3))
     with pytest.raises(ValueError, match="floors"):
         pd.build_tensor_sequence((2, 2, 2), (2, 4, 3))
+
+
+@pytest.mark.parametrize("degrees,floors", [((2, 2, 2), (3, 4, 3)), ((2, 4, 2), (3, 5, 3)),
+                                            ((6, 2, 2), (5, 4, 3)), ((2, 2, 6), (3, 4, 5))])
+def test_degree_dependent_size_floors(degrees, floors):
+    # two distinct knots per direction: nr >= p_r - 1, ns >= p_s + 1, nt >= p_t - 1
+    assert pd.build_tensor_sequence(degrees, floors).dims == floors
+    assert pd.TorusComplexSpec(degrees=degrees, dims=floors).dims == floors
+    for axis in range(3):
+        below = tuple(n - (d == axis) for d, n in enumerate(floors))
+        message = f"need degrees >= (2, 2, 2) and dims >= {floors}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pd.build_tensor_sequence(degrees, below)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pd.TorusComplexSpec(degrees=degrees, dims=below)
 
 
 # --------------------------- derivative matrices ------------------------------
