@@ -1,4 +1,4 @@
-"""Incidence matrices of the polar control ring and the cohomology engine.
+"""Incidence matrices of the polar control ring and their cohomology.
 
 The reduced complex acts on degrees of freedom attached to the vertices,
 edges, faces and volumes of a polygonal ring with n_t joints.  Three
@@ -29,21 +29,26 @@ tensor derivatives (g0 grad, g1 curl, the tensor complex's rule on one
 joint) by the commuting diagram ``g_l e_l^T = e_{l+1}^T d_l``, so only
 the extraction states the DOF numbering; ``tests/oracles.py`` keeps an
 entry-by-entry transcription of d0 and d1 as the tests' reference.
+
+The ranks behind the cohomology are certified from the matrices: echelon
+rows bound each rank from below exactly, and the lift bounds it from
+above (:func:`cohomology_dimensions`).  The closed form over the circle
+(:func:`kunneth_spectrum`) adds the singular values, their gaps and a
+second rank decision that must agree; no frequency block is decomposed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from .bsplines import triplet
 from .extraction import PolarCounts, lift_table
-from .tensor import LEVEL_PATTERNS, StructureError, cat_triplets, derivative_entries, unit_entries
+from .tensor import (LEVEL_PATTERNS, StructureError, cat_triplets, derivative_entries,
+                     echelon_rank, unit_entries)
 
 __all__ = [
     "IncidenceSet",
     "CohomologyReport",
-    "FrequencyRanks",
     "build_incidence",
     "verify_commutation",
     "cohomology_dimensions",
@@ -51,7 +56,6 @@ __all__ = [
     "kunneth_spectrum",
     "divergence_preimage",
     "max_abs",
-    "toroidal_spectrum",
 ]
 
 
@@ -174,52 +178,36 @@ def verify_commutation(tensor, extraction, incidence):
 
 # ============================ cohomology =====================================
 
-@dataclass(frozen=True)
-class FrequencyRanks:
-    """Rank decisions of the frequency-k blocks of D0, D1 and D2.
-
-    The blocks of k and nt - k are complex conjugates with the same
-    singular values, so frequencies 0 < k < nt/2 count twice
-    (`multiplicity`).  `dims` is the cohomology of the frequency-k block
-    complex.
-    """
-
-    k: int
-    multiplicity: int
-    ranks: tuple
-    gap_ratios: tuple
-    dims: tuple
-
-
 @dataclass
 class CohomologyReport:
     """Kernel-modulo-image dimensions of the reduced complex.
 
-    `method` names how the singular values were found: "kunneth" in
-    closed form from the disk blocks, "fourier" from one SVD per toroidal
-    frequency.
+    `ranks` are the certified lower bounds on the ranks of D0, D1 and D2.
+    `rank_method` is "certificate" when each meets its upper bound, so the
+    ranks are exact, and "lower-bound" otherwise; `dims` and the Euler
+    characteristic are None then.  `method` is "kunneth" when the disk
+    blocks are a complex and the closed form gives the singular values
+    behind `gap_ratios` and `sv_bracket`, and "not-a-complex" otherwise,
+    with no singular values decided and both empty.  `failures` holds one
+    message per unmet bound, per rank the closed form decides otherwise and
+    for a disk pair that is not a complex.
     """
 
-    dims: tuple
+    dims: tuple | None
     ranks: tuple
+    rank_method: str
     gap_ratios: tuple
     sv_bracket: tuple
-    euler_characteristic: int
+    euler_characteristic: int | None
     alternating_dim_sum: int
     warnings: list
+    failures: list
     method: str
     harmonic_one_form: np.ndarray | None = None
-    frequencies: list = field(default_factory=list)
 
     @property
     def euler_ok(self):
         return self.euler_characteristic == self.alternating_dim_sum
-
-    @property
-    def kunneth_ok(self):
-        """Every nonzero toroidal frequency is exact, as the Kunneth
-        formula requires of the disk complex tensored with the circle."""
-        return all(not any(f.dims) for f in self.frequencies if f.k)
 
 
 def _decide(svals, tol):
@@ -237,43 +225,16 @@ def _threshold(shape, sigma_max):
     return max(shape) * np.finfo(float).eps * sigma_max
 
 
-def toroidal_spectrum(counts, d0, d1):
-    """Singular values of D0, D1 and D2, one toroidal frequency at a time.
-
-    Each D is the circle lift of d0 and d1, a sum of terms ``C (x) B``
-    with C circulant over the joints
-    (:func:`~polar_derham.extraction.lift_table`).  The DFT
-    over the joints turns it into blocks A_k to which each term
-    contributes B times the DFT of row 0 of its C at k (Davis,
-    *Circulant Matrices*, 1979).  A_{nt-k} is the conjugate of A_k, so
-    k = 0..nt//2 cover every singular value.  Returns, keyed by matrix
-    name, the descending singular values of each A_k.  One dense SVD per
-    frequency: :func:`cohomology_dimensions` uses it only when the disk
-    blocks are not a complex, and the tests use it to cross-check the
-    closed form.
-    """
-    nt, table = counts.nt, lift_table(counts)
-    blocks = {"d0": triplet(d0), "d1": triplet(d1)}
-    spectra = {}
-    for name in ("D0", "D1", "D2"):
-        terms = table.kron_terms(name, blocks)
-        scales = [np.fft.rfft(np.bincount(c_col[c_row == 0], c_val[c_row == 0], nt))
-                  for (c_row, c_col, c_val), *_ in terms]
-        spectra[name] = []
-        for k in range(nt // 2 + 1):
-            block = np.zeros(table.terms[name][0], complex)
-            for scale, (_, (rows, cols, vals), row0, col0) in zip(scales, terms):
-                block[row0 + rows, col0 + cols] += scale[k] * vals
-            spectra[name].append(np.linalg.svd(block.real if 2 * k % nt == 0 else block,
-                                               compute_uv=False))
-    return spectra
-
-
 def kunneth_spectrum(counts, s0, s1):
     """Singular values of the frequency blocks of D0, D1 and D2 in closed
     form from the descending singular values s0 of d0 and s1 of d1.
 
-    The circle complex at frequency k multiplies by
+    Each D is the circle lift of d0 and d1, a sum of terms ``C (x) B``
+    with C circulant over the joints
+    (:func:`~polar_derham.extraction.lift_table`), so the DFT over the
+    joints turns it into blocks A_k, k = 0..nt-1, with the same singular
+    values (Davis, *Circulant Matrices*, 1979); A_{nt-k} is the conjugate
+    of A_k.  The circle complex at frequency k multiplies by
     c_k = exp(2 pi i k / nt) - 1, with |c_k|^2 = 4 sin^2(pi k / nt), and
     the Hodge Laplacian of a tensor product is the sum of its factors'
     Laplacians.  So A_0(D0), A_0(D1) = diag(d1, d0) and A_0(D2) have the
@@ -287,8 +248,7 @@ def kunneth_spectrum(counts, s0, s1):
     (:func:`_threshold`): the disk ranks only place the values, they
     decide nothing.  The closed form holds when d1 d0 = 0,
     which implies rank d0 + rank d1 <= nbar1; when the ranks break that
-    bound it returns None.  Otherwise it returns, as
-    :func:`toroidal_spectrum` does, the descending values of
+    bound it returns None.  Otherwise it returns the descending values of
     k = 0..nt//2 keyed by matrix name.
     """
     c = counts
@@ -322,81 +282,92 @@ def cohomology_dimensions(incidence):
     """Compute the cohomology dimensions of the reduced complex.
 
     h0 = dim ker D0, h1 = dim ker D1 - rank D0, h2 = dim ker D2 - rank D1,
-    h3 = n3 - rank D2.  Ranks count singular values above the threshold
-    of the full matrix, max(shape) * ulp * sigma_max, frequency block by
-    frequency block.
+    h3 = n3 - rank D2, from ranks decided by certificate.
     :func:`disk_blocks` first checks that D0, D1 and D2 are the circle
-    lift of one pair (d0, d1) and raises StructureError otherwise.  When
-    d1 d0 vanishes to rounding, ``max|d1 d0| <= max(shape) * ulp *
-    sigma_max(d0) * sigma_max(d1)`` over the shapes of d0 and d1, and
-    their ranks agree, the disk blocks are a complex and the values come
-    in closed form from one SVD of each (:func:`kunneth_spectrum`,
-    method "kunneth"); otherwise, as under a perturbed center block,
-    from one dense SVD per frequency (:func:`toroidal_spectrum`, method
-    "fourier").  The bound depends on the disk blocks alone, so no
-    tolerance of the caller can admit a d1 d0 the closed form does not
-    hold for.  A gap ratio below 1e3
-    at any rank decision is recorded as a warning, not a failure.
+    lift of one pair (d0, d1) and raises StructureError otherwise.
 
-    When h1 > 0 and the constants lie in ker d0 to rounding,
-    ``max|d0 1| <= max(shape) * ulp * sigma_max(d0)``, the normalised
-    indicator of the toroidal edges is attached as the harmonic one-form,
-    a non-normative diagnostic: D1 maps it to d0 1 in every joint, and
-    D0^T to the column sums of the periodic difference stencil, zero.
+    Each rank has an exact lower bound, the echelon count of D0, D1 and
+    D2^T (:func:`~polar_derham.tensor.echelon_rank`, first nonzeros for
+    D2^T), and an upper bound from the lift:
+
+    * rank D0 <= n0 - 1 when the constants lie in ker d0 to rounding,
+      ``max|d0 1| <= max(shape) * ulp * sigma_max(d0)``, since D0 1 is
+      [d0 1; 0] in every joint; n0 otherwise;
+    * rank D1 <= n2 - rank D2 when d1 d0 vanishes to rounding,
+      ``max|d1 d0| <= max(shape) * ulp * sigma_max(d0) * sigma_max(d1)``
+      over the shapes of d0 and d1, since D2 D1 = I (x) [0, d1 d0]; n2
+      otherwise;
+    * rank D2 <= n3.
+
+    Where the bounds meet, the rank is certified.  When d1 d0 vanishes to
+    rounding and the disk ranks agree, the disk blocks are a complex, and
+    one SVD of each gives every singular value of D0, D1 and D2 in closed
+    form (:func:`kunneth_spectrum`, method "kunneth").  Their ranks at the
+    threshold of the full matrix, max(shape) * ulp * sigma_max, must equal
+    the certified ones, and they supply the gap ratios and brackets; a gap
+    ratio below 1e3 is recorded as a warning.  Otherwise, as under a
+    perturbed center block, the method is "not-a-complex", no singular
+    value is decided and only the lower bounds are reported.  The bound
+    depends on the disk blocks alone, so no tolerance of the caller can
+    admit a d1 d0 the closed form does not hold for.  Each unmet bound,
+    disagreement and failed gate is a message in `failures` naming the
+    matrices and both numbers.
+
+    When h1 > 0 and the constants lie in ker d0 to rounding, the
+    normalised indicator of the toroidal edges is attached as the harmonic
+    one-form, a non-normative diagnostic: D1 maps it to d0 1 in every
+    joint, and D0^T to the column sums of the periodic difference stencil,
+    zero.
     """
-    c = incidence.counts
+    c, names = incidence.counts, ("D0", "D1", "D2")
     nt = c.nt
     multiplicity = [1 if 2 * k % nt == 0 else 2 for k in range(nt // 2 + 1)]
     d0, d1 = disk_blocks(incidence)
     s0, s1 = (np.linalg.svd(d.toarray(), compute_uv=False) for d in (d0, d1))
     eps = np.finfo(float).eps
-    spectra = None
-    if max_abs(d1 @ d0) <= max(*d0.shape, d1.shape[0]) * eps * s0[0] * s1[0]:
-        spectra = kunneth_spectrum(c, s0, s1)
-    method = "fourier" if spectra is None else "kunneth"
+    ones_ok = max_abs(d0 @ np.ones(c.nbar0)) <= max(d0.shape) * eps * s0[0]
+    product, bound = max_abs(d1 @ d0), max(*d0.shape, d1.shape[0]) * eps * s0[0] * s1[0]
+    lower = (echelon_rank(incidence.D0)[0], echelon_rank(incidence.D1)[0],
+             echelon_rank(incidence.D2.T, reverse=True)[0])
+    upper = (c.n0 - 1 if ones_ok else c.n0, c.n2 - lower[2] if product <= bound else c.n2, c.n3)
+    spectra = kunneth_spectrum(c, s0, s1) if product <= bound else None
+    failures = []
     if spectra is None:
-        spectra = toroidal_spectrum(c, d0, d1)
-    decisions, per_frequency = [], []
-    for name, svals in spectra.items():
-        tol = _threshold(getattr(incidence, name).shape, max(float(s[0]) for s in svals))
-        union = np.sort(np.concatenate(
-            [np.tile(s, m) for s, m in zip(svals, multiplicity)]))[::-1]
-        decisions.append(_decide(union, tol))
-        per_frequency.append([_decide(s, tol) for s in svals])
-    (r0, g0, b0), (r1, g1, b1), (r2, g2, b2) = decisions
-    dims = (c.n0 - r0, (c.n1 - r1) - r0, (c.n2 - r2) - r1, c.n3 - r2)
-    cols0, cols1, rows2, cols2 = c.nbar0, c.nbar1 + c.nbar0, c.nbar2, c.nbar2 + c.nbar1
-    frequencies = []
-    for k, ((k0, q0, _), (k1, q1, _), (k2, q2, _)) in enumerate(zip(*per_frequency)):
-        frequencies.append(FrequencyRanks(
-            k=k,
-            multiplicity=multiplicity[k],
-            ranks=(k0, k1, k2),
-            gap_ratios=(q0, q1, q2),
-            dims=(cols0 - k0, cols1 - k1 - k0, cols2 - k2 - k1, rows2 - k2),
-        ))
-    warnings = []
-    for name, gap in (("D0", g0), ("D1", g1), ("D2", g2)):
-        if gap < 1e3:
-            warnings.append(
-                f"ill-conditioned rank gap for {name}: ratio {gap:.3e} < 1e3"
-            )
+        why = (f"max|d1 d0| = {product:.3e} > bound {bound:.3e}" if product > bound
+               else "rank d0 + rank d1 > nbar1 at the disk thresholds")
+        failures.append(f"(d0, d1) is not a complex: {why}")
+    failures += [f"{name} rank not certified: {low} echelon rows, upper bound {up}"
+                 for name, low, up in zip(names, lower, upper) if low != up]
+    decisions = []
+    if spectra is not None:
+        for (name, svals), low, up in zip(spectra.items(), lower, upper):
+            tol = _threshold(getattr(incidence, name).shape, max(float(s[0]) for s in svals))
+            union = np.sort(np.concatenate(
+                [np.tile(s, m) for s, m in zip(svals, multiplicity)]))[::-1]
+            decisions.append(_decide(union, tol))
+            if low == up != decisions[-1][0]:
+                failures.append(f"{name}: certified rank {low}, Kunneth rank {decisions[-1][0]}")
+    certified = lower == upper
+    dims = ((c.n0 - lower[0], c.n1 - lower[1] - lower[0], c.n2 - lower[2] - lower[1],
+             c.n3 - lower[2]) if certified else None)
+    warnings = [f"ill-conditioned rank gap for {name}: ratio {gap:.3e} < 1e3"
+                for name, (_, gap, _) in zip(names, decisions) if gap < 1e3]
     rep = None
-    if dims[1] > 0 and max_abs(d0 @ np.ones(c.nbar0)) <= max(d0.shape) * eps * s0[0]:
+    if certified and dims[1] > 0 and ones_ok:
         joint = np.concatenate([np.zeros(c.nbar1), np.ones(c.nbar0)])
         rep = np.tile(joint, nt) / np.sqrt(nt * c.nbar0)
-    euler = dims[0] - dims[1] + dims[2] - dims[3]
     return CohomologyReport(
         dims=dims,
-        ranks=(r0, r1, r2),
-        gap_ratios=(g0, g1, g2),
-        sv_bracket=(b0, b1, b2),
-        euler_characteristic=euler,
+        ranks=lower,
+        rank_method="certificate" if certified else "lower-bound",
+        gap_ratios=tuple(gap for _, gap, _ in decisions),
+        sv_bracket=tuple(bracket for _, _, bracket in decisions),
+        euler_characteristic=dims[0] - dims[1] + dims[2] - dims[3] if certified else None,
         alternating_dim_sum=c.alternating_sum,
         warnings=warnings,
-        method=method,
+        failures=failures,
+        method="not-a-complex" if spectra is None else "kunneth",
         harmonic_one_form=rep,
-        frequencies=frequencies,
     )
 
 

@@ -38,6 +38,7 @@ __all__ = [
     "LiftTable",
     "unit_entries",
     "partition_rank",
+    "echelon_rank",
     "LocalFactors",
     "TensorComplex",
     "build_tensor_sequence",
@@ -313,6 +314,29 @@ def partition_rank(block, name):
         np.searchsorted(center_cols, cols[center])] = vals[center]
     center_rank = int(np.linalg.matrix_rank(sub)) if sub.size else 0
     return int(unit.sum()) + center_rank, int(np.unique(rows).size)
+
+
+def echelon_rank(matrix, reverse=False):
+    """A certified lower bound on the rank of a sparse matrix and the rows
+    that certify it, in O(nnz).
+
+    Rows whose last nonzero entries (first with `reverse`) sit in distinct
+    columns are linearly independent: ordered by that column, each has a
+    nonzero where every row before it has none.  No arithmetic is
+    involved, so the number of distinct such columns bounds the rank from
+    below exactly for the stored values; duplicates are summed and stored
+    zeros are not entries.  Returns that number and one row for each such
+    column, in column order.
+    """
+    csr = sparse.csr_array(matrix, copy=True)
+    csr.sum_duplicates()
+    csr.eliminate_zeros()
+    starts, stops = csr.indptr[:-1], csr.indptr[1:]
+    rows = np.flatnonzero(stops > starts)
+    pivot = np.full(csr.shape[1], -1)
+    pivot[csr.indices[starts[rows] if reverse else stops[rows] - 1]] = rows
+    pivots = pivot[pivot >= 0]
+    return pivots.size, pivots
 
 
 class LocalFactors(NamedTuple):

@@ -3,8 +3,10 @@
 Aggregates every testable identity of the construction into a
 deterministic, schema-versioned report: dimension formulas, DTA
 compatibility, the complex property, the seven commutation identities,
-cohomology dimensions with rank diagnostics, divergence surjectivity,
-partition of unity and the polar-curve regularity probes.
+cohomology dimensions from certified ranks with the gap diagnostics of
+the closed-form singular values, divergence surjectivity, partition of
+unity and the polar-curve regularity probes.  Schema version 2 reports
+the cohomology suite's `rank_method` and no per-frequency records.
 """
 
 import dataclasses
@@ -35,7 +37,7 @@ __all__ = [
     "PROBE_T",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Pass/fail thresholds of the verification suites; only the residual one is
 # a parameter of `run_verification` (the CLI's --tol).
@@ -236,25 +238,21 @@ def run_verification(cx, residual=RESIDUAL_TOL, config_echo=None):
                 float(np.abs(cx.incidence.D2 @ h - m).max() / np.abs(m).max()),
             )
         preimage_ok = m_worst <= PREIMAGE_TOL
-        ok = dims_ok and ranks_ok and gaps_ok and preimage_ok
-        gate("cohomology", ok,
-             f"dims {rep.dims}, ranks {rep.ranks} (D1 expected {expected_rank_d1}, "
-             f"D2 expected {c.n3}), gaps {rep.gap_ratios}, preimage {m_worst:.3e}")
+        ok = not rep.failures and dims_ok and ranks_ok and gaps_ok and preimage_ok
+        gate("cohomology", ok, "; ".join(
+            rep.failures + [f"dims {rep.dims}, ranks {rep.ranks} (D1 expected {expected_rank_d1}, "
+                            f"D2 expected {c.n3}), gaps {rep.gap_ratios}, preimage {m_worst:.3e}"]))
         return {
             "pass": ok,
             "method": rep.method,
-            "dims": list(rep.dims),
+            "rank_method": rep.rank_method,
+            "dims": None if rep.dims is None else list(rep.dims),
             "ranks": list(rep.ranks),
             "expected_rank_d1": expected_rank_d1,
             "expected_rank_d2": c.n3,
             "gap_ratios": _json_gaps(rep.gap_ratios),
             "sv_bracket": [list(b) for b in rep.sv_bracket],
             "euler_ok": rep.euler_ok,
-            "kunneth_ok": rep.kunneth_ok,
-            "frequencies": [
-                {**dataclasses.asdict(f), "gap_ratios": _json_gaps(f.gap_ratios)}
-                for f in rep.frequencies
-            ],
             "divergence_preimage_residual": m_worst,
             "warnings": rep.warnings,
         }

@@ -9,7 +9,9 @@ reproduce.  The univariate evaluation of one space through its own
 `SpanLookup` lives here too: only the tests evaluate a single space.  The
 disk blocks of the incidence matrices are kept here as an entry-by-entry
 transcription of the DOF numbering; the library derives them from the
-extraction blocks.
+extraction blocks.  The D's spectrum, one dense SVD per toroidal
+frequency, is the reference for the library's closed form, which gives
+the singular values, while certificates give the ranks.
 """
 
 from typing import NamedTuple
@@ -204,6 +206,45 @@ def rank_with_gap(matrix):
     dense = matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix, float)
     svals = np.linalg.svd(dense, compute_uv=False)
     return _decide(svals, _threshold(dense.shape, svals[0] if svals.size else 0.0))
+
+
+def toroidal_spectrum(counts, d0, d1):
+    """Singular values of D0, D1 and D2, one toroidal frequency at a time.
+
+    Each D is the circle lift of d0 and d1, a sum of terms ``C (x) B``
+    with C circulant over the joints (`lift_table`).  The DFT over the
+    joints turns it into blocks A_k to which each term contributes B times
+    the DFT of row 0 of its C at k (Davis, *Circulant Matrices*, 1979).
+    A_{nt-k} is the conjugate of A_k, so k = 0..nt//2 cover every singular
+    value.  Returns, keyed by matrix name, the descending singular values
+    of each A_k, as `kunneth_spectrum` does in closed form: one dense SVD
+    per frequency, whether or not the disk blocks are a complex.
+    """
+    nt, table = counts.nt, lift_table(counts)
+    blocks = {"d0": triplet(d0), "d1": triplet(d1)}
+    spectra = {}
+    for name in ("D0", "D1", "D2"):
+        terms = table.kron_terms(name, blocks)
+        scales = [np.fft.rfft(np.bincount(c_col[c_row == 0], c_val[c_row == 0], nt))
+                  for (c_row, c_col, c_val), *_ in terms]
+        spectra[name] = []
+        for k in range(nt // 2 + 1):
+            block = np.zeros(table.terms[name][0], complex)
+            for scale, (_, (rows, cols, vals), row0, col0) in zip(scales, terms):
+                block[row0 + rows, col0 + cols] += scale[k] * vals
+            spectra[name].append(np.linalg.svd(block.real if 2 * k % nt == 0 else block,
+                                               compute_uv=False))
+    return spectra
+
+
+def frequency_ranks(incidence, spectra):
+    """Per matrix, the rank of each frequency block of `spectra` (k =
+    0..nt//2, as `toroidal_spectrum` or `kunneth_spectrum` return them),
+    decided at the threshold of the full matrix from its largest value."""
+    return {name: [_decide(s, _threshold(getattr(incidence, name).shape,
+                                         max(float(b[0]) for b in svals)))[0]
+                   for s in svals]
+            for name, svals in spectra.items()}
 
 
 def is_dta_compatible(matrix):

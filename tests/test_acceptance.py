@@ -71,10 +71,10 @@ def test_criterion_1_cohomology_at_scale(complex_cache):
     elapsed = time.perf_counter() - start
     ok = (rep.dims == (1, 1, 0, 0)
           and rep.ranks == (c.n0 - 1, c.nt * (c.nbar2 + c.nbar0 - 1), c.n3)
-          and min(rep.gap_ratios) >= 1e6 and rep.kunneth_ok
-          and rep.harmonic_one_form is not None)
-    record(1, ok, f"(16,16,8): dims {rep.dims}, ranks {rep.ranks}, min gap "
-                  f"{min(rep.gap_ratios):.2e}, Kunneth {rep.kunneth_ok}; runtime {elapsed:.2f}s")
+          and min(rep.gap_ratios) >= 1e6 and rep.method == "kunneth"
+          and rep.rank_method == "certificate" and rep.harmonic_one_form is not None)
+    record(1, ok, f"(16,16,8): dims {rep.dims}, ranks {rep.ranks} by {rep.rank_method}, "
+                  f"min gap {min(rep.gap_ratios):.2e}, {rep.method}; runtime {elapsed:.2f}s")
 
 
 def test_criterion_2_complex_property(grid_complexes):

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
+import itertools
 import json
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -8,13 +10,13 @@ import pytest
 from scipy import sparse
 
 import polar_derham as pd
-from oracles import disk_block_pairs, rank_with_gap
-from polar_derham import cli
+from oracles import disk_block_pairs, frequency_ranks, rank_with_gap, toroidal_spectrum
+from polar_derham import cli, incidence
 from polar_derham.cli import main
-from polar_derham.incidence import (_disk_blocks, disk_blocks, kunneth_spectrum, max_abs,
-                                    toroidal_spectrum)
+from polar_derham.incidence import _disk_blocks, disk_blocks, kunneth_spectrum, max_abs
 from polar_derham.iotools import write_triplet
-from polar_derham.tensor import LEVEL_PATTERNS, StructureError, derivative_entries
+from polar_derham.tensor import (LEVEL_PATTERNS, StructureError, check_size_floors,
+                                 derivative_entries, dims_of_distinct_knots)
 from polar_derham.torus import PolarComplex
 from polar_derham.verification import run_verification
 
@@ -277,6 +279,22 @@ def test_harmonic_representative(cx443):
     assert np.abs(proj).max() <= 1e-10
 
 
+def test_certified_rank_bounds_meet_across_degrees():
+    # every degree in {2..5}^3, at its size floor and one past it in each
+    # direction: the echelon rows meet the upper bounds of the lift
+    for degrees in itertools.product(range(2, 6), repeat=3):
+        floor = np.maximum((3, 4, 3), dims_of_distinct_knots(degrees, (2, 2, 2)))
+        check_size_floors(degrees, floor)
+        for axis in range(3):
+            with pytest.raises(ValueError, match="size floors"):
+                check_size_floors(degrees, floor - np.eye(3, dtype=int)[axis])
+        for dims in (floor, floor + 1):
+            cx = pd.build_complex(pd.TorusComplexSpec(degrees=degrees, dims=tuple(dims)))
+            c, rep = cx.counts, cx.cohomology()
+            assert rep.rank_method == "certificate" and not rep.failures, (degrees, dims)
+            assert rep.ranks == (c.n0 - 1, c.nt * c.nbar1, c.n3), (degrees, dims)
+
+
 # ------------------- toroidal Fourier blocks vs dense SVD -----------------------
 
 @pytest.mark.parametrize("dims", [(4, 4, 3), (5, 6, 4), (7, 7, 5)])
@@ -287,19 +305,23 @@ def test_fourier_spectrum_matches_dense(dims, perturbation):
     nt = inc.counts.nt
     rep = pd.cohomology_dimensions(inc)
     spectra = toroidal_spectrum(inc.counts, *disk_blocks(inc))
-    for index, name in enumerate(("D0", "D1", "D2")):
+    multiplicity = [1 if 2 * k % nt == 0 else 2 for k in range(nt // 2 + 1)]
+    for index, (name, ranks) in enumerate(frequency_ranks(inc, spectra).items()):
         matrix = getattr(inc, name)
         svals = spectra[name]
         assert len(svals) == nt // 2 + 1
-        union = np.sort(np.concatenate([
-            np.tile(s, 1 if 2 * k % nt == 0 else 2) for k, s in enumerate(svals)
-        ]))[::-1]
+        union = np.sort(np.concatenate([np.tile(s, m) for s, m in zip(svals, multiplicity)]))[::-1]
         dense = np.linalg.svd(matrix.toarray(), compute_uv=False)
         assert union.shape == dense.shape
         assert np.abs(union - dense).max() <= 1e-12 * dense[0], name
-        assert rep.ranks[index] == rank_with_gap(matrix)[0], name
-    assert sum(f.multiplicity for f in rep.frequencies) == nt
-    assert tuple(sum(f.multiplicity * np.array(f.ranks) for f in rep.frequencies)) == rep.ranks
+        dense_rank = rank_with_gap(matrix)[0]
+        # the frequency ranks add up to the rank of the whole matrix
+        assert sum(m * r for m, r in zip(multiplicity, ranks)) == dense_rank, name
+        # the certified ranks are exact on a complex, lower bounds off it
+        if perturbation:
+            assert rep.ranks[index] <= dense_rank, name
+        else:
+            assert rep.ranks[index] == dense_rank, name
 
 
 @pytest.mark.parametrize("dims", [(4, 4, 3), (5, 6, 4), (7, 7, 5)])
@@ -324,13 +346,27 @@ def test_kunneth_closed_form_matches_fourier_blocks(dims, degree):
         assert rep.ranks[index] == rank_with_gap(matrix)[0], name
 
 
-def test_perturbed_center_falls_back_to_fourier_blocks():
+def test_perturbed_center_is_not_a_complex():
     # a shifted center weight breaks d1 d0 = 0, so the closed form does not
-    # hold; the per-frequency SVDs decide, and the report says so
+    # hold; the cohomology suite fails without deciding any singular value,
+    # and the report says so
     spec = pd.TorusComplexSpec(degrees=(2, 2, 2), dims=(4, 4, 3))
     bad = run_verification(pd.build_complex(spec, ebar_perturbation=1e-3))
-    assert bad.suites["cohomology"]["method"] == "fourier"
+    suite = bad.suites["cohomology"]
+    assert suite["method"] == "not-a-complex"
     assert not bad.passed
+    # the certified lower bounds are reported; nothing rests on singular values
+    assert (suite["rank_method"], suite["ranks"], suite["dims"]) == ("lower-bound", [32, 54, 24], None)
+    assert suite["gap_ratios"] == suite["sv_bracket"] == []
+    message = next(f for f in bad.failures if f.startswith("cohomology: "))
+    assert re.match(r"cohomology: \(d0, d1\) is not a complex: max\|d1 d0\| = 1\.000e-03 > "
+                    r"bound \d\.\d{3}e-\d\d", message)
+    # the constants leave ker d0 and D2 D1 no longer vanishes, so neither
+    # the D0 nor the D1 upper bound of a complex holds
+    c = pd.build_complex(spec).counts
+    assert message.split("; ")[1:3] == [
+        f"D0 rank not certified: 32 echelon rows, upper bound {c.n0}",
+        f"D1 rank not certified: 54 echelon rows, upper bound {c.n2}"]
     assert run_verification(pd.build_complex(spec)).suites["cohomology"]["method"] == "kunneth"
 
 
@@ -385,21 +421,72 @@ def test_loose_tol_does_not_admit_the_closed_form(cx443, tmp_path, monkeypatch):
     bad = _tamper(cx443, "D2", 0, row, c.nbar2 + col, amount=1e-6, incidence=once.incidence)
     d0, d1 = disk_blocks(bad.incidence)
     assert 1e-7 < max_abs(d1 @ d0) <= 1e-5
-    assert bad.cohomology().method == "fourier"
+    assert bad.cohomology().method == "not-a-complex"
     monkeypatch.setattr(cli, "build_complex", lambda spec, ebar_perturbation=0.0: bad)
     out = tmp_path / "report.json"
     assert main(["verify", "--sizes", "4,4,3", "--tol", "1e-5", "--out", str(out)]) == 1
     suites = json.loads(out.read_text())["suites"]
     assert suites["complex_property"]["pass"]
-    assert suites["cohomology"]["method"] == "fourier"
+    assert suites["cohomology"]["method"] == "not-a-complex"
     assert not suites["cohomology"]["pass"]
 
 
+@pytest.mark.parametrize("dims", [(4, 4, 3), (8, 8, 6)])
+def test_certificate_catches_a_zeroed_d1_row(dims, complex_cache):
+    # one d1 row zeroed in D1 and in D2's copy, in every joint: the lift,
+    # the complex property and the d1 d0 gate all still hold, but D1 and D2
+    # lose rank at frequency 0, and neither certificate meets its upper bound
+    cx = complex_cache(dims=dims)
+    c = cx.counts
+    d1 = disk_blocks(cx.incidence)[1]
+    row = c.nbar2 // 2
+    bad = cx
+    for col, value in zip(*(a[d1.indptr[row]:d1.indptr[row + 1]] for a in (d1.indices, d1.data))):
+        bad = _tamper(bad, "D1", 0, row, col, amount=-value)
+        bad = _tamper(bad, "D2", 0, row, c.nbar2 + col, amount=-value, incidence=bad.incidence)
+    assert not disk_blocks(bad.incidence)[1][[row]].count_nonzero()
+    rep = bad.cohomology()
+    assert rep.method == "kunneth" and rep.rank_method == "lower-bound" and rep.dims is None
+    assert rep.ranks[1] < c.nt * c.nbar1 and rep.ranks[2] < c.n3
+    assert rep.failures == [
+        f"D1 rank not certified: {rep.ranks[1]} echelon rows, upper bound {c.n2 - rep.ranks[2]}",
+        f"D2 rank not certified: {rep.ranks[2]} echelon rows, upper bound {c.n3}"]
+    report = run_verification(bad)
+    assert report.suites["complex_property"]["pass"]
+    assert not report.suites["cohomology"]["pass"]
+    assert any(f.startswith(f"cohomology: {rep.failures[0]}") for f in report.failures)
+
+
+def test_closed_form_rank_must_agree_with_the_certificate(cx443, monkeypatch):
+    # a closed form that drops one singular value of D2 at frequency 0
+    # decides rank n3 - 1 where the certificate says n3: the report fails
+    # and names the matrix and both ranks
+    def dropped(counts, s0, s1):
+        spectra = kunneth_spectrum(counts, s0, s1)
+        spectra["D2"][0][-1] = 0.0
+        return spectra
+
+    monkeypatch.setattr(incidence, "kunneth_spectrum", dropped)
+    n3 = cx443.counts.n3
+    rep = cx443.cohomology()
+    assert (rep.rank_method, rep.ranks[2]) == ("certificate", n3)
+    assert rep.failures == [f"D2: certified rank {n3}, Kunneth rank {n3 - 1}"]
+    report = run_verification(cx443)
+    assert not report.suites["cohomology"]["pass"]
+    assert any(f.startswith(f"cohomology: {rep.failures[0]}") for f in report.failures)
+
+
 def test_kunneth_frequency_zero_carries_cohomology(complex_cache):
-    rep = complex_cache(dims=(5, 6, 4)).cohomology()
-    assert rep.kunneth_ok
-    assert rep.frequencies[0].dims == (1, 1, 0, 0)
-    assert all(f.dims == (0, 0, 0, 0) for f in rep.frequencies[1:])
+    inc = complex_cache(dims=(5, 6, 4)).incidence
+    c = inc.counts
+    s0, s1 = (np.linalg.svd(d.toarray(), compute_uv=False) for d in disk_blocks(inc))
+    # per frequency, ranks at the full matrix's threshold and the block
+    # complex's cohomology, on the joint blocks' sizes
+    k0, k1, k2 = frequency_ranks(inc, kunneth_spectrum(c, s0, s1)).values()
+    dims = [(c.nbar0 - r0, c.nbar1 + c.nbar0 - r1 - r0, c.nbar2 + c.nbar1 - r2 - r1, c.nbar2 - r2)
+            for r0, r1, r2 in zip(k0, k1, k2)]
+    assert dims[0] == (1, 1, 0, 0)
+    assert all(d == (0, 0, 0, 0) for d in dims[1:])
 
 
 def _svd_harmonic_one_form(incidence):

@@ -12,6 +12,7 @@ from polar_derham import TorusComplexSpec, build_complex
 from polar_derham import cli
 from polar_derham.cli import main
 from polar_derham.geometry import S_MIN_FACTOR
+from polar_derham.verification import SCHEMA_VERSION
 from polar_derham.iotools import (
     ComplexConfig,
     csv_text,
@@ -341,6 +342,12 @@ class TestCli:
         report = json.loads(report_path.read_text())
         assert report["passed"] is True
         assert report["suites"]["cohomology"]["dims"] == [1, 1, 0, 0]
+        # version 2: the cohomology suite gained rank_method and lost the
+        # per-frequency records and kunneth_ok
+        assert report["schema_version"] == SCHEMA_VERSION == 2
+        cohomology = report["suites"]["cohomology"]
+        assert (cohomology["method"], cohomology["rank_method"]) == ("kunneth", "certificate")
+        assert not {"frequencies", "kunneth_ok"} & set(cohomology)
         assert set(report["suites"]) == {
             "dimensions", "dta", "complex_property", "commutation",
             "cohomology", "partition_of_unity", "smoothness_probe",

@@ -1,16 +1,18 @@
 """Property tests of the joint-structure checks and the toroidal spectrum
-over small random complexes."""
+over small random complexes, and of the echelon rank certificate over
+small random matrices."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import polar_derham as pd
-from oracles import disk_block_pairs, eval_local, find_span, wrap
+from oracles import disk_block_pairs, eval_local, find_span, toroidal_spectrum, wrap
 from polar_derham.extraction import lift_table
-from polar_derham.incidence import disk_blocks, toroidal_spectrum
-from polar_derham.tensor import StructureError
+from polar_derham.incidence import disk_blocks
+from polar_derham.tensor import StructureError, echelon_rank
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -69,6 +71,57 @@ def test_derived_disk_blocks_equal_the_transcription(nr, ns, perturbation):
     for derived, transcribed in disk_block_pairs(nr, ns, perturbation):
         assert derived[0] == transcribed[0]
         assert all(map(np.array_equal, derived[1:], transcribed[1:]))
+
+
+# the stored values of small random matrices: zeros are kept as entries
+_values = st.sampled_from([0.0, 0.0, 0.0, -2.0, -1.0, 0.5, 1.0, 3.0])
+
+
+def _stored(dense):
+    """`dense` as CSR that stores every entry, zeros included."""
+    rows, cols = np.indices(dense.shape)
+    return sparse.csr_array((dense.ravel(), (rows.ravel(), cols.ravel())), shape=dense.shape)
+
+
+def _dense_rank(dense):
+    return int(np.linalg.matrix_rank(dense)) if dense.size else 0
+
+
+@_settings
+@given(shape=st.tuples(st.integers(0, 8), st.integers(0, 8)), reverse=st.booleans(),
+       data=st.data())
+def test_echelon_rank_is_a_lower_bound_its_rows_certify(shape, reverse, data):
+    dense = np.array(data.draw(st.lists(_values, min_size=shape[0] * shape[1],
+                                        max_size=shape[0] * shape[1]))).reshape(shape)
+    count, pivots = echelon_rank(_stored(dense), reverse=reverse)
+    assert count == pivots.size == np.unique(pivots).size
+    assert count <= _dense_rank(dense)
+    assert _dense_rank(dense[pivots]) == count
+
+
+@_settings
+@given(shape=st.tuples(st.integers(1, 8), st.integers(1, 8)), reverse=st.booleans(),
+       data=st.data())
+def test_echelon_rank_of_an_echelon_matrix_is_its_rank(shape, reverse, data):
+    # rows with distinct pivot columns, each nonzero only before its pivot
+    # (after it with `reverse`), in a random order among zero rows
+    count = data.draw(st.integers(0, min(shape)), label="rank")
+    columns = data.draw(st.permutations(range(shape[1])), label="pivots")[:count]
+    dense = np.zeros(shape)
+    for row, col in zip(data.draw(st.permutations(range(shape[0])), label="rows"), columns):
+        side = slice(col + 1, None) if reverse else slice(0, col)
+        dense[row, side] = data.draw(st.lists(_values, min_size=dense[row, side].size,
+                                              max_size=dense[row, side].size))
+        dense[row, col] = data.draw(st.sampled_from([-1.0, 1.0, 2.0]), label="pivot")
+    assert echelon_rank(_stored(dense), reverse=reverse)[0] == count == _dense_rank(dense)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("shape", [(1, 4), (3, 3), (0, 0), (0, 3), (3, 0)])
+def test_echelon_rank_of_zero_rows_and_empty_matrices_is_zero(shape, reverse):
+    for matrix in (sparse.csr_array(shape), _stored(np.zeros(shape))):
+        count, pivots = echelon_rank(matrix, reverse=reverse)
+        assert count == 0 and pivots.size == 0
 
 
 def _parameters(space, count):
