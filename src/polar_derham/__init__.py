@@ -22,7 +22,6 @@ from .geometry import (
     SplineMap,
     build_geometry_g,
     build_polar_map,
-    polar_basis_smoothness_probe,
     pushforward_eval,
 )
 from .incidence import (

@@ -21,16 +21,16 @@ __all__ = [
     "build_polar_map",
     "build_geometry_g",
     "pushforward_eval",
-    "polar_basis_smoothness_probe",
-    "SmoothnessProbeReport",
+    "polar_c1_residuals",
     "RHO_BAR_MAX",
     "S_MIN_FACTOR",
-    "PROBE_R_SAMPLES",
     "check_rho_bar",
 ]
 
-# The largest supported major-radius offset: the C1 probe's absolute
-# noise floor must stay above the rounding of values that grow with it.
+# The largest supported major-radius offset.  The C1 check reads F's ring-1
+# steps only to ulp(max|F|), so its rounding bound grows with rho_bar
+# relative to those steps: at 1e12 it reaches 0.1 at (48,48,24), and ten
+# times higher it would pass 1, the scale of what it bounds.
 RHO_BAR_MAX = 1e12
 
 
@@ -246,78 +246,48 @@ def pushforward_eval(polar_map, tensor, extraction, level, coeffs, point):
     return xyz, (float(value) if factors.single else value)
 
 
-# =========================== smoothness probes ===============================
+# ============================ polar-curve C1 =================================
 
-@dataclass
-class SmoothnessProbeReport:
-    """Discrepancy tables of the polar-curve regularity probe.
+def polar_c1_residuals(extraction, polar_map):
+    """The C1 condition of the level-0 reduced basis at the polar curve,
+    read off the extraction and F's control net, with no basis evaluation.
 
-    ``value_discrepancy`` is the spread of the field over the collapsed
-    s = 0 face (well-definedness); ``c1_table`` holds, per epsilon, the
-    weighted first-difference estimate of the derivative mismatch across
-    the polar curve, which must shrink at least linearly for a field
-    whose pushforward is C1 there.
+    For p_s >= 2, a function ``sum c_ij B_i(r) B_j(s)`` is C1 across the
+    polar curve of F when, per joint, its ring-0 coefficients are equal and
+    its ring-1 steps ``c_i1 - c_i0`` are ``g . (F_i1 - F_i0)`` for one
+    g in R^3 (Toshniwal, Speleers, Hiemstra and Hughes, *Multi-degree
+    smooth polar splines*, CMAME 2017).  F's ring-1 steps span the meridian
+    plane, so the function's steps must lie in the span of their two
+    leading left singular vectors.  Every joint's ring-0 and ring-1 columns
+    of E000 are read from :meth:`ExtractionSet.columns`, one (function,
+    joint) pair per function that touches them, in O(nr nt).
+
+    Returns ``(ring0_spread, c1_affine_residual, bound, (joint, function))``:
+    the largest ring-0 spread and the largest distance of a ring-1 step
+    vector from that span, both relative to the largest ring-1 coefficient;
+    the rounding bound both must meet, ``eps nr max|F| / sigma_2``, where F
+    is read to ulp(max|F|) and sigma_2, the smallest in-plane singular value
+    of the steps over the joints, is their in-plane size; and the joint and
+    the 0-based reduced function of the worst pair.
     """
-
-    r_samples: np.ndarray
-    value_discrepancy: np.ndarray
-    c1_table: list
-
-
-# Samples of the collapsed s = 0 face.
-PROBE_R_SAMPLES = 8
-
-
-def _probe_engine(value_fn, polar_map, tensor, t, eps_list):
-    """Run the probe on `value_fn`, which maps an (m, 3) array of points to
-    (m,) or (m, K) values; every point is evaluated in one batch."""
-    num_r = PROBE_R_SAMPLES
-    R = tensor.spaces[0].interval[1]
-    S = tensor.spaces[1].interval[1]
-    rs = np.linspace(0.0, R, num_r, endpoint=False) + 0.37 * R / num_r
-    # Three approach directions in the meridian plane always admit a
-    # nontrivial cancelling combination; for symmetric nets two of them
-    # are antipodal and this reduces to the opposite-direction pair.
-    r3 = (0.15 * R + np.array([0.0, R / 3.0, 2.0 * R / 3.0])) % R
-    eps = np.asarray(eps_list, dtype=float)
-    r = np.concatenate([rs, np.tile(r3, eps.size + 1)])
-    s = np.concatenate([np.zeros(num_r + 3), np.repeat(eps * S, 3)])
-    points = np.column_stack([r, s, np.full(r.size, float(t))])
-
-    vals = value_fn(points).reshape(r.size, -1)
-    vals0, base = vals[:num_r], vals[num_r : num_r + 3]
-    approach = vals[num_r + 3 :].reshape(eps.size, 3, -1)
-    jac = polar_map.jacobian(points[num_r : num_r + 3])[1]
-    weights = np.linalg.svd(jac[:, :, 1].T)[2][-1]
-    table = [
-        (float(e), np.abs(weights @ (v - base)) / e)
-        for e, v in zip(eps_list, approach)
-    ]
-    return SmoothnessProbeReport(
-        r_samples=rs,
-        value_discrepancy=vals0.max(axis=0) - vals0.min(axis=0),
-        c1_table=table,
-    )
-
-
-def polar_basis_smoothness_probe(polar_map, tensor, extraction, t, eps_list,
-                                 space="reduced"):
-    """Probe every level-0 basis function at once.
-
-    Returns a report whose discrepancy entries are vectors indexed by
-    basis function: `space` "reduced" probes the polar vertex basis,
-    "tensor" the raw tensor-product basis, the negative control, which is
-    generically multivalued at s = 0.
-    """
-    if space not in ("reduced", "tensor"):
-        raise ValueError(f"unknown space {space!r}")
-
-    def values(points):
-        if space == "reduced":
-            return reduced_basis_values(extraction, tensor, 0, points)
-        cols, vals = tensor.local_level_basis(0, points)
-        n, m = tensor.level_dim(0), len(points)
-        flat = np.arange(m) * n + cols
-        return np.bincount(flat.ravel(), weights=vals.ravel(), minlength=m * n).reshape(m, n)
-
-    return _probe_engine(values, polar_map, tensor, t, eps_list)
+    c = extraction.counts
+    nr, nt = c.nr, c.nt
+    net = polar_map._grid[:, :2]
+    u, sv, _ = np.linalg.svd(net[:, 1] - net[:, 0], full_matrices=False)
+    plane = u[:, :, :2]
+    bound = float(np.finfo(float).eps * nr * np.abs(net).max() / sv[:, 1].min())
+    cols = (np.arange(nt)[:, None] * (nr * c.ns) + np.arange(2 * nr)).ravel()
+    block = extraction.columns(0)[:, cols].tocoo()
+    joint, pos = np.divmod(block.col, 2 * nr)
+    keys, pair = np.unique(block.row.astype(np.int64) * nt + joint, return_inverse=True)
+    coef = np.zeros((keys.size, 2 * nr))
+    coef[pair, pos] = block.data
+    ring0, ring1 = coef[:, :nr], coef[:, nr:]
+    steps, basis = ring1 - ring0, plane[keys % nt]
+    off_plane = steps - np.einsum("pia,pa->pi", basis, np.einsum("pia,pi->pa", basis, steps))
+    scale = np.abs(ring1).max()
+    spread = (ring0.max(axis=1) - ring0.min(axis=1)) / scale
+    residual = np.abs(off_plane).max(axis=1) / scale
+    worst = int(np.argmax(np.maximum(spread, residual)))
+    return (float(spread.max()), float(residual.max()), bound,
+            (int(keys[worst] % nt), int(keys[worst] // nt)))

@@ -184,13 +184,12 @@ class CohomologyReport:
 
     `ranks` are the certified lower bounds on the ranks of D0, D1 and D2.
     `rank_method` is "certificate" when each meets its upper bound, so the
-    ranks are exact, and "lower-bound" otherwise; `dims` and the Euler
-    characteristic are None then.  `method` is "kunneth" when the disk
-    blocks are a complex and the closed form gives the singular values
-    behind `gap_ratios` and `sv_bracket`, and "not-a-complex" otherwise,
-    with no singular values decided and both empty.  `failures` holds one
-    message per unmet bound, per rank the closed form decides otherwise and
-    for a disk pair that is not a complex.
+    ranks are exact, and "lower-bound" otherwise; `dims` is None then.
+    `method` is "kunneth" when the disk blocks are a complex and the closed
+    form gives the singular values behind `gap_ratios` and `sv_bracket`,
+    and "not-a-complex" otherwise, with no singular values decided and both
+    empty.  `failures` holds one message per unmet bound, per rank the
+    closed form decides otherwise and for a disk pair that is not a complex.
     """
 
     dims: tuple | None
@@ -198,16 +197,10 @@ class CohomologyReport:
     rank_method: str
     gap_ratios: tuple
     sv_bracket: tuple
-    euler_characteristic: int | None
-    alternating_dim_sum: int
     warnings: list
     failures: list
     method: str
     harmonic_one_form: np.ndarray | None = None
-
-    @property
-    def euler_ok(self):
-        return self.euler_characteristic == self.alternating_dim_sum
 
 
 def _decide(svals, tol):
@@ -362,8 +355,6 @@ def cohomology_dimensions(incidence):
         rank_method="certificate" if certified else "lower-bound",
         gap_ratios=tuple(gap for _, gap, _ in decisions),
         sv_bracket=tuple(bracket for _, _, bracket in decisions),
-        euler_characteristic=dims[0] - dims[1] + dims[2] - dims[3] if certified else None,
-        alternating_dim_sum=c.alternating_sum,
         warnings=warnings,
         failures=failures,
         method="not-a-complex" if spectra is None else "kunneth",

@@ -15,7 +15,6 @@ from .geometry import (
     build_geometry_g,
     build_polar_map,
     check_rho_bar,
-    polar_basis_smoothness_probe,
     pushforward_eval,
 )
 from .incidence import build_incidence, cohomology_dimensions, verify_commutation
@@ -181,11 +180,6 @@ class PolarComplex:
             raise ValueError("pushforward evaluation expects a reduced field")
         return pushforward_eval(
             self.polar_map, self.tensor, self.extraction, f.level, f.data, point,
-        )
-
-    def basis_smoothness_probe(self, t, eps_list, space="reduced"):
-        return polar_basis_smoothness_probe(
-            self.polar_map, self.tensor, self.extraction, t, eps_list, space=space,
         )
 
     # ----------------------------- reporting --------------------------------

@@ -5,8 +5,12 @@ deterministic, schema-versioned report: dimension formulas, DTA
 compatibility, the complex property, the seven commutation identities,
 cohomology dimensions from certified ranks with the gap diagnostics of
 the closed-form singular values, divergence surjectivity, partition of
-unity and the polar-curve regularity probes.  Schema version 2 reports
-the cohomology suite's `rank_method` and no per-frequency records.
+unity and polar-curve C1.  The last is algebraic: per joint, every
+level-0 function's ring-0 coefficients must agree and its ring-1 steps
+must be linear in F's (:func:`polar_derham.geometry.polar_c1_residuals`),
+to a rounding bound of F's net, not to `residual`.  That suite is keyed
+``smoothness_probe`` and reports ``method: "algebraic"``.  The README lists
+the fields each schema version changed.
 """
 
 import dataclasses
@@ -16,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bsplines import dta_diagnostic
+from .geometry import polar_c1_residuals
 from .incidence import divergence_preimage, max_abs
 from .extraction import lift_table
 from .tensor import StructureError, partition_rank
@@ -27,31 +32,23 @@ __all__ = [
     "inject_row_drop",
     "SCHEMA_VERSION",
     "RESIDUAL_TOL",
-    "PROBE_FLOOR",
     "PREIMAGE_TOL",
     "GAP_RATIO_MIN",
-    "NEGATIVE_CONTROL_MIN",
     "SEED",
     "NUM_POINTS",
-    "EPS_LIST",
-    "PROBE_T",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # Pass/fail thresholds of the verification suites; only the residual one is
 # a parameter of `run_verification` (the CLI's --tol).
-RESIDUAL_TOL = 1e-12            # complex property, commutation, PoU, probes
-PROBE_FLOOR = 1e-10             # noise floor of the C1 probe decrease
+RESIDUAL_TOL = 1e-12            # complex property, commutation, PoU
 PREIMAGE_TOL = 1e-12            # relative divergence-preimage residual
 GAP_RATIO_MIN = 1e6             # SVD gap required at each rank decision
-NEGATIVE_CONTROL_MIN = 1e-4     # spread the probe must see in the raw basis
 
-# Sampling of the randomized and probing suites.
+# Sampling of the randomized suites.
 SEED = 20240
 NUM_POINTS = 200                # partition-of-unity sample points
-EPS_LIST = (1e-2, 1e-3, 1e-4)   # probe steps away from the polar curve
-PROBE_T = 0.33                  # toroidal parameter of the probe
 
 
 def inject_row_drop(cx, name, row):
@@ -118,9 +115,9 @@ def _timed(timings, name, fn):
 def run_verification(cx, residual=RESIDUAL_TOL, config_echo=None):
     """Run every suite on a built complex and collect a report.
 
-    `residual` bounds the complex-property, commutation, partition-of-unity
-    and probe residuals.  The random draws are seeded, so timings are the
-    only run-to-run variation in the output.
+    `residual` bounds the complex-property, commutation and
+    partition-of-unity residuals.  The random draws are seeded, so timings
+    are the only run-to-run variation in the output.
     """
     rng = np.random.default_rng(SEED)
     c = cx.counts
@@ -252,7 +249,6 @@ def run_verification(cx, residual=RESIDUAL_TOL, config_echo=None):
             "expected_rank_d2": c.n3,
             "gap_ratios": _json_gaps(rep.gap_ratios),
             "sv_bracket": [list(b) for b in rep.sv_bracket],
-            "euler_ok": rep.euler_ok,
             "divergence_preimage_residual": m_worst,
             "warnings": rep.warnings,
         }
@@ -273,32 +269,18 @@ def run_verification(cx, residual=RESIDUAL_TOL, config_echo=None):
 
     suites["partition_of_unity"] = _timed(timings, "partition_of_unity", pou_suite)
 
-    # ----- polar-curve regularity -----------------------------------------------
-    def probe_suite():
-        rep = cx.basis_smoothness_probe(PROBE_T, EPS_LIST)
-        value_disc = float(rep.value_discrepancy.max())
-        deltas = [d for _, d in rep.c1_table]
-        mono = True
-        for prev, nxt in zip(deltas, deltas[1:]):
-            mono = mono and bool(
-                np.all((nxt <= prev) | (nxt <= PROBE_FLOOR))
-            )
-        neg = cx.basis_smoothness_probe(PROBE_T, EPS_LIST[:1], space="tensor")
-        neg_disc = float(neg.value_discrepancy.max())
-        ok = (value_disc <= residual and mono
-              and neg_disc > NEGATIVE_CONTROL_MIN)
+    # ----- polar-curve C1 --------------------------------------------------------
+    def smoothness_suite():
+        spread, c1, bound, (joint, function) = polar_c1_residuals(cx.extraction, cx.polar_map)
+        ok = spread <= bound and c1 <= bound
         gate("smoothness_probe", ok,
-             f"value discrepancy {value_disc:.3e}, monotone {mono}, "
-             f"negative control {neg_disc:.3e}")
-        return {
-            "pass": ok,
-            "value_discrepancy": value_disc,
-            "c1_max_by_eps": {f"{eps:g}": float(d.max()) for eps, d in rep.c1_table},
-            "c1_monotone": mono,
-            "negative_control_discrepancy": neg_disc,
-        }
+             f"ring-0 spread {spread:.3e}, C1 affine residual {c1:.3e}, bound {bound:.3e}; "
+             f"worst: function {function} at joint {joint}")
+        return {"pass": ok, "method": "algebraic", "ring0_spread": spread,
+                "c1_affine_residual": c1, "bound": bound,
+                "worst": {"joint": joint, "function": function}}
 
-    suites["smoothness_probe"] = _timed(timings, "smoothness_probe", probe_suite)
+    suites["smoothness_probe"] = _timed(timings, "smoothness_probe", smoothness_suite)
 
     passed = all(s["pass"] for s in suites.values())
     return VerificationReport(

@@ -11,7 +11,10 @@ disk blocks of the incidence matrices are kept here as an entry-by-entry
 transcription of the DOF numbering; the library derives them from the
 extraction blocks.  The D's spectrum, one dense SVD per toroidal
 frequency, is the reference for the library's closed form, which gives
-the singular values, while certificates give the ranks.
+the singular values, while certificates give the ranks.  The sampled
+probe of the polar curve, first differences of every level-0 function
+near s = 0, cross-checks the library's evaluation there, and on planted
+faults it is the reference for the verifier's algebraic C1 check.
 """
 
 from typing import NamedTuple
@@ -339,3 +342,91 @@ def disk_block_pairs(nr, ns, perturbation=0.0):
             pair.append((csr.dtype, csr.indptr, csr.indices, csr.data))
         pairs.append(pair)
     return pairs
+
+
+# ========================== sampled polar-curve probe =======================
+
+# The probe's fixed sampling and gate: steps away from the polar curve, the
+# toroidal parameter, samples of the collapsed s = 0 face, the noise floor
+# below which the C1 estimates need not decrease and the spread the raw
+# tensor basis must show at s = 0.
+EPS_LIST = (1e-2, 1e-3, 1e-4)
+PROBE_T = 0.33
+PROBE_R_SAMPLES = 8
+PROBE_FLOOR = 1e-10
+NEGATIVE_CONTROL_MIN = 1e-4
+
+
+class SmoothnessProbeReport(NamedTuple):
+    """``value_discrepancy`` is the spread of each function over the
+    collapsed s = 0 face (well-definedness); ``c1_table`` holds, per
+    epsilon, the weighted first-difference estimate of the derivative
+    mismatch across the polar curve, which shrinks for a C1 function."""
+
+    r_samples: np.ndarray
+    value_discrepancy: np.ndarray
+    c1_table: list
+
+
+def probe_engine(value_fn, polar_map, tensor, t, eps_list):
+    """Run the probe on `value_fn`, which maps an (m, 3) array of points to
+    (m,) or (m, K) values; every point is evaluated in one batch."""
+    num_r = PROBE_R_SAMPLES
+    R = tensor.spaces[0].interval[1]
+    S = tensor.spaces[1].interval[1]
+    rs = np.linspace(0.0, R, num_r, endpoint=False) + 0.37 * R / num_r
+    # Three approach directions in the meridian plane always admit a
+    # nontrivial cancelling combination; for symmetric nets two of them
+    # are antipodal and this reduces to the opposite-direction pair.
+    r3 = (0.15 * R + np.array([0.0, R / 3.0, 2.0 * R / 3.0])) % R
+    eps = np.asarray(eps_list, dtype=float)
+    r = np.concatenate([rs, np.tile(r3, eps.size + 1)])
+    s = np.concatenate([np.zeros(num_r + 3), np.repeat(eps * S, 3)])
+    points = np.column_stack([r, s, np.full(r.size, float(t))])
+
+    vals = value_fn(points).reshape(r.size, -1)
+    vals0, base = vals[:num_r], vals[num_r : num_r + 3]
+    approach = vals[num_r + 3 :].reshape(eps.size, 3, -1)
+    jac = polar_map.jacobian(points[num_r : num_r + 3])[1]
+    weights = np.linalg.svd(jac[:, :, 1].T)[2][-1]
+    table = [
+        (float(e), np.abs(weights @ (v - base)) / e)
+        for e, v in zip(eps_list, approach)
+    ]
+    return SmoothnessProbeReport(
+        r_samples=rs,
+        value_discrepancy=vals0.max(axis=0) - vals0.min(axis=0),
+        c1_table=table,
+    )
+
+
+def smoothness_probe(cx, t, eps_list, space="reduced"):
+    """Probe every level-0 basis function of `cx` at once through the
+    library's batched evaluation.  `space` "reduced" probes the polar
+    vertex basis, "tensor" the raw tensor-product basis, which is
+    generically multivalued at s = 0."""
+    if space not in ("reduced", "tensor"):
+        raise ValueError(f"unknown space {space!r}")
+
+    def values(points):
+        if space == "reduced":
+            return cx.reduced_basis_values(0, points)
+        cols, vals = cx.tensor.local_level_basis(0, points)
+        n, m = cx.tensor.level_dim(0), len(points)
+        flat = np.arange(m) * n + cols
+        return np.bincount(flat.ravel(), weights=vals.ravel(), minlength=m * n).reshape(m, n)
+
+    return probe_engine(values, cx.polar_map, cx.tensor, t, eps_list)
+
+
+def probe_passes(cx, residual=1e-12):
+    """The sampled probe's gate: single-valued at s = 0 to `residual`,
+    each C1 estimate at most the one at the previous, larger step or below
+    the noise floor, and a raw tensor basis the probe sees as multivalued."""
+    rep = smoothness_probe(cx, PROBE_T, EPS_LIST)
+    deltas = [d for _, d in rep.c1_table]
+    monotone = all(np.all((nxt <= prev) | (nxt <= PROBE_FLOOR))
+                   for prev, nxt in zip(deltas, deltas[1:]))
+    raw = smoothness_probe(cx, PROBE_T, EPS_LIST[:1], space="tensor")
+    return bool(rep.value_discrepancy.max() <= residual and monotone
+                and raw.value_discrepancy.max() > NEGATIVE_CONTROL_MIN)

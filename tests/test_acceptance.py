@@ -13,7 +13,9 @@ import pytest
 from scipy import sparse
 
 import polar_derham as pd
-from oracles import eval_spline, eval_spline_derivative, is_dta_compatible
+import oracles
+from oracles import (EPS_LIST, eval_spline, eval_spline_derivative, is_dta_compatible,
+                     smoothness_probe)
 from polar_derham import bsplines, geometry, verification
 from polar_derham.cli import build_parser, main
 from polar_derham.extraction import lift_table
@@ -22,7 +24,6 @@ from polar_derham.torus import PolarComplex
 
 SIZE_GRID = [(4, 4, 3), (5, 5, 4), (6, 4, 5), (5, 8, 3)]
 DEGREE_GRID = [(2, 2, 2), (3, 2, 3)]
-EPS_LIST = (1e-2, 1e-3, 1e-4)
 
 
 def record(number, ok, detail):
@@ -220,7 +221,7 @@ def test_criterion_5_unpartitioned_block_lifted_everywhere_fails_dta(complex_cac
 
 def test_criterion_6_polar_curve_regularity(grid_complexes):
     cx = grid_complexes[((2, 2, 2), (4, 4, 3))]
-    report = cx.basis_smoothness_probe(t=0.33, eps_list=EPS_LIST)
+    report = smoothness_probe(cx, t=0.33, eps_list=EPS_LIST)
     single_valued = float(report.value_discrepancy.max())
     deltas = [d for _, d in report.c1_table]
     floor = 1e-10
@@ -228,7 +229,7 @@ def test_criterion_6_polar_curve_regularity(grid_complexes):
         np.all((deltas[1] <= deltas[0]) | (deltas[1] <= floor))
         and np.all((deltas[2] <= deltas[1]) | (deltas[2] <= floor))
     )
-    raw = cx.basis_smoothness_probe(t=0.33, eps_list=(1e-2,), space="tensor")
+    raw = smoothness_probe(cx, t=0.33, eps_list=(1e-2,), space="tensor")
     negative = float(raw.value_discrepancy.max())
     record(
         6,
@@ -293,19 +294,22 @@ def test_criterion_9_partition_of_unity(grid_complexes):
 
 def test_verification_settings_are_pinned(grid_complexes):
     # the verifier runs one fixed set of thresholds and samples; only the
-    # residual tolerance is a parameter (the CLI's --tol)
+    # residual tolerance is a parameter (the CLI's --tol); the sampled
+    # probe's settings are the oracle's
     v = verification
-    assert (v.RESIDUAL_TOL, v.PROBE_FLOOR, v.PREIMAGE_TOL, v.GAP_RATIO_MIN,
-            v.NEGATIVE_CONTROL_MIN, bsplines.DTA_TOL) == (1e-12, 1e-10, 1e-12, 1e6, 1e-4, 1e-12)
+    assert (v.RESIDUAL_TOL, v.PREIMAGE_TOL, v.GAP_RATIO_MIN,
+            bsplines.DTA_TOL) == (1e-12, 1e-12, 1e6, 1e-12)
+    assert (oracles.PROBE_FLOOR, oracles.NEGATIVE_CONTROL_MIN) == (1e-10, 1e-4)
     params = inspect.signature(pd.run_verification).parameters
     assert list(params) == ["cx", "residual", "config_echo"]
     assert params["residual"].default == 1e-12
     assert build_parser().parse_args(["verify"]).tol == 1e-12
-    assert (v.SEED, v.NUM_POINTS, v.EPS_LIST, v.PROBE_T) == (20240, 200, (1e-2, 1e-3, 1e-4), 0.33)
+    assert (v.SEED, v.NUM_POINTS) == (20240, 200)
+    assert (oracles.EPS_LIST, oracles.PROBE_T) == ((1e-2, 1e-3, 1e-4), 0.33)
     assert geometry.S_MIN_FACTOR == 1e-8
     cx = grid_complexes[((2, 2, 2), (4, 4, 3))]
     with pytest.raises(pd.SingularityProximityError):
         cx.pushforward(np.ones(cx.counts.n3), (0.5, 0.99e-8, 0.5), level=3)
     cx.pushforward(np.ones(cx.counts.n3), (0.5, 1e-8, 0.5), level=3)
-    assert geometry.PROBE_R_SAMPLES == 8
-    assert len(cx.basis_smoothness_probe(v.PROBE_T, v.EPS_LIST).r_samples) == 8
+    assert oracles.PROBE_R_SAMPLES == 8
+    assert len(smoothness_probe(cx, oracles.PROBE_T, oracles.EPS_LIST).r_samples) == 8

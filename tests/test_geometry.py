@@ -3,11 +3,8 @@ import numpy.testing as npt
 import pytest
 
 import polar_derham as pd
-from oracles import eval_component_basis
-from polar_derham import SingularityProximityError, geometry
-
-
-EPS_LIST = (1e-2, 1e-3, 1e-4)
+from oracles import EPS_LIST, eval_component_basis, probe_engine, smoothness_probe
+from polar_derham import SingularityProximityError
 
 
 # ------------------------------ polar map F ------------------------------------
@@ -123,8 +120,8 @@ class TestGeometryMap:
 
     def test_geometry_map_is_c1_at_polar_curve(self, cx443):
         # the probe on the three coordinates of G at once
-        report = geometry._probe_engine(cx443.geometry_map.eval, cx443.polar_map,
-                                        cx443.tensor, 0.2, EPS_LIST)
+        report = probe_engine(cx443.geometry_map.eval, cx443.polar_map,
+                              cx443.tensor, 0.2, EPS_LIST)
         assert report.value_discrepancy.shape == (3,)
         assert report.value_discrepancy.max() <= 1e-12
         first = report.c1_table[0][1]
@@ -210,7 +207,7 @@ class TestPushforward:
 
 class TestSmoothnessProbe:
     def test_every_basis_function(self, cx443):
-        report = cx443.basis_smoothness_probe(t=0.33, eps_list=EPS_LIST)
+        report = smoothness_probe(cx443, t=0.33, eps_list=EPS_LIST)
         assert report.value_discrepancy.shape == (cx443.counts.n0,)
         assert report.value_discrepancy.max() <= 1e-12
         deltas = [d for _, d in report.c1_table]
@@ -219,15 +216,14 @@ class TestSmoothnessProbe:
         assert np.all((deltas[2] <= deltas[1]) | (deltas[2] <= floor))
 
     def test_raw_tensor_negative_control(self, cx443):
-        report = cx443.basis_smoothness_probe(t=0.33, eps_list=(1e-2,),
-                                              space="tensor")
+        report = smoothness_probe(cx443, t=0.33, eps_list=(1e-2,), space="tensor")
         assert report.value_discrepancy.max() > 1e-3
 
     def test_probe_on_odd_poloidal_count(self, complex_cache):
         # no antipodal parametric pair exists for odd nr; the weighted
         # three-direction combination must still shrink linearly
         cx = complex_cache(dims=(5, 5, 4))
-        report = cx.basis_smoothness_probe(t=0.4, eps_list=EPS_LIST)
+        report = smoothness_probe(cx, t=0.4, eps_list=EPS_LIST)
         assert report.value_discrepancy.max() <= 1e-12
         deltas = [d for _, d in report.c1_table]
         floor = 1e-10
@@ -241,7 +237,7 @@ class TestSmoothnessProbe:
         # the probe recomputed one point at a time from the dense tensor basis
         cx = complex_cache(degrees=degrees, dims=dims)
         t = 0.33
-        rep = cx.basis_smoothness_probe(t, EPS_LIST, space=space)
+        rep = smoothness_probe(cx, t, EPS_LIST, space=space)
 
         def dense(r, s):
             b = eval_component_basis(cx.tensor, (0, 0, 0), (r, s, t))
@@ -261,4 +257,4 @@ class TestSmoothnessProbe:
 
     def test_unknown_space_rejected(self, cx443):
         with pytest.raises(ValueError, match="unknown space"):
-            cx443.basis_smoothness_probe(0.3, EPS_LIST, space="bogus")
+            smoothness_probe(cx443, 0.3, EPS_LIST, space="bogus")

@@ -256,7 +256,6 @@ def test_cohomology_dimensions(dims, complex_cache):
     cx = complex_cache(dims=dims)
     rep = cx.cohomology()
     assert rep.dims == (1, 1, 0, 0)
-    assert rep.euler_ok
     assert all(g >= 1e6 for g in rep.gap_ratios)
     assert not rep.warnings
 

@@ -343,11 +343,17 @@ class TestCli:
         assert report["passed"] is True
         assert report["suites"]["cohomology"]["dims"] == [1, 1, 0, 0]
         # version 2: the cohomology suite gained rank_method and lost the
-        # per-frequency records and kunneth_ok
-        assert report["schema_version"] == SCHEMA_VERSION == 2
+        # per-frequency records and kunneth_ok; version 3: it lost euler_ok,
+        # and the smoothness suite reads C1 algebraically
+        assert report["schema_version"] == SCHEMA_VERSION == 3
         cohomology = report["suites"]["cohomology"]
         assert (cohomology["method"], cohomology["rank_method"]) == ("kunneth", "certificate")
-        assert not {"frequencies", "kunneth_ok"} & set(cohomology)
+        assert not {"frequencies", "kunneth_ok", "euler_ok"} & set(cohomology)
+        smoothness = report["suites"]["smoothness_probe"]
+        assert set(smoothness) == {"pass", "method", "ring0_spread", "c1_affine_residual",
+                                   "bound", "worst"}
+        assert smoothness["method"] == "algebraic"
+        assert smoothness["c1_affine_residual"] <= smoothness["bound"] < 1e-13
         assert set(report["suites"]) == {
             "dimensions", "dta", "complex_property", "commutation",
             "cohomology", "partition_of_unity", "smoothness_probe",
@@ -420,7 +426,8 @@ class TestCli:
         ("lengths", ["--lengths", "1,1,inf"], None),
         ("lengths", ["--lengths", "nan,1,1"], None),
         ("lengths", [], '{"degrees": [2, 2, 2], "dims": [4, 4, 3], "lengths": [1, -1e400, 1]}'),
-        # above the supported ceiling the C1 probe's absolute floor is below one ulp
+        # above the supported ceiling the C1 check's resolution, ulp(max|F|)
+        # relative to F's ring-1 steps, passes the scale of what it bounds
         ("rho_bar", ["--rho-bar", "1e15"], None),
     ])
     def test_non_finite_geometry_rejected(self, field, flags, config, tmp_path, monkeypatch,
