@@ -3,7 +3,8 @@
 Provides the Cox-de Boor evaluation kernel and the per-knot-span
 polynomial tables built from it, the derivative basis of a spline space,
 the extraction matrices tying a C1 space into its C1-periodic subspace,
-the bidiagonal coefficient-difference stencils and the
+the bidiagonal coefficient-difference stencils, the index-dtype rule and
+triplet-to-CSR pass of every library sparse matrix, and the
 design-through-analysis (DTA) diagnostic used throughout the polar
 construction.
 """
@@ -22,6 +23,8 @@ __all__ = [
     "make_uniform_open_knots",
     "difference_triplet",
     "difference_matrix",
+    "index_dtype",
+    "csr_from_triplet",
     "triplet",
     "periodic_h0",
     "periodic_h1",
@@ -167,8 +170,30 @@ def difference_triplet(n, periodic):
 
 def difference_matrix(n, periodic):
     """:func:`difference_triplet` as CSR."""
-    rows, cols, vals = difference_triplet(n, periodic)
-    return sparse.coo_array((vals, (rows, cols)), shape=(rows.size // 2, n)).tocsr()
+    return csr_from_triplet(difference_triplet(n, periodic), (n if periodic else n - 1, n))
+
+
+# ============================ sparse storage =================================
+# Every library sparse matrix holds float64 values and indices of one
+# dtype rule, :func:`index_dtype`.
+
+def index_dtype(shape, nnz):
+    """The index dtype of a sparse matrix of `shape` with `nnz` entries:
+    int32 while the rows, the columns and nnz are all below 2**31, int64
+    otherwise."""
+    return np.int32 if max(*shape, nnz) < 2**31 else np.int64
+
+
+def csr_from_triplet(entries, shape):
+    """One COO -> CSR pass over (rows, cols, vals): duplicates summed,
+    indices sorted and in :func:`index_dtype`, stored zeros dropped, the
+    dtype of `vals` kept."""
+    rows, cols, vals = entries
+    idx = index_dtype(shape, np.size(vals))
+    mat = sparse.coo_array((vals, (np.asarray(rows).astype(idx, copy=False),
+                                   np.asarray(cols).astype(idx, copy=False))), shape=shape).tocsr()
+    mat.eliminate_zeros()
+    return mat
 
 
 def triplet(matrix):
@@ -208,7 +233,7 @@ def periodic_h0(kv):
     rows = [0, n - 3] + list(range(n - 2)) + [0, n - 3]
     cols = [0, 0] + list(range(1, n - 1)) + [n - 1, n - 1]
     vals = [c1, c2] + [1.0] * (n - 2) + [c1, c2]
-    return sparse.coo_array((vals, (rows, cols)), shape=(n - 2, n)).tocsr()
+    return csr_from_triplet((rows, cols, vals), (n - 2, n))
 
 
 def periodic_h1(kv):
@@ -224,7 +249,7 @@ def periodic_h1(kv):
     rows = list(range(n - 3)) + [n - 3, n - 3]
     cols = list(range(1, n - 2)) + [0, n - 2]
     vals = [1.0] * (n - 3) + [c2, c1]
-    return sparse.coo_array((vals, (rows, cols)), shape=(n - 2, n - 1)).tocsr()
+    return csr_from_triplet((rows, cols, vals), (n - 2, n - 1))
 
 
 # ============================= spline spaces ================================

@@ -276,7 +276,9 @@ def reduced_basis_values(extraction, tensor, level, point, coeffs=None):
     start = csc.indptr[flat]
     # padding slots, and functions that vanish at the point, add nothing
     count = (csc.indptr[flat + 1] - start) * (vals != 0)
-    entry = np.repeat(np.arange(flat.size), count)
+    # entry, slot and the key slot * n + rows below are int64, whatever
+    # the index dtype of `csc`
+    entry = np.repeat(np.arange(flat.size, dtype=np.int64), count)
     pos = np.arange(entry.size) + (start - (np.cumsum(count) - count))[entry]
     rows, weights = csc.indices[pos], csc.data[pos] * vals[entry]
     slot = entry % (k * m)  # component * m + point

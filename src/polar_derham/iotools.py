@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
+from .bsplines import csr_from_triplet
 from .tensor import dims_of_distinct_knots, distinct_knot_counts
 from .torus import TorusComplexSpec
 
@@ -156,6 +157,14 @@ def csv_text(header, table):
     return f"{header}\n" + "\n".join([line] * rows) % tuple(_repr_tokens(table))
 
 
+def _net_text(points):
+    """The (m, 3) array `points` as the JSON list ``[[x, y, z], ...]``,
+    each value its `repr` token, formatted in one pass."""
+    rows, cols = points.shape
+    row = "[" + ", ".join(["%s"] * cols) + "]"
+    return "[" + ", ".join([row] * rows) % tuple(_repr_tokens(points)) + "]"
+
+
 def read_coefficients(path):
     """The float64 values of a coefficient file, one per line (`#` starts
     a comment); a file without values, with a token that does not parse
@@ -229,9 +238,7 @@ def read_triplet(path):
     for axis, index, size in (("row", entries["i"], rows), ("column", entries["j"], cols)):
         if not (index.min() >= 1 and index.max() <= size):
             raise ValueError(f"{path}: {axis} index outside 1..{size}")
-    return sparse.coo_array(
-        (entries["v"], (entries["i"] - 1, entries["j"] - 1)), shape=(rows, cols)
-    ).tocsr()
+    return csr_from_triplet((entries["i"] - 1, entries["j"] - 1, entries["v"]), (rows, cols))
 
 
 # ============================== bundles ======================================
@@ -250,7 +257,7 @@ def write_bundle(out_dir, cx, config):
         "control_net_G.json": cx.geometry_map.reduced_control_points,
     }
     for fname, pts in nets.items():
-        (out / fname).write_text(json.dumps(pts.tolist()) + "\n")
+        (out / fname).write_text(_net_text(pts) + "\n")
     return out
 
 

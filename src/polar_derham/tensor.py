@@ -17,6 +17,14 @@ joint index slowest.
 Pointwise evaluation goes through :class:`LocalFactors`: the nonzero
 univariate functions of every direction at a batch of points, from which
 each component's local tensor support follows.
+
+The polar complex's extraction and incidence matrices are circle lifts,
+sums of ``C (x) B`` with C circulant over the toroidal joints, stated
+by a :class:`LiftTable`.  :func:`kron_lift` writes their CSR arrays
+directly: joint 0's block row once, then every joint by shifting its
+columns whole blocks, with no COO triplet of the whole matrix.  Every
+library sparse matrix holds float64 values and int32 indices while they
+fit (:func:`~polar_derham.bsplines.index_dtype`).
 """
 
 from functools import cached_property
@@ -25,7 +33,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 
-from .bsplines import SpanLookup, SplineSpace, difference_triplet, make_uniform_open_knots, triplet
+from .bsplines import (SpanLookup, SplineSpace, csr_from_triplet, difference_triplet, index_dtype,
+                       make_uniform_open_knots, triplet)
 
 __all__ = [
     "check_size_floors",
@@ -144,26 +153,57 @@ def eye_triplet(n, sign=1.0):
 def kron_lift(n, block_shape, terms):
     """CSR sum of the Kronecker products ``C (x) B`` over (C, B, row0, col0).
 
-    C (n x n) and B are (rows, cols, vals) triplets; B is placed at
-    (row0, col0) inside a block of `block_shape`, repeated along C;
-    stored zeros are dropped.
+    C is an n x n circulant triplet, of which only row 0 is read: its
+    entry (0, d) places that value times B at block offset d, in block
+    column (j + d) mod n of joint j.  B is a (rows, cols, vals) triplet
+    placed at (row0, col0) inside a block of `block_shape`.
+
+    Joint 0's block row is formed once: duplicates summed, stored zeros
+    dropped, sorted by row and then by block column.  Every other joint
+    has the same values at its columns shifted by whole blocks; only in
+    the joints where j + d passes n do each row's wrapped entries move to
+    the row's front.  Indices are in :func:`~polar_derham.bsplines.index_dtype`.
     """
-    rows, cols, vals = cat_triplets([
-        (c_row[:, None] * block_shape[0] + row0 + b_row,
-         c_col[:, None] * block_shape[1] + col0 + b_col,
-         c_val[:, None] * b_val)
-        for (c_row, c_col, c_val), (b_row, b_col, b_val), row0, col0 in terms
-    ])
-    return _csr_from_triplet((rows, cols, vals), (n * block_shape[0], n * block_shape[1]))
+    m, k = block_shape
+    width = n * k
+    keys, vals = [], []
+    for (c_row, c_col, c_val), (b_row, b_col, b_val), row0, col0 in terms:
+        first = c_row == 0
+        # joint 0's entries keyed by row, then column, in int64
+        local = (np.asarray(b_row, np.int64) + row0) * width + b_col + col0
+        keys.append((c_col[first, None] * k + local).ravel())
+        vals.append((c_val[first, None] * b_val).ravel())
+    key, val = np.concatenate(keys), np.concatenate(vals)
+    if not (key[1:] > key[:-1]).all():
+        order = np.argsort(key, kind="stable")
+        key, val = key[order], val[order]
+        start = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+        key, val = key[start], np.add.reduceat(val, start)
+    keep = val != 0
+    row, col = np.divmod(key[keep], width)
+    val = val[keep]
 
-
-def _csr_from_triplet(entries, shape):
-    """One COO -> CSR pass over (rows, cols, vals): duplicates summed,
-    indices sorted, stored zeros dropped, the dtype of `vals` kept."""
-    rows, cols, vals = entries
-    mat = sparse.coo_array((vals, (rows, cols)), shape=shape).tocsr()
-    mat.eliminate_zeros()
-    return mat
+    nnz = val.size
+    idx = index_dtype((n * m, width), n * nnz)
+    indptr = np.empty(n * m + 1, dtype=idx)
+    np.add(np.arange(n, dtype=idx)[:, None] * nnz, np.searchsorted(row, np.arange(m)).astype(idx),
+           out=indptr[:-1].reshape(n, m))
+    indptr[-1] = n * nnz
+    # joint j's columns are joint 0's plus j * k; before joint `body` none
+    # passes the last column
+    body = n - int(col.max(initial=0)) // k
+    indices = np.empty((n, nnz), dtype=idx)
+    np.add((np.arange(body, dtype=idx) * k)[:, None], col.astype(idx), out=indices[:body])
+    data = np.tile(val, (n, 1))
+    for j in range(body, n):
+        # the columns past the last wrap around to the front of their row
+        cols = col + j * k
+        cols[cols >= width] -= width
+        order = np.argsort(row * width + cols)
+        indices[j], data[j] = cols[order], val[order]
+    out = sparse.csr_array((data.ravel(), indices.ravel(), indptr), shape=(n * m, width))
+    out.has_canonical_format = True
+    return out
 
 
 class StructureError(Exception):
@@ -492,13 +532,13 @@ class TensorComplex:
     def derivative(self, axis):
         """The difference stencil of direction `axis` on level 0: identities
         over the other directions (float64 CSR, no stored zeros)."""
-        return _csr_from_triplet(*derivative_entries(
+        return csr_from_triplet(*derivative_entries(
             self.dims, LEVEL_PATTERNS[0], (LEVEL_PATTERNS[1][axis],)))
 
     def level_operator(self, level):
         """The level -> level + 1 coefficient map of
         :func:`derivative_entries` (float64 CSR, no stored zeros)."""
-        return _csr_from_triplet(*derivative_entries(
+        return csr_from_triplet(*derivative_entries(
             self.dims, LEVEL_PATTERNS[level], LEVEL_PATTERNS[level + 1]))
 
     def grad_matrix(self):

@@ -70,12 +70,12 @@ def inject_row_drop(cx, name, row):
     matrix = getattr(target, name)
     if not 1 <= row <= matrix.shape[0]:
         raise ValueError(f"row {row} out of range 1..{matrix.shape[0]} for {name}")
-    if not matrix.tocsr()[[row - 1]].count_nonzero():
+    patched = matrix.tocsr(copy=True)
+    entries = patched.data[patched.indptr[row - 1]:patched.indptr[row]]
+    if not entries.any():
         raise ValueError(f"row {row} of {name} is already all zero: dropping it "
                          "injects no fault")
-    patched = matrix.tolil(copy=True)
-    patched[row - 1, :] = 0.0
-    patched = patched.tocsr()
+    entries[:] = 0.0
     patched.eliminate_zeros()
     incidence, extraction = cx.incidence, cx.extraction
     if name in incidence_names:

@@ -11,10 +11,12 @@ disk blocks of the incidence matrices are kept here as an entry-by-entry
 transcription of the DOF numbering; the library derives them from the
 extraction blocks.  The D's spectrum, one dense SVD per toroidal
 frequency, is the reference for the library's closed form, which gives
-the singular values, while certificates give the ranks.  The sampled
-probe of the polar curve, first differences of every level-0 function
-near s = 0, cross-checks the library's evaluation there, and on planted
-faults it is the reference for the verifier's algebraic C1 check.
+the singular values, while certificates give the ranks.  The circle lift
+through scipy's COO constructor is the reference for the library's
+direct CSR lift.  The sampled probe of the polar curve, first
+differences of every level-0 function near s = 0, cross-checks the
+library's evaluation there, and on planted faults it is the reference
+for the verifier's algebraic C1 check.
 """
 
 from typing import NamedTuple
@@ -255,6 +257,26 @@ def is_dta_compatible(matrix):
     with its rank from a dense SVD (see `dta_diagnostic`)."""
     dense = matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix, dtype=float)
     return dta_diagnostic(matrix, int(np.linalg.matrix_rank(dense)))
+
+
+# ============================== circle lifts ================================
+
+def kron_lift_reference(n, block_shape, terms):
+    """The sum of ``C (x) B`` over the `kron_lift` terms (C, B, row0, col0)
+    through scipy's COO constructor: every entry of every row of C times
+    every entry of B placed, duplicates summed, stored zeros dropped.  The
+    library reads only row 0 of each circulant C and writes the CSR arrays
+    of every joint from joint 0's."""
+    rows, cols, vals = cat_triplets([
+        (np.asarray(c_row)[:, None] * block_shape[0] + row0 + b_row,
+         np.asarray(c_col)[:, None] * block_shape[1] + col0 + b_col,
+         np.asarray(c_val)[:, None] * b_val)
+        for (c_row, c_col, c_val), (b_row, b_col, b_val), row0, col0 in terms
+    ])
+    mat = sparse.coo_array((vals, (rows, cols)),
+                           shape=(n * block_shape[0], n * block_shape[1])).tocsr()
+    mat.eliminate_zeros()
+    return mat
 
 
 # ============================ per-joint blocks ==============================

@@ -9,13 +9,15 @@ import pytest
 from scipy import sparse
 
 import polar_derham as pd
-from oracles import disk_block_pairs, eval_local, find_span, toroidal_spectrum, wrap
+from oracles import (disk_block_pairs, eval_local, find_span, kron_lift_reference,
+                     toroidal_spectrum, wrap)
+from polar_derham.bsplines import difference_triplet
 from polar_derham.extraction import lift_table
 from polar_derham.incidence import disk_blocks
-from polar_derham.tensor import StructureError, echelon_rank
+from polar_derham.tensor import StructureError, echelon_rank, eye_triplet, kron_lift
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 # degree, then (nr, ns, nt) from the size floors (3, 4, 3) up
 _sizes = st.tuples(st.integers(2, 3), st.integers(3, 6), st.integers(4, 6), st.integers(3, 5))
@@ -122,6 +124,56 @@ def test_echelon_rank_of_zero_rows_and_empty_matrices_is_zero(shape, reverse):
     for matrix in (sparse.csr_array(shape), _stored(np.zeros(shape))):
         count, pivots = echelon_rank(matrix, reverse=reverse)
         assert count == 0 and pivots.size == 0
+
+
+@st.composite
+def _lift_terms(draw):
+    """nt, a joint block shape and kron_lift terms: C the identity, its
+    negative or the periodic stencil Dt, B a few entries (repeats, zeros
+    and none at all included) placed at a random offset in the block."""
+    nt = draw(st.integers(3, 6), label="nt")
+    shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 4)), label="block shape")
+    circulants = {"I": eye_triplet(nt), "-I": eye_triplet(nt, -1.0),
+                  "Dt": difference_triplet(nt, True)}
+    terms = []
+    for _ in range(draw(st.integers(1, 4), label="terms")):
+        c = circulants[draw(st.sampled_from(sorted(circulants)), label="C")]
+        row0, col0 = (draw(st.integers(0, size - 1)) for size in shape)
+        size = draw(st.integers(0, 6), label="entries")
+        b = tuple(np.array(draw(st.lists(x, min_size=size, max_size=size)), dtype=dtype)
+                  for x, dtype in ((st.integers(0, shape[0] - 1 - row0), np.int64),
+                                   (st.integers(0, shape[1] - 1 - col0), np.int64),
+                                   (_values, np.float64)))
+        terms.append((c, b, row0, col0))
+    return nt, shape, terms
+
+
+def _assert_canonical(matrix):
+    """Indices strictly increasing in every row and no stored zeros."""
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    same_row = rows[1:] == rows[:-1]
+    assert (np.diff(matrix.indices)[same_row] > 0).all()
+    assert (matrix.data != 0).all()
+
+
+@_settings
+@given(case=_lift_terms())
+# nt = 3 with Dt, where the last joint's entries wrap to block 0, and two
+# entries that cancel
+@example(case=(3, (2, 2), [(difference_triplet(3, True),
+                            (np.array([0, 1, 1, 1]), np.array([1, 0, 1, 0]),
+                             np.array([1.0, 2.0, 3.0, -2.0])), 0, 0)]))
+def test_kron_lift_matches_the_coo_reference(case):
+    nt, shape, terms = case
+    got, ref = kron_lift(nt, shape, terms), kron_lift_reference(nt, shape, terms)
+    assert got.shape == ref.shape == (nt * shape[0], nt * shape[1])
+    for name in ("indptr", "indices"):
+        assert np.array_equal(getattr(got, name).astype(np.int64),
+                              getattr(ref, name).astype(np.int64)), name
+    # the values are sums of dyadic numbers, exact in any order
+    assert got.data.dtype == np.float64 and got.data.tobytes() == ref.data.tobytes()
+    assert got.indptr.dtype == got.indices.dtype == np.int32
+    _assert_canonical(got)
 
 
 def _parameters(space, count):

@@ -8,9 +8,10 @@ from scipy import sparse
 
 import polar_derham as pd
 from oracles import eval_basis, eval_basis_derivative, eval_component_basis, joint_block
+from polar_derham.bsplines import csr_from_triplet, index_dtype
 from polar_derham.extraction import lift_table
-from polar_derham.tensor import (LEVEL_PATTERNS, LiftTable, StructureError, eye_triplet,
-                                 partition_rank)
+from polar_derham.tensor import (LEVEL_PATTERNS, LiftTable, StructureError, echelon_rank,
+                                 eye_triplet, first_difference, partition_rank)
 
 
 @pytest.fixture(scope="module")
@@ -339,3 +340,30 @@ def test_partition_rank_allows_at_most_three_center_rows():
     with pytest.raises(StructureError, match="B does not partition .* 4 rows"):
         partition_rank(sparse.csr_array(np.full((4, 2), 0.5)), "B")
 
+
+
+# ------------------------------ index dtype -----------------------------------
+
+def test_index_dtype_is_int32_below_two_to_the_31():
+    big = 2**31
+    assert index_dtype((big - 1, big - 1), big - 1) == np.int32
+    assert index_dtype((0, 0), 0) == np.int32
+    for shape, nnz in (((big, 1), 0), ((1, big), 0), ((1, 1), big)):
+        assert index_dtype(shape, nnz) == np.int64, (shape, nnz)
+
+
+def test_index_keys_are_formed_in_int64():
+    # row * ncols passes 2**31 at row 40000 of a (2**16 + 3)^2 matrix: a key
+    # formed in int32 wraps negative and would sort before row 10's
+    n = 2**16 + 3
+    rows, cols = np.array([10, 40000, n - 1]), np.array([n - 1, 5, 3])
+    matrix = csr_from_triplet((rows, cols, np.ones(3)), (n, n))
+    assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
+    changed = matrix.copy()
+    changed.data[:2] = 2.0
+    assert first_difference(changed, matrix, 1) == (0, 0, 10, n - 1)
+    assert first_difference(matrix, matrix, 1) is None
+    # last and first nonzeros are the single entries, in columns 3, 5, n - 1
+    for reverse in (False, True):
+        count, pivots = echelon_rank(matrix, reverse=reverse)
+        assert count == 3 and pivots.tolist() == [n - 1, 40000, 10]

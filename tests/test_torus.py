@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -134,3 +136,20 @@ def test_named_matrices(cx443):
 def test_every_named_matrix_is_float64(degrees, dims, complex_cache):
     mats = complex_cache(degrees=degrees, dims=dims).named_matrices()
     assert {name: m.dtype for name, m in mats.items() if m.dtype != np.float64} == {}
+
+
+def test_build_allocates_little_beyond_what_it_keeps():
+    # the circle lifts write their CSR arrays directly: no COO triplets or
+    # key arrays larger than the output are held while a matrix is built
+    spec = pd.TorusComplexSpec(degrees=(2, 2, 2), dims=(32, 32, 16))
+    tracemalloc.start()
+    try:
+        cx = pd.build_complex(spec)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * held, (peak, held)
+    matrices = {**cx.named_matrices(),
+                **{f"columns({level})": cx.extraction.columns(level) for level in range(4)}}
+    for name, matrix in matrices.items():
+        assert matrix.indices.dtype == matrix.indptr.dtype == np.int32, name
