@@ -159,10 +159,11 @@ def difference_triplet(n, periodic):
     """The bidiagonal -1/+1 stencil mapping n coefficients to derivative
     coefficients, as float64 (rows, cols, vals) in CSR order: row i holds
     -1 at column i and +1 at column i + 1, n - 1 rows when open and n when
-    periodic, the last wrapping around to ``(1, 0, ..., 0, -1)``."""
-    if n < 2:
-        raise ValueError(f"difference stencil needs n >= 2, got {n}")
-    at = np.arange(n if periodic else n - 1)
+    periodic, the last wrapping around to ``(1, 0, ..., 0, -1)``; empty
+    when periodic with n = 1, where the shift is the identity."""
+    if n < 2 - periodic:
+        raise ValueError(f"difference stencil needs n >= {2 - periodic}, got {n}")
+    at = np.arange(n if periodic and n > 1 else n - 1)
     cols = np.sort(np.column_stack([at, (at + 1) % n]), axis=1).ravel()
     rows = np.repeat(at, 2)
     return rows, cols, np.where(cols == rows, -1.0, 1.0)
@@ -267,8 +268,8 @@ class SplineSpace:
     def __init__(self, kv, periodic=False):
         self.kv = kv
         self.periodic = bool(periodic)
-        self._h0 = periodic_h0(kv) if self.periodic else None
-        self._h1 = periodic_h1(kv) if self.periodic else None
+        self.h0 = periodic_h0(kv) if self.periodic else None
+        self.h1 = periodic_h1(kv) if self.periodic else None
 
     @property
     def degree(self):
@@ -281,14 +282,6 @@ class SplineSpace:
     @property
     def interval(self):
         return self.kv.interval
-
-    @property
-    def h0(self):
-        return self._h0
-
-    @property
-    def h1(self):
-        return self._h1
 
     @cached_property
     def derivative_scales(self):
@@ -334,14 +327,14 @@ class SplineSpace:
         """
         p, n, knots = self.degree, self.kv.n, self.kv.knots
         spans = np.arange(p, n)
-        ext0 = self._h0.toarray() if self.periodic else np.eye(n)
+        ext0 = self.h0.toarray() if self.periodic else np.eye(n)
         value_blocks = ext0[:, spans[:, None] - p + np.arange(p + 1)]
         if p == 0:
             # piecewise constants: zero derivative, empty derivative space
             deriv_blocks = np.zeros((0, spans.size, 0))
             slope_blocks = np.zeros((self.dim, spans.size, 0))
         else:
-            ext1 = self._h1.toarray() if self.periodic else np.eye(n - 1)
+            ext1 = self.h1.toarray() if self.periodic else np.eye(n - 1)
             ext1 = ext1 * self.derivative_scales
             cols = spans[:, None] - p + np.arange(p)
             deriv_blocks = ext1[:, cols]

@@ -204,11 +204,8 @@ class ExtractionSet:
     E110: sparse.csr_array
     E111: sparse.csr_array
 
-    def by_pattern(self, pattern):
-        return getattr(self, "E" + "".join(str(b) for b in pattern))
-
     def level_matrices(self, level):
-        return [(pat, self.by_pattern(pat)) for pat in LEVEL_PATTERNS[level]]
+        return [(pat, getattr(self, "E" + "".join(map(str, pat)))) for pat in LEVEL_PATTERNS[level]]
 
     @staticmethod
     def names():

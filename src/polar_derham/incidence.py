@@ -29,6 +29,9 @@ tensor derivatives (g0 grad, g1 curl, the tensor complex's rule on one
 joint) by the commuting diagram ``g_l e_l^T = e_{l+1}^T d_l``, so only
 the extraction states the DOF numbering; ``tests/oracles.py`` keeps an
 entry-by-entry transcription of d0 and d1 as the tests' reference.
+:func:`certify` reads the blocks back from the 3D matrices, and the
+seven commutation identities are checked on one joint from them
+(:func:`commutation_residuals`): the circle's terms cancel on both sides.
 
 The ranks behind the cohomology are certified from the matrices: echelon
 rows bound each rank from below exactly, and the lift bounds it from
@@ -37,19 +40,22 @@ above (:func:`cohomology_dimensions`).  The closed form over the circle
 second rank decision that must agree; no frequency block is decomposed.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
 
+from .bsplines import csr_from_triplet, triplet
 from .extraction import PolarCounts, lift_table
 from .tensor import (LEVEL_PATTERNS, StructureError, cat_triplets, derivative_entries,
-                     echelon_rank, unit_entries)
+                     echelon_rank, kron_lift, unit_entries)
 
 __all__ = [
     "IncidenceSet",
     "CohomologyReport",
     "build_incidence",
+    "certify",
+    "commutation_residuals",
     "verify_commutation",
     "cohomology_dimensions",
     "disk_blocks",
@@ -124,10 +130,8 @@ def build_incidence(extraction):
 
 
 def disk_blocks(incidence):
-    """The disk blocks (d0, d1) whose circle lift D0, D1 and D2 are, as
-    CSR: d0 is read from D0 and d1 from D1, and each D must equal its
-    lift (:meth:`~polar_derham.tensor.LiftTable.read`, which raises
-    StructureError otherwise)."""
+    """The disk blocks (d0, d1) whose circle lift D0, D1 and D2 are, as CSR;
+    :meth:`~polar_derham.tensor.LiftTable.read` raises StructureError otherwise."""
     blocks = lift_table(incidence.counts).read(
         {name: getattr(incidence, name) for name in ("D0", "D1", "D2")})
     return blocks["d0"], blocks["d1"]
@@ -144,36 +148,63 @@ def max_abs(matrix):
 
 # ============================ commutation ====================================
 
-_IDENTITY_NAMES = (("grad_r", "grad_s", "grad_t"), ("curl_1", "curl_2", "curl_3"), ("div",))
+def commutation_residuals(counts, blocks):
+    """Max-abs residuals of the seven commutation identities, from the
+    per-joint blocks e0, e10, e01, e2, d0 and d1 (label -> sparse matrix)
+    that the E's and D's are certified circle lifts of.
 
-
-def verify_commutation(tensor, extraction, incidence):
-    """Max-abs residuals of the seven matrix commutation identities.
-
-    For each level l < 3, with T_l the stacked transposed extraction
-    matrices of level l, ``op_l T_l - T_{l+1} D_l`` must vanish; its rows
-    split by the components of level l + 1 into three gradient diagrams,
-    three curl diagrams and the divergence diagram.  All vanish
-    identically up to roundoff in the center-block weights.
+    Per level l < 3, ``op_l T_l - T_{l+1} D_l`` must vanish, with T_l the
+    transposed E's of level l stacked by component; its rows split by the
+    components of level l + 1 into the grad, curl and div diagrams.  The
+    circle's difference enters both sides as the same ``Dt (x) X`` and
+    cancels entry by entry, so the three levels are one product of block
+    matrices on one joint, where Dt is the empty stencil: the lifts of
+    :func:`~polar_derham.extraction.lift_table` at nt = 1.
     """
-    lift = [extraction.columns(level).T for level in range(4)]
-    residuals = {}
-    for level, names in enumerate(_IDENTITY_NAMES):
+    c = counts
+    joint = replace(c, nt=1, **{f"n{l}": c.level_dim(l) // c.nt for l in range(4)})
+    one, blocks = lift_table(joint), {label: triplet(b) for label, b in blocks.items()}
+    patterns = [pat for level in range(4) for pat in LEVEL_PATTERNS[level]]
+    tensor_at = np.cumsum([0] + [c.nr * (c.ns - pat[1]) for pat in patterns])
+    reduced_at = np.cumsum([0] + [joint.level_dim(level) for level in range(4)])
+    # T: every E transposed, at its component's rows and its level's columns
+    t = kron_lift(1, (tensor_at[-1], reduced_at[-1]), [
+        (circ, (b[1], b[0], b[2]), tensor_at[at] + col0, reduced_at[sum(pat)] + row0)
+        for at, pat in enumerate(patterns)
+        for circ, b, row0, col0 in one.kron_terms("E" + "".join(map(str, pat)), blocks)])
+    # D: each D_l below the diagonal, from level l to level l + 1
+    d = kron_lift(1, (reduced_at[-1],) * 2, [
+        (circ, b, reduced_at[level + 1] + row0, reduced_at[level] + col0)
+        for level in range(3) for circ, b, row0, col0 in one.kron_terms(f"D{level}", blocks)])
+    op = csr_from_triplet(*derivative_entries((c.nr, c.ns, 1), patterns, patterns))
+    residual = (op @ t - t @ d).tocsr()
+    # the stored entries of each component's rows are one run of the CSR data
+    at = residual.indptr[tensor_at[1:]]
+    return {name: max_abs(residual.data[start:stop]) for name, start, stop in zip(
+        ("grad_r", "grad_s", "grad_t", "curl_1", "curl_2", "curl_3", "div"), at[:-1], at[1:])}
+
+
+def certify(extraction, incidence):
+    """The per-joint blocks of the E's and D's, each family read once by
+    :meth:`~polar_derham.tensor.LiftTable.read`, and, keyed "E" or "D", the
+    StructureError message naming the matrix of each family that is no lift."""
+    table, blocks, violations = lift_table(extraction.counts), {}, {}
+    for family, owner, names in (("E", extraction, extraction.names()),
+                                 ("D", incidence, ("D0", "D1", "D2"))):
         try:
-            residual = (tensor.level_operator(level) @ lift[level]
-                        - lift[level + 1] @ getattr(incidence, f"D{level}")).tocsr()
-        except ValueError as exc:
-            raise ValueError(
-                f"commutation identities {names}: inconsistent matrix shapes "
-                f"(construction bug): {exc}"
-            ) from exc
-        sizes = [tensor.component_dim(pat) for pat in LEVEL_PATTERNS[level + 1]]
-        bounds = np.cumsum([0] + sizes)
-        # the stored entries of rows start..stop are one run of the CSR data
-        at = residual.indptr[bounds]
-        for name, start, stop in zip(names, at[:-1], at[1:]):
-            residuals[name] = max_abs(residual.data[start:stop])
-    return residuals
+            blocks |= table.read({name: getattr(owner, name) for name in names})
+        except StructureError as exc:
+            violations[family] = str(exc)
+    return blocks, violations
+
+
+def verify_commutation(extraction, incidence):
+    """:func:`commutation_residuals` of the :func:`certify` blocks; a
+    matrix that is not its lift raises StructureError naming it."""
+    blocks, violations = certify(extraction, incidence)
+    if violations:
+        raise StructureError("; ".join(violations.values()))
+    return commutation_residuals(extraction.counts, blocks)
 
 
 # ============================ cohomology =====================================
@@ -271,13 +302,13 @@ def kunneth_spectrum(counts, s0, s1):
     return spectra
 
 
-def cohomology_dimensions(incidence):
+def cohomology_dimensions(incidence, disk=None):
     """Compute the cohomology dimensions of the reduced complex.
 
     h0 = dim ker D0, h1 = dim ker D1 - rank D0, h2 = dim ker D2 - rank D1,
     h3 = n3 - rank D2, from ranks decided by certificate.
-    :func:`disk_blocks` first checks that D0, D1 and D2 are the circle
-    lift of one pair (d0, d1) and raises StructureError otherwise.
+    :func:`disk_blocks` first reads the pair (d0, d1) whose circle lift
+    D0, D1 and D2 are, unless a caller passes it as `disk`.
 
     Each rank has an exact lower bound, the echelon count of D0, D1 and
     D2^T (:func:`~polar_derham.tensor.echelon_rank`, first nonzeros for
@@ -315,7 +346,7 @@ def cohomology_dimensions(incidence):
     c, names = incidence.counts, ("D0", "D1", "D2")
     nt = c.nt
     multiplicity = [1 if 2 * k % nt == 0 else 2 for k in range(nt // 2 + 1)]
-    d0, d1 = disk_blocks(incidence)
+    d0, d1 = disk_blocks(incidence) if disk is None else disk
     s0, s1 = (np.linalg.svd(d.toarray(), compute_uv=False) for d in (d0, d1))
     eps = np.finfo(float).eps
     ones_ok = max_abs(d0 @ np.ones(c.nbar0)) <= max(d0.shape) * eps * s0[0]

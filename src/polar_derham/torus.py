@@ -127,13 +127,8 @@ class PolarComplex:
             )
         return FieldCoefficients(level=level, space=space, data=coeffs)
 
-    def _dim(self, level, space):
-        if space == "reduced":
-            return self.counts.level_dim(level)
-        return self.tensor.level_dim(level)
-
     def _validated(self, f):
-        expected = self._dim(f.level, f.space)
+        expected = (self.counts if f.space == "reduced" else self.tensor).level_dim(f.level)
         if f.data.shape != (expected,):
             raise ValueError(
                 f"level-{f.level} {f.space} field needs {expected} "
@@ -185,7 +180,7 @@ class PolarComplex:
     # ----------------------------- reporting --------------------------------
 
     def commutation_residuals(self):
-        return verify_commutation(self.tensor, self.extraction, self.incidence)
+        return verify_commutation(self.extraction, self.incidence)
 
     def cohomology(self):
         return cohomology_dimensions(self.incidence)

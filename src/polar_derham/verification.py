@@ -9,8 +9,10 @@ unity and polar-curve C1.  The last is algebraic: per joint, every
 level-0 function's ring-0 coefficients must agree and its ring-1 steps
 must be linear in F's (:func:`polar_derham.geometry.polar_c1_residuals`),
 to a rounding bound of F's net, not to `residual`.  That suite is keyed
-``smoothness_probe`` and reports ``method: "algebraic"``.  The README lists
-the fields each schema version changed.
+``smoothness_probe`` and reports ``method: "algebraic"``.  The DTA,
+commutation and cohomology suites share one read of the E's and D's as
+circle lifts, and fail, naming it, on a matrix that is not its lift.
+The README lists the fields each schema version changed.
 """
 
 import dataclasses
@@ -21,7 +23,8 @@ import numpy as np
 
 from .bsplines import dta_diagnostic
 from .geometry import polar_c1_residuals
-from .incidence import divergence_preimage, max_abs
+from .incidence import (certify, cohomology_dimensions, commutation_residuals,
+                        divergence_preimage, max_abs)
 from .extraction import lift_table
 from .tensor import StructureError, partition_rank
 from .torus import PolarComplex
@@ -60,14 +63,12 @@ def inject_row_drop(cx, name, row):
     dropping it would leave the complex unchanged.
     """
     incidence_names = {"D0", "D1", "D2"}
-    extraction_names = set(cx.extraction.names())
-    if name not in incidence_names | extraction_names:
-        raise ValueError(
-            f"unknown matrix {name!r} for --drop-row; choose one of "
-            f"{sorted(incidence_names | extraction_names)}"
-        )
-    target = (cx.incidence if name in incidence_names else cx.extraction)
-    matrix = getattr(target, name)
+    names = incidence_names | set(cx.extraction.names())
+    if name not in names:
+        raise ValueError(f"unknown matrix {name!r} for --drop-row; choose one of {sorted(names)}")
+    parts = {"extraction": cx.extraction, "incidence": cx.incidence}
+    owner = "incidence" if name in incidence_names else "extraction"
+    matrix = getattr(parts[owner], name)
     if not 1 <= row <= matrix.shape[0]:
         raise ValueError(f"row {row} out of range 1..{matrix.shape[0]} for {name}")
     patched = matrix.tocsr(copy=True)
@@ -77,14 +78,9 @@ def inject_row_drop(cx, name, row):
                          "injects no fault")
     entries[:] = 0.0
     patched.eliminate_zeros()
-    incidence, extraction = cx.incidence, cx.extraction
-    if name in incidence_names:
-        incidence = dataclasses.replace(incidence, **{name: patched})
-    else:
-        extraction = dataclasses.replace(extraction, **{name: patched})
-    return PolarComplex(
-        cx.spec, cx.tensor, extraction, incidence, cx.polar_map, cx.geometry_map
-    )
+    parts[owner] = dataclasses.replace(parts[owner], **{name: patched})
+    return PolarComplex(cx.spec, cx.tensor, parts["extraction"], parts["incidence"],
+                        cx.polar_map, cx.geometry_map)
 
 
 @dataclass
@@ -99,10 +95,6 @@ class VerificationReport:
 
     def to_dict(self):
         return dataclasses.asdict(self)
-
-
-def _json_gaps(gaps):
-    return [g if np.isfinite(g) else "inf" for g in gaps]
 
 
 def _timed(timings, name, fn):
@@ -128,7 +120,6 @@ def run_verification(cx, residual=RESIDUAL_TOL, config_echo=None):
     def gate(suite, ok, message):
         if not ok:
             failures.append(f"{suite}: {message}")
-        return bool(ok)
 
     # ----- dimension formulas ------------------------------------------------
     def dims_suite():
@@ -149,40 +140,39 @@ def run_verification(cx, residual=RESIDUAL_TOL, config_echo=None):
 
     suites["dimensions"] = _timed(timings, "dimensions", dims_suite)
 
+    # ----- certification: each family's blocks, read once --------------------
+    blocks, violations = _timed(timings, "certify", lambda: certify(cx.extraction, cx.incidence))
+
+    def violation(suite, message, **fields):
+        gate(suite, False, message)
+        return {"pass": False, **fields, "structure_violation": message}
+
     # ----- DTA compatibility and row independence ----------------------------
-    # Every 3D extraction matrix must be the lift of its blocks (lift_table),
-    # and every block, like the univariate H0_r and H0_t, must partition
-    # into unit and center rows; its rank is then certified without a
-    # dense decomposition (partition_rank).
+    # Every block, like the univariate H0_r and H0_t, must partition into
+    # unit and center rows; its rank is then certified without a dense
+    # decomposition (partition_rank).
     def dta_suite():
         # (name, matrix, joints its certified block repeats over)
         dta = (("E000", cx.extraction.E000, c.nt),
                ("H0_r", cx.tensor.spaces[0].h0, 1),
                ("H0_t", cx.tensor.spaces[2].h0, 1))
-        table = lift_table(c)
+        if "E" in violations:
+            return violation("dta", violations["E"], method="per-joint")
         try:
-            blocks = table.read({name: getattr(cx.extraction, name)
-                                 for name in cx.extraction.names()})
             # each E lifts one block, +/-I (x) block: their joint ranks agree
+            terms = lift_table(c).terms
             ranks = {name: partition_rank(blocks[label], name)
                      for name in ("E000", "E100", "E010", "E001", "E011", "E101", "E110")
-                     for _, label, _, _ in table.terms[name][1]}
+                     for _, label, _, _ in terms[name][1]}
             ranks.update({name: partition_rank(matrix, name) for name, matrix, _ in dta[1:]})
         except StructureError as exc:
-            gate("dta", False, str(exc))
-            return {"pass": False, "method": "per-joint", "structure_violation": str(exc)}
+            return violation("dta", str(exc), method="per-joint")
         results = {}
         ok = True
         for name, matrix, joints in dta:
             diag = dta_diagnostic(matrix, joints * ranks[name][0])
-            results[name] = {
-                "ok": diag.ok,
-                "rank": diag.rank,
-                "min_entry": diag.min_entry,
-                "max_column_sum_error": diag.max_column_sum_error,
-                "max_row_support": diag.max_row_support,
-                "violation": diag.violation,
-            }
+            results[name] = {key: getattr(diag, key) for key in (
+                "ok", "rank", "min_entry", "max_column_sum_error", "max_row_support", "violation")}
             ok = ok and diag.ok
         independence = {}
         for name in ("E100", "E010", "E001", "E011", "E101", "E110"):
@@ -207,7 +197,9 @@ def run_verification(cx, residual=RESIDUAL_TOL, config_echo=None):
 
     # ----- commutation ----------------------------------------------------------
     def commutation_suite():
-        residuals = cx.commutation_residuals()
+        if violations:
+            return violation("commutation", "; ".join(violations.values()))
+        residuals = commutation_residuals(c, blocks)
         worst = max(residuals.values())
         ok = worst <= residual
         gate("commutation", ok, f"worst residual {worst:.3e} > {residual:.0e}")
@@ -217,23 +209,15 @@ def run_verification(cx, residual=RESIDUAL_TOL, config_echo=None):
 
     # ----- cohomology -----------------------------------------------------------
     def cohomology_suite():
-        try:
-            rep = cx.cohomology()
-        except StructureError as exc:
-            gate("cohomology", False, str(exc))
-            return {"pass": False, "method": None, "structure_violation": str(exc)}
+        if "D" in violations:
+            return violation("cohomology", violations["D"], method=None)
+        rep = cohomology_dimensions(cx.incidence, (blocks["d0"], blocks["d1"]))
         expected_rank_d1 = c.nt * (c.nbar2 + c.nbar0 - 1)
         dims_ok = rep.dims == (1, 1, 0, 0)
         ranks_ok = rep.ranks[1] == expected_rank_d1 and rep.ranks[2] == c.n3
         gaps_ok = all(g >= GAP_RATIO_MIN for g in rep.gap_ratios)
-        m_worst = 0.0
-        for _ in range(10):
-            m = rng.standard_normal(c.n3)
-            h = divergence_preimage(c, m)
-            m_worst = max(
-                m_worst,
-                float(np.abs(cx.incidence.D2 @ h - m).max() / np.abs(m).max()),
-            )
+        m_worst = max(float(np.abs(cx.incidence.D2 @ divergence_preimage(c, m) - m).max()
+                            / np.abs(m).max()) for m in rng.standard_normal((10, c.n3)))
         preimage_ok = m_worst <= PREIMAGE_TOL
         ok = not rep.failures and dims_ok and ranks_ok and gaps_ok and preimage_ok
         gate("cohomology", ok, "; ".join(
@@ -247,7 +231,7 @@ def run_verification(cx, residual=RESIDUAL_TOL, config_echo=None):
             "ranks": list(rep.ranks),
             "expected_rank_d1": expected_rank_d1,
             "expected_rank_d2": c.n3,
-            "gap_ratios": _json_gaps(rep.gap_ratios),
+            "gap_ratios": [g if np.isfinite(g) else "inf" for g in rep.gap_ratios],
             "sv_bracket": [list(b) for b in rep.sv_bracket],
             "divergence_preimage_residual": m_worst,
             "warnings": rep.warnings,

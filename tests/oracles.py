@@ -13,10 +13,11 @@ extraction blocks.  The D's spectrum, one dense SVD per toroidal
 frequency, is the reference for the library's closed form, which gives
 the singular values, while certificates give the ranks.  The circle lift
 through scipy's COO constructor is the reference for the library's
-direct CSR lift.  The sampled probe of the polar curve, first
-differences of every level-0 function near s = 0, cross-checks the
-library's evaluation there, and on planted faults it is the reference
-for the verifier's algebraic C1 check.
+direct CSR lift.  The seven commutation identities on the full 3D
+matrices are the reference for the library's one-joint evaluation.  The
+sampled probe of the polar curve, first differences of every level-0
+function near s = 0, cross-checks the library's evaluation there, and on
+planted faults it is the reference for the verifier's algebraic C1 check.
 """
 
 from typing import NamedTuple
@@ -28,8 +29,8 @@ import polar_derham as pd
 from polar_derham.bsplines import (KnotVector, SpanLookup, difference_matrix, dta_diagnostic,
                                    triplet)
 from polar_derham.extraction import joint_blocks, lift_table
-from polar_derham.incidence import _decide, _disk_blocks, _threshold
-from polar_derham.tensor import cat_triplets
+from polar_derham.incidence import _decide, _disk_blocks, _threshold, max_abs
+from polar_derham.tensor import LEVEL_PATTERNS, cat_triplets
 
 
 # =============================== knot vectors ===============================
@@ -277,6 +278,25 @@ def kron_lift_reference(n, block_shape, terms):
                            shape=(n * block_shape[0], n * block_shape[1])).tocsr()
     mat.eliminate_zeros()
     return mat
+
+
+# ============================== commutation =================================
+
+def commutation_residuals_3d(tensor, extraction, incidence):
+    """Max-abs residuals of the seven commutation identities on the full 3D
+    matrices: per level l < 3, the tensor level operator times the stacked
+    transposed E's of level l, minus those of level l + 1 times D_l, rows
+    split by the components of level l + 1.  The library evaluates the
+    same identities on one joint, from the certified blocks."""
+    lift = [extraction.columns(level).T for level in range(4)]
+    worst = []
+    for level in range(3):
+        residual = (tensor.level_operator(level) @ lift[level]
+                    - lift[level + 1] @ getattr(incidence, f"D{level}")).tocsr()
+        sizes = [tensor.component_dim(pat) for pat in LEVEL_PATTERNS[level + 1]]
+        at = residual.indptr[np.cumsum([0] + sizes)]
+        worst += [max_abs(residual.data[start:stop]) for start, stop in zip(at[:-1], at[1:])]
+    return dict(zip(("grad_r", "grad_s", "grad_t", "curl_1", "curl_2", "curl_3", "div"), worst))
 
 
 # ============================ per-joint blocks ==============================
