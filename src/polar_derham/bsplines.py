@@ -24,6 +24,7 @@ __all__ = [
     "difference_triplet",
     "difference_matrix",
     "index_dtype",
+    "csr_arrays",
     "csr_from_triplet",
     "triplet",
     "periodic_h0",
@@ -185,15 +186,31 @@ def index_dtype(shape, nnz):
     return np.int32 if max(*shape, nnz) < 2**31 else np.int64
 
 
+def csr_arrays(keys, vals, shape):
+    """The CSR arrays (data, indices, indptr) of the entries `vals` at the
+    int64 keys ``row * cols + col``, with no COO pass: the keys sorted
+    stably, duplicates summed in input order, stored zeros dropped,
+    indices in :func:`index_dtype` and the dtype of `vals` kept."""
+    vals = np.asarray(vals)
+    if not (keys[1:] > keys[:-1]).all():
+        order = np.argsort(keys, kind="stable")
+        keys, vals = keys[order], vals[order]
+        start = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+        keys, vals = keys[start], np.add.reduceat(vals, start)
+    keep = vals != 0
+    row, col = np.divmod(keys[keep], shape[1])
+    idx = index_dtype(shape, row.size)
+    indptr = np.zeros(shape[0] + 1, dtype=idx)
+    np.cumsum(np.bincount(row, minlength=shape[0]), out=indptr[1:])
+    return vals[keep], col.astype(idx), indptr
+
+
 def csr_from_triplet(entries, shape):
-    """One COO -> CSR pass over (rows, cols, vals): duplicates summed,
-    indices sorted and in :func:`index_dtype`, stored zeros dropped, the
-    dtype of `vals` kept."""
+    """(rows, cols, vals) as a CSR matrix, by :func:`csr_arrays`."""
     rows, cols, vals = entries
-    idx = index_dtype(shape, np.size(vals))
-    mat = sparse.coo_array((vals, (np.asarray(rows).astype(idx, copy=False),
-                                   np.asarray(cols).astype(idx, copy=False))), shape=shape).tocsr()
-    mat.eliminate_zeros()
+    keys = np.asarray(rows, np.int64) * shape[1] + np.asarray(cols, np.int64)
+    mat = sparse.csr_array(csr_arrays(keys, vals, shape), shape=shape)
+    mat.has_canonical_format = True
     return mat
 
 
@@ -339,13 +356,14 @@ class SplineSpace:
             cols = spans[:, None] - p + np.arange(p)
             deriv_blocks = ext1[:, cols]
             slope_blocks = (self.difference_stencil.T @ ext1)[:, cols]
-        index, real = _nonzero_rows(
-            (np.abs(value_blocks).sum(axis=2) + np.abs(slope_blocks).sum(axis=2)).T > 0)
-        deriv_index, deriv_real = _nonzero_rows(np.abs(deriv_blocks).sum(axis=2).T > 0)
-        widths = (index.shape[1], deriv_index.shape[1])
-        index, real, deriv_index, deriv_real = (
-            np.pad(a, ((0, 0), (0, max(widths) - a.shape[1])))
-            for a in (index, real, deriv_index, deriv_real))
+        parts = [_nonzero_rows(mask.T > 0) for mask in (
+            np.abs(value_blocks).sum(axis=2) + np.abs(slope_blocks).sum(axis=2),
+            np.abs(deriv_blocks).sum(axis=2))]
+        widths = tuple(ix.shape[1] for ix, _ in parts)
+        index = np.zeros((spans.size, 2, max(widths)), dtype=np.intp)
+        real = np.zeros(index.shape, dtype=bool)
+        for d, (ix, re) in enumerate(parts):
+            index[:, d, :ix.shape[1]], real[:, d, :re.shape[1]] = ix, re
 
         left = knots[spans]
         length = knots[spans + 1] - left
@@ -361,14 +379,15 @@ class SplineSpace:
             np.einsum("fkj,knj->knf", slope_blocks[:, live], lower),
             np.einsum("fkj,knj->knf", deriv_blocks[:, live], lower),
         ], axis=2)
-        gather = np.concatenate([index, index + self.dim, deriv_index + 2 * self.dim], axis=1)
-        at_nodes = np.take_along_axis(at_nodes, gather[k, None, :], axis=2)
-        at_nodes *= np.concatenate([real, real, deriv_real], axis=1)[k, None, :]
-        table = np.zeros((spans.size, p + 1, gather.shape[1]))
+        # values and derivatives gather the space's functions, the third part
+        # its derivative space's
+        gather = (index[:, [0, 0, 1]] + np.arange(3)[:, None] * self.dim).reshape(spans.size, -1)
+        at_nodes = np.take_along_axis(at_nodes, gather[k, None], axis=2)
+        at_nodes *= real[:, [0, 0, 1]].reshape(spans.size, -1)[k, None]
+        table = np.zeros((spans.size, p + 1, at_nodes.shape[2]))
         table[k] = np.linalg.solve(np.vander(nodes, increasing=True), at_nodes)
         inverse_length = np.divide(1.0, length, out=np.zeros_like(length), where=live)
-        return (np.stack([index, deriv_index], axis=1), widths, left, inverse_length,
-                table.reshape(spans.size, p + 1, 3, -1))
+        return (index, widths, left, inverse_length, table.reshape(spans.size, p + 1, 3, -1))
 
     def __repr__(self):
         tag = ", periodic" if self.periodic else ""
@@ -407,19 +426,19 @@ class SpanLookup:
         # Row 0 is a spare, so that the number of keys up to a parameter's
         # is its row: every span's left end, as an offset from the
         # interval's start, is one key.
-        index = [np.zeros((1, 2, width), dtype=np.int64)]
-        table = [np.zeros((1, order, 3, width))]
-        spans = [np.zeros((1, 2))]
-        for a, (ix, _, left, inverse_length, coeffs) in zip(self.start, tables):
-            index.append(np.pad(ix, ((0, 0), (0, 0), (0, width - ix.shape[2]))))
-            table.append(np.pad(coeffs, ((0, 0), (0, order - coeffs.shape[1]), (0, 0),
-                                         (0, width - coeffs.shape[3]))))
-            spans.append(np.column_stack([left - a, inverse_length]))
-        self.index, self.spans = np.concatenate(index), np.concatenate(spans)
-        self.table = np.concatenate(table).reshape(len(self.index), order, 3 * width)
-        self.keys = np.concatenate([d + 1j * s[:, 0] for d, s in enumerate(spans[1:])])
+        stop = np.cumsum([1] + [len(t[0]) for t in tables])
+        self.index = np.zeros((stop[-1], 2, width), dtype=np.int64)
+        table = np.zeros((stop[-1], order, 3, width))
+        self.spans = np.zeros((stop[-1], 2))
+        for a, b, start, (ix, _, left, inverse_length, coeffs) in zip(
+                stop, stop[1:], self.start, tables):
+            self.index[a:b, :, :ix.shape[2]] = ix
+            table[a:b, :coeffs.shape[1], :, :coeffs.shape[3]] = coeffs
+            self.spans[a:b] = np.column_stack([left - start, inverse_length])
+        self.table = table.reshape(stop[-1], order, 3 * width)
         self.space = np.arange(len(spaces))
-        self.owner = np.repeat(np.append(0, self.space), [1] + [len(t[0]) for t in tables])
+        self.owner = np.repeat(np.append(0, self.space), np.diff(stop, prepend=0))
+        self.keys = self.owner[1:] + 1j * self.spans[1:, 0]
         self.powers = np.arange(order)
         periodic = np.array([sp.periodic for sp in spaces])
         # an open space's parameters, checked to lie in its interval, keep

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .bsplines import csr_from_triplet
+from .bsplines import csr_from_triplet, triplet
 from .tensor import dims_of_distinct_knots, distinct_knot_counts
 from .torus import TorusComplexSpec
 
@@ -187,17 +187,13 @@ def write_triplet(path, matrix):
     """Write a sparse matrix as 1-based row-major coordinate triplets, each
     value as the `repr` of its float64; the body is formatted in one pass
     over all entries."""
-    csr = matrix.tocsr()
-    csr.sum_duplicates()
-    csr.sort_indices()
-    csr.eliminate_zeros()
-    coo = csr.tocoo()
-    fields = [None] * (3 * coo.nnz)
-    fields[0::3] = (coo.row + 1).tolist()
-    fields[1::3] = (coo.col + 1).tolist()
-    fields[2::3] = _repr_tokens(coo.data)
-    body = ("%d %d %s\n" * coo.nnz) % tuple(fields)
-    Path(path).write_text(f"{csr.shape[0]} {csr.shape[1]} {coo.nnz}\n" + body)
+    rows, cols, vals = triplet(csr_from_triplet(triplet(matrix), matrix.shape))
+    fields = [None] * (3 * vals.size)
+    fields[0::3] = (rows + 1).tolist()
+    fields[1::3] = (cols + 1).tolist()
+    fields[2::3] = _repr_tokens(vals)
+    body = ("%d %d %s\n" * vals.size) % tuple(fields)
+    Path(path).write_text(f"{matrix.shape[0]} {matrix.shape[1]} {vals.size}\n" + body)
 
 
 def read_triplet(path):

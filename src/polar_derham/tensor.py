@@ -4,8 +4,10 @@ The four levels of the tensor complex (scalar potentials, curl-domain
 triples, div-domain triples, densities) share three univariate spaces:
 periodic in the first and third directions, open in the second.  All
 coefficient-level differential operators are Kronecker products of
-identities with the bidiagonal difference stencils, all float64:
-:func:`derivative_entries` states them once, for any component counts.
+identities with the bidiagonal difference stencils, stated once by
+:func:`derivative_blocks`: the ``apply_`` methods of :class:`TensorComplex`
+apply them to coefficient arrays, :func:`derivative_entries` writes them
+as a float64 triplet.
 
 Coefficient layout: the first index runs fastest, so the coefficients of
 a component with counts (nr, ns, nt) are the C-order array of shape
@@ -18,9 +20,10 @@ Pointwise evaluation goes through :class:`LocalFactors`: the nonzero
 univariate functions of every direction at a batch of points, from which
 each component's local tensor support follows.
 
-The polar complex's extraction and incidence matrices are circle lifts,
-sums of ``C (x) B`` with C circulant over the toroidal joints, stated
-by a :class:`LiftTable`.  :func:`kron_lift` writes their CSR arrays
+The polar complex's extraction and incidence matrices, and the level-0
+stencils of :meth:`TensorComplex.derivative`, are circle lifts, sums of
+``C (x) B`` with C circulant over the toroidal joints, stated by a
+:class:`LiftTable`.  :func:`kron_lift` writes their CSR arrays
 directly: joint 0's block row once, then every joint by shifting its
 columns whole blocks, with no COO triplet of the whole matrix.  Every
 library sparse matrix holds float64 values and int32 indices while they
@@ -33,13 +36,14 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 
-from .bsplines import (SpanLookup, SplineSpace, csr_from_triplet, difference_triplet, index_dtype,
-                       make_uniform_open_knots, triplet)
+from .bsplines import (SpanLookup, SplineSpace, csr_arrays, csr_from_triplet, difference_triplet,
+                       index_dtype, make_uniform_open_knots, triplet)
 
 __all__ = [
     "check_size_floors",
     "cat_triplets",
     "eye_triplet",
+    "derivative_blocks",
     "derivative_entries",
     "kron_lift",
     "StructureError",
@@ -101,40 +105,56 @@ def dims_of_distinct_knots(degrees, distinct):
 
 # ----------------------- the tensor derivative rule -------------------------
 
+def derivative_blocks(sources, targets):
+    """The nonempty blocks (source, target, direction a, sign) of the
+    coefficient derivatives from the components `sources` to `targets`
+    (patterns of one level and the next, by index), by target and then by
+    source, as a matrix product adds them.
+
+    Block (q, p) is +/- the difference stencil of a (periodic in the first
+    and third directions, open in the second) when q is p lowered in one
+    more direction a.  The sign is - only from the 1-form component along
+    b when b != a + 1 (mod 3): the 2-form components are (s, t), (t, r),
+    (r, s)."""
+    blocks = []
+    for target, q in enumerate(targets):
+        for source, p in enumerate(sources):
+            step = [b - a for a, b in zip(p, q)]
+            if sorted(step) == [0, 0, 1]:
+                axis = step.index(1)
+                sign = -1.0 if sum(p) == 1 and p.index(1) != (axis + 1) % 3 else 1.0
+                blocks.append((source, target, axis, sign))
+    return blocks
+
+
+_LEVEL_BLOCKS = [derivative_blocks(LEVEL_PATTERNS[level], LEVEL_PATTERNS[level + 1])
+                 for level in range(3)]
+
+
 def derivative_entries(dims, sources, targets):
     """The coefficient derivatives from the components `sources` to the
-    components `targets` (patterns of one level and the next), side by
-    side in the order given, as a float64 triplet and its shape.
+    components `targets`, side by side in the order given, as a float64
+    triplet and its shape.
 
     A component's counts are ``(n0, n1 - pattern[1], n2)`` for `dims` =
-    (n0, n1, n2).  Block (q, p) is +/- the difference stencil of a
-    direction a (periodic in the first and third, open in the second),
-    its entries broadcast against the index ranges of the other two
-    directions, when q is p lowered in one more direction a, and empty
-    otherwise.  The sign is + except from the 1-form components, which
-    orients the 2-form components as (s, t), (t, r), (r, s): the
-    derivative along a of the 1-form component along b enters with +
-    when b = a + 1 (mod 3) and with - otherwise.
+    (n0, n1, n2).  Each of the :func:`derivative_blocks` is its sign times
+    the difference stencil of its direction, the stencil's entries
+    broadcast against the index ranges of the other two directions.
     """
     counts = {p: (dims[0], dims[1] - p[1], dims[2]) for p in (*sources, *targets)}
     row0 = np.cumsum([0] + [np.prod(counts[q]) for q in targets])
     col0 = np.cumsum([0] + [np.prod(counts[p]) for p in sources])
     parts = []
-    for col, p in enumerate(sources):
-        for axis in range(3):
-            q = tuple(b + (d == axis) for d, b in enumerate(p))
-            if q not in targets:
-                continue
-            sign = -1.0 if sum(p) == 1 and p.index(1) != (axis + 1) % 3 else 1.0
-            src, dst = counts[p], counts[q]
-            s_row, s_col, s_val = difference_triplet(src[axis], axis != 1)
-            dst_stride, src_stride = np.cumprod([1, *dst[:2]]), np.cumprod([1, *src[:2]])
-            a, b = (d for d in range(3) if d != axis)
-            at_a, at_b = np.arange(src[a])[:, None], np.arange(src[b])[:, None, None]
-            rows = at_b * dst_stride[b] + at_a * dst_stride[a] + s_row * dst_stride[axis]
-            cols = at_b * src_stride[b] + at_a * src_stride[a] + s_col * src_stride[axis]
-            parts.append((rows.ravel() + row0[targets.index(q)], cols.ravel() + col0[col],
-                          np.tile(sign * s_val, src[a] * src[b])))
+    for source, target, axis, sign in derivative_blocks(sources, targets):
+        src, dst = counts[sources[source]], counts[targets[target]]
+        s_row, s_col, s_val = difference_triplet(src[axis], axis != 1)
+        dst_stride, src_stride = np.cumprod([1, *dst[:2]]), np.cumprod([1, *src[:2]])
+        a, b = (d for d in range(3) if d != axis)
+        at_a, at_b = np.arange(src[a])[:, None], np.arange(src[b])[:, None, None]
+        rows = at_b * dst_stride[b] + at_a * dst_stride[a] + s_row * dst_stride[axis]
+        cols = at_b * src_stride[b] + at_a * src_stride[a] + s_col * src_stride[axis]
+        parts.append((rows.ravel() + row0[target], cols.ravel() + col0[source],
+                      np.tile(sign * s_val, src[a] * src[b])))
     return cat_triplets(parts), (row0[-1], col0[-1])
 
 
@@ -158,11 +178,11 @@ def kron_lift(n, block_shape, terms):
     column (j + d) mod n of joint j.  B is a (rows, cols, vals) triplet
     placed at (row0, col0) inside a block of `block_shape`.
 
-    Joint 0's block row is formed once: duplicates summed, stored zeros
-    dropped, sorted by row and then by block column.  Every other joint
-    has the same values at its columns shifted by whole blocks; only in
-    the joints where j + d passes n do each row's wrapped entries move to
-    the row's front.  Indices are in :func:`~polar_derham.bsplines.index_dtype`.
+    Joint 0's block row is formed once from its int64 keys, by
+    :func:`~polar_derham.bsplines.csr_arrays`.  Every other joint has the
+    same values at its columns shifted by whole blocks; only in the joints
+    where j + d passes n do each row's wrapped entries move to the row's
+    front.  Indices are in :func:`~polar_derham.bsplines.index_dtype`.
     """
     m, k = block_shape
     width = n * k
@@ -173,33 +193,24 @@ def kron_lift(n, block_shape, terms):
         local = (np.asarray(b_row, np.int64) + row0) * width + b_col + col0
         keys.append((c_col[first, None] * k + local).ravel())
         vals.append((c_val[first, None] * b_val).ravel())
-    key, val = np.concatenate(keys), np.concatenate(vals)
-    if not (key[1:] > key[:-1]).all():
-        order = np.argsort(key, kind="stable")
-        key, val = key[order], val[order]
-        start = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
-        key, val = key[start], np.add.reduceat(val, start)
-    keep = val != 0
-    row, col = np.divmod(key[keep], width)
-    val = val[keep]
-
+    val, col, block_indptr = csr_arrays(np.concatenate(keys), np.concatenate(vals), (m, width))
     nnz = val.size
     idx = index_dtype((n * m, width), n * nnz)
     indptr = np.empty(n * m + 1, dtype=idx)
-    np.add(np.arange(n, dtype=idx)[:, None] * nnz, np.searchsorted(row, np.arange(m)).astype(idx),
+    np.add(np.arange(n, dtype=idx)[:, None] * nnz, block_indptr[:-1],
            out=indptr[:-1].reshape(n, m))
     indptr[-1] = n * nnz
     # joint j's columns are joint 0's plus j * k; before joint `body` none
     # passes the last column
     body = n - int(col.max(initial=0)) // k
     indices = np.empty((n, nnz), dtype=idx)
-    np.add((np.arange(body, dtype=idx) * k)[:, None], col.astype(idx), out=indices[:body])
+    np.add((np.arange(body, dtype=idx) * k)[:, None], col, out=indices[:body])
     data = np.tile(val, (n, 1))
     for j in range(body, n):
         # the columns past the last wrap around to the front of their row
-        cols = col + j * k
+        cols = col.astype(np.int64) + j * k
         cols[cols >= width] -= width
-        order = np.argsort(row * width + cols)
+        order = np.argsort(np.repeat(np.arange(m) * width, np.diff(block_indptr)) + cols)
         indices[j], data[j] = cols[order], val[order]
     out = sparse.csr_array((data.ravel(), indices.ravel(), indptr), shape=(n * m, width))
     out.has_canonical_format = True
@@ -419,9 +430,6 @@ class TensorComplex:
         self.spaces = (space_r, space_s, space_t)
         self.nr, self.ns, self.nt = (sp.dim for sp in self.spaces)
         check_size_floors(self.degrees, self.dims)
-        # the apply path's operators, built on first use and kept: the
-        # complex is immutable
-        self._operators = [None, None, None]
         self._plans = {}
 
     @property
@@ -530,30 +538,29 @@ class TensorComplex:
     # --------------------- coefficient derivatives --------------------------
 
     def derivative(self, axis):
-        """The difference stencil of direction `axis` on level 0: identities
-        over the other directions (float64 CSR, no stored zeros)."""
-        return csr_from_triplet(*derivative_entries(
-            self.dims, LEVEL_PATTERNS[0], (LEVEL_PATTERNS[1][axis],)))
+        """The difference stencil of direction `axis` on level 0, identities
+        over the other directions, lifted from one joint: ``I (x) g`` with g
+        the stencil on one joint, empty in t, plus ``Dt (x) I`` in t
+        (float64 CSR, no stored zeros)."""
+        nr, ns, nt = self.dims
+        g, shape = derivative_entries((nr, ns, 1), LEVEL_PATTERNS[0], (LEVEL_PATTERNS[1][axis],))
+        dt = [(difference_triplet(nt, True), eye_triplet(nr * ns), 0, 0)] if axis == 2 else []
+        return kron_lift(nt, shape, [(eye_triplet(nt), g, 0, 0), *dt])
 
-    def level_operator(self, level):
-        """The level -> level + 1 coefficient map of
-        :func:`derivative_entries` (float64 CSR, no stored zeros)."""
-        return csr_from_triplet(*derivative_entries(
-            self.dims, LEVEL_PATTERNS[level], LEVEL_PATTERNS[level + 1]))
-
-    def grad_matrix(self):
-        return self.level_operator(0)
-
-    def curl_matrix(self):
-        return self.level_operator(1)
-
-    def div_matrix(self):
-        return self.level_operator(2)
+    def _components(self, coeffs, level):
+        """One (nt, ns or ns-1, nr) view per component of a level's vector."""
+        shapes = [self.component_shape(pat)[::-1] for pat in LEVEL_PATTERNS[level]]
+        stops = np.cumsum([0] + [self.component_dim(pat) for pat in LEVEL_PATTERNS[level]])
+        return [coeffs[a:b].reshape(shape) for a, b, shape in zip(stops, stops[1:], shapes)]
 
     # -------------------------- operator actions ----------------------------
 
     def _apply(self, level, coeffs):
-        """The level -> level + 1 operator applied to a coefficient vector."""
+        """The level -> level + 1 coefficient derivatives applied to a
+        vector by :func:`derivative_blocks`, equal to the product with the
+        matrix of :func:`derivative_entries` exactly: a target's first block
+        is one subtraction, and each later block adds its two terms in the
+        order of their columns, -1 then +1 but on the periodic wrap row."""
         coeffs = np.asarray(coeffs, dtype=float)
         expected = self.level_dim(level)
         if coeffs.shape != (expected,):
@@ -561,10 +568,35 @@ class TensorComplex:
                 f"level-{level} coefficients must have length {expected}, "
                 f"got shape {coeffs.shape}"
             )
-        operators = self._operators
-        if operators[level] is None:
-            operators[level] = (self.grad_matrix, self.curl_matrix, self.div_matrix)[level]()
-        return operators[level] @ coeffs
+        out = np.empty(self.level_dim(level + 1))
+        x, y = self._components(coeffs, level), self._components(out, level + 1)
+        started = set()
+        for source, target, axis, sign in _LEVEL_BLOCKS[level]:
+            # along the direction, row i takes sign * (x[i + 1] - x[i]) and
+            # the periodic wrap row n - 1 sign * (x[0] - x[n - 1]): the
+            # groups of rows (out, a, b, w) take w * a - w * b, a's column first
+            src, dst = x[source], y[target]
+            if axis == 1:
+                rows = [(dst, src[:, :-1], src[:, 1:], -sign)]
+            elif axis == 2:
+                rows = [(dst[:-1], src[:-1], src[1:], -sign), (dst[-1], src[0], src[-1], sign)]
+            else:
+                # r runs fastest: one slice of the flat arrays passes each
+                # row's end too, so the wrap rows are formed aside first
+                # and put back over those entries last
+                held, flat_dst, flat_src = dst[..., -1].copy(), dst.reshape(-1), src.reshape(-1)
+                rows = [(held, src[..., 0], src[..., -1], sign),
+                        (flat_dst[:-1], flat_src[:-1], flat_src[1:], -sign)]
+            for at, a, b, w in rows:
+                if target not in started:
+                    np.subtract(*((a, b) if w > 0 else (b, a)), out=at)
+                else:
+                    (np.add if w > 0 else np.subtract)(at, a, out=at)
+                    (np.subtract if w > 0 else np.add)(at, b, out=at)
+            if axis == 0:
+                dst[..., -1] = held
+            started.add(target)
+        return out
 
     def apply_grad(self, coeffs):
         return self._apply(0, coeffs)

@@ -13,11 +13,15 @@ extraction blocks.  The D's spectrum, one dense SVD per toroidal
 frequency, is the reference for the library's closed form, which gives
 the singular values, while certificates give the ranks.  The circle lift
 through scipy's COO constructor is the reference for the library's
-direct CSR lift.  The seven commutation identities on the full 3D
-matrices are the reference for the library's one-joint evaluation.  The
-sampled probe of the polar curve, first differences of every level-0
-function near s = 0, cross-checks the library's evaluation there, and on
-planted faults it is the reference for the verifier's algebraic C1 check.
+direct CSR lift, and its COO -> CSR pass the reference for the library's
+triplet constructor.  The tensor level operators and the level-0
+stencils assembled in 3D are the references for the library's
+matrix-free apply and its lifted stencils.  The seven commutation
+identities on the full 3D matrices are the reference for the library's
+one-joint evaluation.  The sampled probe of the polar curve, first
+differences of every level-0 function near s = 0, cross-checks the
+library's evaluation there, and on planted faults it is the reference for
+the verifier's algebraic C1 check.
 """
 
 from typing import NamedTuple
@@ -27,10 +31,10 @@ from scipy import sparse
 
 import polar_derham as pd
 from polar_derham.bsplines import (KnotVector, SpanLookup, difference_matrix, dta_diagnostic,
-                                   triplet)
+                                   index_dtype, triplet)
 from polar_derham.extraction import joint_blocks, lift_table
 from polar_derham.incidence import _decide, _disk_blocks, _threshold, max_abs
-from polar_derham.tensor import LEVEL_PATTERNS, cat_triplets
+from polar_derham.tensor import LEVEL_PATTERNS, cat_triplets, derivative_entries
 
 
 # =============================== knot vectors ===============================
@@ -280,6 +284,35 @@ def kron_lift_reference(n, block_shape, terms):
     return mat
 
 
+def csr_reference(entries, shape):
+    """(rows, cols, vals) as CSR through scipy's COO constructor: duplicates
+    summed, indices sorted and in the library's index dtype, stored zeros
+    dropped.  The library sorts int64 keys instead."""
+    rows, cols, vals = entries
+    idx = index_dtype(shape, np.size(vals))
+    mat = sparse.coo_array((vals, (np.asarray(rows).astype(idx, copy=False),
+                                   np.asarray(cols).astype(idx, copy=False))), shape=shape).tocsr()
+    mat.eliminate_zeros()
+    return mat
+
+
+# ============================ tensor operators ==============================
+
+def level_operator(tensor, level):
+    """The level -> level + 1 coefficient map assembled in 3D, from
+    `derivative_entries` on the tensor's counts (nr, ns, nt).  The library
+    applies the same blocks to coefficient arrays."""
+    return csr_reference(*derivative_entries(
+        tensor.dims, LEVEL_PATTERNS[level], LEVEL_PATTERNS[level + 1]))
+
+
+def derivative_matrix(tensor, axis):
+    """The level-0 stencil of direction `axis` assembled in 3D; the library
+    lifts it from one joint."""
+    return csr_reference(*derivative_entries(
+        tensor.dims, LEVEL_PATTERNS[0], (LEVEL_PATTERNS[1][axis],)))
+
+
 # ============================== commutation =================================
 
 def commutation_residuals_3d(tensor, extraction, incidence):
@@ -291,7 +324,7 @@ def commutation_residuals_3d(tensor, extraction, incidence):
     lift = [extraction.columns(level).T for level in range(4)]
     worst = []
     for level in range(3):
-        residual = (tensor.level_operator(level) @ lift[level]
+        residual = (level_operator(tensor, level) @ lift[level]
                     - lift[level + 1] @ getattr(incidence, f"D{level}")).tocsr()
         sizes = [tensor.component_dim(pat) for pat in LEVEL_PATTERNS[level + 1]]
         at = residual.indptr[np.cumsum([0] + sizes)]

@@ -10,10 +10,11 @@ from scipy import sparse
 
 import polar_derham as pd
 from oracles import commutation_residuals_3d
+from polar_derham import incidence, tensor
 from polar_derham.bsplines import difference_triplet, triplet
 from polar_derham.extraction import ExtractionSet, lift_table
 from polar_derham.incidence import certify
-from polar_derham.tensor import LiftTable, StructureError, TensorComplex
+from polar_derham.tensor import LiftTable, StructureError, derivative_entries
 from polar_derham.verification import inject_row_drop, run_verification
 
 pytest.importorskip("hypothesis")
@@ -115,7 +116,7 @@ def test_the_lift_of_one_joint_keeps_the_identity_terms_and_drops_dt(complex_cac
 def test_verification_certifies_once_and_builds_no_3d_tensor_operator(complex_cache,
                                                                      monkeypatch):
     cx = complex_cache(dims=(5, 6, 4))
-    reads, levels = [], []
+    reads, levels, joint_dims = [], [], []
     read, columns = LiftTable.read, ExtractionSet.columns
 
     def counted_read(table, matrices):
@@ -126,14 +127,20 @@ def test_verification_certifies_once_and_builds_no_3d_tensor_operator(complex_ca
         levels.append(level)
         return columns(extraction, level)
 
-    def no_level_operator(tensor, level):
-        raise AssertionError(f"level operator {level} built")
+    def one_joint_entries(dims, sources, targets):
+        # the tensor rule on the counts of one joint only: no 3D operator
+        if dims[2] != 1:
+            raise AssertionError(f"derivative entries built on {dims}")
+        joint_dims.append(tuple(dims))
+        return derivative_entries(dims, sources, targets)
 
     monkeypatch.setattr(LiftTable, "read", counted_read)
     monkeypatch.setattr(ExtractionSet, "columns", counted_columns)
-    monkeypatch.setattr(TensorComplex, "level_operator", no_level_operator)
+    for module in (incidence, tensor):
+        monkeypatch.setattr(module, "derivative_entries", one_joint_entries)
     report = run_verification(cx)
     assert report.passed, report.failures
     assert reads == [ExtractionSet.names(), ["D0", "D1", "D2"]]
     assert set(levels) == {0}
+    assert set(joint_dims) == {(5, 6, 1)}
     assert np.isfinite(report.timings["certify"])

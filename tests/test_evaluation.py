@@ -16,6 +16,7 @@ import pytest
 import polar_derham as pd
 from oracles import (eval_basis, eval_basis_derivative, eval_component_basis, eval_spline,
                      eval_spline_derivative)
+from polar_derham import bsplines, tensor
 from polar_derham.cli import main
 from polar_derham.verification import inject_row_drop
 
@@ -242,26 +243,26 @@ def test_drop_row_e000_fails_partition_of_unity(tmp_path, capsys):
     assert suites["partition_of_unity"]["worst_sum_error"] > 1e-3
 
 
-# --------------------------- cached operators ----------------------------------
+# ------------------------ the apply builds no matrix ----------------------------
 
-def test_operator_matrices_built_once(monkeypatch):
+def test_tensor_apply_builds_no_matrix(monkeypatch):
     tc = pd.build_tensor_sequence((2, 2, 2), (4, 4, 3))
-    calls = []
-    for name in ("grad_matrix", "curl_matrix", "div_matrix"):
-        original = getattr(pd.TensorComplex, name)
+    assert tc.spaces[0].difference_stencil is tc.spaces[0].difference_stencil
 
-        def counted(self, _original=original, _name=name):
-            calls.append(_name)
-            return _original(self)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix was built")
 
-        monkeypatch.setattr(pd.TensorComplex, name, counted)
+    for module, names in ((tensor, ("derivative_entries", "kron_lift", "csr_from_triplet")),
+                          (bsplines, ("csr_from_triplet", "csr_arrays"))):
+        for name in names:
+            monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError, match="matrix was built"):
+        tc.derivative(0)
     rng = np.random.default_rng(44)
     for _ in range(3):
         g = tc.apply_grad(rng.standard_normal(tc.level_dim(0)))
         c = tc.apply_curl(g)
-        tc.apply_div(c)
-    assert sorted(calls) == ["curl_matrix", "div_matrix", "grad_matrix"]
-    assert tc.spaces[0].difference_stencil is tc.spaces[0].difference_stencil
+        assert tc.apply_div(c).shape == (tc.level_dim(3),)
 
 
 # ------------------------ a single point is a batch of one ---------------------

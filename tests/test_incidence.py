@@ -10,7 +10,8 @@ import pytest
 from scipy import sparse
 
 import polar_derham as pd
-from oracles import disk_block_pairs, frequency_ranks, rank_with_gap, toroidal_spectrum
+from oracles import (disk_block_pairs, frequency_ranks, level_operator, rank_with_gap,
+                     toroidal_spectrum)
 from polar_derham import cli, incidence
 from polar_derham.cli import main
 from polar_derham.incidence import _disk_blocks, disk_blocks, kunneth_spectrum, max_abs
@@ -147,7 +148,7 @@ def test_disk_derivatives_are_joint_0_of_the_level_operators(degrees, dims):
         disk = [tuple(p for p in LEVEL_PATTERNS[lv] if not p[2]) for lv in (level, level + 1)]
         (rows, cols, vals), shape = derivative_entries((tc.nr, tc.ns, 1), *disk)
         got = sparse.coo_array((vals, (rows, cols)), shape=shape).tocsr()
-        band = tc.level_operator(level)[_joint0(tc, level + 1, disk[1])]
+        band = level_operator(tc, level)[_joint0(tc, level + 1, disk[1])]
         expected = band[:, _joint0(tc, level, disk[0])]
         # the joint-0 rows reach no other coefficient
         assert expected.nnz == band.nnz

@@ -1,6 +1,7 @@
-"""Property tests of the joint-structure checks and the toroidal spectrum
-over small random complexes, and of the echelon rank certificate over
-small random matrices."""
+"""Property tests of the joint-structure checks, the toroidal spectrum and
+the tensor apply over small random complexes, and of the echelon rank
+certificate, the circle lift and the CSR constructor over small random
+matrices."""
 
 import dataclasses
 
@@ -9,9 +10,9 @@ import pytest
 from scipy import sparse
 
 import polar_derham as pd
-from oracles import (disk_block_pairs, eval_local, find_span, kron_lift_reference,
-                     toroidal_spectrum, wrap)
-from polar_derham.bsplines import difference_triplet
+from oracles import (csr_reference, disk_block_pairs, eval_local, find_span,
+                     kron_lift_reference, level_operator, toroidal_spectrum, wrap)
+from polar_derham.bsplines import csr_from_triplet, difference_triplet
 from polar_derham.extraction import lift_table
 from polar_derham.incidence import disk_blocks
 from polar_derham.tensor import StructureError, echelon_rank, eye_triplet, kron_lift
@@ -174,6 +175,51 @@ def test_kron_lift_matches_the_coo_reference(case):
     assert got.data.dtype == np.float64 and got.data.tobytes() == ref.data.tobytes()
     assert got.indptr.dtype == got.indices.dtype == np.int32
     _assert_canonical(got)
+
+
+@st.composite
+def _triplets(draw):
+    """A shape and an unsorted triplet in it, with repeated positions,
+    explicit zeros, entries that cancel and no entries at all drawn."""
+    shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 4)), label="shape")
+    size = draw(st.integers(0, 12), label="entries")
+    rows, cols = (np.array(draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)),
+                           dtype=np.int64) for n in shape)
+    vals = np.array(draw(st.lists(_values, min_size=size, max_size=size)), dtype=np.float64)
+    return shape, (rows, cols, vals)
+
+
+@_settings
+@given(case=_triplets())
+@example(case=((2, 3), (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))))
+# one position three times, summing to 0, and a stored zero
+@example(case=((2, 3), (np.array([1, 0, 1, 1, 0, 1]), np.array([2, 1, 2, 0, 0, 2]),
+                        np.array([1.0, 0.0, -3.0, 3.0, 0.5, 2.0]))))
+def test_csr_from_triplet_matches_the_coo_reference(case):
+    shape, entries = case
+    got, ref = csr_from_triplet(entries, shape), csr_reference(entries, shape)
+    assert got.shape == ref.shape == shape
+    # the values are sums of dyadic numbers, exact in any order
+    for name in ("indptr", "indices", "data"):
+        mine, theirs = getattr(got, name), getattr(ref, name)
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
+    assert got.indptr.dtype == np.int32
+    _assert_canonical(got)
+
+
+@_settings
+@given(degrees=st.tuples(*[st.integers(2, 5)] * 3), data=st.data())
+def test_tensor_apply_equals_the_3d_operator_product(degrees, data):
+    # from the size floors of the degrees up to (12, 12, 8)
+    floors = (max(3, degrees[0] - 1), max(4, degrees[1] + 1), max(3, degrees[2] - 1))
+    dims = tuple(data.draw(st.integers(lo, hi), label="dims")
+                 for lo, hi in zip(floors, (12, 12, 8)))
+    tc = pd.build_tensor_sequence(degrees, dims)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    for level, apply in enumerate((tc.apply_grad, tc.apply_curl, tc.apply_div)):
+        n = tc.level_dim(level)
+        coeffs = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+        assert np.array_equal(apply(coeffs), level_operator(tc, level) @ coeffs), level
 
 
 def _parameters(space, count):

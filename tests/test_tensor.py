@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -7,7 +8,8 @@ import pytest
 from scipy import sparse
 
 import polar_derham as pd
-from oracles import eval_basis, eval_basis_derivative, eval_component_basis, joint_block
+from oracles import (derivative_matrix, eval_basis, eval_basis_derivative, eval_component_basis,
+                     joint_block, level_operator)
 from polar_derham.bsplines import csr_from_triplet, index_dtype
 from polar_derham.extraction import lift_table
 from polar_derham.tensor import (LEVEL_PATTERNS, LiftTable, StructureError, echelon_rank,
@@ -101,9 +103,7 @@ def test_fiberwise_application(tc):
 # ------------------------------- d^2 = 0 --------------------------------------
 
 def test_complex_property_exact(tc):
-    grad = tc.grad_matrix()
-    curl = tc.curl_matrix()
-    div = tc.div_matrix()
+    grad, curl, div = (level_operator(tc, level) for level in range(3))
     assert grad.dtype == np.float64
     assert (curl @ grad).nnz == 0
     assert (div @ curl).nnz == 0
@@ -142,12 +142,16 @@ def _operator_digest(matrix):
     return h.hexdigest()
 
 
+_LEVEL_NAMES = ("grad_matrix", "curl_matrix", "div_matrix")
+
+
 def _pinned_operator(tc, name):
-    """The level operators by method name; derivative_r, _s and _t are the
-    level-0 stencils of directions 0, 1 and 2."""
+    """The 3D level operators of the oracle by their former method names;
+    derivative_r, _s and _t are the library's level-0 stencils of
+    directions 0, 1 and 2."""
     if name.startswith("derivative_"):
         return tc.derivative("rst".index(name[-1]))
-    return getattr(tc, name)()
+    return level_operator(tc, _LEVEL_NAMES.index(name))
 
 
 @pytest.mark.parametrize("degrees,dims", list(PINNED_OPERATOR_DIGESTS))
@@ -191,14 +195,53 @@ def test_operators_match_kron_oracle_without_stored_zeros(degrees, dims):
     tc = pd.build_tensor_sequence(degrees, dims)
     pairs = [(f"derivative({axis})", tc.derivative(axis), _kron_derivative(tc, axis))
              for axis in range(3)]
-    pairs += [(name, getattr(tc, name)(), _bmat_level_operator(tc, level))
-              for level, name in enumerate(("grad_matrix", "curl_matrix", "div_matrix"))]
+    pairs += [(name, level_operator(tc, level), _bmat_level_operator(tc, level))
+              for level, name in enumerate(_LEVEL_NAMES)]
     for name, got, oracle in pairs:
         assert np.count_nonzero(got.data) == got.nnz, name
         oracle.eliminate_zeros()
         assert got.dtype == oracle.dtype == np.float64, name
         for arr in ("indptr", "indices", "data"):
             npt.assert_array_equal(getattr(got, arr), getattr(oracle, arr), err_msg=name)
+
+
+@pytest.mark.parametrize("degrees,dims", [((2, 2, 2), (4, 4, 3)), ((3, 2, 4), (7, 7, 5)),
+                                          ((5, 3, 2), (9, 8, 7)), ((2, 2, 2), (32, 32, 16))])
+def test_apply_equals_the_3d_operator_product(degrees, dims):
+    tc = pd.build_tensor_sequence(degrees, dims)
+    # coefficients over 16 decades, so that the order of the sums shows
+    rng = np.random.default_rng(27)
+    for level, apply in enumerate((tc.apply_grad, tc.apply_curl, tc.apply_div)):
+        n = tc.level_dim(level)
+        coeffs = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+        assert np.array_equal(apply(coeffs), level_operator(tc, level) @ coeffs), level
+
+
+@pytest.mark.parametrize("degrees,dims", [((2, 2, 2), (4, 4, 3)), ((3, 3, 3), (7, 7, 5)),
+                                          ((2, 2, 2), (16, 16, 8))])
+def test_lifted_stencils_equal_the_3d_assembly(degrees, dims):
+    tc = pd.build_tensor_sequence(degrees, dims)
+    for axis in range(3):
+        got, expected = tc.derivative(axis), derivative_matrix(tc, axis)
+        assert got.shape == expected.shape and got.dtype == expected.dtype == np.float64
+        for arr in ("indptr", "indices", "data"):
+            mine, theirs = getattr(got, arr), getattr(expected, arr)
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), (axis, arr)
+        assert got.indices.dtype == np.int32
+
+
+def test_stencils_allocate_little_beyond_what_they_keep():
+    # lifted from one joint, the stencils hold no 3D triplet while they are
+    # built: one would more than double the peak
+    tensor = pd.build_tensor_sequence((2, 2, 2), (64, 64, 32))
+    tracemalloc.start()
+    try:
+        stencils = [tensor.derivative(axis) for axis in range(3)]
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * held, (peak, held)
+    assert all(m.indices.dtype == m.indptr.dtype == np.int32 for m in stencils)
 
 
 def test_curl_of_gradient_and_div_of_curl(tc):
