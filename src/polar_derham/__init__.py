@@ -30,7 +30,6 @@ from .incidence import (
     build_incidence,
     cohomology_dimensions,
     divergence_preimage,
-    verify_commutation,
 )
 from .tensor import LEVEL_PATTERNS, TensorComplex, build_tensor_sequence
 from .torus import FieldCoefficients, PolarComplex, TorusComplexSpec, build_complex

@@ -29,8 +29,8 @@ tensor derivatives (g0 grad, g1 curl, the tensor complex's rule on one
 joint) by the commuting diagram ``g_l e_l^T = e_{l+1}^T d_l``, so only
 the extraction states the DOF numbering; ``tests/oracles.py`` keeps an
 entry-by-entry transcription of d0 and d1 as the tests' reference.
-:func:`certify` reads the blocks back from the 3D matrices, and the
-seven commutation identities are checked on one joint from them
+:func:`certify` is the one reader of the blocks from the 3D matrices;
+the seven commutation identities are checked on one joint from them
 (:func:`commutation_residuals`): the circle's terms cancel on both sides.
 
 The ranks behind the cohomology are certified from the matrices: echelon
@@ -56,7 +56,6 @@ __all__ = [
     "build_incidence",
     "certify",
     "commutation_residuals",
-    "verify_commutation",
     "cohomology_dimensions",
     "disk_blocks",
     "kunneth_spectrum",
@@ -198,15 +197,6 @@ def certify(extraction, incidence):
     return blocks, violations
 
 
-def verify_commutation(extraction, incidence):
-    """:func:`commutation_residuals` of the :func:`certify` blocks; a
-    matrix that is not its lift raises StructureError naming it."""
-    blocks, violations = certify(extraction, incidence)
-    if violations:
-        raise StructureError("; ".join(violations.values()))
-    return commutation_residuals(extraction.counts, blocks)
-
-
 # ============================ cohomology =====================================
 
 @dataclass
@@ -302,13 +292,13 @@ def kunneth_spectrum(counts, s0, s1):
     return spectra
 
 
-def cohomology_dimensions(incidence, disk=None):
+def cohomology_dimensions(incidence, disk):
     """Compute the cohomology dimensions of the reduced complex.
 
     h0 = dim ker D0, h1 = dim ker D1 - rank D0, h2 = dim ker D2 - rank D1,
-    h3 = n3 - rank D2, from ranks decided by certificate.
-    :func:`disk_blocks` first reads the pair (d0, d1) whose circle lift
-    D0, D1 and D2 are, unless a caller passes it as `disk`.
+    h3 = n3 - rank D2, from ranks decided by certificate.  `disk` is the
+    pair (d0, d1) whose circle lift D0, D1 and D2 are, as
+    :func:`certify` or :func:`disk_blocks` reads it.
 
     Each rank has an exact lower bound, the echelon count of D0, D1 and
     D2^T (:func:`~polar_derham.tensor.echelon_rank`, first nonzeros for
@@ -346,7 +336,7 @@ def cohomology_dimensions(incidence, disk=None):
     c, names = incidence.counts, ("D0", "D1", "D2")
     nt = c.nt
     multiplicity = [1 if 2 * k % nt == 0 else 2 for k in range(nt // 2 + 1)]
-    d0, d1 = disk_blocks(incidence) if disk is None else disk
+    d0, d1 = disk
     s0, s1 = (np.linalg.svd(d.toarray(), compute_uv=False) for d in (d0, d1))
     eps = np.finfo(float).eps
     ones_ok = max_abs(d0 @ np.ones(c.nbar0)) <= max(d0.shape) * eps * s0[0]

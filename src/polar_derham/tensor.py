@@ -47,7 +47,6 @@ __all__ = [
     "derivative_entries",
     "kron_lift",
     "StructureError",
-    "first_difference",
     "LiftTable",
     "unit_entries",
     "partition_rank",
@@ -170,20 +169,9 @@ def eye_triplet(n, sign=1.0):
     return np.arange(n), np.arange(n), np.full(n, sign)
 
 
-def kron_lift(n, block_shape, terms):
-    """CSR sum of the Kronecker products ``C (x) B`` over (C, B, row0, col0).
-
-    C is an n x n circulant triplet, of which only row 0 is read: its
-    entry (0, d) places that value times B at block offset d, in block
-    column (j + d) mod n of joint j.  B is a (rows, cols, vals) triplet
-    placed at (row0, col0) inside a block of `block_shape`.
-
-    Joint 0's block row is formed once from its int64 keys, by
-    :func:`~polar_derham.bsplines.csr_arrays`.  Every other joint has the
-    same values at its columns shifted by whole blocks; only in the joints
-    where j + d passes n do each row's wrapped entries move to the row's
-    front.  Indices are in :func:`~polar_derham.bsplines.index_dtype`.
-    """
+def _joint_row(n, block_shape, terms):
+    """Joint 0's block row of :func:`kron_lift`: the CSR arrays (data,
+    indices, indptr) of its int64 keys, by :func:`~polar_derham.bsplines.csr_arrays`."""
     m, k = block_shape
     width = n * k
     keys, vals = [], []
@@ -193,7 +181,25 @@ def kron_lift(n, block_shape, terms):
         local = (np.asarray(b_row, np.int64) + row0) * width + b_col + col0
         keys.append((c_col[first, None] * k + local).ravel())
         vals.append((c_val[first, None] * b_val).ravel())
-    val, col, block_indptr = csr_arrays(np.concatenate(keys), np.concatenate(vals), (m, width))
+    return csr_arrays(np.concatenate(keys), np.concatenate(vals), (m, width))
+
+
+def kron_lift(n, block_shape, terms):
+    """CSR sum of the Kronecker products ``C (x) B`` over (C, B, row0, col0).
+
+    C is an n x n circulant triplet, of which only row 0 is read: its
+    entry (0, d) places that value times B at block offset d, in block
+    column (j + d) mod n of joint j.  B is a (rows, cols, vals) triplet
+    placed at (row0, col0) inside a block of `block_shape`.
+
+    Joint 0's block row is formed once (:func:`_joint_row`); every other
+    joint has its values at columns shifted by whole blocks, and only in
+    the joints where j + d passes n do each row's wrapped entries move to
+    the row's front.  Indices are in :func:`~polar_derham.bsplines.index_dtype`.
+    """
+    m, k = block_shape
+    width = n * k
+    val, col, block_indptr = _joint_row(n, block_shape, terms)
     nnz = val.size
     idx = index_dtype((n * m, width), n * nnz)
     indptr = np.empty(n * m + 1, dtype=idx)
@@ -224,27 +230,6 @@ class StructureError(Exception):
     """
 
 
-def first_difference(matrix, lifted, n):
-    """Where a matrix first differs from the lift `lifted` of n joints,
-    as (joint, block offset, local row, local col), or None.
-
-    Both matrices split into n x n blocks of one shape; entries compare
-    exactly, in row-major order, and explicit zeros are not entries.
-    The offset of block (j, l) is (l - j) mod n.
-    """
-    csr = matrix.tocsr()
-    if all(np.array_equal(getattr(csr, a), getattr(lifted, a))
-           for a in ("indptr", "indices", "data")):
-        return None
-    rows, cols = (csr != lifted).nonzero()
-    if not rows.size:
-        return None
-    (m, k), at = lifted.shape, np.argmin(rows.astype(np.int64) * lifted.shape[1] + cols)
-    joint, row = divmod(int(rows[at]), m // n)
-    block, col = divmod(int(cols[at]), k // n)
-    return joint, (block - joint) % n, row, col
-
-
 class LiftTable(NamedTuple):
     """How matrices lift per-joint blocks along a circle of n joints.
 
@@ -273,10 +258,11 @@ class LiftTable(NamedTuple):
         in table order) are, as CSR keyed by label.
 
         Each labelled block is read from joint 0 of the first matrix that
-        holds it, divided by the entry (0, 0) of its C, and every matrix is
-        lifted again: it must equal its lift exactly, explicit zeros aside.
-        Raises StructureError naming the matrix and the first joint that
-        differs or, in joint 0, the term of the lift that differs.
+        holds it, divided by the entry (0, 0) of its C.  Every matrix must
+        equal its lift exactly, explicit zeros aside, joint by joint against
+        the lift's joint-0 block row, with no lift formed.  Raises
+        StructureError naming the matrix and the first joint that differs
+        or, in joint 0, the term of the lift that differs.
         """
         blocks, source = {}, {}
         for name, matrix in matrices.items():
@@ -295,17 +281,36 @@ class LiftTable(NamedTuple):
                     scale = c_val[(c_row == 0) & (c_col == 0)][0]
                     blocks[label] = block if scale == 1 else block / scale
                     source[label] = name
-        lifted = self.lift({label: triplet(b) for label, b in blocks.items()}, matrices)
+        entries = {label: triplet(b) for label, b in blocks.items()}
         what = ("pair " if len(blocks) == 2 else "set ") + f"({', '.join(blocks)})"
         for name, matrix in matrices.items():
-            at = first_difference(matrix, lifted[name], self.n)
-            if at is None:
+            csr, (m, k) = matrix.tocsr(), self.terms[name][0]
+            width, lift = self.n * k, _joint_row(self.n, (m, k), self.kron_terms(name, entries))
+            # joint j holds joint 0's entries at columns shifted by j k; the integer
+            # arrays compare as bytes, in the matrix's index dtype
+            bounds = lift[2].astype(csr.indptr.dtype).tobytes()
+            cols = lift[1].astype(csr.indices.dtype).tobytes()
+            for joint in range(self.n):
+                ptr = csr.indptr[joint * m:(joint + 1) * m + 1]
+                span = slice(ptr[0], ptr[-1])
+                if ((ptr - ptr[0]).tobytes() == bounds and (csr.data[span] == lift[0]).all()
+                        and (csr.indices[span] - joint * k).tobytes() == cols):
+                    continue
+                # columns that wrap, or rows with explicit zeros, duplicates or
+                # unsorted columns: the joint's entries shifted back, canonical
+                keys = (np.repeat(np.arange(m, dtype=np.int64) * width, np.diff(ptr))
+                        + (csr.indices[span].astype(np.int64) - joint * k) % width)
+                if not all(map(np.array_equal, csr_arrays(keys, csr.data[span], (m, width)), lift)):
+                    break
+            else:
                 continue
-            joint, offset, row, col = at
             if joint:
                 # joint 0's block row is that of the block-circulant lift
                 raise StructureError(f"{name} is not block-circulant over {self.n} joints: the "
                                      f"entries of joint {joint} differ from those of joint 0")
+            # the first entry of joint 0's rows, in row-major order, that differs
+            row, col = min(zip(*(csr[:m] != sparse.csr_array(lift, shape=(m, width))).nonzero()))
+            offset, col = divmod(int(col), k)
             lead = f"{name} is not the circle lift of one {what}: "
             for (c_row, c_col, c_val), b, row0, col0 in self.terms[name][1]:
                 scale = c_val[(c_row == 0) & (c_col == offset)]

@@ -17,8 +17,10 @@ from .geometry import (
     check_rho_bar,
     pushforward_eval,
 )
-from .incidence import build_incidence, cohomology_dimensions, verify_commutation
-from .tensor import LEVEL_PATTERNS, build_tensor_sequence, check_size_floors, distinct_knot_counts
+from .incidence import (build_incidence, certify, cohomology_dimensions, commutation_residuals,
+                        disk_blocks)
+from .tensor import (LEVEL_PATTERNS, StructureError, build_tensor_sequence, check_size_floors,
+                     distinct_knot_counts)
 
 __all__ = [
     "TorusComplexSpec",
@@ -180,10 +182,13 @@ class PolarComplex:
     # ----------------------------- reporting --------------------------------
 
     def commutation_residuals(self):
-        return verify_commutation(self.extraction, self.incidence)
+        blocks, violations = certify(self.extraction, self.incidence)
+        if violations:
+            raise StructureError("; ".join(violations.values()))
+        return commutation_residuals(self.counts, blocks)
 
     def cohomology(self):
-        return cohomology_dimensions(self.incidence)
+        return cohomology_dimensions(self.incidence, disk_blocks(self.incidence))
 
     def named_matrices(self):
         """All exportable matrices keyed by their conventional names."""

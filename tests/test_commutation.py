@@ -2,6 +2,7 @@
 residuals, certified once per verification, and failing on a matrix that
 is not its lift."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -64,7 +65,7 @@ def test_a_matrix_that_is_not_its_lift_fails_commutation_naming_it(complex_cache
                                                                    name, row):
     bad = inject_row_drop(complex_cache(dims=dims), name, row)
     with pytest.raises(StructureError, match=f"^{name} "):
-        pd.verify_commutation(bad.extraction, bad.incidence)
+        bad.commutation_residuals()
     report = run_verification(bad)
     suite = report.suites["commutation"]
     assert not report.passed and not suite["pass"]
@@ -144,3 +145,20 @@ def test_verification_certifies_once_and_builds_no_3d_tensor_operator(complex_ca
     assert set(levels) == {0}
     assert set(joint_dims) == {(5, 6, 1)}
     assert np.isfinite(report.timings["certify"])
+
+
+def test_certify_allocates_a_fraction_of_the_matrices_it_reads(complex_cache):
+    # each joint is checked against its lift's joint-0 block row in place;
+    # a second copy of the lifts would peak near the matrices' own size
+    cx = complex_cache(dims=(32, 32, 16))
+    names = [*cx.extraction.names(), "D0", "D1", "D2"]
+    matrices = [getattr(cx.incidence if name[0] == "D" else cx.extraction, name) for name in names]
+    size = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in matrices)
+    tracemalloc.start()
+    try:
+        blocks, violations = certify(cx.extraction, cx.incidence)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not violations
+    assert peak < size / 4, (peak, size)

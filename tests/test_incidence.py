@@ -303,7 +303,7 @@ def test_fourier_spectrum_matches_dense(dims, perturbation):
     spec = pd.TorusComplexSpec(degrees=(3, 3, 3), dims=dims)
     inc = pd.build_complex(spec, ebar_perturbation=perturbation).incidence
     nt = inc.counts.nt
-    rep = pd.cohomology_dimensions(inc)
+    rep = pd.cohomology_dimensions(inc, disk_blocks(inc))
     spectra = toroidal_spectrum(inc.counts, *disk_blocks(inc))
     multiplicity = [1 if 2 * k % nt == 0 else 2 for k in range(nt // 2 + 1)]
     for index, (name, ranks) in enumerate(frequency_ranks(inc, spectra).items()):
@@ -330,7 +330,7 @@ def test_kunneth_closed_form_matches_fourier_blocks(dims, degree):
     # the closed form from the two disk SVDs reproduces every frequency
     # block's singular values, and its ranks are the dense ranks
     inc = pd.build_complex(pd.TorusComplexSpec(degrees=(degree,) * 3, dims=dims)).incidence
-    rep = pd.cohomology_dimensions(inc)
+    rep = pd.cohomology_dimensions(inc, disk_blocks(inc))
     assert rep.method == "kunneth"
     d0, d1 = disk_blocks(inc)
     s0, s1 = (np.linalg.svd(d.toarray(), compute_uv=False) for d in (d0, d1))

@@ -10,10 +10,11 @@ from scipy import sparse
 import polar_derham as pd
 from oracles import (derivative_matrix, eval_basis, eval_basis_derivative, eval_component_basis,
                      joint_block, level_operator)
-from polar_derham.bsplines import csr_from_triplet, index_dtype
+from polar_derham import tensor
+from polar_derham.bsplines import csr_from_triplet, index_dtype, triplet
 from polar_derham.extraction import lift_table
 from polar_derham.tensor import (LEVEL_PATTERNS, LiftTable, StructureError, echelon_rank,
-                                 eye_triplet, first_difference, partition_rank)
+                                 eye_triplet, partition_rank)
 
 
 @pytest.fixture(scope="module")
@@ -327,6 +328,12 @@ def test_lift_read_names_the_first_joint_that_differs():
     with pytest.raises(StructureError, match="M is not block-circulant over 4 joints: "
                                              "the entries of joint 2 differ"):
         table.read({"M": bad})
+    # an entry past the end of joint 1's last row, one fewer in joint 2's first
+    moved = good.copy()
+    moved[3, 7] = 7.0
+    moved[4, 4] = 0.0
+    with pytest.raises(StructureError, match="the entries of joint 1 differ"):
+        table.read({"M": sparse.csr_array(moved)})
     # explicit zeros are not entries
     stored_zero = good.tocsr()
     stored_zero.data[stored_zero.data == 2.0] = 0.0
@@ -336,6 +343,61 @@ def test_lift_read_names_the_first_joint_that_differs():
         table.read({"M": stored_zero})
     with pytest.raises(StructureError, match="does not split into 3 joints"):
         _identity_lift(3, (2, 2), "M").read({"M": good})
+
+
+def _stored_out_of_order(matrix, row, changed=0.0):
+    """`matrix` with `row` stored as no CSR constructor leaves it: its first
+    entry split in two halves, the first `changed` off and out of place,
+    the rest reversed, and an explicit zero in a column the row lacks."""
+    csr = sparse.csr_array(matrix)
+    lo, hi = csr.indptr[row], csr.indptr[row + 1]
+    cols, vals = csr.indices[lo:hi], csr.data[lo:hi]
+    free = np.setdiff1d(np.arange(csr.shape[1]), cols)[0]
+    row_cols = np.concatenate([cols[:1], cols[::-1], [free]])
+    row_vals = np.concatenate([[vals[0] / 2 + changed], vals[:0:-1], [vals[0] / 2, 0.0]])
+    indptr = csr.indptr.copy()
+    indptr[row + 1:] += row_cols.size - (hi - lo)
+    return sparse.csr_array((np.concatenate([csr.data[:lo], row_vals, csr.data[hi:]]),
+                             np.concatenate([csr.indices[:lo], row_cols, csr.indices[hi:]]),
+                             indptr), shape=csr.shape)
+
+
+@pytest.mark.parametrize("joint", [0, 1, 2])
+def test_lift_read_canonicalises_rows_stored_out_of_order(cx443, joint):
+    # a row of D1's d0 part: its toroidal entries wrap to joint 0 in joint 2
+    c = cx443.counts
+    family = {name: getattr(cx443.incidence, name) for name in ("D0", "D1", "D2")}
+    table, row = lift_table(c), joint * (c.nbar2 + c.nbar1) + c.nbar2 + 2
+    expected = table.read(family)
+    got = table.read(family | {"D1": _stored_out_of_order(cx443.incidence.D1, row)})
+    assert list(got) == list(expected)
+    for label, block in expected.items():
+        for arr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got[label], arr), getattr(block, arr)), (label, arr)
+    # a duplicate pair summing to another value: its block in joint 0, else its joint
+    named = (r"D1 is not the circle lift of one pair \(d0, d1\): its offset-0 identity block "
+             rf"\(rows {c.nbar2}:{c.nbar2 + c.nbar1}, cols 0:{c.nbar1}\) differs from \+1 "
+             r"times the identity$" if joint == 0 else
+             f"^D1 is not block-circulant over 3 joints: the entries of joint {joint} differ "
+             "from those of joint 0$")
+    with pytest.raises(StructureError, match=named):
+        table.read(family | {"D1": _stored_out_of_order(cx443.incidence.D1, row, changed=0.5)})
+
+
+def test_lift_read_forms_no_lift(cx443, monkeypatch):
+    def no_lift(*args):
+        raise AssertionError("LiftTable.read formed a lift")
+
+    e, inc = cx443.extraction, cx443.incidence
+    matrices = {name: getattr(e, name) for name in e.names()}
+    family = {name: getattr(inc, name) for name in ("D0", "D1", "D2")}
+    table = lift_table(cx443.counts)
+    monkeypatch.setattr(tensor, "kron_lift", no_lift)
+    assert set(table.read(matrices)) == {"e0", "e10", "e01", "e2"}
+    assert set(table.read(family)) == {"d0", "d1"}
+    for row in (3, inc.D1.shape[0] - 3):
+        with pytest.raises(StructureError, match="^D1 is not"):
+            table.read(family | {"D1": _stored_out_of_order(inc.D1, row, changed=0.5)})
 
 
 def test_partition_rank_matches_dense_rank(cx443):
@@ -402,10 +464,18 @@ def test_index_keys_are_formed_in_int64():
     rows, cols = np.array([10, 40000, n - 1]), np.array([n - 1, 5, 3])
     matrix = csr_from_triplet((rows, cols, np.ones(3)), (n, n))
     assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
-    changed = matrix.copy()
-    changed.data[:2] = 2.0
-    assert first_difference(changed, matrix, 1) == (0, 0, 10, n - 1)
-    assert first_difference(matrix, matrix, 1) is None
+    # two joints of it: keys row * 2n + col reach about 5e9 at row 40000
+    table = _identity_lift(2, (n, n), "M")
+    lifted = table.lift({"block": triplet(matrix)}, ["M"])["M"]
+    # also with joint 1's row 40000 stored out of order, compared by its keys
+    for stored in (lifted, _stored_out_of_order(lifted, n + 40000)):
+        block = table.read({"M": stored})["block"]
+        assert all(np.array_equal(getattr(block, a), getattr(matrix, a))
+                   for a in ("data", "indices", "indptr"))
+    lifted.data[4] = 2.0  # joint 1's row 40000
+    with pytest.raises(StructureError, match="M is not block-circulant over 2 joints: "
+                                             "the entries of joint 1 differ"):
+        table.read({"M": lifted})
     # last and first nonzeros are the single entries, in columns 3, 5, n - 1
     for reverse in (False, True):
         count, pivots = echelon_rank(matrix, reverse=reverse)
