@@ -477,12 +477,11 @@ class SpanLookup:
 
 @dataclass
 class DtaDiagnostic:
-    """Outcome of the design-through-analysis compatibility check."""
+    """Outcome of the design-through-analysis compatibility check: `ok`
+    when the matrix has full rank, unit column sums and no negative entry,
+    and otherwise `violation` names the first of these that fails."""
 
     ok: bool
-    full_rank: bool
-    columns_sum_to_one: bool
-    nonnegative: bool
     rank: int
     min_entry: float
     max_column_sum_error: float
@@ -510,26 +509,20 @@ def dta_diagnostic(matrix, rank):
     M = sparse.csr_array(matrix)
     M.sum_duplicates()
     rows = triplet(M)[0]
-    full_rank = rank == min(M.shape)
     col_err = float(np.abs(np.bincount(M.indices, M.data, M.shape[1]) - 1.0).max())
-    columns_ok = col_err <= DTA_TOL
     min_entry = float(M.data.min(initial=np.inf))
     if M.nnz < M.shape[0] * M.shape[1]:
         min_entry = min(min_entry, 0.0)
-    nonneg = min_entry >= -DTA_TOL
     max_support = int(np.bincount(rows[np.abs(M.data) > DTA_TOL], minlength=M.shape[0]).max())
     violation = None
-    if not full_rank:
+    if rank != min(M.shape):
         violation = f"rank deficient: rank {rank} < {min(M.shape)}"
-    elif not columns_ok:
+    elif not col_err <= DTA_TOL:
         violation = f"column sums deviate from 1 by {col_err:.3e}"
-    elif not nonneg:
+    elif not min_entry >= -DTA_TOL:
         violation = f"negative entry {min_entry:.3e}"
     return DtaDiagnostic(
-        ok=full_rank and columns_ok and nonneg,
-        full_rank=full_rank,
-        columns_sum_to_one=columns_ok,
-        nonnegative=nonneg,
+        ok=violation is None,
         rank=rank,
         min_entry=min_entry,
         max_column_sum_error=col_err,

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .extraction import polar_counts
-from .geometry import RHO_BAR_MAX, S_MIN_FACTOR, SingularityProximityError, check_singularity_floor
+from .geometry import RHO_BAR_MAX, S_MIN_FACTOR, check_singularity_floor
 from .iotools import (
     ComplexConfig, csv_text, load_raw_config, read_coefficients, write_bundle, write_triplet,
 )
@@ -23,25 +23,21 @@ from .verification import RESIDUAL_TOL, inject_row_drop, run_verification
 __all__ = ["main"]
 
 
-class UsageError(Exception):
-    pass
-
-
 def _triple(text, kind=int):
     parts = text.split(",")
     if len(parts) != 3:
-        raise UsageError(f"expected a comma-separated triple, got {text!r}")
+        raise ValueError(f"expected a comma-separated triple, got {text!r}")
     try:
         return tuple(kind(p) for p in parts)
     except ValueError as exc:
-        raise UsageError(f"bad triple {text!r}: {exc}") from None
+        raise ValueError(f"bad triple {text!r}: {exc}") from None
 
 
 def _resolve_config(args):
     raw = {}
     sources = [s for s in (getattr(args, "config", None), getattr(args, "bundle", None)) if s]
     if len(sources) > 1:
-        raise UsageError("give at most one of --config and --bundle")
+        raise ValueError("give at most one of --config and --bundle")
     if sources:
         raw = {k: v for k, v in load_raw_config(sources[0]).items() if v is not None}
     if getattr(args, "degrees", None):
@@ -80,9 +76,9 @@ def cmd_build(args):
 
 def cmd_verify(args):
     if not (np.isfinite(args.tol) and args.tol >= 0):
-        raise UsageError(f"--tol must be a finite number >= 0, got {args.tol}")
+        raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
     if not np.isfinite(args.perturb_ebar):
-        raise UsageError(f"--perturb-ebar must be a finite number, got {args.perturb_ebar}")
+        raise ValueError(f"--perturb-ebar must be a finite number, got {args.perturb_ebar}")
     config = _resolve_config(args)
     cx = build_complex(config.to_spec(), ebar_perturbation=args.perturb_ebar)
     if args.drop_row:
@@ -90,7 +86,7 @@ def cmd_verify(args):
         try:
             row = int(row)
         except ValueError:
-            raise UsageError(
+            raise ValueError(
                 f"--drop-row MATRIX:ROW needs an integer ROW, got {args.drop_row!r}") from None
         cx = inject_row_drop(cx, name, row)
     report = run_verification(cx, residual=args.tol, config_echo=config.to_dict())
@@ -118,23 +114,23 @@ def cmd_sample(args):
     level = args.level
     n_level = polar_counts(*spec.dims).level_dim(level)
     if (args.basis is None) == (args.coeffs is None):
-        raise UsageError("give exactly one of --basis or --coeffs")
+        raise ValueError("give exactly one of --basis or --coeffs")
     if args.basis is not None:
         if not 1 <= args.basis <= n_level:
-            raise UsageError(f"--basis index {args.basis} out of range 1..{n_level}")
+            raise ValueError(f"--basis index {args.basis} out of range 1..{n_level}")
         coeffs = np.zeros(n_level)
         coeffs[args.basis - 1] = 1.0
     else:
         coeffs = read_coefficients(args.coeffs)
         if coeffs.shape != (n_level,):
-            raise UsageError(f"{args.coeffs}: {coeffs.size} values, level {level} needs {n_level}")
+            raise ValueError(f"{args.coeffs}: {coeffs.size} values, level {level} needs {n_level}")
     counts = _triple(args.grid)
     if min(counts) < 1:
-        raise UsageError(f"grid counts must be positive, got {args.grid!r}")
+        raise ValueError(f"grid counts must be positive, got {args.grid!r}")
     R, S, T = spec.lengths
     smin = (S_MIN_FACTOR * S if level else 0.0) if args.smin is None else args.smin
     if not 0.0 <= smin < S:
-        raise UsageError(f"--smin must lie in [0, {S}), got {smin}")
+        raise ValueError(f"--smin must lie in [0, {S}), got {smin}")
     check_singularity_floor(level, smin, S)
     # every option above is checked against the counts and lengths alone
     cx = build_complex(spec)
@@ -164,7 +160,7 @@ def cmd_export(args):
         names = sorted(available)
     unknown = [n for n in names if n not in available]
     if unknown:
-        raise UsageError(
+        raise ValueError(
             f"unknown matrix name(s): {', '.join(unknown)}; "
             f"available: {', '.join(sorted(available))}"
         )
@@ -243,7 +239,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError, OSError, SingularityProximityError) as exc:
+    except (ValueError, OSError) as exc:
+        # every usage error is a ValueError (SingularityProximityError too);
         # an OSError's message names the path the OS refused
         print(f"error: {exc}", file=sys.stderr)
         return 2

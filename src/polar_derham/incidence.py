@@ -137,12 +137,8 @@ def disk_blocks(incidence):
 
 
 def max_abs(matrix):
-    """Largest absolute entry of a sparse matrix (0 for an empty one)."""
-    if sparse.issparse(matrix):
-        data = matrix.tocoo().data
-        return float(np.abs(data).max()) if data.size else 0.0
-    arr = np.asarray(matrix)
-    return float(np.abs(arr).max()) if arr.size else 0.0
+    """Largest absolute entry of a sparse matrix or an array (0 for an empty one)."""
+    return float(np.abs(matrix.data if sparse.issparse(matrix) else matrix).max(initial=0.0))
 
 
 # ============================ commutation ====================================
@@ -338,9 +334,8 @@ def cohomology_dimensions(incidence, disk):
     multiplicity = [1 if 2 * k % nt == 0 else 2 for k in range(nt // 2 + 1)]
     d0, d1 = disk
     s0, s1 = (np.linalg.svd(d.toarray(), compute_uv=False) for d in (d0, d1))
-    eps = np.finfo(float).eps
-    ones_ok = max_abs(d0 @ np.ones(c.nbar0)) <= max(d0.shape) * eps * s0[0]
-    product, bound = max_abs(d1 @ d0), max(*d0.shape, d1.shape[0]) * eps * s0[0] * s1[0]
+    ones_ok = max_abs(d0 @ np.ones(c.nbar0)) <= _threshold(d0.shape, s0[0])
+    product, bound = max_abs(d1 @ d0), _threshold((*d0.shape, d1.shape[0]), s0[0]) * s1[0]
     lower = (echelon_rank(incidence.D0)[0], echelon_rank(incidence.D1)[0],
              echelon_rank(incidence.D2.T, reverse=True)[0])
     upper = (c.n0 - 1 if ones_ok else c.n0, c.n2 - lower[2] if product <= bound else c.n2, c.n3)

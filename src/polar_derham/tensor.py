@@ -195,7 +195,11 @@ def kron_lift(n, block_shape, terms):
     Joint 0's block row is formed once (:func:`_joint_row`); every other
     joint has its values at columns shifted by whole blocks, and only in
     the joints where j + d passes n do each row's wrapped entries move to
-    the row's front.  Indices are in :func:`~polar_derham.bsplines.index_dtype`.
+    the row's front, by one argsort of the row keys plus the columns mod
+    n k: the rule :meth:`LiftTable.read` inverts through
+    :func:`~polar_derham.bsplines.csr_arrays`, whose duplicate and zero
+    passes this lift does not need.  Indices are in
+    :func:`~polar_derham.bsplines.index_dtype`.
     """
     m, k = block_shape
     width = n * k

@@ -10,17 +10,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extraction import assemble_3d, ebar_block, reduced_basis_values
+from .extraction import ExtractionSet, assemble_3d, ebar_block, reduced_basis_values
 from .geometry import (
+    GeometryMapG,
+    PolarMap,
     build_geometry_g,
     build_polar_map,
     check_rho_bar,
     pushforward_eval,
 )
-from .incidence import (build_incidence, certify, cohomology_dimensions, commutation_residuals,
-                        disk_blocks)
-from .tensor import (LEVEL_PATTERNS, StructureError, build_tensor_sequence, check_size_floors,
-                     distinct_knot_counts)
+from .incidence import (IncidenceSet, build_incidence, certify, cohomology_dimensions,
+                        commutation_residuals, disk_blocks)
+from .tensor import (LEVEL_PATTERNS, StructureError, TensorComplex, build_tensor_sequence,
+                     check_size_floors, distinct_knot_counts)
 
 __all__ = [
     "TorusComplexSpec",
@@ -78,16 +80,16 @@ class FieldCoefficients:
         self.data = np.asarray(self.data, dtype=float)
 
 
+@dataclass(eq=False, repr=False)
 class PolarComplex:
     """The assembled artifact: spaces, matrices and geometry of one spec."""
 
-    def __init__(self, spec, tensor, extraction, incidence, polar_map, geometry_map):
-        self.spec = spec
-        self.tensor = tensor
-        self.extraction = extraction
-        self.incidence = incidence
-        self.polar_map = polar_map
-        self.geometry_map = geometry_map
+    spec: TorusComplexSpec
+    tensor: TensorComplex
+    extraction: ExtractionSet
+    incidence: IncidenceSet
+    polar_map: PolarMap
+    geometry_map: GeometryMapG
 
     @property
     def counts(self):
@@ -113,23 +115,21 @@ class PolarComplex:
 
     # --------------------------- field algebra ------------------------------
 
-    def _check_field(self, coeffs, level, space):
-        if isinstance(coeffs, FieldCoefficients):
-            if level is not None and coeffs.level != level:
+    def _check_field(self, f, level):
+        """`f` as a FieldCoefficients of the given `level` (any level for
+        None) with the coefficient count of its space; a plain array is a
+        reduced field."""
+        if not isinstance(f, FieldCoefficients):
+            if level is None:
+                c = self.counts
                 raise ValueError(
-                    f"expected a level-{level} field, got level {coeffs.level}"
+                    "to_tensor needs a FieldCoefficients: a plain array does not say "
+                    "its level, so wrap it as FieldCoefficients(level, 'reduced', data); "
+                    f"levels 0..3 take {c.n0}, {c.n1}, {c.n2}, {c.n3} coefficients"
                 )
-            return coeffs
-        if level is None:
-            c = self.counts
-            raise ValueError(
-                "to_tensor needs a FieldCoefficients: a plain array does not say "
-                "its level, so wrap it as FieldCoefficients(level, 'reduced', data); "
-                f"levels 0..3 take {c.n0}, {c.n1}, {c.n2}, {c.n3} coefficients"
-            )
-        return FieldCoefficients(level=level, space=space, data=coeffs)
-
-    def _validated(self, f):
+            f = FieldCoefficients(level=level, space="reduced", data=f)
+        elif level is not None and f.level != level:
+            raise ValueError(f"expected a level-{level} field, got level {f.level}")
         expected = (self.counts if f.space == "reduced" else self.tensor).level_dim(f.level)
         if f.data.shape != (expected,):
             raise ValueError(
@@ -140,7 +140,7 @@ class PolarComplex:
 
     def _derivative(self, level, coeffs):
         """The level -> level + 1 operator of the field's own space."""
-        f = self._validated(self._check_field(coeffs, level, "reduced"))
+        f = self._check_field(coeffs, level)
         if f.space == "reduced":
             data = getattr(self.incidence, f"D{level}") @ f.data
         else:
@@ -160,7 +160,7 @@ class PolarComplex:
 
     def to_tensor(self, field_coeffs):
         """Re-express a reduced field on the tensor-product levels."""
-        f = self._validated(self._check_field(field_coeffs, None, "reduced"))
+        f = self._check_field(field_coeffs, None)
         if f.space == "tensor":
             return f
         data = self.extraction.columns(f.level).T @ f.data
@@ -172,7 +172,7 @@ class PolarComplex:
         return reduced_basis_values(self.extraction, self.tensor, level, point)
 
     def pushforward(self, coeffs, point, level=None):
-        f = self._validated(self._check_field(coeffs, level, "reduced"))
+        f = self._check_field(coeffs, level)
         if f.space != "reduced":
             raise ValueError("pushforward evaluation expects a reduced field")
         return pushforward_eval(

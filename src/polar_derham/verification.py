@@ -27,7 +27,6 @@ from .incidence import (certify, cohomology_dimensions, commutation_residuals,
                         divergence_preimage, max_abs)
 from .extraction import lift_table
 from .tensor import StructureError, partition_rank
-from .torus import PolarComplex
 
 __all__ = [
     "VerificationReport",
@@ -57,7 +56,8 @@ NUM_POINTS = 200                # partition-of-unity sample points
 def inject_row_drop(cx, name, row):
     """Zero the 1-based `row` of a named D- or E-matrix (fault injection).
 
-    Returns a patched copy of the complex; a verifier that cannot fail is
+    Returns a copy of the complex that shares every part but the patched
+    matrix and its family; a verifier that cannot fail is
     untrustworthy, so this plus the center-block perturbation provide the
     negative controls. A row that is already all zero is rejected, because
     dropping it would leave the complex unchanged.
@@ -66,9 +66,9 @@ def inject_row_drop(cx, name, row):
     names = incidence_names | set(cx.extraction.names())
     if name not in names:
         raise ValueError(f"unknown matrix {name!r} for --drop-row; choose one of {sorted(names)}")
-    parts = {"extraction": cx.extraction, "incidence": cx.incidence}
     owner = "incidence" if name in incidence_names else "extraction"
-    matrix = getattr(parts[owner], name)
+    family = getattr(cx, owner)
+    matrix = getattr(family, name)
     if not 1 <= row <= matrix.shape[0]:
         raise ValueError(f"row {row} out of range 1..{matrix.shape[0]} for {name}")
     patched = matrix.tocsr(copy=True)
@@ -78,9 +78,7 @@ def inject_row_drop(cx, name, row):
                          "injects no fault")
     entries[:] = 0.0
     patched.eliminate_zeros()
-    parts[owner] = dataclasses.replace(parts[owner], **{name: patched})
-    return PolarComplex(cx.spec, cx.tensor, parts["extraction"], parts["incidence"],
-                        cx.polar_map, cx.geometry_map)
+    return dataclasses.replace(cx, **{owner: dataclasses.replace(family, **{name: patched})})
 
 
 @dataclass
@@ -110,6 +108,13 @@ def run_verification(cx, residual=RESIDUAL_TOL, config_echo=None):
     `residual` bounds the complex-property, commutation and
     partition-of-unity residuals.  The random draws are seeded, so timings
     are the only run-to-run variation in the output.
+
+    No suite's pass contains a condition another of its conditions
+    implies.  The count formulas of the dimensions suite have alternating
+    sum 0 at every size, so the reported `alternating_sum` is 0 whenever
+    the counts match.  The cohomology suite's dims (1, 1, 0, 0) come from
+    certified ranks and force them to be (n0 - 1, `expected_rank_d1`,
+    `expected_rank_d2`), so the ranks are reported, not gated again.
     """
     rng = np.random.default_rng(SEED)
     c = cx.counts
@@ -132,7 +137,7 @@ def run_verification(cx, residual=RESIDUAL_TOL, config_echo=None):
             "n3": nt * (nbar0 - 3),
         }
         got = {"n0": c.n0, "n1": c.n1, "n2": c.n2, "n3": c.n3}
-        ok = got == expected and c.alternating_sum == 0
+        ok = got == expected
         gate("dimensions", ok, f"count formulas: got {got}, expected {expected}, "
                                f"alternating sum {c.alternating_sum}")
         return {"pass": ok, "expected": expected, "got": got,
@@ -214,12 +219,11 @@ def run_verification(cx, residual=RESIDUAL_TOL, config_echo=None):
         rep = cohomology_dimensions(cx.incidence, (blocks["d0"], blocks["d1"]))
         expected_rank_d1 = c.nt * (c.nbar2 + c.nbar0 - 1)
         dims_ok = rep.dims == (1, 1, 0, 0)
-        ranks_ok = rep.ranks[1] == expected_rank_d1 and rep.ranks[2] == c.n3
         gaps_ok = all(g >= GAP_RATIO_MIN for g in rep.gap_ratios)
         m_worst = max(float(np.abs(cx.incidence.D2 @ divergence_preimage(c, m) - m).max()
                             / np.abs(m).max()) for m in rng.standard_normal((10, c.n3)))
         preimage_ok = m_worst <= PREIMAGE_TOL
-        ok = not rep.failures and dims_ok and ranks_ok and gaps_ok and preimage_ok
+        ok = not rep.failures and dims_ok and gaps_ok and preimage_ok
         gate("cohomology", ok, "; ".join(
             rep.failures + [f"dims {rep.dims}, ranks {rep.ranks} (D1 expected {expected_rank_d1}, "
                             f"D2 expected {c.n3}), gaps {rep.gap_ratios}, preimage {m_worst:.3e}"]))

@@ -127,15 +127,21 @@ def test_echelon_rank_of_zero_rows_and_empty_matrices_is_zero(shape, reverse):
         assert count == 0 and pivots.size == 0
 
 
+def _shift_triplet(n, steps):
+    """The circulant that moves every joint `steps` joints on, as a triplet."""
+    return np.arange(n), (np.arange(n) + steps) % n, np.ones(n)
+
+
 @st.composite
 def _lift_terms(draw):
     """nt, a joint block shape and kron_lift terms: C the identity, its
-    negative or the periodic stencil Dt, B a few entries (repeats, zeros
-    and none at all included) placed at a random offset in the block."""
+    negative, the periodic stencil Dt or the two-step shift S^2, B a few
+    entries (repeats, zeros and none at all included) placed at a random
+    offset in the block."""
     nt = draw(st.integers(3, 6), label="nt")
     shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 4)), label="block shape")
     circulants = {"I": eye_triplet(nt), "-I": eye_triplet(nt, -1.0),
-                  "Dt": difference_triplet(nt, True)}
+                  "Dt": difference_triplet(nt, True), "S2": _shift_triplet(nt, 2)}
     terms = []
     for _ in range(draw(st.integers(1, 4), label="terms")):
         c = circulants[draw(st.sampled_from(sorted(circulants)), label="C")]
@@ -164,6 +170,13 @@ def _assert_canonical(matrix):
 @example(case=(3, (2, 2), [(difference_triplet(3, True),
                             (np.array([0, 1, 1, 1]), np.array([1, 0, 1, 0]),
                              np.array([1.0, 2.0, 3.0, -2.0])), 0, 0)]))
+# nt = 3 with S^2 next to I: the entries of joints 1 and 2 both wrap, so
+# two joints are sorted again
+@example(case=(3, (2, 3), [(_shift_triplet(3, 2),
+                            (np.array([0, 1, 1]), np.array([2, 0, 1]),
+                             np.array([1.0, -2.0, 0.5])), 0, 0),
+                           (eye_triplet(3), (np.array([0, 1]), np.array([0, 2]),
+                                             np.array([3.0, 1.0])), 0, 0)]))
 def test_kron_lift_matches_the_coo_reference(case):
     nt, shape, terms = case
     got, ref = kron_lift(nt, shape, terms), kron_lift_reference(nt, shape, terms)

@@ -1,0 +1,85 @@
+"""The fault injection of the negative controls, and the implications that
+keep each verification suite's pass free of a condition another implies."""
+
+import numpy as np
+import pytest
+
+import polar_derham as pd
+from polar_derham.verification import inject_row_drop, run_verification
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+PARTS = ("spec", "tensor", "extraction", "incidence", "polar_map", "geometry_map")
+
+
+@pytest.mark.parametrize("name,row,owner", [("E100", 1, "extraction"), ("D1", 5, "incidence")])
+def test_row_drop_patches_a_copy_that_shares_every_other_part(complex_cache, name, row, owner):
+    cx = complex_cache(dims=(4, 4, 3))
+    family = getattr(cx, owner)
+    before = {part: getattr(cx, part) for part in PARTS}
+    matrix = getattr(family, name)
+    stored = [np.array(a) for a in (matrix.data, matrix.indices, matrix.indptr)]
+    bad = inject_row_drop(cx, name, row)
+    # the input complex keeps every part and every byte of the matrix
+    assert all(getattr(cx, part) is before[part] for part in PARTS)
+    assert getattr(family, name) is matrix
+    assert all(map(np.array_equal, (matrix.data, matrix.indices, matrix.indptr), stored))
+    # the copy shares every part but the patched family, and in that family
+    # every matrix but the patched one
+    assert all(getattr(bad, part) is before[part] for part in PARTS if part != owner)
+    patched = getattr(bad, owner)
+    assert patched is not family
+    names = ("D0", "D1", "D2") if owner == "incidence" else family.names()
+    assert all(getattr(patched, other) is getattr(family, other)
+               for other in names if other != name)
+    # the patched matrix differs from the input in the dropped row alone
+    dropped = getattr(patched, name)
+    assert not dropped[[row - 1]].count_nonzero() and matrix[[row - 1]].count_nonzero()
+    kept = [r for r in range(matrix.shape[0]) if r != row - 1]
+    assert not (dropped - matrix)[kept].count_nonzero()
+
+
+def _assert_no_suite_restates_an_implied_condition(report):
+    """The count formulas sum to zero alternately, and dims (1, 1, 0, 0)
+    force the ranks the cohomology suite expects."""
+    expected = report.suites["dimensions"]["expected"]
+    assert expected["n0"] - expected["n1"] + expected["n2"] - expected["n3"] == 0
+    cohomology = report.suites["cohomology"]
+    if cohomology.get("dims") == [1, 1, 0, 0]:
+        n0 = report.dims["reduced_dims"][0]
+        assert cohomology["ranks"] == [n0 - 1, cohomology["expected_rank_d1"],
+                                       cohomology["expected_rank_d2"]]
+
+
+# the verify cases of the build-verify benchmark workload, its two negative
+# controls included
+BUILD_VERIFY_CASES = [((2, 2, 2), (4, 4, 3), None), ((2, 2, 2), (5, 6, 4), None),
+                      ((2, 2, 2), (7, 7, 5), None), ((3, 3, 3), (7, 7, 5), None),
+                      ((2, 2, 2), (8, 8, 6), None), ((2, 2, 2), (4, 4, 3), "perturb-ebar"),
+                      ((2, 2, 2), (4, 4, 3), "drop-row")]
+
+
+@pytest.mark.parametrize("degrees,dims,control", BUILD_VERIFY_CASES)
+def test_dropped_gates_are_implied_on_the_build_verify_cases(degrees, dims, control):
+    spec = pd.TorusComplexSpec(degrees=degrees, dims=dims)
+    cx = pd.build_complex(spec, ebar_perturbation=1e-3 if control == "perturb-ebar" else 0.0)
+    if control == "drop-row":
+        cx = inject_row_drop(cx, "D1", 5)
+    report = run_verification(cx)
+    if control is None:
+        # the implication is not vacuous on the clean complexes
+        assert report.suites["cohomology"]["dims"] == [1, 1, 0, 0]
+    _assert_no_suite_restates_an_implied_condition(report)
+
+
+@settings(max_examples=20, deadline=None)
+@given(degrees=st.tuples(*[st.integers(2, 4)] * 3), data=st.data())
+def test_dropped_gates_are_implied_over_the_size_floor_domain(degrees, data):
+    # from the size floors of the degrees (check_size_floors) up to (10, 10, 7)
+    floors = (max(3, degrees[0] - 1), max(4, degrees[1] + 1), max(3, degrees[2] - 1))
+    dims = tuple(data.draw(st.integers(lo, hi), label="dims")
+                 for lo, hi in zip(floors, (10, 10, 7)))
+    report = run_verification(pd.build_complex(pd.TorusComplexSpec(degrees=degrees, dims=dims)))
+    assert report.suites["cohomology"]["dims"] == [1, 1, 0, 0]
+    _assert_no_suite_restates_an_implied_condition(report)
