@@ -25,6 +25,7 @@ __all__ = [
     "difference_matrix",
     "index_dtype",
     "csr_arrays",
+    "csr_from_keys",
     "csr_from_triplet",
     "triplet",
     "periodic_h0",
@@ -198,20 +199,28 @@ def csr_arrays(keys, vals, shape):
         start = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
         keys, vals = keys[start], np.add.reduceat(vals, start)
     keep = vals != 0
-    row, col = np.divmod(keys[keep], shape[1])
-    idx = index_dtype(shape, row.size)
-    indptr = np.zeros(shape[0] + 1, dtype=idx)
-    np.cumsum(np.bincount(row, minlength=shape[0]), out=indptr[1:])
-    return vals[keep], col.astype(idx), indptr
+    if not keep.all():
+        keys = keys[keep]
+    idx = index_dtype(shape, keys.size)
+    # the keys ascend, so row r starts at the first key >= r * cols
+    indptr = np.searchsorted(keys, np.arange(shape[0] + 1, dtype=np.int64) * shape[1])
+    col = np.remainder(keys, shape[1], out=np.empty(keys.size, idx), casting="unsafe")
+    return vals[keep], col, indptr.astype(idx)
 
 
-def csr_from_triplet(entries, shape):
-    """(rows, cols, vals) as a CSR matrix, by :func:`csr_arrays`."""
-    rows, cols, vals = entries
-    keys = np.asarray(rows, np.int64) * shape[1] + np.asarray(cols, np.int64)
+def csr_from_keys(keys, vals, shape):
+    """The entries `vals` at the int64 keys ``row * cols + col`` as a CSR
+    matrix, by :func:`csr_arrays`."""
     mat = sparse.csr_array(csr_arrays(keys, vals, shape), shape=shape)
     mat.has_canonical_format = True
     return mat
+
+
+def csr_from_triplet(entries, shape):
+    """(rows, cols, vals) as a CSR matrix, by :func:`csr_from_keys`."""
+    rows, cols, vals = entries
+    return csr_from_keys(np.asarray(rows, np.int64) * shape[1] + np.asarray(cols, np.int64),
+                         vals, shape)
 
 
 def triplet(matrix):

@@ -15,7 +15,7 @@ import numpy as np
 from .extraction import polar_counts
 from .geometry import RHO_BAR_MAX, S_MIN_FACTOR, check_singularity_floor
 from .iotools import (
-    ComplexConfig, csv_text, load_raw_config, read_coefficients, write_bundle, write_triplet,
+    ComplexConfig, load_raw_config, read_coefficients, write_bundle, write_csv, write_triplet,
 )
 from .torus import TorusComplexSpec, build_complex
 from .verification import RESIDUAL_TOL, inject_row_drop, run_verification
@@ -142,12 +142,12 @@ def cmd_sample(args):
     xyz, values = cx.pushforward(coeffs, points, level=level)
     table = np.column_stack([points, xyz, values])
     header = "r,s,t,x,y,z," + ("v1,v2,v3" if level in (1, 2) else "v1")
-    text = csv_text(header, table)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        with open(args.out, "w") as handle:
+            write_csv(handle, header, table)
         print(f"{len(table)} samples written to {args.out}")
     else:
-        print(text)
+        write_csv(sys.stdout, header, table)
     return 0
 
 

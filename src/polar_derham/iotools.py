@@ -5,6 +5,11 @@ header, then 1-based "i j value" lines in row-major order) so that a
 build -> export -> import round trip is bit-identical; sampled fields as
 CSV and field coefficients as one value per line; configs and reports
 are JSON.
+
+Number text takes bounded memory whatever the size of the file: every
+writer formats and writes runs of `_CHUNK` rows, and `read_triplet`
+counts and parses the open file, never a copy of its text, so that
+reading peaks at a few times the CSR matrix it returns.
 """
 
 import io
@@ -16,13 +21,14 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .bsplines import csr_from_triplet, triplet
+from .bsplines import csr_from_keys, csr_from_triplet, triplet
 from .tensor import dims_of_distinct_knots, distinct_knot_counts
 from .torus import TorusComplexSpec
 
 __all__ = [
     "ComplexConfig",
     "csv_text",
+    "write_csv",
     "read_coefficients",
     "write_triplet",
     "read_triplet",
@@ -133,8 +139,11 @@ class ComplexConfig:
 
 # ============================== number text ==================================
 # Matrix entries, sampled values and field coefficients are float64 in
-# text: written as their shortest round-tripping repr, read by one
-# np.loadtxt per file.
+# text, written as their shortest round-tripping repr, a run of _CHUNK rows
+# at a time; a matrix file is read by one np.loadtxt on the open file.
+
+_CHUNK = 4096  # rows per formatted run
+_READ_CHARS = 1 << 20  # characters per read while counting a triplet file's lines
 
 _ENTRIES = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
@@ -149,20 +158,36 @@ def _repr_tokens(values):
     return tokens[which].tolist()
 
 
+def _runs(line, n, fields, sep=""):
+    """The text ``sep.join(line % row for row in rows)`` of `n` rows, as
+    consecutive pieces of at most _CHUNK rows; ``fields(start, stop)``
+    lists the fields of rows start..stop-1, row after row."""
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        text = sep.join([line] * (stop - start)) % tuple(fields(start, stop))
+        yield sep + text if start else text
+
+
+def _table_runs(line, table, sep):
+    """:func:`_runs` over the rows of the 2-D array `table`, each value its
+    `repr` token."""
+    return _runs(line, len(table), lambda start, stop: _repr_tokens(table[start:stop]), sep)
+
+
 def csv_text(header, table):
     """The header line, then one line per row of the 2-D array `table`:
-    its values' `repr` tokens, comma-separated, formatted in one pass."""
-    rows, cols = table.shape
-    line = ",".join(["%s"] * cols)
-    return f"{header}\n" + "\n".join([line] * rows) % tuple(_repr_tokens(table))
+    its values' `repr` tokens, comma-separated."""
+    stream = io.StringIO()
+    write_csv(stream, header, table)
+    return stream.getvalue()[:-1]
 
 
-def _net_text(points):
-    """The (m, 3) array `points` as the JSON list ``[[x, y, z], ...]``,
-    each value its `repr` token, formatted in one pass."""
-    rows, cols = points.shape
-    row = "[" + ", ".join(["%s"] * cols) + "]"
-    return "[" + ", ".join([row] * rows) % tuple(_repr_tokens(points)) + "]"
+def write_csv(stream, header, table):
+    """Write :func:`csv_text` and a final newline to the text `stream`, a
+    run of rows at a time."""
+    stream.write(f"{header}\n")
+    stream.writelines(_table_runs(",".join(["%s"] * table.shape[1]), table, "\n"))
+    stream.write("\n")
 
 
 def read_coefficients(path):
@@ -183,58 +208,120 @@ def read_coefficients(path):
     return values
 
 
+def _is_canonical(matrix):
+    """Whether `matrix` is float64 CSR with sorted, distinct and nonzero
+    entries: the form `write_triplet` writes, needing no copy."""
+    return (sparse.issparse(matrix) and matrix.format == "csr"
+            and matrix.dtype == np.float64 and matrix.has_canonical_format
+            and bool((matrix.data != 0).all()))
+
+
 def write_triplet(path, matrix):
     """Write a sparse matrix as 1-based row-major coordinate triplets, each
-    value as the `repr` of its float64; the body is formatted in one pass
-    over all entries."""
-    rows, cols, vals = triplet(csr_from_triplet(triplet(matrix), matrix.shape))
-    fields = [None] * (3 * vals.size)
-    fields[0::3] = (rows + 1).tolist()
-    fields[1::3] = (cols + 1).tolist()
-    fields[2::3] = _repr_tokens(vals)
-    body = ("%d %d %s\n" * vals.size) % tuple(fields)
-    Path(path).write_text(f"{matrix.shape[0]} {matrix.shape[1]} {vals.size}\n" + body)
+    value as the `repr` of its float64; duplicates are summed and stored
+    zeros dropped first."""
+    if not _is_canonical(matrix):
+        matrix = csr_from_triplet(triplet(matrix), matrix.shape)
+    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
+
+    def fields(start, stop):
+        # the 1-based rows of the first and the last entry, and each row's
+        # entries among start..stop-1
+        first, last = np.searchsorted(indptr, [start, stop - 1], side="right")
+        counts = np.diff(np.clip(indptr[first - 1:last + 1], start, stop))
+        out = [None] * (3 * (stop - start))
+        out[0::3] = np.repeat(np.arange(first, last + 1), counts).tolist()
+        out[1::3] = (indices[start:stop] + 1).tolist()
+        out[2::3] = _repr_tokens(data[start:stop])
+        return out
+
+    with open(path, "w") as handle:
+        handle.write(f"{matrix.shape[0]} {matrix.shape[1]} {data.size}\n")
+        handle.writelines(_runs("%d %d %s\n", data.size, fields))
+
+
+def _first_malformed_line(text):
+    """The first line of the open file `text` without three tokens, or
+    None; blank lines after the last token do not count, nor does that
+    line's trailing whitespace."""
+    lines = (line for run in text for line in run.splitlines())
+    blank = None
+    for line in lines:
+        tokens = len(line.split())
+        if tokens and blank is not None:
+            return blank
+        if not tokens:
+            blank = line if blank is None else blank
+        elif tokens != 3:
+            return line if any(rest.strip() for rest in lines) else line.rstrip()
+    return None
 
 
 def read_triplet(path):
     """Read a triplet file back into a float64 CSR matrix (duplicates are
     summed).
 
-    The lines are parsed once, as int64 indices and float64 values;
-    loadtxt rejects a line without three fields, and with `comments=None`
-    a `#` line is malformed. numpy 1.23 to 1.26 parse a float token into
-    an integer field by truncating it with a DeprecationWarning; raised as
-    an error, that warning makes them reject the token as later numpy
-    does."""
-    text = Path(path).read_text().strip()
-    if not text:
-        raise ValueError(f"{path}: empty triplet file")
-    header, _, body = text.partition("\n")
-    try:
-        rows, cols, nnz = map(int, header.split())
-    except ValueError:
-        raise ValueError(f"{path}: malformed header {header!r}") from None
-    if min(rows, cols, nnz) < 0:
-        raise ValueError(f"{path}: malformed header {header!r}")
-    found = body.count("\n") + 1 if body else 0
-    if found != nnz:
-        raise ValueError(f"{path}: header declares {nnz} entries, found {found}")
-    if not nnz:
-        return sparse.csr_array((rows, cols), dtype=np.float64)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            entries = np.loadtxt(io.StringIO(body), dtype=_ENTRIES, comments=None, ndmin=1)
-        if len(entries) != nnz:  # loadtxt skips blank lines
-            raise ValueError("blank triplet line")
-    except ValueError as exc:
-        bad = [line for line in body.splitlines() if len(line.split()) != 3]
-        reason = f"malformed triplet line {bad[0]!r}" if bad else exc
-        raise ValueError(f"{path}: {reason}") from None
-    for axis, index, size in (("row", entries["i"], rows), ("column", entries["j"], cols)):
+    Blank lines before the header and after the last entry aside, the
+    header must declare as many entries as the file has lines; a first
+    pass over the open file counts them, a run of characters at a time.
+    The lines are then parsed once from the open file, as int64 indices
+    and float64 values; loadtxt rejects a line without three fields, and
+    with `comments=None` a `#` line is malformed. numpy 1.23 to 1.26 parse
+    a float token into an integer field by truncating it with a
+    DeprecationWarning; raised as an error, that warning makes them reject
+    the token as later numpy does. Every error names the file."""
+    with open(path, encoding="utf-8") as text:
+        try:
+            header = text.readline()
+            while header and not header.strip():
+                header = text.readline()
+            body = text.tell()
+            newlines = trailing = 0  # the body's newlines; those after its last token
+            blank = True
+            while chunk := text.read(_READ_CHARS):
+                tokens = chunk.rstrip()
+                newlines += chunk.count("\n")
+                trailing = (trailing if not tokens else 0) + chunk.count("\n", len(tokens))
+                blank = blank and not tokens
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        if not header:
+            raise ValueError(f"{path}: empty triplet file")
+        header = header.strip() if blank else header.lstrip().removesuffix("\n")
+        try:
+            rows, cols, nnz = map(int, header.split())
+        except ValueError:
+            raise ValueError(f"{path}: malformed header {header!r}") from None
+        if min(rows, cols, nnz) < 0:
+            raise ValueError(f"{path}: malformed header {header!r}")
+        found = 0 if blank else newlines - trailing + 1
+        if found != nnz:
+            raise ValueError(f"{path}: header declares {nnz} entries, found {found}")
+        if not nnz:
+            return sparse.csr_array((rows, cols), dtype=np.float64)
+        text.seek(body)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                entries = np.loadtxt(text, dtype=_ENTRIES, comments=None, ndmin=1)
+            if len(entries) != nnz:  # loadtxt skips blank lines
+                raise ValueError("blank triplet line")
+        except ValueError as exc:
+            if not isinstance(exc, UnicodeDecodeError):
+                text.seek(body)
+                bad = _first_malformed_line(text)
+                exc = f"malformed triplet line {bad!r}" if bad is not None else exc
+            raise ValueError(f"{path}: {exc}") from None
+    keys, col = entries["i"], entries["j"]
+    for axis, index, size in (("row", keys, rows), ("column", col, cols)):
         if not (index.min() >= 1 and index.max() <= size):
             raise ValueError(f"{path}: {axis} index outside 1..{size}")
-    return csr_from_triplet((entries["i"] - 1, entries["j"] - 1, entries["v"]), (rows, cols))
+    # (i - 1) * cols + (j - 1), formed in the row field
+    keys -= 1
+    keys *= cols
+    keys += col
+    keys -= 1
+    return csr_from_keys(keys, entries["v"], (rows, cols))
 
 
 # ============================== bundles ======================================
@@ -253,7 +340,11 @@ def write_bundle(out_dir, cx, config):
         "control_net_G.json": cx.geometry_map.reduced_control_points,
     }
     for fname, pts in nets.items():
-        (out / fname).write_text(_net_text(pts) + "\n")
+        # the JSON list [[x, y, z], ...], each value its repr token
+        with open(out / fname, "w") as handle:
+            handle.write("[")
+            handle.writelines(_table_runs("[%s, %s, %s]", pts, ", "))
+            handle.write("]\n")
     return out
 
 
@@ -264,8 +355,11 @@ def load_raw_config(path):
         p = p / "config.json"
     if not p.exists():
         raise FileNotFoundError(f"no config found at {p}")
-    with open(p) as handle:
-        raw = json.load(handle)
+    try:
+        with open(p, encoding="utf-8") as handle:
+            raw = json.load(handle)
+    except ValueError as exc:  # a JSON or a decode error
+        raise ValueError(f"{p}: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{p}: config must be a JSON object")
     return raw

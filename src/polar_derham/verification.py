@@ -92,7 +92,8 @@ class VerificationReport:
     failures: list = field(default_factory=list)
 
     def to_dict(self):
-        return dataclasses.asdict(self)
+        """The fields as a dict; its values are the report's own."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
 def _timed(timings, name, fn):

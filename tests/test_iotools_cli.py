@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,13 +15,18 @@ from polar_derham.cli import main
 from polar_derham.geometry import S_MIN_FACTOR
 from polar_derham.verification import SCHEMA_VERSION
 from polar_derham.iotools import (
+    _CHUNK,
     ComplexConfig,
     csv_text,
     load_raw_config,
     read_triplet,
     write_bundle,
+    write_csv,
     write_triplet,
 )
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
 
 # ------------------------------- config ----------------------------------------
@@ -167,6 +173,25 @@ class TestTripletParser:
         with pytest.raises(ValueError, match="m.txt"):
             read_triplet(path)
 
+    @pytest.mark.parametrize("data", [b"2 2 1\n1 1 \xff\n", b"2 \xff2 1\n1 1 1\n",
+                                      b"2 2 1\n1 1 1\n\xc3"],
+                             ids=["in-an-entry", "in-the-header", "at-the-end"])
+    def test_undecodable_byte_names_the_file(self, tmp_path, data):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="bad.txt: 'utf-8' codec can't decode"):
+            read_triplet(path)
+
+    def test_decode_error_inside_loadtxt_names_the_file(self, tmp_path, monkeypatch):
+        def undecodable(fname, dtype, **kwargs):
+            raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+        monkeypatch.setattr(np, "loadtxt", undecodable)
+        path = tmp_path / "m.txt"
+        path.write_text("2 2 1\n1 1 1\n")
+        with pytest.raises(ValueError, match="m.txt: 'utf-8' codec can't decode"):
+            read_triplet(path)
+
     def test_duplicates_summed_into_csr(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("2 2 3\n2 1 1\n1 2 2\n2 1 5\n")
@@ -241,6 +266,161 @@ def test_triplet_round_trip_at_scale(tmp_path):
         assert np.array_equal(again.indptr, expected.indptr), name
         assert np.array_equal(again.indices, expected.indices), name
         assert again.data.tobytes() == expected.data.tobytes(), name
+
+
+def _straddling_matrix(nnz, kind):
+    """A matrix whose canonical form has `nnz` entries, 7 to a row, so that
+    rows straddle the writer's runs; `kind` names its storage: float64
+    CSR, float32 or integer data, or COO with split duplicates and stored
+    zeros."""
+    rng = np.random.default_rng(nnz)
+    at = np.arange(nnz)
+    rows, cols = at // 7, (at % 7) * 3 + (at // 7) % 3
+    shape = (rows[-1] + 2, 24)
+    if kind in ("int64", "int32"):
+        vals = rng.integers(1, 1000, nnz) * rng.choice([-1, 1], nnz)
+        vals[nnz // 2] = 2**30
+        return sparse.csr_array((vals.astype(kind), (rows, cols)), shape=shape)
+    vals = rng.standard_normal(nnz)
+    vals[::5] = 0.25 * rng.integers(1, 9, vals[::5].size)  # values that repeat
+    if kind == "float32":
+        return sparse.csr_array((vals.astype(np.float32), (rows, cols)), shape=shape)
+    if kind == "duplicates-and-zeros":
+        # every third entry stored as two summands, v - 0.5 and 0.5, and a
+        # stored zero in each row's last column
+        split = at[::3]
+        zeros = np.arange(rows[-1] + 1)
+        return sparse.coo_array(
+            (np.concatenate([vals - 0.5 * (at % 3 == 0), np.full(split.size, 0.5),
+                             np.zeros(zeros.size)]),
+             (np.concatenate([rows, rows[split], zeros]),
+              np.concatenate([cols, cols[split], np.full(zeros.size, 23)]))), shape=shape)
+    return sparse.csr_array((vals, (rows, cols)), shape=shape)
+
+
+@pytest.mark.parametrize("nnz", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1],
+                         ids=["C-1", "C", "C+1", "2C+1"])
+@pytest.mark.parametrize("kind", ["float64", "float32", "int64", "int32",
+                                  "duplicates-and-zeros"])
+def test_write_matches_per_entry_oracle_across_runs(tmp_path, kind, nnz):
+    matrix = _straddling_matrix(nnz, kind)
+    text = _per_entry_triplet_text(matrix)
+    assert text.count("\n") == nnz + 1
+    path = tmp_path / "m.txt"
+    write_triplet(path, matrix)
+    assert path.read_text() == text
+    again = read_triplet(path)
+    write_triplet(path, again)
+    assert path.read_text() == text
+
+
+def test_csv_matches_per_row_oracle_across_runs():
+    table = np.random.default_rng(3).standard_normal((2 * _CHUNK + 1, 4))
+    table[::7, 0] = -0.0
+    expected = _per_row_csv_text("a,b,c,d", table)
+    assert csv_text("a,b,c,d", table) == expected
+    stream = io.StringIO()
+    write_csv(stream, "a,b,c,d", table)
+    assert stream.getvalue() == expected + "\n"
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+# D1 at (32,32,16): 185,984 entries, a 2.9 MB file. Formatting every entry
+# at once peaked at 28 MB, and parsing a copy of the text at 9.5x the CSR
+# it returns.
+
+def test_write_triplet_memory_is_bounded(tmp_path, complex_cache):
+    matrix = complex_cache(dims=(32, 32, 16)).incidence.D1
+    _, peak = _traced_peak(write_triplet, tmp_path / "D1.txt", matrix)
+    assert peak <= 1e6, peak
+
+
+def test_read_triplet_memory_is_bounded(tmp_path, complex_cache):
+    matrix = complex_cache(dims=(32, 32, 16)).incidence.D1
+    path = tmp_path / "D1.txt"
+    write_triplet(path, matrix)
+    again, peak = _traced_peak(read_triplet, path)
+    stored = again.data.nbytes + again.indices.nbytes + again.indptr.nbytes
+    assert peak <= 5 * stored, (peak, stored)
+    assert (again != matrix).nnz == 0
+
+
+_VALID_LINES = ["3 4 5", "1 1 0.5", "1 3 -2.0", "2 2 1e-300", "3 1 7.0", "3 4 nan"]
+_VALID = sparse.csr_array(([0.5, -2.0, 1e-300, 7.0, np.nan], ([0, 0, 1, 2, 2], [0, 2, 1, 0, 3])),
+                          shape=(3, 4))
+_PADDING = st.sampled_from(["", " ", "\t", " \t "])
+
+
+@st.composite
+def _mutated_triplet_files(draw):
+    """A valid triplet file's lines under up to four random edits, joined
+    by LF or CRLF, with whitespace at either end, and maybe one byte that
+    is not UTF-8."""
+    lines = list(_VALID_LINES)
+    for _ in range(draw(st.integers(1, 4))):
+        edit = draw(st.sampled_from(["drop", "duplicate", "blank", "pad", "comment",
+                                     "float-index", "extra-field"]))
+        at = draw(st.integers(0, len(lines)))
+        if edit == "blank":
+            lines.insert(at, draw(_PADDING))
+        elif at == len(lines):
+            continue
+        elif edit == "drop":
+            del lines[at]
+        elif edit == "duplicate":
+            lines.insert(at, lines[at])
+        elif edit == "pad":
+            lines[at] = draw(_PADDING) + lines[at] + draw(_PADDING)
+        elif edit == "comment":
+            lines[at] = "#" + lines[at]
+        elif edit == "float-index":
+            lines[at] = lines[at].replace("1", "1.5", 1)
+        else:
+            lines[at] += " 9"
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = draw(_PADDING) + newline.join(lines) + draw(st.sampled_from(["", newline]))
+    data = (text + draw(_PADDING)).encode()
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xe9"])) + data[at:]
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_mutated_triplet_files())
+def test_read_triplet_fuzz_gives_a_matrix_or_names_the_file(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "m.txt"
+    path.write_bytes(data)
+    try:
+        matrix = read_triplet(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
+        return
+    assert matrix.format == "csr" and matrix.dtype == np.float64
+
+
+@settings(max_examples=100, deadline=None)
+@given(newline=st.sampled_from(["\n", "\r\n"]), pads=st.lists(_PADDING, min_size=8, max_size=8),
+       blank_ends=st.tuples(st.integers(0, 2), st.integers(0, 2)))
+def test_read_triplet_ignores_layout_whitespace(tmp_path_factory, newline, pads, blank_ends):
+    # line endings, whitespace around the fields and blank lines before the
+    # header or after the last entry do not change the matrix
+    lines = [pads[k] + line + pads[k + 1] for k, line in enumerate(_VALID_LINES)]
+    lines = [""] * blank_ends[0] + lines + [""] * blank_ends[1]
+    path = tmp_path_factory.mktemp("layout") / "m.txt"
+    path.write_bytes((newline.join(lines) + newline).encode())
+    matrix = read_triplet(path)
+    assert matrix.shape == _VALID.shape
+    assert np.array_equal(matrix.toarray(), _VALID.toarray(), equal_nan=True)
 
 
 def _per_row_csv_text(header, table):
@@ -626,6 +806,14 @@ class TestCli:
         assert main(["build", "--config", str(cfg)]) == 2
         assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "polar_derham_bundle").exists()
+
+    @pytest.mark.parametrize("data", [b"", b'{"degrees": [2, 2, 2], \xff}'],
+                             ids=["empty", "not-utf-8"])
+    def test_unreadable_config_names_the_file(self, data, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(data)
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert f"error: {cfg}: " in capsys.readouterr().err
 
     def test_retired_rank_tol_key_is_a_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

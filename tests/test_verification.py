@@ -1,5 +1,9 @@
 """The fault injection of the negative controls, and the implications that
-keep each verification suite's pass free of a condition another implies."""
+keep each verification suite's pass free of a condition another implies,
+and the report's dict."""
+
+import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -83,3 +87,14 @@ def test_dropped_gates_are_implied_over_the_size_floor_domain(degrees, data):
     report = run_verification(pd.build_complex(pd.TorusComplexSpec(degrees=degrees, dims=dims)))
     assert report.suites["cohomology"]["dims"] == [1, 1, 0, 0]
     _assert_no_suite_restates_an_implied_condition(report)
+
+
+@pytest.mark.parametrize("dims", [(4, 4, 3), (8, 8, 6)])
+def test_report_dict_holds_the_reports_own_values(complex_cache, dims):
+    # no deep copy: the dict's values are the report's fields, and its JSON
+    # is the deep copy's
+    report = run_verification(complex_cache(dims=dims))
+    payload = report.to_dict()
+    assert list(payload) == [f.name for f in dataclasses.fields(report)]
+    assert all(payload[name] is getattr(report, name) for name in payload)
+    assert json.dumps(payload, indent=2) == json.dumps(dataclasses.asdict(report), indent=2)
