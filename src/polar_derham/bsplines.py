@@ -505,12 +505,13 @@ class DtaDiagnostic:
 DTA_TOL = 1e-12
 
 
-def dta_diagnostic(matrix, rank):
-    """Check full rank, unit column sums and non-negativity of `matrix`
-    of the given `rank`, to within DTA_TOL.
+def dta_diagnostic(matrix, rank, joints=1):
+    """Check full rank, unit column sums and non-negativity of the circle
+    lift ``I (x) matrix`` over `joints` joints, `rank` the rank of one
+    `matrix`, to within DTA_TOL.
 
     Column sums, the minimum entry and the row supports come from the
-    stored entries in row order, so they equal those of the dense matrix
+    stored entries in row order, so they equal those of the dense lift
     summed row by row.  Row support sizes are recorded in the diagnostic
     but DTA compatibility itself only constrains them through sparsity,
     not a hard bound.
@@ -520,12 +521,13 @@ def dta_diagnostic(matrix, rank):
     rows = triplet(M)[0]
     col_err = float(np.abs(np.bincount(M.indices, M.data, M.shape[1]) - 1.0).max())
     min_entry = float(M.data.min(initial=np.inf))
-    if M.nnz < M.shape[0] * M.shape[1]:
+    if joints > 1 or M.nnz < M.shape[0] * M.shape[1]:
         min_entry = min(min_entry, 0.0)
     max_support = int(np.bincount(rows[np.abs(M.data) > DTA_TOL], minlength=M.shape[0]).max())
+    rank, full = joints * rank, joints * min(M.shape)
     violation = None
-    if rank != min(M.shape):
-        violation = f"rank deficient: rank {rank} < {min(M.shape)}"
+    if rank != full:
+        violation = f"rank deficient: rank {rank} < {full}"
     elif not col_err <= DTA_TOL:
         violation = f"column sums deviate from 1 by {col_err:.3e}"
     elif not min_entry >= -DTA_TOL:

@@ -17,10 +17,13 @@ from .geometry import RHO_BAR_MAX, S_MIN_FACTOR, check_singularity_floor
 from .iotools import (
     ComplexConfig, load_raw_config, read_coefficients, write_bundle, write_csv, write_triplet,
 )
-from .torus import TorusComplexSpec, build_complex
+from .torus import MATRIX_NAMES, TorusComplexSpec, build_complex
 from .verification import RESIDUAL_TOL, inject_row_drop, run_verification
 
 __all__ = ["main"]
+
+# Grid points that `sample` generates, evaluates and writes at a time.
+_SAMPLE_RUN = 4096
 
 
 def _triple(text, kind=int):
@@ -134,40 +137,46 @@ def cmd_sample(args):
     check_singularity_floor(level, smin, S)
     # every option above is checked against the counts and lengths alone
     cx = build_complex(spec)
-    rs = np.linspace(0.0, R, counts[0])
-    ss = np.linspace(smin, S, counts[1])
-    ts = np.linspace(0.0, T, counts[2])
-    t, s, r = np.meshgrid(ts, ss, rs, indexing="ij")
-    points = np.column_stack([r.ravel(), s.ravel(), t.ravel()])
-    xyz, values = cx.pushforward(coeffs, points, level=level)
-    table = np.column_stack([points, xyz, values])
+    axes = [np.linspace(0.0, R, counts[0]), np.linspace(smin, S, counts[1]),
+            np.linspace(0.0, T, counts[2])]
+    total = int(np.prod(counts))
+
+    def runs():
+        # r fastest, t slowest: grid point q is (q % nr, q // nr % ns, q // (nr ns))
+        for start in range(0, total, _SAMPLE_RUN):
+            q = np.arange(start, min(start + _SAMPLE_RUN, total))
+            points = np.column_stack([axis[index] for axis, index in zip(
+                axes, (q % counts[0], q // counts[0] % counts[1], q // (counts[0] * counts[1])))])
+            xyz, values = cx.pushforward(coeffs, points, level=level)
+            yield np.column_stack([points, xyz, values])
+
     header = "r,s,t,x,y,z," + ("v1,v2,v3" if level in (1, 2) else "v1")
     if args.out:
         with open(args.out, "w") as handle:
-            write_csv(handle, header, table)
-        print(f"{len(table)} samples written to {args.out}")
+            write_csv(handle, header, runs())
+        print(f"{total} samples written to {args.out}")
     else:
-        write_csv(sys.stdout, header, table)
+        write_csv(sys.stdout, header, runs())
     return 0
 
 
 def cmd_export(args):
     config = _resolve_config(args)
     cx = build_complex(config.to_spec())
-    available = cx.named_matrices()
     names = list(args.names)
     if any(n.upper() == "ALL" for n in names):
-        names = sorted(available)
-    unknown = [n for n in names if n not in available]
+        names = sorted(MATRIX_NAMES)
+    unknown = [n for n in names if n not in MATRIX_NAMES]
     if unknown:
         raise ValueError(
             f"unknown matrix name(s): {', '.join(unknown)}; "
-            f"available: {', '.join(sorted(available))}"
+            f"available: {', '.join(sorted(MATRIX_NAMES))}"
         )
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     for name in names:
-        write_triplet(out / f"{name}.txt", available[name])
+        # formed, written and dropped one at a time
+        write_triplet(out / f"{name}.txt", cx.named_matrix(name))
     print(f"exported {len(names)} matrices to {out}")
     return 0
 

@@ -12,13 +12,14 @@ incidence matrices lift per-joint blocks along the toroidal circle: the
 build lifts from it and the verification reads the blocks back through it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 
-from .bsplines import difference_triplet
+from .bsplines import csr_from_triplet, difference_triplet
 from .tensor import LEVEL_PATTERNS, LiftTable, cat_triplets, check_size_floors, eye_triplet
 
 __all__ = [
@@ -30,7 +31,9 @@ __all__ = [
     "polar_counts",
     "joint_blocks",
     "lift_table",
+    "ColumnTable",
     "assemble_3d",
+    "basis_entries",
     "reduced_basis_values",
 ]
 
@@ -127,6 +130,9 @@ def polar_counts(nr, ns, nt):
 
 # --------------------------- per-joint blocks -------------------------------
 
+_LABELS = ("e0", "e10", "e01", "e2")
+
+
 def joint_blocks(nr, ns, ebar):
     """The per-joint blocks e0, e10, e01 and e2 as triplets in CSR order,
     without zeros, in the shapes of :func:`lift_table`.  e0: the center
@@ -183,29 +189,54 @@ def lift_table(counts):
 
 # ----------------------------- 3D assembly ----------------------------------
 
+def _lifted(name):
+    return property(lambda self: self.matrix(name),
+                    doc=f"{name}: its override, or its circle lift, formed on each access.")
+
+
+class ColumnTable(NamedTuple):
+    """The columns that one level's tensor functions add to the reduced
+    functions, as the rows of the CSR `entries`: side by side per
+    component, component l taking ``offsets[l]`` to ``offsets[l + 1]`` of
+    one joint.
+
+    The tensor function of component l with the
+    :meth:`~polar_derham.tensor.TensorComplex.local_products` key
+    ``j * nr * ns + c`` (joint j, column c) adds the entries of row
+    ``j * joint_cols + offsets[l] + c`` at the reduced functions from
+    ``j * joint_rows`` on.  A lifted level holds one joint's block columns,
+    with the signs and row offsets of its lift table: joint_rows the
+    reduced functions of one joint, joint_cols 0.  A level with an override
+    holds its own 3D columns, joint by joint, as a single joint:
+    joint_rows 0, joint_cols the columns of one joint.
+    """
+
+    entries: sparse.csr_array
+    offsets: np.ndarray
+    joint_rows: int
+    joint_cols: int
+
+
 @dataclass(frozen=True)
 class ExtractionSet:
     """All extraction matrices of one polar complex.
 
-    The eight circle lifts of the per-joint blocks, keyed by which
-    directions carry the derivative basis, and the blocks' triplets (e0,
-    e10, e01, e2), from which the incidence matrices follow.
+    The per-joint blocks' triplets (e0, e10, e01, e2), from which the
+    incidence matrices follow, and the lift table that makes E000 to E111
+    of them: the eight circle lifts, keyed by which directions carry the
+    derivative basis.  Each is lifted when asked for and kept by nobody;
+    `overrides` (name -> matrix, empty for a built complex) holds a matrix
+    that replaces its lift, as fault injection installs it.
     """
 
     counts: PolarCounts
     ebar: EbarBlock
     joint_blocks: tuple
-    E000: sparse.csr_array
-    E100: sparse.csr_array
-    E010: sparse.csr_array
-    E001: sparse.csr_array
-    E011: sparse.csr_array
-    E101: sparse.csr_array
-    E110: sparse.csr_array
-    E111: sparse.csr_array
+    lifts: LiftTable
+    overrides: dict = field(default_factory=dict)
 
-    def level_matrices(self, level):
-        return [(pat, getattr(self, "E" + "".join(map(str, pat)))) for pat in LEVEL_PATTERNS[level]]
+    E000, E100, E010, E001, E011, E101, E110, E111 = map(
+        _lifted, ("E000", "E100", "E010", "E001", "E011", "E101", "E110", "E111"))
 
     @staticmethod
     def names():
@@ -213,37 +244,128 @@ class ExtractionSet:
         return ["E" + "".join(str(b) for b in pat)
                 for pats in LEVEL_PATTERNS.values() for pat in pats]
 
-    @cached_property
-    def _columns(self):
-        return {}
+    @property
+    def blocks(self):
+        """The per-joint blocks' triplets keyed by label."""
+        return dict(zip(_LABELS, self.joint_blocks))
+
+    def matrix(self, name):
+        """The override of E-matrix `name`, or its circle lift."""
+        if name in self.overrides:
+            return self.overrides[name]
+        return self.lifts.lift(self.blocks, (name,))[name]
+
+    def level_matrices(self, level):
+        return [(pat, self.matrix("E" + "".join(map(str, pat)))) for pat in LEVEL_PATTERNS[level]]
 
     def columns(self, level):
         """CSC form of one level's matrices side by side, ``[E_1 E_2 E_3]``,
-        built on first use and kept on this instance: column c lists the
-        reduced functions that function c of the level's tensor
-        coefficients (its components in LEVEL_PATTERNS order) contributes
-        to."""
-        cache = self._columns
-        if level not in cache:
-            cache[level] = sparse.hstack(
-                [sparse.csc_array(E) for _, E in self.level_matrices(level)], format="csc")
-        return cache[level]
+        lifted on each call: column c lists the reduced functions that
+        function c of the level's tensor coefficients (its components in
+        LEVEL_PATTERNS order) contributes to."""
+        return sparse.hstack(
+            [sparse.csc_array(E) for _, E in self.level_matrices(level)], format="csc")
+
+    @cached_property
+    def _tables(self):
+        return {}
+
+    def column_table(self, level):
+        """The level's :class:`ColumnTable`, built on first use and kept on
+        this instance: O(block nnz) for a lifted level."""
+        if level not in self._tables:
+            self._tables[level] = self._column_table(level)
+        return self._tables[level]
+
+    def _column_table(self, level):
+        c, pats = self.counts, LEVEL_PATTERNS[level]
+        names = ["E" + "".join(map(str, pat)) for pat in pats]
+        widths = [c.nr * (c.ns - pat[1]) for pat in pats]
+        offsets = np.cumsum([0] + widths)
+        if any(name in self.overrides for name in names):
+            # the 3D columns of component l, joint j sit at l's offset plus
+            # j times its width; reorder them joint by joint
+            at = np.cumsum([0] + [c.nt * w for w in widths])
+            order = np.concatenate([
+                np.arange(w) + a + j * w for j in range(c.nt) for w, a in zip(widths, at)])
+            return ColumnTable(self.columns(level).T.tocsr()[order], offsets, 0, offsets[-1])
+        parts = []
+        for name, col0 in zip(names, offsets):
+            # each E lifts one block with C = +/-I: its joint-0 entries
+            ((c_row, c_col, c_val), (rows, cols, vals), row0, _), = self.lifts.kron_terms(
+                name, self.blocks)
+            sign = c_val[(c_row == 0) & (c_col == 0)]
+            parts.append((cols + col0, rows + row0, sign * vals))
+        joint_rows = self.lifts.terms[names[0]][0][0]
+        return ColumnTable(csr_from_triplet(cat_triplets(parts), (offsets[-1], joint_rows)),
+                           offsets, joint_rows, 0)
+
+    def to_tensor(self, level, data):
+        """The tensor coefficients ``[E_1^T data; E_2^T data; ...]`` of the
+        reduced coefficients `data`: one sparse product of the level's
+        table with the joints' coefficients side by side."""
+        table, nt = self.column_table(level), self.counts.nt
+        joints = nt if table.joint_rows else 1
+        # x[row of one joint, joint]: an override's one joint holds them all
+        x = np.asarray(data, dtype=float).reshape(joints, -1).T
+        # (joints, columns of one joint)
+        y = (table.entries @ x).reshape(-1, joints).T.reshape(nt, -1)
+        stops = table.offsets
+        out = np.empty(nt * stops[-1])
+        for a, b in zip(stops, stops[1:]):
+            out[nt * a:nt * b].reshape(nt, b - a)[...] = y[:, a:b]
+        return out
 
 
 def assemble_3d(nr, ns, nt, ebar=None):
-    """Assemble the eight extraction matrices for n_t joints, lifted from
-    the per-joint blocks as :func:`lift_table` states."""
+    """The extraction set of n_t joints: its per-joint blocks and the lift
+    table that :func:`lift_table` states, no matrix lifted."""
     counts = polar_counts(nr, ns, nt)
     ebar = ebar_block(nr) if ebar is None else ebar
-    blocks = joint_blocks(nr, ns, ebar)
-    lifts = lift_table(counts).lift(dict(zip(("e0", "e10", "e01", "e2"), blocks)),
-                                    ExtractionSet.names())
-    return ExtractionSet(counts=counts, ebar=ebar, joint_blocks=blocks, **lifts)
+    return ExtractionSet(counts=counts, ebar=ebar, joint_blocks=joint_blocks(nr, ns, ebar),
+                         lifts=lift_table(counts))
 
 
 # --------------------------- basis evaluation -------------------------------
 
-def reduced_basis_values(extraction, tensor, level, point, coeffs=None):
+def _gather(table, products, stride):
+    """The entries (slot, reduced function, weight) of the products'
+    contributions through `table`: slot ``component * m + point``, in the
+    order of the (K, k, m) `products` (keys, values), and of each column's
+    entries.  `stride` is the keys' joint stride, nr * ns.  Padding slots,
+    and functions that vanish at the point, add nothing."""
+    keys, vals = products
+    k, m = keys.shape[1:]
+    vals = vals.ravel()
+    live = np.flatnonzero(vals)
+    # keys, entry and slot are int64 from here, whatever the index dtypes
+    keys, vals = keys.ravel()[live].astype(np.int64), vals[live]
+    joints = keys // stride
+    # joint * joint_cols + offset + column: the key minus its joint's
+    # stride, less the joint's columns in an override's table
+    flat = keys - joints * (stride - table.joint_cols) + table.offsets[live // m % k]
+    entries = table.entries
+    start = entries.indptr[flat]
+    count = entries.indptr[flat + 1] - start
+    entry = np.repeat(np.arange(live.size), count)
+    pos = np.arange(entry.size) + (start - (np.cumsum(count) - count))[entry]
+    rows = entries.indices[pos]
+    if table.joint_rows:
+        rows = rows + (joints * table.joint_rows)[entry]
+    return live[entry] % (k * m), rows, entries.data[pos] * vals[entry]
+
+
+def basis_entries(extraction, tensor, level, point):
+    """The gathered entries of every reduced basis function of one level
+    at the points, unsummed: (slot, function, weight) arrays, slot
+    ``component * m + point``; the function's value at the point is the
+    sum of its weights there, and every function without an entry is 0."""
+    factors = tensor.local_factors(point)
+    return _gather(extraction.column_table(level), tensor.local_level_basis(level, factors),
+                   tensor.nr * tensor.ns)
+
+
+def reduced_basis_values(extraction, tensor, level, point, coeffs=None, products=None):
     """Values of every reduced basis function of one level, or of a field.
 
     `point` is one (r, s, t) point or an (m, 3) array of points.  Without
@@ -251,15 +373,16 @@ def reduced_basis_values(extraction, tensor, level, point, coeffs=None):
     the scalar levels 0 and 3 and (n_level, 3) for the vector levels 1
     and 2, with a leading m axis for a batch.  With a length-n_level
     `coeffs` it holds the field ``sum_l coeffs[l] * phi_l``: a scalar or
-    (3,), with a leading m axis for a batch.
+    (3,), with a leading m axis for a batch.  `products` are the level's
+    :meth:`~polar_derham.tensor.TensorComplex.local_level_basis` at the
+    points, when the caller has formed them.
 
     The tensor functions nonzero at each point, for all of the level's
-    components at once, select their columns of :meth:`ExtractionSet.columns`
-    in one gather, so the cost per point is the local support size times
-    the column length, independent of the mesh size.
+    components at once, select their columns of the level's
+    :class:`ColumnTable` in one gather, so the cost per point is the local
+    support size times the column length, independent of the mesh size.
     """
-    csc = extraction.columns(level)
-    n = csc.shape[0]
+    n = extraction.counts.level_dim(level)
     if coeffs is not None:
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (n,):
@@ -267,18 +390,11 @@ def reduced_basis_values(extraction, tensor, level, point, coeffs=None):
                 f"level-{level} field needs {n} coefficients, got {coeffs.shape}"
             )
     factors = tensor.local_factors(point)
-    cols, vals = tensor.local_level_basis(level, factors)
-    k, m = cols.shape[1:]
-    flat, vals = cols.ravel(), vals.ravel()
-    start = csc.indptr[flat]
-    # padding slots, and functions that vanish at the point, add nothing
-    count = (csc.indptr[flat + 1] - start) * (vals != 0)
-    # entry, slot and the key slot * n + rows below are int64, whatever
-    # the index dtype of `csc`
-    entry = np.repeat(np.arange(flat.size, dtype=np.int64), count)
-    pos = np.arange(entry.size) + (start - (np.cumsum(count) - count))[entry]
-    rows, weights = csc.indices[pos], csc.data[pos] * vals[entry]
-    slot = entry % (k * m)  # component * m + point
+    if products is None:
+        products = tensor.local_level_basis(level, factors)
+    k, m = products[1].shape[1:]
+    slot, rows, weights = _gather(extraction.column_table(level), products,
+                                  tensor.nr * tensor.ns)
     if coeffs is None:
         out = np.bincount(slot * n + rows, weights=weights, minlength=k * m * n)
         out = out.reshape(k, m, n).transpose(1, 2, 0)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extraction import control_angles, reduced_basis_values
+from .tensor import LEVEL_PATTERNS
 
 __all__ = [
     "SingularityProximityError",
@@ -62,26 +63,26 @@ class SplineMap:
         self.control_points = control_points
         self._grid = control_points.reshape(tensor.nt, tensor.ns, tensor.nr, 3)
 
-    def _contract(self, factors, choices):
+    def _contract(self, products):
         """(m, k, 3): the local control points weighted by the
-        :meth:`TensorComplex.local_products` of each row of `choices`, which
-        picks values or derivatives (0 or 1) per direction.  All rows read
-        the same functions, so the first row's indices, which count from 0,
-        address the control net for every row."""
-        cols, weights = self.tensor.local_products(factors, choices)
-        return np.einsum("ckm,cmd->mkd", weights, self.control_points[cols[:, 0]])
+        :meth:`TensorComplex.local_products` (keys, weights) of k choices
+        that pick values or derivatives (0 or 1) per direction.  All of
+        them read the level-0 functions, whose keys index the control net,
+        so the first choice's keys address it for every choice."""
+        keys, weights = products
+        return np.einsum("ckm,cmd->mkd", weights, self.control_points[keys[:, 0]])
 
     def eval(self, point):
         """Image of one (r, s, t) point, (3,), or of an (m, 3) batch, (m, 3)."""
         factors = self.tensor.local_factors(point)
-        xyz = self._contract(factors, _JACOBIAN_CHOICES[:1])[:, 0]
+        xyz = self._contract(self.tensor.local_products(factors, _JACOBIAN_CHOICES[:1]))[:, 0]
         return xyz[0] if factors.single else xyz
 
-    def _value_and_partials(self, factors):
-        """(xyz, DF) at the factors' points, (m, 3) and (m, 3, 3): the local
-        control points are gathered once and weighted by the value and the
-        three partials in one product."""
-        c = self._contract(factors, _JACOBIAN_CHOICES)
+    def _value_and_partials(self, products):
+        """(xyz, DF) from the products of :data:`_JACOBIAN_CHOICES`, (m, 3) and
+        (m, 3, 3): the local control points are gathered once and weighted
+        by the value and the three partials in one product."""
+        c = self._contract(products)
         return c[:, 0], np.swapaxes(c[:, 1:], 1, 2)
 
     def jacobian(self, point):
@@ -90,7 +91,7 @@ class SplineMap:
         A batch of m points gives shapes (m, 3), (m, 3, 3) and (m,).
         """
         factors = self.tensor.local_factors(point)
-        xyz, jac = self._value_and_partials(factors)
+        xyz, jac = self._value_and_partials(self.tensor.local_products(factors, _JACOBIAN_CHOICES))
         det = np.linalg.det(jac)
         if factors.single:
             return xyz[0], jac[0], float(det[0])
@@ -156,7 +157,9 @@ class GeometryMapG(SplineMap):
 
     def __init__(self, tensor, reduced_control_points, extraction):
         self.reduced_control_points = np.asarray(reduced_control_points, float)
-        tensor_net = extraction.E000.T @ self.reduced_control_points
+        tensor_net = np.empty((tensor.level_dim(0), 3))
+        for axis, points in enumerate(self.reduced_control_points.T):
+            tensor_net[:, axis] = extraction.to_tensor(0, points)
         super().__init__(tensor, tensor_net)
 
 
@@ -230,10 +233,16 @@ def pushforward_eval(polar_map, tensor, extraction, level, coeffs, point):
     factors = tensor.local_factors(pts)
     check_singularity_floor(level, factors.points[:, 1].min(initial=np.inf),
                             tensor.spaces[1].interval[1])
-    param = reduced_basis_values(extraction, tensor, level, factors, coeffs=coeffs)
+    # the level's basis and F's value and partials in one call; level 0's
+    # single choice is F's value
+    k = len(LEVEL_PATTERNS[level])
+    keys, vals = tensor.local_level_basis(level, factors, _JACOBIAN_CHOICES if level else ())
+    basis = keys[:, :k], vals[:, :k]
+    param = reduced_basis_values(extraction, tensor, level, factors, coeffs=coeffs, products=basis)
     if level == 0:
-        return polar_map.eval(factors), (float(param) if factors.single else param)
-    xyz, jac = polar_map._value_and_partials(factors)
+        xyz = polar_map._contract(basis)[:, 0]
+        return (xyz[0], float(param)) if factors.single else (xyz, param)
+    xyz, jac = polar_map._value_and_partials((keys[:, k:], np.ascontiguousarray(vals[:, k:])))
     if factors.single:
         xyz, jac = xyz[0], jac[0]
     if level == 1:
@@ -259,7 +268,8 @@ def polar_c1_residuals(extraction, polar_map):
     smooth polar splines*, CMAME 2017).  F's ring-1 steps span the meridian
     plane, so the function's steps must lie in the span of their two
     leading left singular vectors.  Every joint's ring-0 and ring-1 columns
-    of E000 are read from :meth:`ExtractionSet.columns`, one (function,
+    of E000 are read from the level-0 :meth:`ExtractionSet.column_table`,
+    e0's columns in every joint (or an override's own), one (function,
     joint) pair per function that touches them, in O(nr nt).
 
     Returns ``(ring0_spread, c1_affine_residual, bound, (joint, function))``:
@@ -276,10 +286,12 @@ def polar_c1_residuals(extraction, polar_map):
     u, sv, _ = np.linalg.svd(net[:, 1] - net[:, 0], full_matrices=False)
     plane = u[:, :, :2]
     bound = float(np.finfo(float).eps * nr * np.abs(net).max() / sv[:, 1].min())
-    cols = (np.arange(nt)[:, None] * (nr * c.ns) + np.arange(2 * nr)).ravel()
-    block = extraction.columns(0)[:, cols].tocoo()
-    joint, pos = np.divmod(block.col, 2 * nr)
-    keys, pair = np.unique(block.row.astype(np.int64) * nt + joint, return_inverse=True)
+    table = extraction.column_table(0)
+    cols = (np.arange(nt)[:, None] * table.joint_cols + np.arange(2 * nr)).ravel()
+    block = table.entries[cols].tocoo()
+    joint, pos = np.divmod(block.row, 2 * nr)
+    rows = block.col.astype(np.int64) + joint * table.joint_rows
+    keys, pair = np.unique(rows * nt + joint, return_inverse=True)
     coef = np.zeros((keys.size, 2 * nr))
     coef[pair, pos] = block.data
     ring0, ring1 = coef[:, :nr], coef[:, nr:]

@@ -180,12 +180,21 @@ def commutation_residuals(counts, blocks):
 
 
 def certify(extraction, incidence):
-    """The per-joint blocks of the E's and D's, each family read once by
-    :meth:`~polar_derham.tensor.LiftTable.read`, and, keyed "E" or "D", the
-    StructureError message naming the matrix of each family that is no lift."""
-    table, blocks, violations = lift_table(extraction.counts), {}, {}
-    for family, owner, names in (("E", extraction, extraction.names()),
-                                 ("D", incidence, ("D0", "D1", "D2"))):
+    """The per-joint blocks of the E's and D's, as CSR keyed by label, and,
+    keyed "E" or "D", the StructureError message naming the matrix of each
+    family that is no lift.  The D's are read by
+    :meth:`~polar_derham.tensor.LiftTable.read`; so are the E's when the
+    extraction holds an override, and otherwise their blocks are the
+    extraction's own."""
+    table, violations = lift_table(extraction.counts), {}
+    families = [("D", incidence, ("D0", "D1", "D2"))]
+    if extraction.overrides:
+        blocks = {}
+        families.insert(0, ("E", extraction, extraction.names()))
+    else:
+        blocks = {label: csr_from_triplet(b, table.shapes[label])
+                  for label, b in extraction.blocks.items()}
+    for family, owner, names in families:
         try:
             blocks |= table.read({name: getattr(owner, name) for name in names})
         except StructureError as exc:

@@ -12,6 +12,7 @@ counts and parses the open file, never a copy of its text, so that
 reading peaks at a few times the CSR matrix it returns.
 """
 
+import codecs
 import io
 import json
 import warnings
@@ -23,7 +24,7 @@ from scipy import sparse
 
 from .bsplines import csr_from_keys, csr_from_triplet, triplet
 from .tensor import dims_of_distinct_knots, distinct_knot_counts
-from .torus import TorusComplexSpec
+from .torus import MATRIX_NAMES, TorusComplexSpec
 
 __all__ = [
     "ComplexConfig",
@@ -182,12 +183,14 @@ def csv_text(header, table):
     return stream.getvalue()[:-1]
 
 
-def write_csv(stream, header, table):
+def write_csv(stream, header, tables):
     """Write :func:`csv_text` and a final newline to the text `stream`, a
-    run of rows at a time."""
+    run of rows at a time.  `tables` is one 2-D array or an iterable of
+    nonempty ones, whose rows follow each other as those of one table."""
     stream.write(f"{header}\n")
-    stream.writelines(_table_runs(",".join(["%s"] * table.shape[1]), table, "\n"))
-    stream.write("\n")
+    for table in [tables] if isinstance(tables, np.ndarray) else tables:
+        stream.writelines(_table_runs(",".join(["%s"] * table.shape[1]), table, "\n"))
+        stream.write("\n")
 
 
 def read_coefficients(path):
@@ -257,6 +260,30 @@ def _first_malformed_line(text):
     return None
 
 
+def _decode_error(path, error):
+    """The message of the file's first UTF-8 decode error, its byte
+    positions counted from the start of the file: the text reader's
+    `error` reports them within the bytes it decoded last, and is the
+    message should the file decode on this second read."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset = 0
+    with open(path, "rb") as raw:
+        while True:
+            chunk = raw.read(_READ_CHARS)
+            # the decoder still holds the bytes of an unfinished character
+            start = offset - len(decoder.getstate()[0])
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                first, last = start + exc.start, start + exc.end - 1
+                what = (f"byte 0x{exc.object[exc.start]:02x} in position {first}"
+                        if first == last else f"bytes in position {first}-{last}")
+                return f"'{exc.encoding}' codec can't decode {what}: {exc.reason}"
+            if not chunk:
+                return str(error)
+            offset += len(chunk)
+
+
 def read_triplet(path):
     """Read a triplet file back into a float64 CSR matrix (duplicates are
     summed).
@@ -284,7 +311,7 @@ def read_triplet(path):
                 trailing = (trailing if not tokens else 0) + chunk.count("\n", len(tokens))
                 blank = blank and not tokens
         except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            raise ValueError(f"{path}: {_decode_error(path, exc)}") from None
         if not header:
             raise ValueError(f"{path}: empty triplet file")
         header = header.strip() if blank else header.lstrip().removesuffix("\n")
@@ -333,8 +360,9 @@ def write_bundle(out_dir, cx, config):
     (out / "matrices").mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(config.to_dict(), indent=2) + "\n")
     (out / "dimensions.json").write_text(json.dumps(cx.dims_record(), indent=2) + "\n")
-    for name, matrix in cx.named_matrices().items():
-        write_triplet(out / "matrices" / f"{name}.txt", matrix)
+    for name in MATRIX_NAMES:
+        # formed, written and dropped one at a time
+        write_triplet(out / "matrices" / f"{name}.txt", cx.named_matrix(name))
     nets = {
         "control_net_F.json": cx.polar_map.control_points,
         "control_net_G.json": cx.geometry_map.reduced_control_points,

@@ -499,14 +499,14 @@ class TensorComplex:
         Each (r, s, t) triple of the tuple `choices` picks, per direction,
         the values (0), first derivatives (1) or derivative-space values
         (2) of the local basis.  Returns (K, k, m) arrays, for the k
-        choices at the m points, of 0-based flat indices and of the
-        products' values; K is the product of the local widths the choices
-        read per direction.  The indices are in the module's layout, with
-        the components the choices read (one function fewer along s where
-        a choice picks 2 there) side by side in choice order, as a level's
-        coefficients stack them, so the first choice's count from 0.  The
-        points run last, so that broadcasts over a batch loop over them
-        innermost.
+        choices at the m points, of keys and of the products' values; K is
+        the product of the local widths the choices read per direction.
+        The key of function (i, j, joint) of the component a choice reads
+        (one function fewer along s where it picks 2 there) is
+        ``joint * nr * ns + i + nr * j``: its joint and its column within
+        the joint, and for level-0 functions their index in the module's
+        layout.  The points run last, so that broadcasts over a batch loop
+        over them innermost.
         """
         factors = self.local_factors(points)
         if choices not in self._plans:
@@ -515,34 +515,33 @@ class TensorComplex:
         i = np.take(index, factors.rows.T, axis=-1)
         v = factors.values[_DIRECTIONS, kind]
         # (w, k, m) per direction, combined into (wt, ws, wr, k, m)
-        cols = i[:wt, None, None, :, 2] + i[None, :ws, None, :, 1] + i[None, None, :wr, :, 0]
+        keys = i[:wt, None, None, :, 2] + i[None, :ws, None, :, 1] + i[None, None, :wr, :, 0]
         vs = v[1, :, :ws].transpose(1, 0, 2)[:, None] * v[0, :, :wr].transpose(1, 0, 2)
         vals = v[2, :, :wt].transpose(1, 0, 2)[:, None, None] * vs
         shape = (wt * ws * wr, len(choices), factors.size)
-        return cols.reshape(shape), vals.reshape(shape)
+        return keys.reshape(shape), vals.reshape(shape)
 
     def _product_plan(self, choices):
         """Per local slot, choice and span row of the lookup, the index of
-        the function the choice reads there, already scaled by the row's
-        direction's stride in the choice's component and shifted by the
-        component's offset; per direction and choice, the values row; and
-        per direction, the widest local width the choices read.
+        the function the choice reads there, scaled by its direction's
+        stride in the keys of :meth:`local_products`; per direction and
+        choice, the values row; and per direction, the widest local width
+        the choices read.  The indices, and so the keys, are int32 while
+        the level-0 functions fit.
         """
         kind = np.array(choices).T
-        ns = self.ns - (kind[1] == 2)
-        stride = np.stack([np.ones_like(ns), np.full_like(ns, self.nr), self.nr * ns])
-        offset = np.zeros_like(stride)
-        offset[0, 1:] = np.cumsum(self.nr * ns * self.nt)[:-1]
         lookup = self.span_lookup
         d = lookup.owner
         index = lookup.index[np.arange(d.size)[:, None], kind[d] // 2]
-        index = index * stride[d, :, None] + offset[d, :, None]
+        index = index * np.array([1, self.nr, self.nr * self.ns])[d, None, None]
+        index = index.astype(index_dtype((self.level_dim(0),), 0))
         widths = lookup.widths[_DIRECTIONS, kind // 2].max(axis=1)
         return np.ascontiguousarray(index.transpose(2, 1, 0)), kind, tuple(widths)
 
-    def local_level_basis(self, level, points):
-        """:meth:`local_products` of the level's components."""
-        return self.local_products(points, _LEVEL_CHOICES[level])
+    def local_level_basis(self, level, points, extra=()):
+        """:meth:`local_products` of the level's components, followed by
+        those of the `extra` choices."""
+        return self.local_products(points, _LEVEL_CHOICES[level] + tuple(extra))
 
     # --------------------- coefficient derivatives --------------------------
 

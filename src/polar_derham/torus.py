@@ -25,11 +25,20 @@ from .tensor import (LEVEL_PATTERNS, StructureError, TensorComplex, build_tensor
                      check_size_floors, distinct_knot_counts)
 
 __all__ = [
+    "MATRIX_NAMES",
     "TorusComplexSpec",
     "FieldCoefficients",
     "PolarComplex",
     "build_complex",
 ]
+
+_STENCILS = tuple("D" + "".join(map(str, pat)) for pat in LEVEL_PATTERNS[1])
+
+# Every exportable matrix: the extraction, incidence and level-0 stencil
+# matrices and the univariate periodic extraction pairs.
+MATRIX_NAMES = (*ExtractionSet.names(), "D0", "D1", "D2", *_STENCILS,
+                "H0_r", "H1_r", "H0_t", "H1_t")
+
 
 @dataclass(frozen=True)
 class TorusComplexSpec:
@@ -163,8 +172,7 @@ class PolarComplex:
         f = self._check_field(field_coeffs, None)
         if f.space == "tensor":
             return f
-        data = self.extraction.columns(f.level).T @ f.data
-        return FieldCoefficients(f.level, "tensor", data)
+        return FieldCoefficients(f.level, "tensor", self.extraction.to_tensor(f.level, f.data))
 
     # ------------------------- pointwise evaluation -------------------------
 
@@ -190,19 +198,24 @@ class PolarComplex:
     def cohomology(self):
         return cohomology_dimensions(self.incidence, disk_blocks(self.incidence))
 
+    def named_matrix(self, name):
+        """One exportable matrix by its conventional name (:data:`MATRIX_NAMES`),
+        formed on request but for D0 to D2, which the complex keeps."""
+        e, t = self.extraction, self.tensor
+        if name in e.names():
+            return e.matrix(name)
+        if name in _STENCILS:
+            # D100, D010, D001: the stencil of each direction on level 0
+            return t.derivative(_STENCILS.index(name))
+        if name in ("H0_r", "H1_r", "H0_t", "H1_t"):
+            return getattr(t.spaces[{"r": 0, "t": 2}[name[-1]]], name[:2].lower())
+        if name in ("D0", "D1", "D2"):
+            return getattr(self.incidence, name)
+        raise KeyError(f"unknown matrix name {name!r}")
+
     def named_matrices(self):
         """All exportable matrices keyed by their conventional names."""
-        e, inc, t = self.extraction, self.incidence, self.tensor
-        mats = {name: getattr(e, name) for name in e.names()}
-        mats.update({"D0": inc.D0, "D1": inc.D1, "D2": inc.D2})
-        # D100, D010, D001: the stencil of each direction on level 0
-        mats.update({"D" + "".join(map(str, pat)): t.derivative(axis)
-                     for axis, pat in enumerate(LEVEL_PATTERNS[1])})
-        mats.update({
-            "H0_r": t.spaces[0].h0, "H1_r": t.spaces[0].h1,
-            "H0_t": t.spaces[2].h0, "H1_t": t.spaces[2].h1,
-        })
-        return mats
+        return {name: self.named_matrix(name) for name in MATRIX_NAMES}
 
 
 def build_complex(spec, ebar_perturbation=0.0):

@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bsplines import dta_diagnostic
+from .extraction import basis_entries, lift_table
 from .geometry import polar_c1_residuals
 from .incidence import (certify, cohomology_dimensions, commutation_residuals,
                         divergence_preimage, max_abs)
-from .extraction import lift_table
 from .tensor import StructureError, partition_rank
 
 __all__ = [
@@ -78,7 +78,10 @@ def inject_row_drop(cx, name, row):
                          "injects no fault")
     entries[:] = 0.0
     patched.eliminate_zeros()
-    return dataclasses.replace(cx, **{owner: dataclasses.replace(family, **{name: patched})})
+    # an E-matrix is an override of its lift; a D-matrix is kept
+    change = ({name: patched} if owner == "incidence"
+              else {"overrides": {**family.overrides, name: patched}})
+    return dataclasses.replace(cx, **{owner: dataclasses.replace(family, **change)})
 
 
 @dataclass
@@ -158,12 +161,12 @@ def run_verification(cx, residual=RESIDUAL_TOL, config_echo=None):
     # unit and center rows; its rank is then certified without a dense
     # decomposition (partition_rank).
     def dta_suite():
-        # (name, matrix, joints its certified block repeats over)
-        dta = (("E000", cx.extraction.E000, c.nt),
-               ("H0_r", cx.tensor.spaces[0].h0, 1),
-               ("H0_t", cx.tensor.spaces[2].h0, 1))
         if "E" in violations:
             return violation("dta", violations["E"], method="per-joint")
+        # (name, block, joints the certified block repeats over)
+        dta = (("E000", blocks["e0"], c.nt),
+               ("H0_r", cx.tensor.spaces[0].h0, 1),
+               ("H0_t", cx.tensor.spaces[2].h0, 1))
         try:
             # each E lifts one block, +/-I (x) block: their joint ranks agree
             terms = lift_table(c).terms
@@ -176,7 +179,7 @@ def run_verification(cx, residual=RESIDUAL_TOL, config_echo=None):
         results = {}
         ok = True
         for name, matrix, joints in dta:
-            diag = dta_diagnostic(matrix, joints * ranks[name][0])
+            diag = dta_diagnostic(matrix, ranks[name][0], joints)
             results[name] = {key: getattr(diag, key) for key in (
                 "ok", "rank", "min_entry", "max_column_sum_error", "max_row_support", "violation")}
             ok = ok and diag.ok
@@ -246,10 +249,16 @@ def run_verification(cx, residual=RESIDUAL_TOL, config_echo=None):
 
     # ----- partition of unity ---------------------------------------------------
     def pou_suite():
+        # the gather's entries, unsummed: no dense (points, n0) array
         upper = [sp.interval[1] for sp in cx.tensor.spaces]
-        vals = cx.reduced_basis_values(0, rng.uniform(0, upper, size=(NUM_POINTS, 3)))
-        worst_sum = float(np.abs(vals.sum(axis=1) - 1.0).max(initial=0.0))
-        min_val = float(vals.min(initial=0.0))
+        point, function, weight = basis_entries(
+            cx.extraction, cx.tensor, 0, rng.uniform(0, upper, size=(NUM_POINTS, 3)))
+        sums = np.bincount(point, weights=weight, minlength=NUM_POINTS)
+        worst_sum = float(np.abs(sums - 1.0).max(initial=0.0))
+        # a function's value at a point is the sum of its pair's weights;
+        # every function without an entry there is 0
+        pair = np.unique(point * c.n0 + function, return_inverse=True)[1]
+        min_val = float(np.bincount(pair.ravel(), weights=weight).min(initial=0.0))
         ok = worst_sum <= residual and min_val >= -residual
         gate("partition_of_unity", ok,
              f"worst |sum-1| {worst_sum:.3e}, min value {min_val:.3e}")

@@ -21,7 +21,9 @@ identities on the full 3D matrices are the reference for the library's
 one-joint evaluation.  The sampled probe of the polar curve, first
 differences of every level-0 function near s = 0, cross-checks the
 library's evaluation there, and on planted faults it is the reference for
-the verifier's algebraic C1 check.
+the verifier's algebraic C1 check.  Evaluation gathered from the lifted
+3D columns of the E's is the reference for the library's gather from one
+joint's block columns.
 """
 
 from typing import NamedTuple
@@ -330,6 +332,52 @@ def commutation_residuals_3d(tensor, extraction, incidence):
         at = residual.indptr[np.cumsum([0] + sizes)]
         worst += [max_abs(residual.data[start:stop]) for start, stop in zip(at[:-1], at[1:])]
     return dict(zip(("grad_r", "grad_s", "grad_t", "curl_1", "curl_2", "curl_3", "div"), worst))
+
+
+# ========================= evaluation from 3D columns =======================
+
+def column_gather(cx, level, point, coeffs=None):
+    """`reduced_basis_values` gathered from the level's lifted 3D columns
+    (`ExtractionSet.columns`): each nonzero tensor function selects its
+    column by its flat index in the level's coefficients.  The library
+    gathers the same entries, in the same order, from one joint's block
+    columns, so the two agree exactly."""
+    csc = cx.extraction.columns(level)
+    n, tensor = csc.shape[0], cx.tensor
+    factors = tensor.local_factors(point)
+    keys, vals = tensor.local_level_basis(level, factors)
+    k, m = keys.shape[1:]
+    joints, cols = np.divmod(keys, tensor.nr * tensor.ns)
+    widths = np.array([tensor.nr * (tensor.ns - pat[1]) for pat in LEVEL_PATTERNS[level]])
+    offsets = np.cumsum([0, *(tensor.nt * widths)])[:-1]
+    flat, vals = (cols + offsets[:, None] + joints * widths[:, None]).ravel(), vals.ravel()
+    start = csc.indptr[flat]
+    count = (csc.indptr[flat + 1] - start) * (vals != 0)
+    entry = np.repeat(np.arange(flat.size, dtype=np.int64), count)
+    pos = np.arange(entry.size) + (start - (np.cumsum(count) - count))[entry]
+    rows, weights, slot = csc.indices[pos], csc.data[pos] * vals[entry], entry % (k * m)
+    if coeffs is None:
+        out = np.bincount(slot * n + rows, weights=weights, minlength=k * m * n)
+        out = out.reshape(k, m, n).transpose(1, 2, 0)
+    else:
+        out = np.bincount(slot, weights=coeffs[rows] * weights, minlength=k * m).reshape(k, m).T
+    if k == 1:
+        out = out[..., 0]
+    return out[0] if factors.single else out
+
+
+def column_pushforward(cx, level, coeffs, point):
+    """The pushforward of a reduced field from :func:`column_gather` and
+    the polar map's own `eval` and `jacobian`."""
+    param = column_gather(cx, level, point, coeffs)
+    if level == 0:
+        return cx.polar_map.eval(point), param
+    xyz, jac, det = cx.polar_map.jacobian(point)
+    if level == 1:
+        return xyz, np.linalg.solve(np.swapaxes(jac, -1, -2), param[..., None])[..., 0]
+    if level == 2:
+        return xyz, np.einsum("...ij,...j->...i", jac, param) / np.expand_dims(det, -1)
+    return xyz, param / det
 
 
 # ============================ per-joint blocks ==============================

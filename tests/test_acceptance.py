@@ -189,7 +189,8 @@ def test_criterion_5_unpartitioned_block_fails_dta(complex_cache):
     block = lift_table(cx.counts).read({"E000": cx.extraction.E000})["e0"].tolil()
     block[4] = block[3]
     extraction = dataclasses.replace(
-        cx.extraction, E000=sparse.kron(sparse.identity(cx.counts.nt), block, format="csr"))
+        cx.extraction,
+        overrides={"E000": sparse.kron(sparse.identity(cx.counts.nt), block, format="csr")})
     bad = PolarComplex(cx.spec, cx.tensor, extraction, cx.incidence, cx.polar_map,
                        cx.geometry_map)
     report = pd.run_verification(bad)
@@ -209,9 +210,9 @@ def test_criterion_5_unpartitioned_block_lifted_everywhere_fails_dta(complex_cac
     block = lift_table(c).read({"E000": cx.extraction.E000})["e0"].tolil()
     block[4] = block[3]
     below = sparse.vstack([sparse.csr_array((c.nbar1, block.shape[1])), block])
-    extraction = dataclasses.replace(
-        cx.extraction, E000=sparse.kron(sparse.identity(c.nt), block, format="csr"),
-        E001=sparse.kron(sparse.identity(c.nt), below, format="csr"))
+    extraction = dataclasses.replace(cx.extraction, overrides={
+        "E000": sparse.kron(sparse.identity(c.nt), block, format="csr"),
+        "E001": sparse.kron(sparse.identity(c.nt), below, format="csr")})
     bad = PolarComplex(cx.spec, cx.tensor, extraction, cx.incidence, cx.polar_map,
                        cx.geometry_map)
     suite = pd.run_verification(bad).suites["dta"]

@@ -141,8 +141,9 @@ def test_verification_certifies_once_and_builds_no_3d_tensor_operator(complex_ca
         monkeypatch.setattr(module, "derivative_entries", one_joint_entries)
     report = run_verification(cx)
     assert report.passed, report.failures
-    assert reads == [ExtractionSet.names(), ["D0", "D1", "D2"]]
-    assert set(levels) == {0}
+    # the E's of a built complex are their blocks: only the D's are read
+    assert reads == [["D0", "D1", "D2"]]
+    assert levels == []
     assert set(joint_dims) == {(5, 6, 1)}
     assert np.isfinite(report.timings["certify"])
 

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import polar_derham as pd
-from oracles import (eval_basis, eval_basis_derivative, eval_component_basis, eval_spline,
-                     eval_spline_derivative)
+from oracles import (column_gather, column_pushforward, eval_basis, eval_basis_derivative,
+                     eval_component_basis, eval_spline, eval_spline_derivative)
 from polar_derham import bsplines, tensor
 from polar_derham.cli import main
 from polar_derham.verification import inject_row_drop
@@ -219,9 +219,9 @@ def test_evaluation_reads_the_given_extraction(cx443):
     after = dropped.reduced_basis_values(0, point)
     assert before[0] > 0.0 and after[0] == 0.0
     np.testing.assert_array_equal(before[1:], after[1:])
-    # a replaced set keeps no column cache of the set it was copied from
+    # a replaced set keeps no column table of the set it was copied from
     copy = dataclasses.replace(cx443.extraction)
-    assert copy.columns(0) is not cx443.extraction.columns(0)
+    assert copy.column_table(0) is not cx443.extraction.column_table(0)
 
 
 def test_evaluated_complexes_are_released():
@@ -241,6 +241,63 @@ def test_drop_row_e000_fails_partition_of_unity(tmp_path, capsys):
     suites = json.loads(out.read_text())["suites"]
     assert suites["partition_of_unity"]["pass"] is False
     assert suites["partition_of_unity"]["worst_sum_error"] > 1e-3
+
+
+# --------------------- the block tables are the 3D columns ---------------------
+
+@pytest.mark.parametrize("degrees,dims", [((2, 2, 2), (4, 4, 3)), ((3, 3, 3), (7, 7, 5)),
+                                          ((2, 2, 2), (32, 32, 16))])
+def test_block_tables_evaluate_as_the_lifted_columns_exactly(complex_cache, degrees, dims):
+    cx = complex_cache(degrees=degrees, dims=dims)
+    complexes = [cx]
+    if dims == (4, 4, 3):
+        # an override is gathered from its own columns
+        complexes += [inject_row_drop(cx, "E000", 1), inject_row_drop(cx, "E100", 1)]
+    rng = np.random.default_rng(47)
+    points = rng.uniform(0.01, 1.0, (513, 3))
+    for c in complexes:
+        for level in range(4):
+            coeffs = rng.standard_normal(c.counts.level_dim(level))
+            for pts in (points, points[7]):
+                np.testing.assert_array_equal(
+                    pd.reduced_basis_values(c.extraction, c.tensor, level, pts, coeffs=coeffs),
+                    column_gather(c, level, pts, coeffs))
+                for got, expected in zip(c.pushforward(coeffs, pts, level=level),
+                                         column_pushforward(c, level, coeffs, pts)):
+                    np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(c.reduced_basis_values(level, points[:9]),
+                                          column_gather(c, level, points[:9]))
+            field = pd.FieldCoefficients(level, "reduced", coeffs)
+            np.testing.assert_array_equal(c.to_tensor(field).data,
+                                          c.extraction.columns(level).T @ coeffs)
+
+
+def test_build_lifts_the_incidence_matrices_and_the_field_path_no_matrix(monkeypatch):
+    lifted, lift = [], tensor.kron_lift
+
+    def counted(*args):
+        lifted.append(args[1])
+        return lift(*args)
+
+    monkeypatch.setattr(tensor, "kron_lift", counted)
+    cx = pd.build_complex(pd.TorusComplexSpec((2, 2, 2), (5, 6, 4)))
+    c = cx.counts
+    assert lifted == [(c.nbar1 + c.nbar0, c.nbar0), (c.nbar2 + c.nbar1, c.nbar1 + c.nbar0),
+                      (c.nbar2, c.nbar2 + c.nbar1)]
+
+    def refuse(*args):
+        raise AssertionError("a matrix was lifted")
+
+    monkeypatch.setattr(tensor, "kron_lift", refuse)
+    points = np.random.default_rng(49).uniform(0.01, 1.0, (600, 3))
+    for level in range(4):
+        coeffs = np.ones(c.level_dim(level))
+        cx.pushforward(coeffs, points, level=level)
+        cx.reduced_basis_values(level, points[:3])
+        cx.to_tensor(pd.FieldCoefficients(level, "reduced", coeffs))
+    assert pd.run_verification(cx).passed
+    with pytest.raises(AssertionError, match="lifted"):
+        cx.extraction.E000
 
 
 # ------------------------ the apply builds no matrix ----------------------------

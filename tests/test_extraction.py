@@ -247,7 +247,7 @@ def test_dta_fails_on_a_lift_that_does_not_carry_its_source_block(dims, name, fa
     matrix = getattr(cx.extraction, name)
     patched = fault(matrix, cx.counts)
     assert patched.nnz and (patched != matrix).nnz
-    extraction = dataclasses.replace(cx.extraction, **{name: patched})
+    extraction = dataclasses.replace(cx.extraction, overrides={name: patched})
     bad = PolarComplex(cx.spec, cx.tensor, extraction, cx.incidence, cx.polar_map,
                        cx.geometry_map)
     report = pd.run_verification(bad)

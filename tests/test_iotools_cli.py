@@ -10,7 +10,7 @@ import pytest
 from scipy import sparse
 
 from polar_derham import TorusComplexSpec, build_complex
-from polar_derham import cli
+from polar_derham import cli, iotools, tensor
 from polar_derham.cli import main
 from polar_derham.geometry import S_MIN_FACTOR
 from polar_derham.verification import SCHEMA_VERSION
@@ -174,13 +174,30 @@ class TestTripletParser:
             read_triplet(path)
 
     @pytest.mark.parametrize("data", [b"2 2 1\n1 1 \xff\n", b"2 \xff2 1\n1 1 1\n",
-                                      b"2 2 1\n1 1 1\n\xc3"],
-                             ids=["in-an-entry", "in-the-header", "at-the-end"])
+                                      b"2 2 1\n1 1 1\n\xc3",
+                                      b"3 3 1\n1 1 1\n" + b"\n" * 40 + b"\xc3",
+                                      b"2 2 1\n1 1 1\n" + b"\n" * (1 << 20) + b"\xff\n"],
+                             ids=["in-an-entry", "in-the-header", "at-the-end",
+                                  "closing-53-bytes", "past-the-first-read"])
     def test_undecodable_byte_names_the_file(self, tmp_path, data):
+        # the position counts from the start of the file, as a decode of
+        # the whole file reports it
         path = tmp_path / "bad.txt"
         path.write_bytes(data)
-        with pytest.raises(ValueError, match="bad.txt: 'utf-8' codec can't decode"):
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        assert str(whole.value).startswith("'utf-8' codec can't decode byte 0x")
+        with pytest.raises(ValueError) as err:
             read_triplet(path)
+        assert str(err.value) == f"{path}: {whole.value}"
+
+    def test_file_that_decodes_on_a_second_read_keeps_the_readers_message(self, tmp_path):
+        # the second read, which counts positions from the start, ends at
+        # the end of the file
+        path = tmp_path / "m.txt"
+        path.write_text("2 2 1\n1 1 1\n")
+        error = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+        assert iotools._decode_error(path, error) == str(error)
 
     def test_decode_error_inside_loadtxt_names_the_file(self, tmp_path, monkeypatch):
         def undecodable(fname, dtype, **kwargs):
@@ -450,6 +467,30 @@ def test_sample_csv_matches_per_row_oracle(tmp_path, cx443, level, capsys):
     header = "r,s,t,x,y,z," + ("v1,v2,v3" if level else "v1")
     expected = _per_row_csv_text(header, np.column_stack([points, xyz, values]))
     assert out.read_bytes() == (expected + "\n").encode()
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_sample_streams_the_grid_a_run_at_a_time(tmp_path, cx443, level, capsys):
+    # a full run of grid points and a partial one, the same bytes on --out
+    # and on stdout as the whole grid formatted row by row
+    counts = (70, 9, 7)
+    assert cli._SAMPLE_RUN < np.prod(counts) < 2 * cli._SAMPLE_RUN
+    argv = ["sample", "--sizes", "4,4,3", "--level", str(level), "--basis", "3",
+            "--grid", ",".join(map(str, counts)), "--smin", "0.01"]
+    out = tmp_path / "samples.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    t, s, r = np.meshgrid(*(np.linspace(lo, 1, n) for lo, n in zip((0, 0.01, 0), counts[::-1])),
+                          indexing="ij")
+    points = np.column_stack([r.ravel(), s.ravel(), t.ravel()])
+    coeffs = np.zeros(cx443.counts.level_dim(level))
+    coeffs[2] = 1.0
+    xyz, values = cx443.pushforward(coeffs, points, level=level)
+    header = "r,s,t,x,y,z," + ("v1,v2,v3" if level in (1, 2) else "v1")
+    expected = _per_row_csv_text(header, np.column_stack([points, xyz, values])) + "\n"
+    assert out.read_bytes() == expected.encode()
+    assert capsys.readouterr().out == expected
 
 
 # ------------------------------- bundles ----------------------------------------
@@ -765,6 +806,16 @@ class TestCli:
         assert main(["export", "--sizes", "4,4,3", "--out", str(out), "D0"]) == 0
         header = (out / "D0.txt").read_text().splitlines()[0]
         assert header.split()[0] == "87"
+
+    @pytest.mark.parametrize("names,lifts", [(["D0"], 3), (["E101", "D100", "H0_t"], 5)])
+    def test_export_forms_only_the_names_asked_for(self, tmp_path, capsys, monkeypatch,
+                                                   names, lifts):
+        # the build lifts D0 to D2; each E or stencil asked for is one more lift
+        lifted, lift = [], tensor.kron_lift
+        monkeypatch.setattr(tensor, "kron_lift", lambda *args: lifted.append(1) or lift(*args))
+        assert main(["export", "--sizes", "4,4,3", "--out", str(tmp_path), *names]) == 0
+        assert len(lifted) == lifts
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{n}.txt" for n in names)
 
     def test_export_unknown_name(self, capsys):
         assert main(["export", "--sizes", "4,4,3", "NOPE"]) == 2

@@ -4,11 +4,13 @@ and the report's dict."""
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import polar_derham as pd
+from polar_derham import verification
 from polar_derham.verification import inject_row_drop, run_verification
 
 pytest.importorskip("hypothesis")
@@ -27,16 +29,19 @@ def test_row_drop_patches_a_copy_that_shares_every_other_part(complex_cache, nam
     bad = inject_row_drop(cx, name, row)
     # the input complex keeps every part and every byte of the matrix
     assert all(getattr(cx, part) is before[part] for part in PARTS)
-    assert getattr(family, name) is matrix
+    # a D is kept; an E is lifted on access, and the input holds no override
+    assert getattr(family, name) is matrix if owner == "incidence" else family.overrides == {}
     assert all(map(np.array_equal, (matrix.data, matrix.indices, matrix.indptr), stored))
     # the copy shares every part but the patched family, and in that family
-    # every matrix but the patched one
+    # every stored part but the patched matrix: the other D's, or the E's
+    # blocks and lift table with the patched E as the one override
     assert all(getattr(bad, part) is before[part] for part in PARTS if part != owner)
     patched = getattr(bad, owner)
     assert patched is not family
-    names = ("D0", "D1", "D2") if owner == "incidence" else family.names()
-    assert all(getattr(patched, other) is getattr(family, other)
-               for other in names if other != name)
+    shared = ([other for other in ("D0", "D1", "D2") if other != name] if owner == "incidence"
+              else ["joint_blocks", "lifts"])
+    assert all(getattr(patched, other) is getattr(family, other) for other in shared)
+    assert owner == "incidence" or list(patched.overrides) == [name]
     # the patched matrix differs from the input in the dropped row alone
     dropped = getattr(patched, name)
     assert not dropped[[row - 1]].count_nonzero() and matrix[[row - 1]].count_nonzero()
@@ -98,3 +103,26 @@ def test_report_dict_holds_the_reports_own_values(complex_cache, dims):
     assert list(payload) == [f.name for f in dataclasses.fields(report)]
     assert all(payload[name] is getattr(report, name) for name in payload)
     assert json.dumps(payload, indent=2) == json.dumps(dataclasses.asdict(report), indent=2)
+
+
+def test_partition_of_unity_suite_reads_the_gathered_entries(complex_cache, monkeypatch):
+    # the suite sums the gather's entries per point and per (point,
+    # function) pair; the dense (200, n0) basis values it formed before
+    # took about 25 MB here
+    cx = complex_cache(dims=(32, 32, 16))
+    peaks, timed = {}, verification._timed
+
+    def traced(timings, name, fn):
+        if name != "partition_of_unity":
+            return timed(timings, name, fn)
+        tracemalloc.start()
+        try:
+            return timed(timings, name, fn)
+        finally:
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+
+    monkeypatch.setattr(verification, "_timed", traced)
+    report = run_verification(cx)
+    assert report.suites["partition_of_unity"]["pass"]
+    assert peaks["partition_of_unity"] < 2e6, peaks
