@@ -8,8 +8,10 @@ of functions to three center functions through the 3 x 2n_r barycentric
 center block, the two edge blocks that feed the center edges from it and
 map the outer functions onto edge rounds, and a plain selector for
 faces/volumes.  :func:`lift_table` states how these eight and the three
-incidence matrices lift per-joint blocks along the toroidal circle: the
-build lifts from it and the verification reads the blocks back through it.
+incidence matrices lift per-joint blocks along the toroidal circle, and
+:class:`LiftedFamily` is the one rule of both families: a matrix is its
+override or its lift, and the blocks are read back from the matrices only
+when the family holds an override.
 """
 
 from dataclasses import dataclass, field
@@ -27,6 +29,8 @@ __all__ = [
     "control_angles",
     "PolarCounts",
     "ExtractionSet",
+    "LiftedFamily",
+    "lifted_matrix",
     "ebar_block",
     "polar_counts",
     "joint_blocks",
@@ -130,9 +134,6 @@ def polar_counts(nr, ns, nt):
 
 # --------------------------- per-joint blocks -------------------------------
 
-_LABELS = ("e0", "e10", "e01", "e2")
-
-
 def joint_blocks(nr, ns, ebar):
     """The per-joint blocks e0, e10, e01 and e2 as triplets in CSR order,
     without zeros, in the shapes of :func:`lift_table`.  e0: the center
@@ -189,9 +190,45 @@ def lift_table(counts):
 
 # ----------------------------- 3D assembly ----------------------------------
 
-def _lifted(name):
-    return property(lambda self: self.matrix(name),
-                    doc=f"{name}: its override, or its circle lift, formed on each access.")
+class LiftedFamily:
+    """Matrices that are circle lifts of per-joint blocks, or overrides.
+
+    A family holds the blocks' triplets as `joint_blocks` (in the order of
+    its `labels`), the :class:`~polar_derham.tensor.LiftTable` `lifts` that
+    makes its matrices `names()` of them, and `overrides` (name -> matrix,
+    empty for a built complex), each a matrix that replaces its lift, as
+    fault injection installs it.
+    """
+
+    @property
+    def blocks(self):
+        """The per-joint blocks' triplets keyed by label."""
+        return dict(zip(self.labels, self.joint_blocks))
+
+    def matrix(self, name):
+        """The override of matrix `name`, or its circle lift."""
+        if name in self.overrides:
+            return self.overrides[name]
+        return self.lifts.lift(self.blocks, (name,))[name]
+
+    def read_blocks(self):
+        """The per-joint blocks whose circle lifts the family's matrices are,
+        as CSR keyed by label: without an override its own blocks, and with
+        one the blocks :meth:`~polar_derham.tensor.LiftTable.read` reads back
+        from every matrix, which raises StructureError naming a matrix that
+        is no lift."""
+        if not self.overrides:
+            return {label: csr_from_triplet(b, self.lifts.shapes[label])
+                    for label, b in self.blocks.items()}
+        return self.lifts.read({name: getattr(self, name) for name in self.names()})
+
+
+def lifted_matrix(name, kept=False):
+    """A family's attribute `name`: its override or its circle lift, formed
+    on each access, or with `kept` on the first and kept on the instance."""
+    def get(self):
+        return self.matrix(name)
+    return cached_property(get) if kept else property(get)
 
 
 class ColumnTable(NamedTuple):
@@ -218,15 +255,14 @@ class ColumnTable(NamedTuple):
 
 
 @dataclass(frozen=True)
-class ExtractionSet:
+class ExtractionSet(LiftedFamily):
     """All extraction matrices of one polar complex.
 
     The per-joint blocks' triplets (e0, e10, e01, e2), from which the
     incidence matrices follow, and the lift table that makes E000 to E111
     of them: the eight circle lifts, keyed by which directions carry the
-    derivative basis.  Each is lifted when asked for and kept by nobody;
-    `overrides` (name -> matrix, empty for a built complex) holds a matrix
-    that replaces its lift, as fault injection installs it.
+    derivative basis.  Each is its override or is lifted when asked for
+    and kept by nobody (:class:`LiftedFamily`).
     """
 
     counts: PolarCounts
@@ -235,25 +271,15 @@ class ExtractionSet:
     lifts: LiftTable
     overrides: dict = field(default_factory=dict)
 
+    labels = ("e0", "e10", "e01", "e2")
     E000, E100, E010, E001, E011, E101, E110, E111 = map(
-        _lifted, ("E000", "E100", "E010", "E001", "E011", "E101", "E110", "E111"))
+        lifted_matrix, ("E000", "E100", "E010", "E001", "E011", "E101", "E110", "E111"))
 
     @staticmethod
     def names():
         """E000 to E111, level by level in LEVEL_PATTERNS order."""
         return ["E" + "".join(str(b) for b in pat)
                 for pats in LEVEL_PATTERNS.values() for pat in pats]
-
-    @property
-    def blocks(self):
-        """The per-joint blocks' triplets keyed by label."""
-        return dict(zip(_LABELS, self.joint_blocks))
-
-    def matrix(self, name):
-        """The override of E-matrix `name`, or its circle lift."""
-        if name in self.overrides:
-            return self.overrides[name]
-        return self.lifts.lift(self.blocks, (name,))[name]
 
     def level_matrices(self, level):
         return [(pat, self.matrix("E" + "".join(map(str, pat)))) for pat in LEVEL_PATTERNS[level]]

@@ -29,8 +29,10 @@ tensor derivatives (g0 grad, g1 curl, the tensor complex's rule on one
 joint) by the commuting diagram ``g_l e_l^T = e_{l+1}^T d_l``, so only
 the extraction states the DOF numbering; ``tests/oracles.py`` keeps an
 entry-by-entry transcription of d0 and d1 as the tests' reference.
-:func:`certify` is the one reader of the blocks from the 3D matrices;
-the seven commutation identities are checked on one joint from them
+:class:`IncidenceSet` keeps d0 and d1 and lifts each D on first use;
+:func:`certify` takes both families' blocks by one rule, reading them back
+from the 3D matrices only where a family holds an override, and the seven
+commutation identities are checked on one joint from them
 (:func:`commutation_residuals`): the circle's terms cancel on both sides.
 
 The ranks behind the cohomology are certified from the matrices: echelon
@@ -40,15 +42,15 @@ above (:func:`cohomology_dimensions`).  The closed form over the circle
 second rank decision that must agree; no frequency block is decomposed.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
 
 from .bsplines import csr_from_triplet, triplet
-from .extraction import PolarCounts, lift_table
-from .tensor import (LEVEL_PATTERNS, StructureError, cat_triplets, derivative_entries,
-                     echelon_rank, kron_lift, unit_entries)
+from .extraction import LiftedFamily, PolarCounts, lift_table, lifted_matrix
+from .tensor import (LEVEL_PATTERNS, LiftTable, StructureError, cat_triplets,
+                     derivative_entries, echelon_rank, kron_lift, unit_entries)
 
 __all__ = [
     "IncidenceSet",
@@ -110,30 +112,40 @@ def _disk_blocks(counts, e0, e10, e01, e2):
 
 
 @dataclass(frozen=True)
-class IncidenceSet:
-    """The three DOF-level differential operators of one polar complex."""
+class IncidenceSet(LiftedFamily):
+    """The three DOF-level differential operators of one polar complex.
+
+    The disk blocks' triplets (d0, d1) and the extraction's lift table,
+    which makes D0 to D2 of them.  Each is its override or its lift
+    (:class:`~polar_derham.extraction.LiftedFamily`), formed on first access
+    and kept: the reduced grad, curl and div apply it again and again.
+    """
 
     counts: PolarCounts
-    D0: sparse.csr_array
-    D1: sparse.csr_array
-    D2: sparse.csr_array
+    joint_blocks: tuple
+    lifts: LiftTable
+    overrides: dict = field(default_factory=dict)
+
+    labels = ("d0", "d1")
+    D0, D1, D2 = (lifted_matrix(name, kept=True) for name in ("D0", "D1", "D2"))
+
+    @staticmethod
+    def names():
+        """D0 to D2, level by level."""
+        return ("D0", "D1", "D2")
 
 
 def build_incidence(extraction):
-    """D0, D1 and D2 of an ExtractionSet: the disk blocks its per-joint
-    blocks fix, lifted along the circle as
-    :func:`~polar_derham.extraction.lift_table` states."""
-    c = extraction.counts
-    d0, d1 = _disk_blocks(c, *extraction.joint_blocks)
-    return IncidenceSet(counts=c, **lift_table(c).lift({"d0": d0, "d1": d1}, ("D0", "D1", "D2")))
+    """The incidence set of an ExtractionSet: the disk blocks its per-joint
+    blocks fix, and its lift table; no D is lifted."""
+    return IncidenceSet(counts=extraction.counts, lifts=extraction.lifts,
+                        joint_blocks=_disk_blocks(extraction.counts, *extraction.joint_blocks))
 
 
 def disk_blocks(incidence):
-    """The disk blocks (d0, d1) whose circle lift D0, D1 and D2 are, as CSR;
-    :meth:`~polar_derham.tensor.LiftTable.read` raises StructureError otherwise."""
-    blocks = lift_table(incidence.counts).read(
-        {name: getattr(incidence, name) for name in ("D0", "D1", "D2")})
-    return blocks["d0"], blocks["d1"]
+    """The disk blocks (d0, d1) whose circle lift D0, D1 and D2 are, as CSR
+    (:meth:`~polar_derham.extraction.LiftedFamily.read_blocks`)."""
+    return tuple(incidence.read_blocks().values())
 
 
 def max_abs(matrix):
@@ -182,21 +194,13 @@ def commutation_residuals(counts, blocks):
 def certify(extraction, incidence):
     """The per-joint blocks of the E's and D's, as CSR keyed by label, and,
     keyed "E" or "D", the StructureError message naming the matrix of each
-    family that is no lift.  The D's are read by
-    :meth:`~polar_derham.tensor.LiftTable.read`; so are the E's when the
-    extraction holds an override, and otherwise their blocks are the
-    extraction's own."""
-    table, violations = lift_table(extraction.counts), {}
-    families = [("D", incidence, ("D0", "D1", "D2"))]
-    if extraction.overrides:
-        blocks = {}
-        families.insert(0, ("E", extraction, extraction.names()))
-    else:
-        blocks = {label: csr_from_triplet(b, table.shapes[label])
-                  for label, b in extraction.blocks.items()}
-    for family, owner, names in families:
+    family that is no lift.  Each family's blocks are its own, or read back
+    from its matrices when it holds an override
+    (:meth:`~polar_derham.extraction.LiftedFamily.read_blocks`)."""
+    blocks, violations = {}, {}
+    for family, owner in (("E", extraction), ("D", incidence)):
         try:
-            blocks |= table.read({name: getattr(owner, name) for name in names})
+            blocks |= owner.read_blocks()
         except StructureError as exc:
             violations[family] = str(exc)
     return blocks, violations

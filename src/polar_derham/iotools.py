@@ -24,7 +24,7 @@ from scipy import sparse
 
 from .bsplines import csr_from_keys, csr_from_triplet, triplet
 from .tensor import dims_of_distinct_knots, distinct_knot_counts
-from .torus import MATRIX_NAMES, TorusComplexSpec
+from .torus import MATRIX_NAMES, TorusComplexSpec, checked_number, checked_triple
 
 __all__ = [
     "ComplexConfig",
@@ -41,21 +41,6 @@ _CONFIG_DEFAULTS = {
     **{f.name: f.default for f in fields(TorusComplexSpec) if f.default is not MISSING},
     "out_dir": None,
 }
-
-
-def _checked(key, value, kind):
-    """A config number as `kind` (int or float), or a ValueError naming `key`."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or (kind is int and isinstance(value, float) and not value.is_integer())):
-        wanted = "an integer" if kind is int else "a number"
-        raise ValueError(f"config {key!r}: expected {wanted}, got {value!r}")
-    return kind(value)
-
-
-def _checked_triple(key, value, kind):
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ValueError(f"config {key!r} must be a triple, got {value!r}")
-    return tuple(_checked(key, v, kind) for v in value)
 
 
 @dataclass
@@ -87,12 +72,13 @@ class ComplexConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "degrees" not in raw:
             raise ValueError("config is missing 'degrees'")
-        degrees = _checked_triple("degrees", raw["degrees"], int)
+        degrees = checked_triple("config", "degrees", raw["degrees"], int)
         distinct = None
         if "distinct_knots" in raw:
-            distinct = _checked_triple("distinct_knots", raw["distinct_knots"], int)
+            distinct = checked_triple("config", "distinct_knots", raw["distinct_knots"], int)
         if "dims" in raw:
-            from_dims = distinct_knot_counts(degrees, _checked_triple("dims", raw["dims"], int))
+            dims = checked_triple("config", "dims", raw["dims"], int)
+            from_dims = distinct_knot_counts(degrees, dims)
             if distinct is not None and distinct != from_dims:
                 raise ValueError(
                     f"'distinct_knots' {distinct} and 'dims' {tuple(raw['dims'])} "
@@ -108,8 +94,8 @@ class ComplexConfig:
         return cls(
             degrees=degrees,
             distinct_knots=distinct,
-            rho_bar=_checked("rho_bar", raw["rho_bar"], float),
-            lengths=_checked_triple("lengths", raw["lengths"], float),
+            rho_bar=checked_number("config", "rho_bar", raw["rho_bar"], float),
+            lengths=checked_triple("config", "lengths", raw["lengths"], float),
             out_dir=raw["out_dir"],
             applied_defaults=applied,
         )

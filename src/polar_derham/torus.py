@@ -36,8 +36,28 @@ _STENCILS = tuple("D" + "".join(map(str, pat)) for pat in LEVEL_PATTERNS[1])
 
 # Every exportable matrix: the extraction, incidence and level-0 stencil
 # matrices and the univariate periodic extraction pairs.
-MATRIX_NAMES = (*ExtractionSet.names(), "D0", "D1", "D2", *_STENCILS,
+MATRIX_NAMES = (*ExtractionSet.names(), *IncidenceSet.names(), *_STENCILS,
                 "H0_r", "H1_r", "H0_t", "H1_t")
+
+
+def checked_number(owner, key, value, kind):
+    """`value` as `kind` (int or float), or a ValueError naming `owner`'s
+    `key`: a bool, a non-number and, for int, a number with a fraction are
+    refused; Python and numpy integers and floats are numbers."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or (kind is int and not isinstance(value, (int, np.integer))
+                and not float(value).is_integer())):
+        wanted = "an integer" if kind is int else "a number"
+        raise ValueError(f"{owner} {key!r}: expected {wanted}, got {value!r}")
+    return kind(value)
+
+
+def checked_triple(owner, key, value, kind):
+    """Three :func:`checked_number` values as a tuple, or a ValueError
+    naming `owner`'s `key`."""
+    if not isinstance(value, (list, tuple, np.ndarray)) or len(value) != 3:
+        raise ValueError(f"{owner} {key!r} must be a triple, got {value!r}")
+    return tuple(checked_number(owner, key, v, kind) for v in value)
 
 
 @dataclass(frozen=True)
@@ -56,12 +76,9 @@ class TorusComplexSpec:
     lengths: tuple = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(int(p) for p in self.degrees))
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
-        object.__setattr__(self, "lengths", tuple(float(x) for x in self.lengths))
-        object.__setattr__(self, "rho_bar", float(self.rho_bar))
-        if len(self.degrees) != 3 or len(self.dims) != 3 or len(self.lengths) != 3:
-            raise ValueError("degrees, dims and lengths must be triples")
+        for key, kind in (("degrees", int), ("dims", int), ("lengths", float)):
+            object.__setattr__(self, key, checked_triple("spec", key, getattr(self, key), kind))
+        object.__setattr__(self, "rho_bar", checked_number("spec", "rho_bar", self.rho_bar, float))
         check_size_floors(self.degrees, self.dims)
         check_rho_bar(self.rho_bar)
         if not (np.isfinite(self.lengths).all() and min(self.lengths) > 0):
@@ -200,17 +217,16 @@ class PolarComplex:
 
     def named_matrix(self, name):
         """One exportable matrix by its conventional name (:data:`MATRIX_NAMES`),
-        formed on request but for D0 to D2, which the complex keeps."""
-        e, t = self.extraction, self.tensor
-        if name in e.names():
-            return e.matrix(name)
+        formed on request; D0 to D2 are kept once formed."""
+        t = self.tensor
+        for family in (self.extraction, self.incidence):
+            if name in family.names():
+                return getattr(family, name)
         if name in _STENCILS:
             # D100, D010, D001: the stencil of each direction on level 0
             return t.derivative(_STENCILS.index(name))
         if name in ("H0_r", "H1_r", "H0_t", "H1_t"):
             return getattr(t.spaces[{"r": 0, "t": 2}[name[-1]]], name[:2].lower())
-        if name in ("D0", "D1", "D2"):
-            return getattr(self.incidence, name)
         raise KeyError(f"unknown matrix name {name!r}")
 
     def named_matrices(self):

@@ -10,8 +10,10 @@ level-0 function's ring-0 coefficients must agree and its ring-1 steps
 must be linear in F's (:func:`polar_derham.geometry.polar_c1_residuals`),
 to a rounding bound of F's net, not to `residual`.  That suite is keyed
 ``smoothness_probe`` and reports ``method: "algebraic"``.  The DTA,
-commutation and cohomology suites share one read of the E's and D's as
-circle lifts, and fail, naming it, on a matrix that is not its lift.
+commutation and cohomology suites share one certification of the E's and
+D's as circle lifts: each family's blocks are its own, and only a family
+with an override is read back from its matrices, failing, naming it, on
+a matrix that is not its lift.
 The README lists the fields each schema version changed.
 """
 
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bsplines import dta_diagnostic
-from .extraction import basis_entries, lift_table
+from .extraction import basis_entries
 from .geometry import polar_c1_residuals
 from .incidence import (certify, cohomology_dimensions, commutation_residuals,
                         divergence_preimage, max_abs)
@@ -57,17 +59,17 @@ def inject_row_drop(cx, name, row):
     """Zero the 1-based `row` of a named D- or E-matrix (fault injection).
 
     Returns a copy of the complex that shares every part but the patched
-    matrix and its family; a verifier that cannot fail is
-    untrustworthy, so this plus the center-block perturbation provide the
-    negative controls. A row that is already all zero is rejected, because
-    dropping it would leave the complex unchanged.
+    matrix's family, and of that family its blocks and lift table, with the
+    patched matrix as an override of its lift; a verifier that cannot fail
+    is untrustworthy, so this plus the center-block perturbation provide
+    the negative controls. A row that is already all zero is rejected,
+    because dropping it would leave the complex unchanged.
     """
-    incidence_names = {"D0", "D1", "D2"}
-    names = incidence_names | set(cx.extraction.names())
-    if name not in names:
-        raise ValueError(f"unknown matrix {name!r} for --drop-row; choose one of {sorted(names)}")
-    owner = "incidence" if name in incidence_names else "extraction"
-    family = getattr(cx, owner)
+    owners = {matrix: owner for owner in ("extraction", "incidence")
+              for matrix in getattr(cx, owner).names()}
+    if name not in owners:
+        raise ValueError(f"unknown matrix {name!r} for --drop-row; choose one of {sorted(owners)}")
+    family = getattr(cx, owners[name])
     matrix = getattr(family, name)
     if not 1 <= row <= matrix.shape[0]:
         raise ValueError(f"row {row} out of range 1..{matrix.shape[0]} for {name}")
@@ -78,10 +80,8 @@ def inject_row_drop(cx, name, row):
                          "injects no fault")
     entries[:] = 0.0
     patched.eliminate_zeros()
-    # an E-matrix is an override of its lift; a D-matrix is kept
-    change = ({name: patched} if owner == "incidence"
-              else {"overrides": {**family.overrides, name: patched}})
-    return dataclasses.replace(cx, **{owner: dataclasses.replace(family, **change)})
+    family = dataclasses.replace(family, overrides={**family.overrides, name: patched})
+    return dataclasses.replace(cx, **{owners[name]: family})
 
 
 @dataclass
@@ -169,10 +169,9 @@ def run_verification(cx, residual=RESIDUAL_TOL, config_echo=None):
                ("H0_t", cx.tensor.spaces[2].h0, 1))
         try:
             # each E lifts one block, +/-I (x) block: their joint ranks agree
-            terms = lift_table(c).terms
             ranks = {name: partition_rank(blocks[label], name)
                      for name in ("E000", "E100", "E010", "E001", "E011", "E101", "E110")
-                     for _, label, _, _ in terms[name][1]}
+                     for _, label, _, _ in cx.extraction.lifts.terms[name][1]}
             ranks.update({name: partition_rank(matrix, name) for name, matrix, _ in dta[1:]})
         except StructureError as exc:
             return violation("dta", str(exc), method="per-joint")

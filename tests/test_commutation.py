@@ -14,7 +14,7 @@ from oracles import commutation_residuals_3d
 from polar_derham import incidence, tensor
 from polar_derham.bsplines import difference_triplet, triplet
 from polar_derham.extraction import ExtractionSet, lift_table
-from polar_derham.incidence import certify
+from polar_derham.incidence import certify, disk_blocks
 from polar_derham.tensor import LiftTable, StructureError, derivative_entries
 from polar_derham.verification import inject_row_drop, run_verification
 
@@ -141,25 +141,37 @@ def test_verification_certifies_once_and_builds_no_3d_tensor_operator(complex_ca
         monkeypatch.setattr(module, "derivative_entries", one_joint_entries)
     report = run_verification(cx)
     assert report.passed, report.failures
-    # the E's of a built complex are their blocks: only the D's are read
-    assert reads == [["D0", "D1", "D2"]]
+    # both families of a built complex are their blocks: nothing is read back
+    assert reads == []
     assert levels == []
     assert set(joint_dims) == {(5, 6, 1)}
     assert np.isfinite(report.timings["certify"])
+    # a D override reads the D family once, and its message is the reader's
+    d1 = cx.incidence.D1.copy()
+    d1.data[d1.indptr[d1.shape[0] // cx.counts.nt + 3]] *= 1.5
+    bad = replace(cx, incidence=replace(cx.incidence, overrides={"D1": d1}))
+    with pytest.raises(StructureError) as err:
+        disk_blocks(bad.incidence)
+    reads.clear()
+    report = run_verification(bad)
+    assert reads == [["D0", "D1", "D2"]]
+    assert report.suites["cohomology"]["structure_violation"] == str(err.value)
 
 
 def test_certify_allocates_a_fraction_of_the_matrices_it_reads(complex_cache):
     # each joint is checked against its lift's joint-0 block row in place;
-    # a second copy of the lifts would peak near the matrices' own size
+    # a second copy of the lifts would peak near the matrices' own size.  A
+    # clean certify reads nothing, so all eleven are read as an override's
+    # family would be
     cx = complex_cache(dims=(32, 32, 16))
-    names = [*cx.extraction.names(), "D0", "D1", "D2"]
-    matrices = [getattr(cx.incidence if name[0] == "D" else cx.extraction, name) for name in names]
-    size = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in matrices)
+    matrices = {name: getattr(family, name)
+                for family in (cx.extraction, cx.incidence) for name in family.names()}
+    size = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in matrices.values())
     tracemalloc.start()
     try:
-        blocks, violations = certify(cx.extraction, cx.incidence)
+        blocks = cx.extraction.lifts.read(matrices)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not violations
+    assert set(blocks) == {"e0", "e10", "e01", "e2", "d0", "d1"}
     assert peak < size / 4, (peak, size)

@@ -272,7 +272,8 @@ def test_block_tables_evaluate_as_the_lifted_columns_exactly(complex_cache, degr
                                           c.extraction.columns(level).T @ coeffs)
 
 
-def test_build_lifts_the_incidence_matrices_and_the_field_path_no_matrix(monkeypatch):
+def _count_lifts(monkeypatch):
+    """The joint block shapes of every circle lift from here on."""
     lifted, lift = [], tensor.kron_lift
 
     def counted(*args):
@@ -280,10 +281,32 @@ def test_build_lifts_the_incidence_matrices_and_the_field_path_no_matrix(monkeyp
         return lift(*args)
 
     monkeypatch.setattr(tensor, "kron_lift", counted)
+    return lifted
+
+
+def _d_shapes(c):
+    """The joint block shapes of D0, D1 and D2."""
+    return [(c.nbar1 + c.nbar0, c.nbar0), (c.nbar2 + c.nbar1, c.nbar1 + c.nbar0),
+            (c.nbar2, c.nbar2 + c.nbar1)]
+
+
+def test_build_lifts_nothing_and_a_reduced_grad_lifts_d0_once(monkeypatch):
+    lifted = _count_lifts(monkeypatch)
+    cx = pd.build_complex(pd.TorusComplexSpec((2, 2, 2), (5, 6, 4)))
+    assert lifted == []
+    f = np.random.default_rng(50).standard_normal(cx.counts.n0)
+    first = cx.grad(f)
+    assert lifted == _d_shapes(cx.counts)[:1]
+    # D0 is kept on the incidence set: the second grad lifts nothing
+    np.testing.assert_array_equal(cx.grad(f).data, first.data)
+    assert lifted == _d_shapes(cx.counts)[:1]
+
+
+def test_verify_lifts_the_incidence_matrices_once_and_the_field_path_no_matrix(monkeypatch):
+    lifted = _count_lifts(monkeypatch)
     cx = pd.build_complex(pd.TorusComplexSpec((2, 2, 2), (5, 6, 4)))
     c = cx.counts
-    assert lifted == [(c.nbar1 + c.nbar0, c.nbar0), (c.nbar2 + c.nbar1, c.nbar1 + c.nbar0),
-                      (c.nbar2, c.nbar2 + c.nbar1)]
+    assert lifted == []
 
     def refuse(*args):
         raise AssertionError("a matrix was lifted")
@@ -295,9 +318,14 @@ def test_build_lifts_the_incidence_matrices_and_the_field_path_no_matrix(monkeyp
         cx.pushforward(coeffs, points, level=level)
         cx.reduced_basis_values(level, points[:3])
         cx.to_tensor(pd.FieldCoefficients(level, "reduced", coeffs))
-    assert pd.run_verification(cx).passed
     with pytest.raises(AssertionError, match="lifted"):
         cx.extraction.E000
+    monkeypatch.undo()
+    lifted = _count_lifts(monkeypatch)
+    assert pd.run_verification(cx).passed
+    assert sorted(lifted) == sorted(_d_shapes(c))
+    assert pd.run_verification(cx).passed
+    assert sorted(lifted) == sorted(_d_shapes(c))
 
 
 # ------------------------ the apply builds no matrix ----------------------------

@@ -379,7 +379,8 @@ def _tamper(cx, name, offset, row, col, amount=0.5, incidence=None):
     m, k = matrix.shape[0] // nt, matrix.shape[1] // nt
     for j in range(nt):
         matrix[j * m + row, (j + offset) % nt * k + col] += amount
-    incidence = dataclasses.replace(incidence, **{name: matrix.tocsr()})
+    incidence = dataclasses.replace(
+        incidence, overrides={**incidence.overrides, name: matrix.tocsr()})
     return PolarComplex(cx.spec, cx.tensor, cx.extraction, incidence,
                         cx.polar_map, cx.geometry_map)
 
@@ -534,7 +535,7 @@ def test_structure_check_rejects_one_changed_value(cx443):
     d1 = cx443.incidence.D1.copy()
     d1.data[d1.indptr[d1.shape[0] // cx443.counts.nt + 3]] *= 1.5
     bad = PolarComplex(cx443.spec, cx443.tensor, cx443.extraction,
-                       dataclasses.replace(cx443.incidence, D1=d1),
+                       dataclasses.replace(cx443.incidence, overrides={"D1": d1}),
                        cx443.polar_map, cx443.geometry_map)
     with pytest.raises(StructureError, match=r"D1 .* joint 1 differ"):
         bad.cohomology()

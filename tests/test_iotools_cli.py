@@ -807,10 +807,10 @@ class TestCli:
         header = (out / "D0.txt").read_text().splitlines()[0]
         assert header.split()[0] == "87"
 
-    @pytest.mark.parametrize("names,lifts", [(["D0"], 3), (["E101", "D100", "H0_t"], 5)])
+    @pytest.mark.parametrize("names,lifts", [(["D0"], 1), (["E101", "D100", "H0_t"], 2)])
     def test_export_forms_only_the_names_asked_for(self, tmp_path, capsys, monkeypatch,
                                                    names, lifts):
-        # the build lifts D0 to D2; each E or stencil asked for is one more lift
+        # the build lifts nothing; each D, E or stencil asked for is one lift
         lifted, lift = [], tensor.kron_lift
         monkeypatch.setattr(tensor, "kron_lift", lambda *args: lifted.append(1) or lift(*args))
         assert main(["export", "--sizes", "4,4,3", "--out", str(tmp_path), *names]) == 0
@@ -857,6 +857,18 @@ class TestCli:
         assert main(["build", "--config", str(cfg)]) == 2
         assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "polar_derham_bundle").exists()
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("degrees", [2.9, 2, 2], "config 'degrees': expected an integer, got 2.9"),
+        ("dims", [4, "4", 3], "config 'dims': expected an integer, got '4'"),
+        ("lengths", [1, 1], "config 'lengths' must be a triple, got [1, 1]"),
+        ("rho_bar", True, "config 'rho_bar': expected a number, got True"),
+    ])
+    def test_config_number_messages(self, key, value, message, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"degrees": [2, 2, 2], "dims": [4, 4, 3], key: value}))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("data", [b"", b'{"degrees": [2, 2, 2], \xff}'],
                              ids=["empty", "not-utf-8"])

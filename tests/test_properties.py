@@ -42,7 +42,7 @@ def test_one_changed_entry_in_any_joint_names_the_matrix(complex_cache, size, na
     matrix[row, col] += data.draw(st.sampled_from([0.5, -0.25, 2.0]), label="amount")
     with pytest.raises(StructureError) as err:
         if incidence:
-            disk_blocks(dataclasses.replace(cx.incidence, **{name: matrix.tocsr()}))
+            disk_blocks(dataclasses.replace(cx.incidence, overrides={name: matrix.tocsr()}))
         else:
             lift_table(cx.counts).read({n: getattr(cx.extraction, n) for n in cx.extraction.names()}
                                        | {name: matrix.tocsr()})

@@ -27,6 +27,29 @@ class TestSpec:
         with pytest.raises(ValueError):
             pd.TorusComplexSpec(**kwargs)
 
+    @pytest.mark.parametrize("field,value", [
+        ("degrees", (2.9, 2, 2)),
+        ("dims", (4.7, 4, 3)),
+        ("degrees", ("2", "2", "2")),
+        ("lengths", ("1", "1", "1")),
+        ("dims", (4, True, 3)),
+        ("dims", (4, float("nan"), 3)),
+        ("rho_bar", "3"),
+        ("degrees", (2, 2)),
+        ("dims", "443"),
+    ])
+    def test_sizes_are_checked_not_truncated_or_parsed(self, field, value):
+        kwargs = {"degrees": (2, 2, 2), "dims": (4, 4, 3), field: value}
+        with pytest.raises(ValueError, match=f"^spec '{field}'"):
+            pd.TorusComplexSpec(**kwargs)
+
+    def test_integral_python_and_numpy_numbers_are_accepted(self):
+        spec = pd.TorusComplexSpec(degrees=(2.0, np.int64(2), 2), dims=np.array([4, 4, 3]),
+                                   rho_bar=np.int32(3), lengths=(1, np.float32(2.0), 3.5))
+        assert spec == pd.TorusComplexSpec((2, 2, 2), (4, 4, 3), 3.0, (1.0, 2.0, 3.5))
+        assert {type(x) for x in spec.degrees + spec.dims} == {int}
+        assert {type(x) for x in (spec.rho_bar, *spec.lengths)} == {float}
+
     def test_lengths_respected(self, complex_cache):
         cx = complex_cache(dims=(4, 4, 3), lengths=(2.0, 3.0, 4.0))
         assert cx.tensor.spaces[0].interval == (0.0, 2.0)
@@ -140,11 +163,15 @@ def test_every_named_matrix_is_float64(degrees, dims, complex_cache):
 
 def test_build_allocates_little_beyond_what_it_keeps():
     # the circle lifts write their CSR arrays directly: no COO triplets or
-    # key arrays larger than the output are held while a matrix is built
+    # key arrays larger than the output are held while a matrix is built.
+    # The build lifts nothing, so D0 to D2, which the incidence set keeps
+    # once formed, are lifted here in the traced window
     spec = pd.TorusComplexSpec(degrees=(2, 2, 2), dims=(32, 32, 16))
     tracemalloc.start()
     try:
         cx = pd.build_complex(spec)
+        for name in cx.incidence.names():
+            getattr(cx.incidence, name)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

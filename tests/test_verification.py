@@ -27,21 +27,19 @@ def test_row_drop_patches_a_copy_that_shares_every_other_part(complex_cache, nam
     matrix = getattr(family, name)
     stored = [np.array(a) for a in (matrix.data, matrix.indices, matrix.indptr)]
     bad = inject_row_drop(cx, name, row)
-    # the input complex keeps every part and every byte of the matrix
+    # the input complex keeps every part and every byte of the matrix, and
+    # its family holds no override
     assert all(getattr(cx, part) is before[part] for part in PARTS)
-    # a D is kept; an E is lifted on access, and the input holds no override
-    assert getattr(family, name) is matrix if owner == "incidence" else family.overrides == {}
+    assert family.overrides == {}
     assert all(map(np.array_equal, (matrix.data, matrix.indices, matrix.indptr), stored))
     # the copy shares every part but the patched family, and in that family
-    # every stored part but the patched matrix: the other D's, or the E's
-    # blocks and lift table with the patched E as the one override
+    # the blocks and lift table, with the patched matrix as the one override
     assert all(getattr(bad, part) is before[part] for part in PARTS if part != owner)
     patched = getattr(bad, owner)
     assert patched is not family
-    shared = ([other for other in ("D0", "D1", "D2") if other != name] if owner == "incidence"
-              else ["joint_blocks", "lifts"])
-    assert all(getattr(patched, other) is getattr(family, other) for other in shared)
-    assert owner == "incidence" or list(patched.overrides) == [name]
+    assert all(getattr(patched, other) is getattr(family, other)
+               for other in ("joint_blocks", "lifts"))
+    assert list(patched.overrides) == [name]
     # the patched matrix differs from the input in the dropped row alone
     dropped = getattr(patched, name)
     assert not dropped[[row - 1]].count_nonzero() and matrix[[row - 1]].count_nonzero()
