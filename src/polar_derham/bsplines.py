@@ -445,8 +445,9 @@ class SpanLookup:
             table[a:b, :coeffs.shape[1], :, :coeffs.shape[3]] = coeffs
             self.spans[a:b] = np.column_stack([left - start, inverse_length])
         self.table = table.reshape(stop[-1], order, 3 * width)
-        self.space = np.arange(len(spaces))
-        self.owner = np.repeat(np.append(0, self.space), np.diff(stop, prepend=0))
+        # the spaces' indices as complex numbers, to which a call adds 1j times its offsets
+        self.space = np.arange(len(spaces)) + 0j
+        self.owner = np.repeat(np.append(0, range(len(spaces))), np.diff(stop, prepend=0))
         self.keys = self.owner[1:] + 1j * self.spans[1:, 0]
         self.powers = np.arange(order)
         periodic = np.array([sp.periodic for sp in spaces])
@@ -466,11 +467,11 @@ class SpanLookup:
         if not inside.all():
             self._reject(x, inside, names)
         offset = (x - self.start) % self.modulus
-        row = np.searchsorted(self.keys, offset * 1j + self.space, side="right")
-        span = self.spans[row]
+        row = self.keys.searchsorted(offset * 1j + self.space, side="right")
+        span = self.spans.take(row, axis=0)
         u = (offset - span[..., 0]) * span[..., 1]
-        values = np.einsum("mkj,mkjw->kwm", u[..., None] ** self.powers, self.table[row],
-                           order="C")
+        values = np.einsum("mkj,mkjw->kwm", u[..., None] ** self.powers,
+                           self.table.take(row, axis=0), order="C")
         return row, values.reshape(len(self.space), 3, self.index.shape[2], len(x))
 
     def _reject(self, x, inside, names):

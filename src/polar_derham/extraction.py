@@ -22,7 +22,8 @@ import numpy as np
 from scipy import sparse
 
 from .bsplines import csr_from_triplet, difference_triplet
-from .tensor import LEVEL_PATTERNS, LiftTable, cat_triplets, check_size_floors, eye_triplet
+from .tensor import (LEVEL_PATTERNS, LiftTable, cat_triplets, check_level, check_size_floors,
+                     eye_triplet)
 
 __all__ = [
     "EbarBlock",
@@ -37,6 +38,7 @@ __all__ = [
     "lift_table",
     "ColumnTable",
     "assemble_3d",
+    "gather",
     "basis_entries",
     "reduced_basis_values",
 ]
@@ -238,7 +240,7 @@ class ColumnTable(NamedTuple):
     one joint.
 
     The tensor function of component l with the
-    :meth:`~polar_derham.tensor.TensorComplex.local_products` key
+    :meth:`~polar_derham.tensor.TensorComplex.local_level_basis` key
     ``j * nr * ns + c`` (joint j, column c) adds the entries of row
     ``j * joint_cols + offsets[l] + c`` at the reduced functions from
     ``j * joint_rows`` on.  A lifted level holds one joint's block columns,
@@ -354,7 +356,7 @@ def assemble_3d(nr, ns, nt, ebar=None):
 
 # --------------------------- basis evaluation -------------------------------
 
-def _gather(table, products, stride):
+def gather(table, products, stride):
     """The entries (slot, reduced function, weight) of the products'
     contributions through `table`: slot ``component * m + point``, in the
     order of the (K, k, m) `products` (keys, values), and of each column's
@@ -363,7 +365,7 @@ def _gather(table, products, stride):
     keys, vals = products
     k, m = keys.shape[1:]
     vals = vals.ravel()
-    live = np.flatnonzero(vals)
+    live = vals.nonzero()[0]
     # keys, entry and slot are int64 from here, whatever the index dtypes
     keys, vals = keys.ravel()[live].astype(np.int64), vals[live]
     joints = keys // stride
@@ -373,8 +375,8 @@ def _gather(table, products, stride):
     entries = table.entries
     start = entries.indptr[flat]
     count = entries.indptr[flat + 1] - start
-    entry = np.repeat(np.arange(live.size), count)
-    pos = np.arange(entry.size) + (start - (np.cumsum(count) - count))[entry]
+    entry = np.arange(live.size).repeat(count)
+    pos = np.arange(entry.size) + (start - (count.cumsum() - count))[entry]
     rows = entries.indices[pos]
     if table.joint_rows:
         rows = rows + (joints * table.joint_rows)[entry]
@@ -386,12 +388,13 @@ def basis_entries(extraction, tensor, level, point):
     at the points, unsummed: (slot, function, weight) arrays, slot
     ``component * m + point``; the function's value at the point is the
     sum of its weights there, and every function without an entry is 0."""
+    level = check_level(level)
     factors = tensor.local_factors(point)
-    return _gather(extraction.column_table(level), tensor.local_level_basis(level, factors),
-                   tensor.nr * tensor.ns)
+    return gather(extraction.column_table(level), tensor.local_level_basis(level, factors),
+                  tensor.nr * tensor.ns)
 
 
-def reduced_basis_values(extraction, tensor, level, point, coeffs=None, products=None):
+def reduced_basis_values(extraction, tensor, level, point, coeffs=None):
     """Values of every reduced basis function of one level, or of a field.
 
     `point` is one (r, s, t) point or an (m, 3) array of points.  Without
@@ -399,28 +402,24 @@ def reduced_basis_values(extraction, tensor, level, point, coeffs=None, products
     the scalar levels 0 and 3 and (n_level, 3) for the vector levels 1
     and 2, with a leading m axis for a batch.  With a length-n_level
     `coeffs` it holds the field ``sum_l coeffs[l] * phi_l``: a scalar or
-    (3,), with a leading m axis for a batch.  `products` are the level's
-    :meth:`~polar_derham.tensor.TensorComplex.local_level_basis` at the
-    points, when the caller has formed them.
+    (3,), with a leading m axis for a batch.
 
     The tensor functions nonzero at each point, for all of the level's
     components at once, select their columns of the level's
     :class:`ColumnTable` in one gather, so the cost per point is the local
     support size times the column length, independent of the mesh size.
     """
+    level = check_level(level)
     n = extraction.counts.level_dim(level)
     if coeffs is not None:
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (n,):
-            raise ValueError(
-                f"level-{level} field needs {n} coefficients, got {coeffs.shape}"
-            )
+            raise ValueError(f"level-{level} reduced field needs {n} coefficients, "
+                             f"got shape {coeffs.shape}")
     factors = tensor.local_factors(point)
-    if products is None:
-        products = tensor.local_level_basis(level, factors)
-    k, m = products[1].shape[1:]
-    slot, rows, weights = _gather(extraction.column_table(level), products,
-                                  tensor.nr * tensor.ns)
+    k, m = len(LEVEL_PATTERNS[level]), len(factors.rows)
+    slot, rows, weights = gather(extraction.column_table(level),
+                                 tensor.local_level_basis(level, factors), tensor.nr * tensor.ns)
     if coeffs is None:
         out = np.bincount(slot * n + rows, weights=weights, minlength=k * m * n)
         out = out.reshape(k, m, n).transpose(1, 2, 0)

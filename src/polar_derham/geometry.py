@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extraction import control_angles, reduced_basis_values
-from .tensor import LEVEL_PATTERNS
+from .extraction import control_angles, gather
+from .tensor import LEVEL_PATTERNS, LocalFactors, check_level
 
 __all__ = [
     "SingularityProximityError",
@@ -63,27 +63,19 @@ class SplineMap:
         self.control_points = control_points
         self._grid = control_points.reshape(tensor.nt, tensor.ns, tensor.nr, 3)
 
-    def _contract(self, products):
+    def _contract(self, keys, weights):
         """(m, k, 3): the local control points weighted by the
-        :meth:`TensorComplex.local_products` (keys, weights) of k choices
+        :meth:`TensorComplex.local_level_basis` (keys, weights) of k choices
         that pick values or derivatives (0 or 1) per direction.  All of
         them read the level-0 functions, whose keys index the control net,
         so the first choice's keys address it for every choice."""
-        keys, weights = products
-        return np.einsum("ckm,cmd->mkd", weights, self.control_points[keys[:, 0]])
+        return np.einsum("ckm,cmd->mkd", weights, self.control_points.take(keys[:, 0], axis=0))
 
     def eval(self, point):
         """Image of one (r, s, t) point, (3,), or of an (m, 3) batch, (m, 3)."""
         factors = self.tensor.local_factors(point)
-        xyz = self._contract(self.tensor.local_products(factors, _JACOBIAN_CHOICES[:1]))[:, 0]
+        xyz = self._contract(*self.tensor.local_level_basis(0, factors))[:, 0]
         return xyz[0] if factors.single else xyz
-
-    def _value_and_partials(self, products):
-        """(xyz, DF) from the products of :data:`_JACOBIAN_CHOICES`, (m, 3) and
-        (m, 3, 3): the local control points are gathered once and weighted
-        by the value and the three partials in one product."""
-        c = self._contract(products)
-        return c[:, 0], np.swapaxes(c[:, 1:], 1, 2)
 
     def jacobian(self, point):
         """(xyz, DF, det DF); DF columns are the r, s, t partials.
@@ -91,7 +83,9 @@ class SplineMap:
         A batch of m points gives shapes (m, 3), (m, 3, 3) and (m,).
         """
         factors = self.tensor.local_factors(point)
-        xyz, jac = self._value_and_partials(self.tensor.local_products(factors, _JACOBIAN_CHOICES))
+        # the value (level 0's one choice) and the three partials in one product
+        c = self._contract(*self.tensor.local_level_basis(0, factors, _JACOBIAN_CHOICES[1:]))
+        xyz, jac = c[:, 0], c[:, 1:].swapaxes(1, 2)
         det = np.linalg.det(jac)
         if factors.single:
             return xyz[0], jac[0], float(det[0])
@@ -188,8 +182,9 @@ def build_geometry_g(tensor, extraction, polar_map):
 # fraction of the s-interval, where det DF vanishes at s = 0.
 S_MIN_FACTOR = 1e-8
 
-# Points per batch inside one call; bounds the gather's temporaries, which
-# hold all of a level's components at once (a few MB at 512 points).
+# Points per batch inside one call; bounds the products' and the gather's
+# temporaries, which hold all of a level's components at once (a few MB at
+# 512 points).
 _CHUNK = 512
 
 
@@ -197,10 +192,8 @@ def check_singularity_floor(level, s, S):
     """Reject a level > 0 pushforward at s below ``S_MIN_FACTOR * S``."""
     s_min = S_MIN_FACTOR * S
     if level > 0 and s < s_min:
-        raise SingularityProximityError(
-            f"level-{level} pushforward undefined this close to the polar "
-            f"curve: s = {s} < s_min = {s_min}"
-        )
+        raise SingularityProximityError(f"level-{level} pushforward undefined this close to the "
+                                        f"polar curve: s = {s} < s_min = {s_min}")
 
 
 def pushforward_eval(polar_map, tensor, extraction, level, coeffs, point):
@@ -212,47 +205,46 @@ def pushforward_eval(polar_map, tensor, extraction, level, coeffs, point):
 
     `point` is one (r, s, t) point, giving xyz (3,) and a scalar or (3,)
     value, or an (m, 3) array, giving xyz (m, 3) and values (m,) or
-    (m, 3).  Every coordinate must be finite.
+    (m, 3).  Every coordinate must be finite.  The inputs are checked
+    once; each run of ``_CHUNK`` points then takes one product pass,
+    gather, field sum and contraction of F's control points.
     """
-    if level not in (0, 1, 2, 3):
-        raise ValueError(f"level must be 0..3, got {level}")
+    level = check_level(level)
     coeffs = np.asarray(coeffs, dtype=float)
-    expected = extraction.counts.level_dim(level)
-    if coeffs.shape != (expected,):
-        raise ValueError(
-            f"level-{level} field needs {expected} coefficients, got {coeffs.shape}"
-        )
-    pts = np.asarray(point, dtype=float)
-    if pts.ndim == 2 and len(pts) > _CHUNK:
-        parts = [
-            pushforward_eval(polar_map, tensor, extraction, level, coeffs,
-                             pts[i : i + _CHUNK])
-            for i in range(0, len(pts), _CHUNK)
-        ]
-        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-    factors = tensor.local_factors(pts)
-    check_singularity_floor(level, factors.points[:, 1].min(initial=np.inf),
-                            tensor.spaces[1].interval[1])
-    # the level's basis and F's value and partials in one call; level 0's
-    # single choice is F's value
+    n = extraction.counts.level_dim(level)
+    if coeffs.shape != (n,):
+        raise ValueError(f"level-{level} reduced field needs {n} coefficients, "
+                         f"got shape {coeffs.shape}")
+    factors = tensor.local_factors(point)
+    if level:
+        check_singularity_floor(level, factors.points[:, 1].min(initial=np.inf),
+                                tensor.span_lookup.intervals[1][1])
+    table, stride = extraction.column_table(level), tensor.nr * tensor.ns
+    # F's value and partials follow the k level choices, or are level 0's one
     k = len(LEVEL_PATTERNS[level])
-    keys, vals = tensor.local_level_basis(level, factors, _JACOBIAN_CHOICES if level else ())
-    basis = keys[:, :k], vals[:, :k]
-    param = reduced_basis_values(extraction, tensor, level, factors, coeffs=coeffs, products=basis)
-    if level == 0:
-        xyz = polar_map._contract(basis)[:, 0]
-        return (xyz[0], float(param)) if factors.single else (xyz, param)
-    xyz, jac = polar_map._value_and_partials((keys[:, k:], np.ascontiguousarray(vals[:, k:])))
-    if factors.single:
-        xyz, jac = xyz[0], jac[0]
+    at, extra = (k, _JACOBIAN_CHOICES) if level else (0, ())
+    fields, maps = [], []
+    for start in range(0, max(len(factors.rows), 1), _CHUNK):
+        run = slice(start, start + _CHUNK)
+        part = factors.points[run], factors.rows[run], factors.values[..., run], factors.single
+        keys, vals = tensor.local_level_basis(level, LocalFactors(*part), extra)
+        m = keys.shape[2]
+        slot, rows, weights = gather(table, (keys[:, :k], vals[:, :k]), stride)
+        fields.append(np.bincount(slot, weights=coeffs[rows] * weights,
+                                  minlength=k * m).reshape(k, m).T)
+        maps.append(polar_map._contract(keys[:, at:], vals[:, at:]))
+    param, c = np.concatenate(fields), np.concatenate(maps)
+    xyz, jac = c[:, 0], c[:, 1:].swapaxes(1, 2)
     if level == 1:
-        # a covector needs no determinant
-        return xyz, np.linalg.solve(np.swapaxes(jac, -1, -2), param[..., None])[..., 0]
-    det = np.linalg.det(jac)
-    if level == 2:
-        return xyz, np.einsum("...ij,...j->...i", jac, param) / np.expand_dims(det, -1)
-    value = param / det
-    return xyz, (float(value) if factors.single else value)
+        # a covector needs no determinant; c[:, 1:] holds DF^T
+        value = np.linalg.solve(c[:, 1:], param[..., None])[..., 0]
+    elif level == 2:
+        value = np.einsum("...ij,...j->...i", jac, param) / np.linalg.det(jac)[:, None]
+    else:
+        value = param[:, 0] if level == 0 else param[:, 0] / np.linalg.det(jac)
+    if factors.single:
+        return xyz[0], (value[0] if k == 3 else float(value[0]))
+    return xyz, value
 
 
 # ============================ polar-curve C1 =================================

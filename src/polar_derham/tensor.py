@@ -57,6 +57,7 @@ __all__ = [
     "distinct_knot_counts",
     "dims_of_distinct_knots",
     "LEVEL_PATTERNS",
+    "check_level",
 ]
 
 # Component patterns per complex level; a 1 marks a direction carrying the
@@ -67,11 +68,18 @@ LEVEL_PATTERNS = {
     2: ((0, 1, 1), (1, 0, 1), (1, 1, 0)),
     3: ((1, 1, 1),),
 }
-# The same patterns as :meth:`TensorComplex.local_products` choices: a
+# The same patterns as :meth:`TensorComplex.local_level_basis` choices: a
 # lowered direction picks the derivative-space values.
 _LEVEL_CHOICES = {level: tuple(tuple(2 * b for b in pat) for pat in pats)
                  for level, pats in LEVEL_PATTERNS.items()}
 _DIRECTIONS = np.arange(3)[:, None]
+
+
+def check_level(level):
+    """`level` as an int; a ValueError unless it is an integer 0..3, not a bool."""
+    if isinstance(level, (int, np.integer)) and not isinstance(level, bool) and 0 <= level <= 3:
+        return int(level)
+    raise ValueError(f"level must be 0..3, got {level!r}")
 
 
 _KNOT_OFFSETS = (3, 1, 3)
@@ -410,15 +418,10 @@ class LocalFactors(NamedTuple):
     derivative-space values of the functions nonzero there.
     """
 
-    spaces: tuple
     points: np.ndarray
     rows: np.ndarray
     values: np.ndarray
     single: bool
-
-    @property
-    def size(self):
-        return self.points.shape[0]
 
 
 class TensorComplex:
@@ -476,72 +479,67 @@ class TensorComplex:
 
         `points` is one (r, s, t) point or an (m, 3) array of them; each
         coordinate must be finite, s must lie in the open direction's
-        interval, and r and t wrap periodically.  Factors already built on
-        these spaces pass through unchanged.
+        interval, and r and t wrap periodically.
         """
-        if isinstance(points, LocalFactors):
-            if points.spaces is self.spaces:
-                return points
-            points = points.points
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
+        pts = pts[None] if single else pts
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(
                 f"points must have shape (3,) or (m, 3), got {np.shape(points)}"
             )
         rows, values = self.span_lookup(pts, "rst")
-        return LocalFactors(self.spaces, pts, rows, values, single)
+        return LocalFactors(pts, rows, values, single)
 
-    def local_products(self, points, choices):
-        """Tensor products of one local univariate factor per direction.
+    def local_level_basis(self, level, factors, extra=()):
+        """Tensor products of one local univariate factor per direction at
+        the :class:`LocalFactors` `factors`, for each component of the
+        checked `level` and then each of the tuple of `extra` choices.
 
-        Each (r, s, t) triple of the tuple `choices` picks, per direction,
-        the values (0), first derivatives (1) or derivative-space values
-        (2) of the local basis.  Returns (K, k, m) arrays, for the k
-        choices at the m points, of keys and of the products' values; K is
-        the product of the local widths the choices read per direction.
-        The key of function (i, j, joint) of the component a choice reads
-        (one function fewer along s where it picks 2 there) is
-        ``joint * nr * ns + i + nr * j``: its joint and its column within
-        the joint, and for level-0 functions their index in the module's
-        layout.  The points run last, so that broadcasts over a batch loop
-        over them innermost.
+        A (r, s, t) choice picks, per direction, the values (0), first
+        derivatives (1) or derivative-space values (2) of the local basis.
+        Returns (K, k, m) arrays, for the k choices at the m points, of keys
+        and of the products' values; K is the product of the local widths
+        the choices read per direction.  The key of function (i, j, joint)
+        of the component a choice reads (one function fewer along s where
+        it picks 2 there) is ``joint * nr * ns + i + nr * j``: its joint and
+        its column within the joint, and for level-0 functions their index
+        in the module's layout.  The points run last.
         """
-        factors = self.local_factors(points)
+        choices = _LEVEL_CHOICES[level] + extra
         if choices not in self._plans:
             self._plans[choices] = self._product_plan(choices)
-        index, kind, (wr, ws, wt) = self._plans[choices]
-        i = np.take(index, factors.rows.T, axis=-1)
-        v = factors.values[_DIRECTIONS, kind]
-        # (w, k, m) per direction, combined into (wt, ws, wr, k, m)
-        keys = i[:wt, None, None, :, 2] + i[None, :ws, None, :, 1] + i[None, None, :wr, :, 0]
-        vs = v[1, :, :ws].transpose(1, 0, 2)[:, None] * v[0, :, :wr].transpose(1, 0, 2)
-        vals = v[2, :, :wt].transpose(1, 0, 2)[:, None, None] * vs
-        shape = (wt * ws * wr, len(choices), factors.size)
-        return keys.reshape(shape), vals.reshape(shape)
+        index, key_at, size, value_at = self._plans[choices]
+        m = len(factors.rows)
+        # each product's factors in the directions r, s and t, one (K, k, m) array at a time
+        i = index.take(factors.rows.T, axis=-1).reshape(3 * len(index), m)
+        keys = np.add.reduce(i.take(key_at, axis=0), axis=0, dtype=index.dtype)
+        v = factors.values.reshape(size, m)
+        vals = v.take(value_at[0], axis=0)
+        for at in value_at[1:]:
+            vals *= v.take(at, axis=0)
+        return keys, vals
 
     def _product_plan(self, choices):
-        """Per local slot, choice and span row of the lookup, the index of
-        the function the choice reads there, scaled by its direction's
-        stride in the keys of :meth:`local_products`; per direction and
-        choice, the values row; and per direction, the widest local width
-        the choices read.  The indices, and so the keys, are int32 while
-        the level-0 functions fit.
-        """
+        """Per local slot and choice, the function index per span row of the
+        lookup, scaled by its direction's stride in the keys (int32 while
+        the level-0 functions fit); per direction, product and choice, the
+        row of its factor in those indices taken at the points and in the
+        lookup's `size` rows of values.  A direction's slots run up to the
+        widest local width the choices read; t runs slowest."""
         kind = np.array(choices).T
         lookup = self.span_lookup
         d = lookup.owner
         index = lookup.index[np.arange(d.size)[:, None], kind[d] // 2]
         index = index * np.array([1, self.nr, self.nr * self.ns])[d, None, None]
         index = index.astype(index_dtype((self.level_dim(0),), 0))
+        rows, k, width = index.shape
         widths = lookup.widths[_DIRECTIONS, kind // 2].max(axis=1)
-        return np.ascontiguousarray(index.transpose(2, 1, 0)), kind, tuple(widths)
-
-    def local_level_basis(self, level, points, extra=()):
-        """:meth:`local_products` of the level's components, followed by
-        those of the `extra` choices."""
-        return self.local_products(points, _LEVEL_CHOICES[level] + tuple(extra))
+        # (3, K, 1): each product's slot in the directions r, s and t
+        slot = np.indices(widths[::-1]).reshape(3, -1)[::-1, :, None]
+        key_at = (slot * k + np.arange(k)) * 3 + _DIRECTIONS[:, :, None]
+        value_at = (_DIRECTIONS[:, :, None] * 3 + kind[:, None]) * width + slot
+        return index.transpose(2, 1, 0).reshape(width * k, rows), key_at, 9 * width, value_at
 
     # --------------------- coefficient derivatives --------------------------
 

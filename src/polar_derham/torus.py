@@ -22,7 +22,7 @@ from .geometry import (
 from .incidence import (IncidenceSet, build_incidence, certify, cohomology_dimensions,
                         commutation_residuals, disk_blocks)
 from .tensor import (LEVEL_PATTERNS, StructureError, TensorComplex, build_tensor_sequence,
-                     check_size_floors, distinct_knot_counts)
+                     check_level, check_size_floors, distinct_knot_counts)
 
 __all__ = [
     "MATRIX_NAMES",
@@ -99,8 +99,7 @@ class FieldCoefficients:
     data: np.ndarray
 
     def __post_init__(self):
-        if self.level not in (0, 1, 2, 3):
-            raise ValueError(f"level must be 0..3, got {self.level}")
+        self.level = check_level(self.level)
         if self.space not in ("reduced", "tensor"):
             raise ValueError(f"space must be 'reduced' or 'tensor', got {self.space}")
         self.data = np.asarray(self.data, dtype=float)
@@ -141,10 +140,8 @@ class PolarComplex:
 
     # --------------------------- field algebra ------------------------------
 
-    def _check_field(self, f, level):
-        """`f` as a FieldCoefficients of the given `level` (any level for
-        None) with the coefficient count of its space; a plain array is a
-        reduced field."""
+    def _field(self, f, level):
+        """`f` as a FieldCoefficients of `level` (any for None); an array is a reduced field."""
         if not isinstance(f, FieldCoefficients):
             if level is None:
                 c = self.counts
@@ -153,9 +150,14 @@ class PolarComplex:
                     "its level, so wrap it as FieldCoefficients(level, 'reduced', data); "
                     f"levels 0..3 take {c.n0}, {c.n1}, {c.n2}, {c.n3} coefficients"
                 )
-            f = FieldCoefficients(level=level, space="reduced", data=f)
-        elif level is not None and f.level != level:
+            return FieldCoefficients(level=level, space="reduced", data=f)
+        if level is not None and f.level != check_level(level):
             raise ValueError(f"expected a level-{level} field, got level {f.level}")
+        return f
+
+    def _check_field(self, f, level):
+        """:meth:`_field` with the coefficient count of its space."""
+        f = self._field(f, level)
         expected = (self.counts if f.space == "reduced" else self.tensor).level_dim(f.level)
         if f.data.shape != (expected,):
             raise ValueError(
@@ -197,11 +199,14 @@ class PolarComplex:
         return reduced_basis_values(self.extraction, self.tensor, level, point)
 
     def pushforward(self, coeffs, point, level=None):
-        f = self._check_field(coeffs, level)
-        if f.space != "reduced":
-            raise ValueError("pushforward evaluation expects a reduced field")
+        """:func:`~polar_derham.geometry.pushforward_eval` of a reduced field."""
+        if isinstance(coeffs, FieldCoefficients):
+            f = self._field(coeffs, level)
+            if f.space != "reduced":
+                raise ValueError("pushforward evaluation expects a reduced field")
+            level, coeffs = f.level, f.data
         return pushforward_eval(
-            self.polar_map, self.tensor, self.extraction, f.level, f.data, point,
+            self.polar_map, self.tensor, self.extraction, level, coeffs, point,
         )
 
     # ----------------------------- reporting --------------------------------

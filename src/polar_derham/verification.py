@@ -168,10 +168,14 @@ def run_verification(cx, residual=RESIDUAL_TOL, config_echo=None):
                ("H0_r", cx.tensor.spaces[0].h0, 1),
                ("H0_t", cx.tensor.spaces[2].h0, 1))
         try:
-            # each E lifts one block, +/-I (x) block: their joint ranks agree
-            ranks = {name: partition_rank(blocks[label], name)
-                     for name in ("E000", "E100", "E010", "E001", "E011", "E101", "E110")
-                     for _, label, _, _ in cx.extraction.lifts.terms[name][1]}
+            # each E lifts one block, +/-I (x) block: their joint ranks agree,
+            # and each block is ranked once, named by the first E that lifts it
+            ranks, ranked = {}, {}
+            for name in ("E000", "E100", "E010", "E001", "E011", "E101", "E110"):
+                (_, label, _, _), = cx.extraction.lifts.terms[name][1]
+                if label not in ranked:
+                    ranked[label] = partition_rank(blocks[label], name)
+                ranks[name] = ranked[label]
             ranks.update({name: partition_rank(matrix, name) for name, matrix, _ in dta[1:]})
         except StructureError as exc:
             return violation("dta", str(exc), method="per-joint")

@@ -3,7 +3,7 @@
 Each one builds a vector as long as the space or decomposes a dense
 matrix, so its cost grows with the size of the space.  The library itself
 evaluates through per-span tables (`SpanLookup`,
-`TensorComplex.local_products`) and decides ranks from structure; these
+`TensorComplex.local_level_basis`) and decides ranks from structure; these
 are the independent, one-point-at-a-time definitions those paths must
 reproduce.  The univariate evaluation of one space through its own
 `SpanLookup` lives here too: only the tests evaluate a single space.  The
@@ -534,7 +534,7 @@ def smoothness_probe(cx, t, eps_list, space="reduced"):
     def values(points):
         if space == "reduced":
             return cx.reduced_basis_values(0, points)
-        cols, vals = cx.tensor.local_level_basis(0, points)
+        cols, vals = cx.tensor.local_level_basis(0, cx.tensor.local_factors(points))
         n, m = cx.tensor.level_dim(0), len(points)
         flat = np.arange(m) * n + cols
         return np.bincount(flat.ravel(), weights=vals.ravel(), minlength=m * n).reshape(m, n)

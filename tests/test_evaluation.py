@@ -8,6 +8,9 @@ control net, both evaluated one point at a time.
 import dataclasses
 import gc
 import json
+import os
+import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -18,6 +21,7 @@ from oracles import (column_gather, column_pushforward, eval_basis, eval_basis_d
                      eval_component_basis, eval_spline, eval_spline_derivative)
 from polar_derham import bsplines, tensor
 from polar_derham.cli import main
+from polar_derham.extraction import basis_entries
 from polar_derham.verification import inject_row_drop
 
 SIZES = [(4, 4, 3), (5, 6, 4), (7, 7, 5)]
@@ -384,3 +388,86 @@ def test_empty_batch_gives_empty_results(cx443):
         xyz, values = cx443.pushforward(np.ones(n), np.zeros((0, 3)), level=level)
         assert xyz.shape == (0, 3) and values.shape == (0, *shape)
         assert cx443.reduced_basis_values(level, np.zeros((0, 3))).shape == (0, n, *shape)
+
+
+# ----------------------------- the level is checked ----------------------------
+
+@pytest.mark.parametrize("level", [4, -1, 1.0, True, np.bool_(True), "1", None])
+def test_every_evaluation_entry_point_checks_the_level(cx443, level):
+    # 4 used to raise IndexError, -1 read level 3's count, True passed as 1
+    point, n = (0.3, 0.4, 0.5), cx443.counts.n1
+    calls = [
+        lambda: cx443.pushforward(np.ones(n), point, level=level),
+        lambda: cx443.pushforward(pd.FieldCoefficients(1, "reduced", np.ones(n)), point,
+                                  level=level),
+        lambda: cx443.reduced_basis_values(level, point),
+        lambda: pd.reduced_basis_values(cx443.extraction, cx443.tensor, level, point,
+                                        coeffs=np.ones(n)),
+        lambda: basis_entries(cx443.extraction, cx443.tensor, level, point),
+        lambda: pd.FieldCoefficients(level, "reduced", np.ones(n)),
+    ]
+    if level is None:
+        # a FieldCoefficients carries its own level
+        del calls[1]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^level must be 0\.\.3, got "):
+            call()
+
+
+def test_integer_levels_of_any_integer_type_are_accepted(cx443):
+    point, n = (0.3, 0.4, 0.5), cx443.counts.n2
+    for level in (2, np.int64(2), np.int32(2)):
+        xyz, value = cx443.pushforward(np.ones(n), point, level=level)
+        assert value.shape == (3,)
+        assert pd.FieldCoefficients(level, "reduced", np.ones(n)).level == 2
+
+
+# ------------------------- one pass per pushforward call -----------------------
+
+# The library functions one single-point pushforward may enter.  It is half
+# the 22-23 that entered when every layer checked and looked up its own inputs.
+FRAME_BUDGET = 11
+
+
+def _library_frames(fn):
+    """The library functions `fn` enters, by name, through `sys.setprofile`."""
+    package, entered = os.path.dirname(pd.__file__), []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            entered.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
+def test_single_point_pushforward_enters_each_step_once(complex_cache):
+    cx = complex_cache(dims=(8, 8, 6))
+    for level in range(4):
+        coeffs = np.ones(cx.counts.level_dim(level))
+        # the first call builds the level's column table and product plan
+        cx.pushforward(coeffs, (0.3, 0.4, 0.5), level=level)
+        entered = _library_frames(lambda: cx.pushforward(coeffs, (0.35, 0.45, 0.55), level=level))
+        assert len(entered) <= FRAME_BUDGET, entered
+        for step in ("check_level", "local_factors", "local_level_basis", "gather", "_contract"):
+            assert entered.count(step) == 1, (step, entered)
+
+
+def test_single_point_pushforward_memory_is_its_support(complex_cache):
+    # 120-370 KB of coefficients per level; a point touches O(p^3) of them
+    cx = complex_cache(dims=(32, 32, 16))
+    rng = np.random.default_rng(48)
+    for level in range(4):
+        coeffs = rng.standard_normal(cx.counts.level_dim(level))
+        cx.pushforward(coeffs, (0.3, 0.4, 0.5), level=level)
+        tracemalloc.start()
+        try:
+            cx.pushforward(coeffs, (0.31, 0.42, 0.53), level=level)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32_000, (level, peak)

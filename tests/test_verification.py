@@ -11,6 +11,7 @@ import pytest
 
 import polar_derham as pd
 from polar_derham import verification
+from polar_derham.bsplines import csr_from_triplet, triplet
 from polar_derham.verification import inject_row_drop, run_verification
 
 pytest.importorskip("hypothesis")
@@ -124,3 +125,40 @@ def test_partition_of_unity_suite_reads_the_gathered_entries(complex_cache, monk
     report = run_verification(cx)
     assert report.suites["partition_of_unity"]["pass"]
     assert peaks["partition_of_unity"] < 2e6, peaks
+
+
+def test_dta_suite_ranks_each_block_once(complex_cache, monkeypatch):
+    # e0, e10 and e01 each lift into two E's; the suite ranked them twice
+    cx = complex_cache(dims=(5, 6, 4))
+    ranked, rank = [], verification.partition_rank
+
+    def counted(block, name):
+        ranked.append(name)
+        return rank(block, name)
+
+    monkeypatch.setattr(verification, "partition_rank", counted)
+    suite = run_verification(cx).suites["dta"]
+    assert ranked == ["E000", "E100", "E010", "E110", "H0_r", "H0_t"]
+    assert suite["pass"]
+    independence = suite["nonzero_row_independence"]
+    for first, second in (("E100", "E101"), ("E010", "E011")):
+        assert independence[first] == independence[second]
+
+
+@pytest.mark.parametrize("label,first", [("e0", "E000"), ("e10", "E100"), ("e01", "E010"),
+                                         ("e2", "E110")])
+def test_an_unpartitioned_block_is_named_by_its_first_matrix(complex_cache, label, first):
+    # two unit rows share a column in a block every E that lifts it holds
+    cx = complex_cache(dims=(5, 6, 4))
+    extraction = cx.extraction
+    block = csr_from_triplet(extraction.blocks[label], extraction.lifts.shapes[label])
+    one, two = np.flatnonzero(np.diff(block.indptr) == 1)[:2]
+    block = block.tolil()
+    block[two] = block[one]
+    blocks = list(extraction.joint_blocks)
+    blocks[extraction.labels.index(label)] = triplet(block.tocsr())
+    bad = dataclasses.replace(cx, extraction=dataclasses.replace(extraction,
+                                                                 joint_blocks=tuple(blocks)))
+    suite = run_verification(bad).suites["dta"]
+    assert not suite["pass"]
+    assert suite["structure_violation"].startswith(f"{first} does not partition"), suite
