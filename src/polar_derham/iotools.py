@@ -13,7 +13,6 @@ reading peaks at a few times the CSR matrix it returns.
 """
 
 import codecs
-import io
 import json
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
@@ -28,7 +27,6 @@ from .torus import MATRIX_NAMES, TorusComplexSpec, checked_number, checked_tripl
 
 __all__ = [
     "ComplexConfig",
-    "csv_text",
     "write_csv",
     "read_coefficients",
     "write_triplet",
@@ -161,20 +159,13 @@ def _table_runs(line, table, sep):
     return _runs(line, len(table), lambda start, stop: _repr_tokens(table[start:stop]), sep)
 
 
-def csv_text(header, table):
-    """The header line, then one line per row of the 2-D array `table`:
-    its values' `repr` tokens, comma-separated."""
-    stream = io.StringIO()
-    write_csv(stream, header, table)
-    return stream.getvalue()[:-1]
-
-
 def write_csv(stream, header, tables):
-    """Write :func:`csv_text` and a final newline to the text `stream`, a
-    run of rows at a time.  `tables` is one 2-D array or an iterable of
-    nonempty ones, whose rows follow each other as those of one table."""
+    """Write the header line, then one line per row of the iterable of
+    nonempty 2-D arrays `tables`, whose rows follow each other as those of
+    one table: its values' `repr` tokens, comma-separated, a run of rows
+    at a time, and a final newline."""
     stream.write(f"{header}\n")
-    for table in [tables] if isinstance(tables, np.ndarray) else tables:
+    for table in tables:
         stream.writelines(_table_runs(",".join(["%s"] * table.shape[1]), table, "\n"))
         stream.write("\n")
 

@@ -263,9 +263,6 @@ def test_block_tables_evaluate_as_the_lifted_columns_exactly(complex_cache, degr
         for level in range(4):
             coeffs = rng.standard_normal(c.counts.level_dim(level))
             for pts in (points, points[7]):
-                np.testing.assert_array_equal(
-                    pd.reduced_basis_values(c.extraction, c.tensor, level, pts, coeffs=coeffs),
-                    column_gather(c, level, pts, coeffs))
                 for got, expected in zip(c.pushforward(coeffs, pts, level=level),
                                          column_pushforward(c, level, coeffs, pts)):
                     np.testing.assert_array_equal(got, expected)
@@ -401,8 +398,7 @@ def test_every_evaluation_entry_point_checks_the_level(cx443, level):
         lambda: cx443.pushforward(pd.FieldCoefficients(1, "reduced", np.ones(n)), point,
                                   level=level),
         lambda: cx443.reduced_basis_values(level, point),
-        lambda: pd.reduced_basis_values(cx443.extraction, cx443.tensor, level, point,
-                                        coeffs=np.ones(n)),
+        lambda: pd.reduced_basis_values(cx443.extraction, cx443.tensor, level, point),
         lambda: basis_entries(cx443.extraction, cx443.tensor, level, point),
         lambda: pd.FieldCoefficients(level, "reduced", np.ones(n)),
     ]

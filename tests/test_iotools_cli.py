@@ -17,7 +17,6 @@ from polar_derham.verification import SCHEMA_VERSION
 from polar_derham.iotools import (
     _CHUNK,
     ComplexConfig,
-    csv_text,
     load_raw_config,
     read_triplet,
     write_bundle,
@@ -335,10 +334,7 @@ def test_csv_matches_per_row_oracle_across_runs():
     table = np.random.default_rng(3).standard_normal((2 * _CHUNK + 1, 4))
     table[::7, 0] = -0.0
     expected = _per_row_csv_text("a,b,c,d", table)
-    assert csv_text("a,b,c,d", table) == expected
-    stream = io.StringIO()
-    write_csv(stream, "a,b,c,d", table)
-    assert stream.getvalue() == expected + "\n"
+    assert _written_csv("a,b,c,d", table) == expected + "\n"
 
 
 def _traced_peak(fn, *args):
@@ -445,11 +441,18 @@ def _per_row_csv_text(header, table):
     return "\n".join([header] + [",".join(map(repr, row)) for row in table.tolist()])
 
 
+def _written_csv(header, table):
+    """What :func:`write_csv` writes for the one table."""
+    stream = io.StringIO()
+    write_csv(stream, header, [table])
+    return stream.getvalue()
+
+
 def test_csv_text_matches_per_row_oracle():
     row = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 0.1 + 0.2, -2.5e-17]
     table = np.array([row, row[::-1], row[1:] + row[:1]])
-    assert csv_text("a,b", table) == _per_row_csv_text("a,b", table)
-    assert csv_text("a", table[:1, :1]) == _per_row_csv_text("a", table[:1, :1])
+    assert _written_csv("a,b", table) == _per_row_csv_text("a,b", table) + "\n"
+    assert _written_csv("a", table[:1, :1]) == _per_row_csv_text("a", table[:1, :1]) + "\n"
 
 
 @pytest.mark.parametrize("level", [0, 1])
