@@ -349,22 +349,19 @@ class SplineSpace:
         in, so evaluation never touches a matrix the size of the space.
         The coefficients come from one Cox-de Boor pass at p+1 nodes of
         every span and one solve against the nodes' Vandermonde matrix;
-        zero-length spans, which no parameter selects, keep zero rows.
+        zero-length spans, which no parameter selects, keep zero rows.  A
+        degree-0 space has no derivative basis, so its tables raise
+        :attr:`derivative_scales`' ValueError.
         """
         p, n, knots = self.degree, self.kv.n, self.kv.knots
         spans = np.arange(p, n)
         ext0 = self.h0.toarray() if self.periodic else np.eye(n)
         value_blocks = ext0[:, spans[:, None] - p + np.arange(p + 1)]
-        if p == 0:
-            # piecewise constants: zero derivative, empty derivative space
-            deriv_blocks = np.zeros((0, spans.size, 0))
-            slope_blocks = np.zeros((self.dim, spans.size, 0))
-        else:
-            ext1 = self.h1.toarray() if self.periodic else np.eye(n - 1)
-            ext1 = ext1 * self.derivative_scales
-            cols = spans[:, None] - p + np.arange(p)
-            deriv_blocks = ext1[:, cols]
-            slope_blocks = (self.difference_stencil.T @ ext1)[:, cols]
+        ext1 = self.h1.toarray() if self.periodic else np.eye(n - 1)
+        ext1 = ext1 * self.derivative_scales
+        cols = spans[:, None] - p + np.arange(p)
+        deriv_blocks = ext1[:, cols]
+        slope_blocks = (self.difference_stencil.T @ ext1)[:, cols]
         parts = [_nonzero_rows(mask.T > 0) for mask in (
             np.abs(value_blocks).sum(axis=2) + np.abs(slope_blocks).sum(axis=2),
             np.abs(deriv_blocks).sum(axis=2))]

@@ -101,9 +101,10 @@ class VerificationReport:
 
 def _timed(timings, name, fn):
     start = time.perf_counter()
-    result = fn()
-    timings[name] = time.perf_counter() - start
-    return result
+    try:
+        return fn()
+    finally:
+        timings[name] = time.perf_counter() - start
 
 
 def run_verification(cx, residual=RESIDUAL_TOL, config_echo=None):
@@ -112,6 +113,12 @@ def run_verification(cx, residual=RESIDUAL_TOL, config_echo=None):
     `residual` bounds the complex-property, commutation and
     partition-of-unity residuals.  The random draws are seeded, so timings
     are the only run-to-run variation in the output.
+
+    Each suite returns its fields and its failure message, None when it
+    passes; a suite that reads a family that is no lift, or raises
+    StructureError, fails with that message as its `structure_violation`.
+    One loop turns these into each suite's `pass`, one line
+    ``"<suite>: <failure>"`` per failed suite, and `passed`.
 
     No suite's pass contains a condition another of its conditions
     implies.  The count formulas of the dimensions suite have alternating
@@ -122,13 +129,17 @@ def run_verification(cx, residual=RESIDUAL_TOL, config_echo=None):
     """
     rng = np.random.default_rng(SEED)
     c = cx.counts
-    suites = {}
     timings = {}
-    failures = []
 
-    def gate(suite, ok, message):
-        if not ok:
-            failures.append(f"{suite}: {message}")
+    # ----- certification: each family's blocks, read once --------------------
+    blocks, violations = _timed(timings, "certify", lambda: certify(cx.extraction, cx.incidence))
+
+    def read(*families):
+        """The certified blocks; raises StructureError naming every family
+        of `families` that is no lift."""
+        if message := "; ".join(violations[f] for f in families if f in violations):
+            raise StructureError(message)
+        return blocks
 
     # ----- dimension formulas ------------------------------------------------
     def dims_suite():
@@ -141,89 +152,58 @@ def run_verification(cx, residual=RESIDUAL_TOL, config_echo=None):
             "n3": nt * (nbar0 - 3),
         }
         got = {"n0": c.n0, "n1": c.n1, "n2": c.n2, "n3": c.n3}
-        ok = got == expected
-        gate("dimensions", ok, f"count formulas: got {got}, expected {expected}, "
-                               f"alternating sum {c.alternating_sum}")
-        return {"pass": ok, "expected": expected, "got": got,
-                "alternating_sum": c.alternating_sum}
-
-    suites["dimensions"] = _timed(timings, "dimensions", dims_suite)
-
-    # ----- certification: each family's blocks, read once --------------------
-    blocks, violations = _timed(timings, "certify", lambda: certify(cx.extraction, cx.incidence))
-
-    def violation(suite, message, **fields):
-        gate(suite, False, message)
-        return {"pass": False, **fields, "structure_violation": message}
+        return ({"expected": expected, "got": got, "alternating_sum": c.alternating_sum},
+                None if got == expected else f"count formulas: got {got}, expected {expected}, "
+                                             f"alternating sum {c.alternating_sum}")
 
     # ----- DTA compatibility and row independence ----------------------------
     # Every block, like the univariate H0_r and H0_t, must partition into
     # unit and center rows; its rank is then certified without a dense
     # decomposition (partition_rank).
     def dta_suite():
-        if "E" in violations:
-            return violation("dta", violations["E"], method="per-joint")
         # (name, block, joints the certified block repeats over)
-        dta = (("E000", blocks["e0"], c.nt),
+        dta = (("E000", read("E")["e0"], c.nt),
                ("H0_r", cx.tensor.spaces[0].h0, 1),
                ("H0_t", cx.tensor.spaces[2].h0, 1))
-        try:
-            # each E lifts one block, +/-I (x) block: their joint ranks agree,
-            # and each block is ranked once, named by the first E that lifts it
-            ranks, ranked = {}, {}
-            for name in ("E000", "E100", "E010", "E001", "E011", "E101", "E110"):
-                (_, label, _, _), = cx.extraction.lifts.terms[name][1]
-                if label not in ranked:
-                    ranked[label] = partition_rank(blocks[label], name)
-                ranks[name] = ranked[label]
-            ranks.update({name: partition_rank(matrix, name) for name, matrix, _ in dta[1:]})
-        except StructureError as exc:
-            return violation("dta", str(exc), method="per-joint")
-        results = {}
-        ok = True
-        for name, matrix, joints in dta:
-            diag = dta_diagnostic(matrix, ranks[name][0], joints)
-            results[name] = {key: getattr(diag, key) for key in (
-                "ok", "rank", "min_entry", "max_column_sum_error", "max_row_support", "violation")}
-            ok = ok and diag.ok
+        # each E lifts one block, +/-I (x) block: their joint ranks agree,
+        # and each block is ranked once, named by the first E that lifts it
+        ranks, ranked = {}, {}
+        for name in ("E000", "E100", "E010", "E001", "E011", "E101", "E110"):
+            (_, label, _, _), = cx.extraction.lifts.terms[name][1]
+            if label not in ranked:
+                ranked[label] = partition_rank(blocks[label], name)
+            ranks[name] = ranked[label]
+        ranks.update({name: partition_rank(matrix, name) for name, matrix, _ in dta[1:]})
+        results = {name: dataclasses.asdict(dta_diagnostic(matrix, ranks[name][0], joints))
+                   for name, matrix, joints in dta}
         independence = {}
         for name in ("E100", "E010", "E001", "E011", "E101", "E110"):
             rank, count = (c.nt * n for n in ranks[name])
             independence[name] = {"rank": rank, "nonzero_rows": count}
-            ok = ok and rank == count
-        gate("dta", ok, f"DTA or row-independence violation: {results} {independence}")
-        return {"pass": ok, "method": "per-joint", "dta": results,
-                "nonzero_row_independence": independence}
-
-    suites["dta"] = _timed(timings, "dta", dta_suite)
+        ok = (all(r["ok"] for r in results.values())
+              and all(i["rank"] == i["nonzero_rows"] for i in independence.values()))
+        return ({"method": "per-joint", "dta": results, "nonzero_row_independence": independence},
+                None if ok else f"DTA or row-independence violation: {results} {independence}")
 
     # ----- complex property ---------------------------------------------------
     def complex_suite():
         r10 = max_abs(cx.incidence.D1 @ cx.incidence.D0)
         r21 = max_abs(cx.incidence.D2 @ cx.incidence.D1)
-        ok = r10 <= residual and r21 <= residual
-        gate("complex_property", ok, f"D1 D0 residual {r10:.3e}, D2 D1 residual {r21:.3e}")
-        return {"pass": ok, "d1_d0": r10, "d2_d1": r21}
-
-    suites["complex_property"] = _timed(timings, "complex_property", complex_suite)
+        return ({"d1_d0": r10, "d2_d1": r21},
+                None if r10 <= residual and r21 <= residual else
+                f"D1 D0 residual {r10:.3e}, D2 D1 residual {r21:.3e}")
 
     # ----- commutation ----------------------------------------------------------
     def commutation_suite():
-        if violations:
-            return violation("commutation", "; ".join(violations.values()))
-        residuals = commutation_residuals(c, blocks)
+        residuals = commutation_residuals(c, read("E", "D"))
         worst = max(residuals.values())
-        ok = worst <= residual
-        gate("commutation", ok, f"worst residual {worst:.3e} > {residual:.0e}")
-        return {"pass": ok, "residuals": residuals, "worst": worst}
-
-    suites["commutation"] = _timed(timings, "commutation", commutation_suite)
+        return ({"residuals": residuals, "worst": worst},
+                None if worst <= residual else f"worst residual {worst:.3e} > {residual:.0e}")
 
     # ----- cohomology -----------------------------------------------------------
     def cohomology_suite():
-        if "D" in violations:
-            return violation("cohomology", violations["D"], method=None)
-        rep = cohomology_dimensions(cx.incidence, (blocks["d0"], blocks["d1"]))
+        disk = read("D")
+        rep = cohomology_dimensions(cx.incidence, (disk["d0"], disk["d1"]))
         expected_rank_d1 = c.nt * (c.nbar2 + c.nbar0 - 1)
         dims_ok = rep.dims == (1, 1, 0, 0)
         gaps_ok = all(g >= GAP_RATIO_MIN for g in rep.gap_ratios)
@@ -231,11 +211,7 @@ def run_verification(cx, residual=RESIDUAL_TOL, config_echo=None):
                             / np.abs(m).max()) for m in rng.standard_normal((10, c.n3)))
         preimage_ok = m_worst <= PREIMAGE_TOL
         ok = not rep.failures and dims_ok and gaps_ok and preimage_ok
-        gate("cohomology", ok, "; ".join(
-            rep.failures + [f"dims {rep.dims}, ranks {rep.ranks} (D1 expected {expected_rank_d1}, "
-                            f"D2 expected {c.n3}), gaps {rep.gap_ratios}, preimage {m_worst:.3e}"]))
         return {
-            "pass": ok,
             "method": rep.method,
             "rank_method": rep.rank_method,
             "dims": None if rep.dims is None else list(rep.dims),
@@ -246,9 +222,9 @@ def run_verification(cx, residual=RESIDUAL_TOL, config_echo=None):
             "sv_bracket": [list(b) for b in rep.sv_bracket],
             "divergence_preimage_residual": m_worst,
             "warnings": rep.warnings,
-        }
-
-    suites["cohomology"] = _timed(timings, "cohomology", cohomology_suite)
+        }, None if ok else "; ".join(
+            rep.failures + [f"dims {rep.dims}, ranks {rep.ranks} (D1 expected {expected_rank_d1}, "
+                            f"D2 expected {c.n3}), gaps {rep.gap_ratios}, preimage {m_worst:.3e}"])
 
     # ----- partition of unity ---------------------------------------------------
     def pou_suite():
@@ -262,34 +238,43 @@ def run_verification(cx, residual=RESIDUAL_TOL, config_echo=None):
         # every function without an entry there is 0
         pair = np.unique(point * c.n0 + function, return_inverse=True)[1]
         min_val = float(np.bincount(pair.ravel(), weights=weight).min(initial=0.0))
-        ok = worst_sum <= residual and min_val >= -residual
-        gate("partition_of_unity", ok,
-             f"worst |sum-1| {worst_sum:.3e}, min value {min_val:.3e}")
-        return {"pass": ok, "worst_sum_error": worst_sum, "min_value": min_val,
-                "points": NUM_POINTS}
-
-    suites["partition_of_unity"] = _timed(timings, "partition_of_unity", pou_suite)
+        return ({"worst_sum_error": worst_sum, "min_value": min_val, "points": NUM_POINTS},
+                None if worst_sum <= residual and min_val >= -residual else
+                f"worst |sum-1| {worst_sum:.3e}, min value {min_val:.3e}")
 
     # ----- polar-curve C1 --------------------------------------------------------
     def smoothness_suite():
         spread, c1, bound, (joint, function) = polar_c1_residuals(cx.extraction, cx.polar_map)
-        ok = spread <= bound and c1 <= bound
-        gate("smoothness_probe", ok,
-             f"ring-0 spread {spread:.3e}, C1 affine residual {c1:.3e}, bound {bound:.3e}; "
-             f"worst: function {function} at joint {joint}")
-        return {"pass": ok, "method": "algebraic", "ring0_spread": spread,
-                "c1_affine_residual": c1, "bound": bound,
-                "worst": {"joint": joint, "function": function}}
+        return ({"method": "algebraic", "ring0_spread": spread, "c1_affine_residual": c1,
+                 "bound": bound, "worst": {"joint": joint, "function": function}},
+                None if spread <= bound and c1 <= bound else
+                f"ring-0 spread {spread:.3e}, C1 affine residual {c1:.3e}, bound {bound:.3e}; "
+                f"worst: function {function} at joint {joint}")
 
-    suites["smoothness_probe"] = _timed(timings, "smoothness_probe", smoothness_suite)
+    suites, failures = {}, []
+    # each suite, and the fields it reports before its structure violation
+    for name, suite, violated in (
+            ("dimensions", dims_suite, {}),
+            ("dta", dta_suite, {"method": "per-joint"}),
+            ("complex_property", complex_suite, {}),
+            ("commutation", commutation_suite, {}),
+            ("cohomology", cohomology_suite, {"method": None}),
+            ("partition_of_unity", pou_suite, {}),
+            ("smoothness_probe", smoothness_suite, {})):
+        try:
+            fields, failure = _timed(timings, name, suite)
+        except StructureError as exc:
+            fields, failure = {**violated, "structure_violation": str(exc)}, str(exc)
+        suites[name] = {"pass": failure is None, **fields}
+        if failure is not None:
+            failures.append(f"{name}: {failure}")
 
-    passed = all(s["pass"] for s in suites.values())
     return VerificationReport(
         schema_version=SCHEMA_VERSION,
         config=config_echo if config_echo is not None else cx.dims_record(),
         dims=cx.dims_record(),
         suites=suites,
         timings=timings,
-        passed=passed,
+        passed=not failures,
         failures=failures,
     )

@@ -379,6 +379,12 @@ def test_derivative_basis_structure():
         pd.SplineSpace(pd.KnotVector(1, [0, 0, 1, 1, 1, 2, 2])).derivative_scales
 
 
+def test_a_degree_0_space_has_no_evaluation_tables():
+    # no entry point builds one: the size floors need degree >= 2
+    with pytest.raises(ValueError, match="degree >= 1"):
+        pd.SplineSpace(pd.KnotVector(0, [0.0, 1.0, 2.0]))._span_tables
+
+
 # ------------------------------ DTA check ------------------------------------
 
 class TestDtaCompatible:

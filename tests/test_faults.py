@@ -9,16 +9,22 @@ negative control.  The first three leave every matrix identity intact,
 so only the smoothness suite can see them.  A fault is killed when
 `run_verification` fails it; the sampled probe of `tests/oracles.py` is
 the reference the algebraic check must match or beat.
+
+A small fault in the disk block d1, below the residual bound at the larger
+sizes, is catalogued at the end with the suites it fails where it fails.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 import polar_derham as pd
 from oracles import probe_passes
+from polar_derham.bsplines import csr_from_triplet, triplet
 from polar_derham.extraction import EbarBlock, assemble_3d
 from polar_derham.geometry import PolarMap, build_geometry_g
-from polar_derham.incidence import build_incidence
+from polar_derham.incidence import build_incidence, max_abs
 from polar_derham.torus import PolarComplex
 
 SIZES = [((2, 2, 2), (4, 4, 3)), ((2, 2, 2), (8, 8, 6)), ((2, 2, 2), (16, 16, 8)),
@@ -101,3 +107,43 @@ def test_algebraic_check_kills_what_the_probe_kills(fault, cx443):
     bad = FAULTS[fault][0](cx443)
     if not probe_passes(bad):
         assert "smoothness_probe" in failed_suites(bad)
+
+
+def small_d1_fault(cx, size):
+    """The complex with `size` added to the first +/-1 entry of d1's last
+    row.  D1 and D2 are lifted from the faulted block, so they stay its
+    lift and every suite reads the fault as the complex's own."""
+    incidence = cx.incidence
+    d0, d1 = incidence.joint_blocks
+    block = csr_from_triplet(d1, incidence.lifts.shapes["d1"])
+    last = block.data[block.indptr[-2]:]
+    last[np.flatnonzero(np.abs(last) == 1.0)[0]] += size
+    return dataclasses.replace(
+        cx, incidence=dataclasses.replace(incidence, joint_blocks=(d0, triplet(block))))
+
+
+# ROADMAP items 11 and 15: a d1 fault of 1e-13 passes every suite from
+# (8,8,6) on.  Those cases are strict xfails, so they turn red once a suite
+# catches them.  (size, dims, the suites that fail, None where none do)
+_MISSED = pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 15: a 1e-13 fault in d1 stays below every residual bound"))
+_RESIDUAL_SUITES = {"complex_property", "commutation", "cohomology"}
+SMALL_D1_FAULTS = [
+    pytest.param(size, dims, failed, marks=() if failed else _MISSED,
+                 id=f"{size:g}-{'x'.join(map(str, dims))}")
+    for size, dims, failed in (
+        (1e-13, (4, 4, 3), {"cohomology"}), (1e-13, (8, 8, 6), None),
+        (1e-13, (16, 16, 8), None), (1e-11, (4, 4, 3), _RESIDUAL_SUITES),
+        (1e-11, (8, 8, 6), _RESIDUAL_SUITES), (1e-11, (16, 16, 8), _RESIDUAL_SUITES))
+]
+
+
+@pytest.mark.parametrize("size,dims,failed", SMALL_D1_FAULTS)
+def test_small_d1_fault(size, dims, failed, complex_cache):
+    cx = complex_cache(dims=dims)
+    bad = small_d1_fault(cx, size)
+    # the lifted D1 holds the fault, once per joint
+    assert max_abs(bad.incidence.D1 - cx.incidence.D1) == pytest.approx(size, rel=0.01)
+    report = pd.run_verification(bad)
+    assert not report.passed
+    assert {name for name, s in report.suites.items() if not s["pass"]} == failed

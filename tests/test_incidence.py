@@ -477,6 +477,26 @@ def test_closed_form_rank_must_agree_with_the_certificate(cx443, monkeypatch):
     assert any(f.startswith(f"cohomology: {rep.failures[0]}") for f in report.failures)
 
 
+def test_kunneth_spectrum_refuses_disk_ranks_above_nbar1(cx443):
+    # every value counts at its block's threshold: rank d0 + rank d1 =
+    # 2 nbar0 - 3 > nbar1, which no complex d1 d0 = 0 allows
+    c = cx443.counts
+    s0, s1 = np.ones(c.nbar0), np.ones(c.nbar2)
+    assert c.nbar0 + c.nbar2 > c.nbar1
+    assert kunneth_spectrum(c, s0, s1) is None
+
+
+def test_disk_ranks_above_nbar1_fail_cohomology_as_not_a_complex(cx443, monkeypatch):
+    monkeypatch.setattr(incidence, "kunneth_spectrum", lambda counts, s0, s1: None)
+    rep = cx443.cohomology()
+    assert rep.method == "not-a-complex" and not rep.gap_ratios
+    assert rep.failures == [
+        "(d0, d1) is not a complex: rank d0 + rank d1 > nbar1 at the disk thresholds"]
+    report = run_verification(cx443)
+    assert not report.suites["cohomology"]["pass"]
+    assert any(f.startswith(f"cohomology: {rep.failures[0]}") for f in report.failures)
+
+
 def test_kunneth_frequency_zero_carries_cohomology(complex_cache):
     inc = complex_cache(dims=(5, 6, 4)).incidence
     c = inc.counts

@@ -841,6 +841,23 @@ class TestCli:
         echoed = json.loads((bundle / "config.json").read_text())
         assert echoed["dims"] == [5, 6, 4]
 
+    @pytest.mark.parametrize("option,flags,dims,knots", [
+        # --degrees reads a (7,7,5) bundle's dims under the new degrees
+        ("--bundle", ["--degrees", "3,3,3"], [7, 7, 5], [7, 5, 5]),
+        # a config that gives only distinct_knots keeps them
+        ("--config", [], [4, 4, 3], [5, 3, 4]),
+    ])
+    def test_resolved_dims_and_knots(self, option, flags, dims, knots, tmp_path, capsys):
+        path = tmp_path / "source"
+        if option == "--bundle":
+            assert main(["build", "--sizes", "7,7,5", "--out", str(path)]) == 0
+        else:
+            path.write_text(json.dumps({"degrees": [2, 2, 2], "distinct_knots": [5, 3, 4]}))
+        report = tmp_path / "report.json"
+        assert main(["verify", option, str(path), *flags, "--out", str(report)]) == 0
+        config = json.loads(report.read_text())["config"]
+        assert (config["dims"], config["distinct_knots"]) == (dims, knots)
+
     @pytest.mark.parametrize("key,value", [
         ("degrees", 2),
         ("degrees", [[2], 2, 2]),

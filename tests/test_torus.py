@@ -87,6 +87,12 @@ class TestFieldCoefficients:
             assert got.space == "tensor" and got.level == level
             np.testing.assert_array_equal(got.data, per_component)
 
+    def test_a_tensor_field_is_its_own_tensor_form_and_has_no_pushforward(self, cx443):
+        field = pd.FieldCoefficients(1, "tensor", np.ones(cx443.tensor.level_dim(1)))
+        assert cx443.to_tensor(field) is field
+        with pytest.raises(ValueError, match="expects a reduced field"):
+            cx443.pushforward(field, (0.3, 0.4, 0.5))
+
     def test_level_mismatch(self, cx443):
         field = pd.FieldCoefficients(level=1, space="reduced",
                                      data=np.zeros(cx443.counts.n1))

@@ -60,6 +60,20 @@ def _assert_no_suite_restates_an_implied_condition(report):
                                        cohomology["expected_rank_d2"]]
 
 
+def _assert_one_failure_per_failed_suite(report):
+    """`passed` is the absence of failures, each failed suite has one line
+    ``"<suite>: ..."`` and a passing suite none, and a structure violation
+    is its suite's failure."""
+    assert report.passed == (not report.failures)
+    failed = [name for name, suite in report.suites.items() if not suite["pass"]]
+    assert len(report.failures) == len(failed)
+    for name, suite in report.suites.items():
+        lines = [line for line in report.failures if line.startswith(f"{name}: ")]
+        assert len(lines) == (name in failed), (name, report.failures)
+        if "structure_violation" in suite:
+            assert lines == [f"{name}: {suite['structure_violation']}"]
+
+
 # the verify cases of the build-verify benchmark workload, its two negative
 # controls included
 BUILD_VERIFY_CASES = [((2, 2, 2), (4, 4, 3), None), ((2, 2, 2), (5, 6, 4), None),
@@ -79,6 +93,17 @@ def test_dropped_gates_are_implied_on_the_build_verify_cases(degrees, dims, cont
         # the implication is not vacuous on the clean complexes
         assert report.suites["cohomology"]["dims"] == [1, 1, 0, 0]
     _assert_no_suite_restates_an_implied_condition(report)
+    _assert_one_failure_per_failed_suite(report)
+
+
+@pytest.mark.parametrize("name,row", [("E000", 5), ("E100", 1), ("D1", 5), ("D2", 3)])
+def test_a_row_drop_fails_each_suite_once(complex_cache, name, row):
+    # an override fails every suite that reads its family as a structure
+    # violation, and a suite the dropped row reaches with its own message
+    report = run_verification(inject_row_drop(complex_cache(dims=(8, 8, 6)), name, row))
+    assert not report.passed
+    assert any("structure_violation" in suite for suite in report.suites.values())
+    _assert_one_failure_per_failed_suite(report)
 
 
 @settings(max_examples=20, deadline=None)
