@@ -35,11 +35,11 @@ from the 3D matrices only where a family holds an override, and the seven
 commutation identities are checked on one joint from them
 (:func:`commutation_residuals`): the circle's terms cancel on both sides.
 
-The ranks behind the cohomology are certified from the matrices: echelon
-rows bound each rank from below exactly, and the lift bounds it from
-above (:func:`cohomology_dimensions`).  The closed form over the circle
-(:func:`kunneth_spectrum`) adds the singular values, their gaps and a
-second rank decision that must agree; no frequency block is decomposed.
+The ranks behind the cohomology are certified from d0 and d1: their
+echelon rows and the circle bound each rank from below exactly, and the
+lift bounds it from above (:func:`cohomology_dimensions`).  The closed
+form over the circle (:func:`kunneth_spectrum`) adds the singular values,
+their gaps and a second rank decision that must agree; no D is lifted.
 """
 
 from dataclasses import dataclass, field, replace
@@ -301,56 +301,56 @@ def kunneth_spectrum(counts, s0, s1):
     return spectra
 
 
-def cohomology_dimensions(incidence, disk):
+def cohomology_dimensions(counts, disk):
     """Compute the cohomology dimensions of the reduced complex.
 
     h0 = dim ker D0, h1 = dim ker D1 - rank D0, h2 = dim ker D2 - rank D1,
     h3 = n3 - rank D2, from ranks decided by certificate.  `disk` is the
     pair (d0, d1) whose circle lift D0, D1 and D2 are, as
-    :func:`certify` or :func:`disk_blocks` reads it.
+    :func:`certify` or :func:`disk_blocks` reads it; no D is formed.
 
-    Each rank has an exact lower bound, the echelon count of D0, D1 and
-    D2^T (:func:`~polar_derham.tensor.echelon_rank`, first nonzeros for
-    D2^T), and an upper bound from the lift:
+    Each rank lies between an exact lower bound, from the echelon counts
+    ech of d0 and d1 (:func:`~polar_derham.tensor.echelon_rank`), and an
+    upper bound from the lift.  Over the joints' DFT
+    (:func:`kunneth_spectrum`) each frequency k != 0 holds a circle term
+    c_k I, c_k != 0, that gives its blocks of D0, D1 and D2 rank nbar0, at
+    least nbar1 and nbar2, and k = 0 holds d0, diag(d1, d0) and d1:
 
-    * rank D0 <= n0 - 1 when the constants lie in ker d0 to rounding,
-      ``max|d0 1| <= max(shape) * ulp * sigma_max(d0)``, since D0 1 is
-      [d0 1; 0] in every joint; n0 otherwise;
-    * rank D1 <= n2 - rank D2 when d1 d0 vanishes to rounding,
-      ``max|d1 d0| <= max(shape) * ulp * sigma_max(d0) * sigma_max(d1)``
-      over the shapes of d0 and d1, since D2 D1 = I (x) [0, d1 d0]; n2
-      otherwise;
-    * rank D2 <= n3.
+    * (nt - 1) nbar0 + ech(d0) <= rank D0 <= n0 - 1 when the constants lie
+      in ker d0 to rounding, ``max|d0 1| <= max(shape) * ulp *
+      sigma_max(d0)``, since D0 1 is [d0 1; 0] in every joint; n0 otherwise;
+    * (nt - 1) nbar1 + ech(d0) + ech(d1) <= rank D1 <= n2 - rank D2 when
+      d1 d0 vanishes to rounding, ``max|d1 d0| <= max(shape) * ulp *
+      sigma_max(d0) * sigma_max(d1)`` over the shapes of d0 and d1, since
+      D2 D1 = I (x) [0, d1 d0]; n2 otherwise;
+    * (nt - 1) nbar2 + ech(d1) <= rank D2 <= n3.
 
     Where the bounds meet, the rank is certified.  When d1 d0 vanishes to
-    rounding and the disk ranks agree, the disk blocks are a complex, and
-    one SVD of each gives every singular value of D0, D1 and D2 in closed
-    form (:func:`kunneth_spectrum`, method "kunneth").  Their ranks at the
-    threshold of the full matrix, max(shape) * ulp * sigma_max, must equal
-    the certified ones, and they supply the gap ratios and brackets; a gap
-    ratio below 1e3 is recorded as a warning.  Otherwise, as under a
-    perturbed center block, the method is "not-a-complex", no singular
-    value is decided and only the lower bounds are reported.  The bound
-    depends on the disk blocks alone, so no tolerance of the caller can
-    admit a d1 d0 the closed form does not hold for.  Each unmet bound,
-    disagreement and failed gate is a message in `failures` naming the
-    matrices and both numbers.
+    rounding, a bound of the disk blocks alone that no tolerance of the
+    caller can loosen, and the disk ranks agree, one SVD of each disk block
+    gives every singular value of D0, D1 and D2 (:func:`kunneth_spectrum`,
+    method "kunneth").  Their ranks at the threshold of the full matrix,
+    max(shape) * ulp * sigma_max, must equal the certified ones, and they
+    supply the gap ratios and brackets; a ratio below 1e3 is a warning.
+    Otherwise, as under a perturbed center block, the method is
+    "not-a-complex", and only the lower bounds are reported.  Each unmet
+    bound, disagreement and failed gate is a message in `failures` naming
+    the matrices and both numbers.
 
     When h1 > 0 and the constants lie in ker d0 to rounding, the
     normalised indicator of the toroidal edges is attached as the harmonic
     one-form, a non-normative diagnostic: D1 maps it to d0 1 in every
-    joint, and D0^T to the column sums of the periodic difference stencil,
-    zero.
+    joint, and D0^T to zero, the column sums of the difference stencil.
     """
-    c, names = incidence.counts, ("D0", "D1", "D2")
+    c, names = counts, ("D0", "D1", "D2")
     nt = c.nt
     multiplicity = [1 if 2 * k % nt == 0 else 2 for k in range(nt // 2 + 1)]
     d0, d1 = disk
     s0, s1 = (np.linalg.svd(d.toarray(), compute_uv=False) for d in (d0, d1))
     ones_ok = max_abs(d0 @ np.ones(c.nbar0)) <= _threshold(d0.shape, s0[0])
     product, bound = max_abs(d1 @ d0), _threshold((*d0.shape, d1.shape[0]), s0[0]) * s1[0]
-    lower = (echelon_rank(incidence.D0)[0], echelon_rank(incidence.D1)[0],
-             echelon_rank(incidence.D2.T, reverse=True)[0])
+    ech0, ech1 = (echelon_rank(d)[0] for d in disk)
+    lower = ((nt - 1) * c.nbar0 + ech0, (nt - 1) * c.nbar1 + ech0 + ech1, (nt - 1) * c.nbar2 + ech1)
     upper = (c.n0 - 1 if ones_ok else c.n0, c.n2 - lower[2] if product <= bound else c.n2, c.n3)
     spectra = kunneth_spectrum(c, s0, s1) if product <= bound else None
     failures = []
@@ -362,11 +362,11 @@ def cohomology_dimensions(incidence, disk):
                  for name, low, up in zip(names, lower, upper) if low != up]
     decisions = []
     if spectra is not None:
-        for (name, svals), low, up in zip(spectra.items(), lower, upper):
-            tol = _threshold(getattr(incidence, name).shape, max(float(s[0]) for s in svals))
+        for level, ((name, svals), low, up) in enumerate(zip(spectra.items(), lower, upper)):
             union = np.sort(np.concatenate(
                 [np.tile(s, m) for s, m in zip(svals, multiplicity)]))[::-1]
-            decisions.append(_decide(union, tol))
+            shape = (c.level_dim(level + 1), c.level_dim(level))
+            decisions.append(_decide(union, _threshold(shape, union[0])))
             if low == up != decisions[-1][0]:
                 failures.append(f"{name}: certified rank {low}, Kunneth rank {decisions[-1][0]}")
     certified = lower == upper

@@ -218,7 +218,7 @@ class PolarComplex:
         return commutation_residuals(self.counts, blocks)
 
     def cohomology(self):
-        return cohomology_dimensions(self.incidence, disk_blocks(self.incidence))
+        return cohomology_dimensions(self.counts, disk_blocks(self.incidence))
 
     def named_matrix(self, name):
         """One exportable matrix by its conventional name (:data:`MATRIX_NAMES`),

@@ -9,11 +9,11 @@ unity and polar-curve C1.  The last is algebraic: per joint, every
 level-0 function's ring-0 coefficients must agree and its ring-1 steps
 must be linear in F's (:func:`polar_derham.geometry.polar_c1_residuals`),
 to a rounding bound of F's net, not to `residual`.  That suite is keyed
-``smoothness_probe`` and reports ``method: "algebraic"``.  The DTA,
-commutation and cohomology suites share one certification of the E's and
-D's as circle lifts: each family's blocks are its own, and only a family
-with an override is read back from its matrices, failing, naming it, on
-a matrix that is not its lift.
+``smoothness_probe`` and reports ``method: "algebraic"``.  The suites
+that read E's or D's share one certification of both as circle lifts and
+read their blocks alone, the D's as the disk blocks d0 and d1: each
+family's blocks are its own, and only a family with an override is read
+back from its matrices, failing, naming it, on one that is no lift.
 The README lists the fields each schema version changed.
 """
 
@@ -186,12 +186,12 @@ def run_verification(cx, residual=RESIDUAL_TOL, config_echo=None):
                 None if ok else f"DTA or row-independence violation: {results} {independence}")
 
     # ----- complex property ---------------------------------------------------
+    # the circle terms cancel: D1 D0 and D2 D1 are I (x) (d1 d0) where nonzero
     def complex_suite():
-        r10 = max_abs(cx.incidence.D1 @ cx.incidence.D0)
-        r21 = max_abs(cx.incidence.D2 @ cx.incidence.D1)
-        return ({"d1_d0": r10, "d2_d1": r21},
-                None if r10 <= residual and r21 <= residual else
-                f"D1 D0 residual {r10:.3e}, D2 D1 residual {r21:.3e}")
+        disk = read("D")
+        r = max_abs(disk["d1"] @ disk["d0"])
+        return ({"d1_d0": r, "d2_d1": r},
+                None if r <= residual else f"D1 D0 residual {r:.3e}, D2 D1 residual {r:.3e}")
 
     # ----- commutation ----------------------------------------------------------
     def commutation_suite():
@@ -203,12 +203,15 @@ def run_verification(cx, residual=RESIDUAL_TOL, config_echo=None):
     # ----- cohomology -----------------------------------------------------------
     def cohomology_suite():
         disk = read("D")
-        rep = cohomology_dimensions(cx.incidence, (disk["d0"], disk["d1"]))
+        rep = cohomology_dimensions(c, (disk["d0"], disk["d1"]))
         expected_rank_d1 = c.nt * (c.nbar2 + c.nbar0 - 1)
         dims_ok = rep.dims == (1, 1, 0, 0)
         gaps_ok = all(g >= GAP_RATIO_MIN for g in rep.gap_ratios)
-        m_worst = max(float(np.abs(cx.incidence.D2 @ divergence_preimage(c, m) - m).max()
-                            / np.abs(m).max()) for m in rng.standard_normal((10, c.n3)))
+        def preimage_residual(m):  # D2 h per joint: d1 on side faces, Dt on joint faces
+            joint, side = np.split(divergence_preimage(c, m).reshape(c.nt, -1), [c.nbar2], axis=1)
+            div = (disk["d1"] @ side.T).T + np.roll(joint, -1, axis=0) - joint
+            return float(np.abs(div.ravel() - m).max() / np.abs(m).max())
+        m_worst = max(map(preimage_residual, rng.standard_normal((10, c.n3))))
         preimage_ok = m_worst <= PREIMAGE_TOL
         ok = not rep.failures and dims_ok and gaps_ok and preimage_ok
         return {

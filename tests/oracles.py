@@ -11,7 +11,9 @@ disk blocks of the incidence matrices are kept here as an entry-by-entry
 transcription of the DOF numbering; the library derives them from the
 extraction blocks.  The D's spectrum, one dense SVD per toroidal
 frequency, is the reference for the library's closed form, which gives
-the singular values, while certificates give the ranks.  The circle lift
+the singular values, while certificates give the ranks; the echelon
+counts of the lifted D's are the reference for the library's rank counts
+from the disk blocks.  The circle lift
 through scipy's COO constructor is the reference for the library's
 direct CSR lift, and its COO -> CSR pass the reference for the library's
 triplet constructor.  The tensor level operators and the level-0
@@ -36,7 +38,7 @@ from polar_derham.bsplines import (KnotVector, SpanLookup, difference_matrix, dt
                                    index_dtype, triplet)
 from polar_derham.extraction import joint_blocks, lift_table
 from polar_derham.incidence import _decide, _disk_blocks, _threshold, max_abs
-from polar_derham.tensor import LEVEL_PATTERNS, cat_triplets, derivative_entries
+from polar_derham.tensor import LEVEL_PATTERNS, cat_triplets, derivative_entries, echelon_rank
 
 
 # =============================== knot vectors ===============================
@@ -257,6 +259,14 @@ def frequency_ranks(incidence, spectra):
                                          max(float(b[0]) for b in svals)))[0]
                    for s in svals]
             for name, svals in spectra.items()}
+
+
+def echelon_ranks_3d(incidence):
+    """The echelon counts of the lifted D0, D1 and, by first nonzeros,
+    D2^T: exact lower bounds on their ranks, read off the 3D matrices, that
+    the library's counts from the disk blocks and the circle must equal."""
+    return (echelon_rank(incidence.D0)[0], echelon_rank(incidence.D1)[0],
+            echelon_rank(incidence.D2.T, reverse=True)[0])
 
 
 def is_dta_compatible(matrix):

@@ -303,30 +303,23 @@ def test_build_lifts_nothing_and_a_reduced_grad_lifts_d0_once(monkeypatch):
     assert lifted == _d_shapes(cx.counts)[:1]
 
 
-def test_verify_lifts_the_incidence_matrices_once_and_the_field_path_no_matrix(monkeypatch):
+def test_verify_cohomology_and_the_field_path_lift_no_matrix(monkeypatch):
     lifted = _count_lifts(monkeypatch)
     cx = pd.build_complex(pd.TorusComplexSpec((2, 2, 2), (5, 6, 4)))
     c = cx.counts
-    assert lifted == []
-
-    def refuse(*args):
-        raise AssertionError("a matrix was lifted")
-
-    monkeypatch.setattr(tensor, "kron_lift", refuse)
     points = np.random.default_rng(49).uniform(0.01, 1.0, (600, 3))
     for level in range(4):
         coeffs = np.ones(c.level_dim(level))
         cx.pushforward(coeffs, points, level=level)
         cx.reduced_basis_values(level, points[:3])
         cx.to_tensor(pd.FieldCoefficients(level, "reduced", coeffs))
-    with pytest.raises(AssertionError, match="lifted"):
-        cx.extraction.E000
-    monkeypatch.undo()
-    lifted = _count_lifts(monkeypatch)
+    # verify and the cohomology read the disk blocks alone
     assert pd.run_verification(cx).passed
-    assert sorted(lifted) == sorted(_d_shapes(c))
     assert pd.run_verification(cx).passed
-    assert sorted(lifted) == sorted(_d_shapes(c))
+    assert cx.cohomology().dims == (1, 1, 0, 0)
+    assert lifted == []
+    cx.extraction.E000  # the counter sees a lift
+    assert lifted == [(c.nbar0, c.nr * c.ns)]
 
 
 # ------------------------ the apply builds no matrix ----------------------------

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -10,16 +11,16 @@ import pytest
 from scipy import sparse
 
 import polar_derham as pd
-from oracles import (disk_block_pairs, frequency_ranks, level_operator, rank_with_gap,
-                     toroidal_spectrum)
-from polar_derham import cli, incidence
+from oracles import (disk_block_pairs, echelon_ranks_3d, frequency_ranks, level_operator,
+                     rank_with_gap, toroidal_spectrum)
+from polar_derham import cli, incidence, tensor
 from polar_derham.cli import main
 from polar_derham.incidence import _disk_blocks, disk_blocks, kunneth_spectrum, max_abs
 from polar_derham.iotools import write_triplet
 from polar_derham.tensor import (LEVEL_PATTERNS, StructureError, check_size_floors,
                                  derivative_entries, dims_of_distinct_knots)
 from polar_derham.torus import PolarComplex
-from polar_derham.verification import run_verification
+from polar_derham.verification import inject_row_drop, run_verification
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +270,55 @@ def test_euler_identity(complex_cache):
     assert h[0] - h[1] + h[2] - h[3] == c.n0 - c.n1 + c.n2 - c.n3 == 0
 
 
+# the benchmark's verify cases but the --drop-row one, whose D1 is no lift
+# (its cohomology fails with a structure violation), and the perturbed
+# center block at (8,8,6)
+RANK_CASES = [((2, 2, 2), (4, 4, 3), 0.0), ((2, 2, 2), (5, 6, 4), 0.0),
+              ((2, 2, 2), (7, 7, 5), 0.0), ((3, 3, 3), (7, 7, 5), 0.0),
+              ((2, 2, 2), (8, 8, 6), 0.0), ((2, 2, 2), (4, 4, 3), 1e-3),
+              ((2, 2, 2), (8, 8, 6), 1e-3)]
+
+
+@pytest.mark.parametrize("degrees,dims,perturbation", RANK_CASES)
+def test_disk_rank_counts_equal_the_3d_echelon_oracle(degrees, dims, perturbation):
+    cx = pd.build_complex(pd.TorusComplexSpec(degrees, dims), ebar_perturbation=perturbation)
+    assert cx.cohomology().ranks == echelon_ranks_3d(cx.incidence)
+
+
+def test_cohomology_lifts_no_matrix_and_keeps_little(monkeypatch):
+    # the ranks, the gates and the thresholds come from the counts and the
+    # disk blocks; lifting and keeping D0 to D2 kept 5.3 MB here
+    cx = pd.build_complex(pd.TorusComplexSpec((2, 2, 2), (32, 32, 16)))
+    lifted, lift = [], tensor.kron_lift
+    monkeypatch.setattr(tensor, "kron_lift", lambda *args: lifted.append(args[1]) or lift(*args))
+    tracemalloc.start()
+    try:
+        rep = cx.cohomology()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert rep.dims == (1, 1, 0, 0) and lifted == []
+    assert kept < 1e6, kept
+
+
+@pytest.mark.parametrize("dims", [(4, 4, 3), (8, 8, 6), (32, 32, 16)])
+@pytest.mark.parametrize("perturbation", [0.0, 1e-3])
+def test_complex_property_is_the_3d_residuals_bit_for_bit(dims, perturbation):
+    cx = pd.build_complex(pd.TorusComplexSpec((2, 2, 2), dims), ebar_perturbation=perturbation)
+    suite = run_verification(cx).suites["complex_property"]
+    inc = cx.incidence
+    assert suite["d1_d0"] == max_abs(inc.D1 @ inc.D0)
+    assert suite["d2_d1"] == max_abs(inc.D2 @ inc.D1)
+    assert suite["pass"] is (perturbation == 0.0)
+
+
+@pytest.mark.parametrize("name", ["D0", "D1", "D2"])
+def test_a_dropped_d_row_fails_the_complex_property_as_a_structure_violation(cx443, name):
+    suite = run_verification(inject_row_drop(cx443, name, 5)).suites["complex_property"]
+    assert not suite["pass"] and "d1_d0" not in suite
+    assert suite["structure_violation"].startswith(f"{name} is not")
+
+
 def test_harmonic_representative(cx443):
     rep = cx443.cohomology()
     v = rep.harmonic_one_form
@@ -303,7 +353,7 @@ def test_fourier_spectrum_matches_dense(dims, perturbation):
     spec = pd.TorusComplexSpec(degrees=(3, 3, 3), dims=dims)
     inc = pd.build_complex(spec, ebar_perturbation=perturbation).incidence
     nt = inc.counts.nt
-    rep = pd.cohomology_dimensions(inc, disk_blocks(inc))
+    rep = pd.cohomology_dimensions(inc.counts, disk_blocks(inc))
     spectra = toroidal_spectrum(inc.counts, *disk_blocks(inc))
     multiplicity = [1 if 2 * k % nt == 0 else 2 for k in range(nt // 2 + 1)]
     for index, (name, ranks) in enumerate(frequency_ranks(inc, spectra).items()):
@@ -330,7 +380,7 @@ def test_kunneth_closed_form_matches_fourier_blocks(dims, degree):
     # the closed form from the two disk SVDs reproduces every frequency
     # block's singular values, and its ranks are the dense ranks
     inc = pd.build_complex(pd.TorusComplexSpec(degrees=(degree,) * 3, dims=dims)).incidence
-    rep = pd.cohomology_dimensions(inc, disk_blocks(inc))
+    rep = pd.cohomology_dimensions(inc.counts, disk_blocks(inc))
     assert rep.method == "kunneth"
     d0, d1 = disk_blocks(inc)
     s0, s1 = (np.linalg.svd(d.toarray(), compute_uv=False) for d in (d0, d1))

@@ -10,7 +10,7 @@ import pytest
 from scipy import sparse
 
 import polar_derham as pd
-from oracles import (csr_reference, disk_block_pairs, eval_local, find_span,
+from oracles import (csr_reference, disk_block_pairs, echelon_ranks_3d, eval_local, find_span,
                      kron_lift_reference, level_operator, toroidal_spectrum, wrap)
 from polar_derham.bsplines import csr_from_triplet, difference_triplet
 from polar_derham.extraction import lift_table
@@ -49,6 +49,19 @@ def test_one_changed_entry_in_any_joint_names_the_matrix(complex_cache, size, na
     # a change in a block read from joint 0 shows in the matrix that copies
     # it, and that matrix's message names the source: "differs from D0's d0"
     assert name in str(err.value)
+
+
+@_settings
+@given(degrees=st.tuples(*[st.integers(2, 5)] * 3), data=st.data(),
+       perturbation=st.sampled_from([0.0, 1e-3]))
+def test_disk_rank_counts_equal_the_3d_echelon_oracle_on_random_complexes(degrees, data,
+                                                                          perturbation):
+    # from the size floors of the degrees up to (12, 12, 8)
+    floors = (max(3, degrees[0] - 1), max(4, degrees[1] + 1), max(3, degrees[2] - 1))
+    dims = tuple(data.draw(st.integers(lo, hi), label="dims")
+                 for lo, hi in zip(floors, (12, 12, 8)))
+    cx = pd.build_complex(pd.TorusComplexSpec(degrees, dims), ebar_perturbation=perturbation)
+    assert cx.cohomology().ranks == echelon_ranks_3d(cx.incidence)
 
 
 @_settings
